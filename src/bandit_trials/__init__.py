@@ -6,7 +6,6 @@ from .gittins import (
     GittinsTable,
     GittinsTableError,
     compute_index_table,
-    gittins_index,
     load_index_table,
     save_index_table,
 )
@@ -44,7 +43,6 @@ __all__ = [
     "calibrate_critical_value",
     "compute_index_table",
     "fwer_critical_value",
-    "gittins_index",
     "load_index_table",
     "run_replicates",
     "run_trial",

@@ -3,15 +3,16 @@
 Subcommands
 -----------
 table       build a standardized index table and write it as CSV
-calibrate   Monte Carlo critical value of one design under the global null
+calibrate   Monte Carlo critical value of one design under the global null,
+            at one trial size or several (``--T 64,116,302``)
 simulate    operating-characteristics sweep over policies and hypotheses
-sweep       empirical critical value against trial size
 samplesize  equal-randomisation trial size for target power
 
 Index tables are cached per (discount, n_max) in $BANDIT_TRIALS_TABLE_DIR
 when that variable is set.  Every command is deterministic given its
-``--seed``; replicate streams are derived per policy and hypothesis, so
-adding policies to a sweep does not perturb the others.
+``--seed``; replicate streams are derived per policy, hypothesis (its
+position in the scenario) and trial size, so adding policies or selecting
+hypotheses does not perturb the others.
 """
 
 from __future__ import annotations
@@ -52,17 +53,23 @@ def _table_cache_path(discount: float, n_max: int) -> Path | None:
     return Path(cache_dir) / f"gittins_d{discount:g}_n{n_max}.csv"
 
 
-def get_table(discount: float, n_max: int, cfg: DpConfig | None = None) -> GittinsTable:
+def get_table(discount: float, n_max: int) -> GittinsTable:
     """Fetch a cached index table or compute (and cache) one."""
     path = _table_cache_path(discount, n_max)
     if path is not None and path.exists():
         table = load_index_table(path)
         if table.discount == discount and table.n_max >= n_max:
             return table
-    table = compute_index_table(discount, n_max, cfg)
+    table = compute_index_table(discount, n_max)
     if path is not None:
         path.parent.mkdir(parents=True, exist_ok=True)
-        save_index_table(table, path)
+        # write aside, then rename: concurrent runs never see a partial table
+        tmp = path.with_name(f"{path.name}.{os.getpid()}.tmp")
+        try:
+            save_index_table(table, tmp)
+            os.replace(tmp, path)
+        finally:
+            tmp.unlink(missing_ok=True)
     return table
 
 
@@ -96,12 +103,32 @@ def _scenario(preset: dict, kind: str, label: str, mu, T: int | None = None) -> 
 def _load_scenario_source(args) -> dict:
     if getattr(args, "config", None):
         cfg = json.loads(Path(args.config).read_text())
+        if not isinstance(cfg, dict):
+            raise ValueError(f"config {args.config} must hold a JSON object")
         if "preset" in cfg:
             preset = load_preset(cfg["preset"])
             preset.update({k: v for k, v in cfg.items() if k != "preset"})
-            return preset
-        return cfg
-    return load_preset(args.preset)
+            cfg = preset
+    else:
+        cfg = load_preset(args.preset)
+    missing = [key for key in ("K", "T", "hypotheses", "policies") if key not in cfg]
+    if missing:
+        raise ValueError(f"scenario config lacks {', '.join(missing)}")
+    if not isinstance(cfg["hypotheses"], dict) or not cfg["hypotheses"]:
+        raise ValueError("scenario config needs 'hypotheses': a non-empty map of label to means")
+    n_arms = int(cfg["K"]) + 1
+    for label, mu in cfg["hypotheses"].items():
+        if not isinstance(mu, list) or len(mu) != n_arms:
+            raise ValueError(f"hypothesis {label!r} must list K+1={n_arms} arm means")
+    return cfg
+
+
+def _null_hypothesis(preset: dict) -> tuple[str, list]:
+    """The scenario's first hypothesis, which calibration requires to be a global null."""
+    label, mu = next(iter(preset["hypotheses"].items()))
+    if max(mu) != min(mu):
+        raise ValueError(f"hypothesis {label!r} is not a global null; cannot calibrate")
+    return label, mu
 
 
 def _dp_config(args) -> DpConfig:
@@ -146,53 +173,54 @@ def _needs_table(kinds) -> bool:
     return any(PolicySpec(k).needs_table for k in kinds)
 
 
-def _scenario_table(preset: dict, kinds, T: int, dp_cfg: DpConfig | None = None):
+def _scenario_table(preset: dict, kinds, T: int):
     if not _needs_table(kinds):
         return None
-    return get_table(float(preset.get("discount", 0.995)), max(T, int(preset["T"])), dp_cfg)
+    return get_table(float(preset.get("discount", 0.995)), max(T, int(preset["T"])))
 
 
 def cmd_calibrate(args) -> int:
     preset = _load_scenario_source(args)
     kind = args.policy.upper()
-    labels = list(preset["hypotheses"])
-    null_label = labels[0]
-    mu = preset["hypotheses"][null_label]
-    if max(mu) != min(mu):
-        print(f"scenario hypothesis {null_label!r} is not a global null; refusing to calibrate",
-              file=sys.stderr)
-        return 1
-    T = args.T or int(preset["T"])
-    scenario = _scenario(preset, kind, null_label, mu, T=T)
-    table = _scenario_table(preset, [kind], T)
-    seed = _derived_seed(args.seed, POLICY_KINDS.index(kind), 0, T)
-    critical, summary = calibrate_critical_value(
-        scenario, table, seed, args.replicates, args.alpha, workers=args.workers)
-
+    null_label, mu = _null_hypothesis(preset)
+    sizes = args.T or [int(preset["T"])]
+    table = _scenario_table(preset, [kind], max(sizes))
     out_dir = Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
-    record = {
-        "policy": kind,
-        "K": scenario.K,
-        "T": scenario.T,
-        "M": args.replicates,
-        "alpha": args.alpha,
-        "critical_value": critical.value,
-        "critical_value_ci95": critical.provenance["ci95"],
-        "z_mean": summary.mean,
-        "z_sd": summary.sd,
-        "seed": seed,
-    }
-    json_path = out_dir / f"calibration_{kind}_T{scenario.T}.json"
-    json_path.write_text(json.dumps(record, indent=2) + "\n")
-    hist_path = out_dir / f"calibration_{kind}_T{scenario.T}_hist.csv"
-    edges, counts = summary.histogram.edges, summary.histogram.counts
-    lines = ["bin_left,bin_right,count"]
-    lines += [f"{edges[i]},{edges[i + 1]},{counts[i]}" for i in range(counts.size)]
-    hist_path.write_text("\n".join(lines) + "\n")
-    print(f"{kind}: C_{{{args.alpha}}} = {critical.value:.4f} "
-          f"(statistic sd {summary.sd:.3f}); wrote {json_path} and {hist_path}")
+    for T in sizes:
+        scenario = _scenario(preset, kind, null_label, mu, T=T)
+        seed = _derived_seed(args.seed, POLICY_KINDS.index(kind), 0, T)
+        critical, summary = calibrate_critical_value(
+            scenario, table, seed, args.replicates, args.alpha, workers=args.workers)
+        record = {
+            "policy": kind,
+            "K": scenario.K,
+            "T": scenario.T,
+            "M": args.replicates,
+            "alpha": args.alpha,
+            "critical_value": critical.value,
+            "critical_value_ci95": critical.provenance["ci95"],
+            "z_mean": summary.mean,
+            "z_sd": summary.sd,
+            "seed": seed,
+        }
+        json_path = out_dir / f"calibration_{kind}_T{scenario.T}.json"
+        json_path.write_text(json.dumps(record, indent=2) + "\n")
+        hist_path = out_dir / f"calibration_{kind}_T{scenario.T}_hist.csv"
+        edges, counts = summary.histogram.edges, summary.histogram.counts
+        lines = ["bin_left,bin_right,count"]
+        lines += [f"{edges[i]},{edges[i + 1]},{counts[i]}" for i in range(counts.size)]
+        hist_path.write_text("\n".join(lines) + "\n")
+        print(f"{kind}: C_{{{args.alpha}}} = {critical.value:.4f} "
+              f"(statistic sd {summary.sd:.3f}); wrote {json_path} and {hist_path}",
+              flush=True)
     return 0
+
+
+def _calibration_size(preset: dict, T: int) -> int:
+    """Trial size of the calibration: the referenced preset's, if any (rare-t64)."""
+    source = preset.get("reuse_critical_values_from")
+    return int(load_preset(source)["T"]) if source else T
 
 
 def _resolve_critical(args, preset, kind, T, table, analytic) -> CriticalValue:
@@ -202,11 +230,7 @@ def _resolve_critical(args, preset, kind, T, table, analytic) -> CriticalValue:
         # FR always tests at the analytic value
         return analytic
     if mode == "calibrate":
-        labels = list(preset["hypotheses"])
-        null_label = labels[0]
-        mu = preset["hypotheses"][null_label]
-        if max(mu) != min(mu):
-            raise SystemExit(f"hypothesis {null_label!r} is not a global null; cannot calibrate")
+        null_label, mu = _null_hypothesis(preset)
         scenario = _scenario(preset, kind, null_label, mu, T=T)
         seed = _derived_seed(args.seed, POLICY_KINDS.index(kind), 0, T)
         critical, _ = calibrate_critical_value(
@@ -224,9 +248,15 @@ def cmd_simulate(args) -> int:
     kinds = [k.upper() for k in (args.policies.split(",") if args.policies else preset["policies"])]
     hypotheses = (args.hypotheses.split(",") if args.hypotheses
                   else list(preset["hypotheses"]))
+    labels = list(preset["hypotheses"])
+    unknown = [label for label in hypotheses if label not in labels]
+    if unknown:
+        raise ValueError(f"unknown hypotheses {', '.join(unknown)}; "
+                         f"the scenario has {', '.join(labels)}")
     T = args.T or int(preset["T"])
+    calibration_T = _calibration_size(preset, T) if args.critical_values == "calibrate" else T
     alpha = float(preset.get("alpha", 0.05))
-    table = _scenario_table(preset, kinds, T)
+    table = _scenario_table(preset, kinds, max(T, calibration_T))
     analytic = fwer_critical_value(int(preset["K"]), alpha)
 
     out_dir = Path(args.out_dir)
@@ -234,13 +264,13 @@ def cmd_simulate(args) -> int:
     rows = []
     criticals = {}
     for kind in kinds:
-        critical = _resolve_critical(args, preset, kind, T, table, analytic)
+        critical = _resolve_critical(args, preset, kind, calibration_T, table, analytic)
         criticals[kind] = critical.value
         for label in hypotheses:
             mu = preset["hypotheses"][label]
             scenario = _scenario(preset, kind, label, mu, T=T)
             seed = _derived_seed(args.seed, POLICY_KINDS.index(kind),
-                                 1 + hypotheses.index(label), T)
+                                 1 + labels.index(label), T)
             records = run_replicates(scenario, table, seed, args.replicates,
                                      workers=args.workers,
                                      keep_trajectory=args.bias)
@@ -271,35 +301,8 @@ def cmd_simulate(args) -> int:
     return 0
 
 
-def cmd_sweep(args) -> int:
-    preset = _load_scenario_source(args)
-    kind = args.policy.upper()
-    sizes = [int(s) for s in args.sizes.split(",")]
-    if not sizes:
-        print("no trial sizes given", file=sys.stderr)
-        return 1
-    labels = list(preset["hypotheses"])
-    null_label = labels[0]
-    mu = preset["hypotheses"][null_label]
-    if max(mu) != min(mu):
-        print(f"hypothesis {null_label!r} is not a global null", file=sys.stderr)
-        return 1
-    table = _scenario_table(preset, [kind], max(sizes))
-    out_dir = Path(args.out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
-    lines = ["T,critical_value"]
-    for T in sizes:
-        scenario = _scenario(preset, kind, null_label, mu, T=T)
-        seed = _derived_seed(args.seed, POLICY_KINDS.index(kind), 0, T)
-        critical, _ = calibrate_critical_value(
-            scenario, table, seed, args.replicates, preset.get("alpha", 0.05),
-            workers=args.workers)
-        lines.append(f"{T},{critical.value!r}")
-        print(f"{kind} T={T}: C = {critical.value:.4f}", flush=True)
-    path = out_dir / f"sweep_{kind}.csv"
-    path.write_text("\n".join(lines) + "\n")
-    print(f"wrote {path}")
-    return 0
+def _sizes(text: str) -> list[int]:
+    return [int(size) for size in text.split(",")]
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -335,14 +338,15 @@ def build_parser() -> argparse.ArgumentParser:
                        help="JSON run config (overrides --preset)")
         p.add_argument("--replicates", "-M", type=int, default=10000)
         p.add_argument("--seed", type=int, default=0)
-        p.add_argument("--workers", type=int, default=max(1, os.cpu_count() or 1))
+        p.add_argument("--workers", type=int, default=max(1, len(os.sched_getaffinity(0))))
         p.add_argument("--out-dir", type=str, default="results")
 
     p = sub.add_parser("calibrate", help="empirical critical value under the global null")
     common(p)
     p.add_argument("--policy", type=str, required=True)
     p.add_argument("--alpha", type=float, default=0.05)
-    p.add_argument("--T", type=int, default=None, help="override the preset trial size")
+    p.add_argument("--T", type=_sizes, default=None,
+                   help="trial size, or comma-separated sizes (default: the preset's)")
     p.set_defaults(func=cmd_calibrate)
 
     p = sub.add_parser("simulate", help="operating-characteristics sweep")
@@ -356,12 +360,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--bias", action="store_true", help="also write bias trajectories")
     p.add_argument("--traces", type=int, default=0, help="dump the first N replicate traces")
     p.set_defaults(func=cmd_simulate)
-
-    p = sub.add_parser("sweep", help="critical value against trial size")
-    common(p)
-    p.add_argument("--policy", type=str, required=True)
-    p.add_argument("--sizes", type=str, required=True, help="comma-separated trial sizes")
-    p.set_defaults(func=cmd_sweep)
 
     return parser
 

@@ -4,9 +4,10 @@ One replicate processes patients 1..T in order.  The first K+1 patients are
 an initialization phase giving every arm exactly one observation: UCB-family
 rules assign patient t to arm t-1 as their definitions require, all other
 rules use a uniformly random arm order.  From patient K+2 on, the scenario's
-allocation rule picks the arm; the outcome is drawn N(mu_k, sigma^2) and is
-observable before the next allocation (batched rules see a stale probability
-vector instead, refreshed per block).
+allocation rule, bound by ``policies.make_allocator``, picks the arm; the
+outcome is drawn N(mu_k, sigma^2) and is observable before the next
+allocation (batched rules see a stale probability vector instead, refreshed
+per block).
 
 Randomness discipline: each replicate owns two independent streams derived
 from (master_seed, replicate): one for policy randomness (initialization
@@ -28,16 +29,7 @@ import numpy as np
 
 from .gittins import GittinsTable
 from .inference import ZVector, z_statistic
-from .policies import (
-    ArmState,
-    BatchedPolicy,
-    PolicySpec,
-    guarded_allocate,
-    sample_from_probabilities,
-    select_from_scores,
-    tp_probabilities,
-    ts_probabilities,
-)
+from .policies import ArmState, PolicySpec, make_allocator
 
 __all__ = ["TrialScenario", "TrialRecord", "run_trial", "run_replicates", "write_trace_csv"]
 
@@ -64,9 +56,7 @@ class TrialScenario:
             raise ValueError("T must cover the initialization phase (T >= K+1)")
         if self.sigma <= 0:
             raise ValueError("sigma must be positive")
-        if self.policy.kind == "TP" or self.policy.kind == "TPB":
-            if self.K < 2:
-                raise ValueError("TP/TPB are defined for multi-arm trials only (K >= 2)")
+        self.policy.check_arms(self.K)
 
     @property
     def is_global_null(self) -> bool:
@@ -88,99 +78,6 @@ class TrialRecord:
     z: ZVector
     mean_trajectory: np.ndarray | None  # (K+1, T) running means, NaN before first obs
     scenario_key: tuple
-
-
-def _make_decider(scenario: TrialScenario, arms: list[ArmState],
-                  table: GittinsTable | None, rng: np.random.Generator):
-    """Bind the per-patient arm choice for the scenario's policy.
-
-    Returns decide(t) -> arm index for t > K+1.  Scalar math throughout:
-    these closures run millions of times per scenario sweep.
-    """
-    spec = scenario.policy
-    kind = spec.kind
-    sigma = scenario.sigma
-    T = scenario.T
-    K = scenario.K
-    n_arms = K + 1
-
-    if kind == "FR":
-        uniform = [1.0 / n_arms] * n_arms
-
-        def decide(t: int) -> int:
-            return sample_from_probabilities(uniform, rng)
-
-    elif kind in ("TS", "TP"):
-        draws = spec.ts_draws
-
-        def decide(t: int) -> int:
-            if kind == "TS":
-                probs = ts_probabilities(arms, sigma, t - 1, T, draws, rng)
-            else:
-                probs = tp_probabilities(arms, sigma, t - 1, T)
-            return sample_from_probabilities(probs, rng)
-
-    elif kind in ("TSB", "TPB"):
-        batched = BatchedPolicy(spec, n_arms)
-
-        def decide(t: int) -> int:
-            probs = batched.probabilities(arms, sigma, t, T, rng)
-            return sample_from_probabilities(probs, rng)
-
-    elif kind in ("CG", "CUC"):
-
-        def decide(t: int) -> int:
-            return guarded_allocate(spec, arms, sigma, t, table, rng)
-
-    elif kind == "CB":
-
-        def decide(t: int) -> int:
-            scores = [a.sum / a.n for a in arms]
-            return select_from_scores(scores, rng)
-
-    elif kind == "GI":
-        # allocation_index convention: entry n+1, i.e. bonuses[n] 0-indexed
-        bonuses = table.values.tolist()
-
-        def decide(t: int) -> int:
-            scores = [a.sum / a.n + sigma * bonuses[a.n] for a in arms]
-            return select_from_scores(scores, rng)
-
-    elif kind == "RGI":
-        bonuses = table.values.tolist()
-
-        def decide(t: int) -> int:
-            bumps = rng.standard_exponential(n_arms)
-            scores = [a.sum / a.n + sigma * bonuses[a.n] + bump / (a.n + 1)
-                      for a, bump in zip(arms, bumps)]
-            return select_from_scores(scores, rng)
-
-    elif kind == "RBI":
-
-        def decide(t: int) -> int:
-            bumps = rng.standard_exponential(n_arms)
-            scores = [a.sum / a.n + bump / (a.n + 1) for a, bump in zip(arms, bumps)]
-            return select_from_scores(scores, rng)
-
-    elif kind == "UCB":
-
-        def decide(t: int) -> int:
-            width = sigma * math.sqrt(2.0 * math.log(t))
-            scores = [a.sum / a.n + width / math.sqrt(a.n) for a in arms]
-            return select_from_scores(scores, rng)
-
-    elif kind == "KLU":
-
-        def decide(t: int) -> int:
-            log_t = math.log(t)
-            width = sigma * math.sqrt(max(2.0 * (log_t + 3.0 * math.log(log_t)), 0.0))
-            scores = [a.sum / a.n + width / math.sqrt(a.n) for a in arms]
-            return select_from_scores(scores, rng)
-
-    else:  # pragma: no cover - PolicySpec already rejects unknown kinds
-        raise ValueError(f"unhandled policy kind {kind}")
-
-    return decide
 
 
 def run_trial(scenario: TrialScenario, table: GittinsTable | None = None,
@@ -213,7 +110,7 @@ def run_trial(scenario: TrialScenario, table: GittinsTable | None = None,
     mu = scenario.mu
     n_arms = K + 1
     arms = [ArmState() for _ in range(n_arms)]
-    decide = _make_decider(scenario, arms, table, rng)
+    decide = make_allocator(spec, arms, sigma, T, table, rng)
 
     if spec.round_robin_init:
         init_order = list(range(n_arms))

@@ -3,7 +3,8 @@
 The index of an arm in state (mean ``x``, observation count ``n``, outcome
 s.d. ``sigma``) decomposes as ``x + sigma * v(n)`` where ``v(n)`` is the
 index of the standardized arm (mean 0, unit variance).  This module builds
-the ``v(n)`` table by dynamic programming and evaluates indices from it.
+the ``v(n)`` table by dynamic programming; ``policies`` evaluates indices
+from it.
 
 Construction solves the calibration problem: a single unknown arm (improper
 flat prior, posterior N(z, 1/n) after n standardized observations) played
@@ -51,7 +52,6 @@ __all__ = [
     "GittinsTableError",
     "BracketError",
     "compute_index_table",
-    "gittins_index",
     "save_index_table",
     "load_index_table",
     "default_horizon",
@@ -266,16 +266,6 @@ def compute_index_table(discount: float, n_max: int, cfg: DpConfig | None = None
         "lambda_bracket": tuple(cfg.lambda_bracket),
     }
     return GittinsTable(discount=d, values=values, dp_meta=meta)
-
-
-def gittins_index(mean: float, n: int, sigma: float, table: GittinsTable) -> float:
-    """Index of an arm with posterior mean ``mean`` after ``n`` observations.
-
-    Equals ``mean + sigma * v(n)`` with ``v`` the standardized table.
-    """
-    if sigma <= 0:
-        raise ValueError("sigma must be positive")
-    return mean + sigma * table.value(n)
 
 
 def save_index_table(table: GittinsTable, path: str | Path) -> Path:

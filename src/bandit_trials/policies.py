@@ -1,5 +1,13 @@
 """Patient-allocation rules for multi-armed trials with normal outcomes.
 
+This module owns every rule: how it scores or weights the arms, which
+random numbers it draws and in what order, and how the arm is chosen.
+:func:`make_allocator` binds a rule to one trial's arm states; the trial
+engine only validates its inputs, loops over patients and fans replicates
+out, and knows nothing of any particular rule.  Each index rule has exactly
+one scoring implementation, shared by its own allocation, the merit stage
+of the guarded rules and :func:`policy_scores`.
+
 Each rule reduces to one of three shapes:
 
 * deterministic index rules (UCB, KLU, CB, GI) and semi-randomised index
@@ -26,8 +34,8 @@ which is t-1 here.  The choice leaves acceptance criterion 8 unchanged: at
 its fixed seeds the UCB gap C(302)-C(64) is 0.0757 under ln t and 0.0796
 under ln(t-1), and both clear its Monte Carlo threshold.
 
-Scoring is pure given (state, rng); nothing here holds shared mutable
-state, so policies are safe to evaluate concurrently across replicates.
+Scoring is pure given (state, rng), and a bound allocator holds only its
+own trial's state, so replicates can run concurrently.
 """
 
 from __future__ import annotations
@@ -37,21 +45,16 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .gittins import GittinsTable
+from .gittins import GittinsTable, GittinsTableError
 
 __all__ = [
     "POLICY_KINDS",
     "ArmState",
     "PolicySpec",
-    "PolicyVector",
+    "make_allocator",
     "policy_scores",
-    "allocation_index",
-    "ucb_score",
-    "klu_score",
     "ts_probabilities",
     "tp_probabilities",
-    "perturbed_score",
-    "guarded_allocate",
     "BatchedPolicy",
     "select_from_scores",
     "sample_from_probabilities",
@@ -160,37 +163,10 @@ class PolicySpec:
             return self.control_guard_prob
         return 1.0 / (n_experimental + 1)
 
-
-@dataclass(frozen=True)
-class PolicyVector:
-    """Per-arm output of a rule: either raw scores or allocation probabilities."""
-
-    kind: str  # "score" | "probability"
-    values: np.ndarray
-
-
-def ucb_score(arm: ArmState, sigma: float, t: int) -> float:
-    """Upper-confidence index ``mean + sigma * sqrt(2 ln t / n)``."""
-    if arm.n < 1:
-        raise ValueError("UCB score requires at least one observation")
-    if t < 2:
-        raise ValueError("UCB score requires patient index t >= 2")
-    return arm.mean + sigma * math.sqrt(2.0 * math.log(t) / arm.n)
-
-
-def klu_score(arm: ArmState, sigma: float, t: int) -> float:
-    """Index ``mean + sigma * sqrt(2 (ln t + 3 ln ln t) / n)``.
-
-    The radicand is floored at zero so the score stays defined for every
-    integer t >= 3.
-    """
-    if arm.n < 1:
-        raise ValueError("KLU score requires at least one observation")
-    if t < 3:
-        raise ValueError("KLU score requires patient index t >= 3")
-    log_t = math.log(t)
-    radicand = 2.0 * (log_t + 3.0 * math.log(log_t)) / arm.n
-    return arm.mean + sigma * math.sqrt(max(radicand, 0.0))
+    def check_arms(self, n_experimental: int) -> None:
+        """Raise ValueError when the rule is undefined for this many arms."""
+        if self.inner_kind == "TP" and n_experimental < 2:
+            raise ValueError("TP/TPB are defined for multi-arm trials only (K >= 2)")
 
 
 def ts_probabilities(arms, sigma: float, t: int, T: int, draws: int,
@@ -252,74 +228,97 @@ def tp_probabilities(arms, sigma: float, t: int, T: int) -> np.ndarray:
     return probs / probs.sum()
 
 
-def perturbed_score(base: float, n: int, K: int, rng: np.random.Generator) -> float:
-    """Semi-randomised index: ``base`` plus an exponential exploration bump.
+def _index_scorer(kind: str, arms, sigma: float, table: GittinsTable | None,
+                  rng: np.random.Generator):
+    """Bind index rule ``kind`` to the live arm states.
 
-    The bump is ((K+1)/n) * Y with Y exponential of mean 1/(K+1), one fresh
-    draw per arm per decision, so its expectation is 1/n.
+    Returns score(t) -> per-arm scores at patient index t.  This is the only
+    implementation of each index: the rule's own allocation, the merit stage
+    of the guarded rules and :func:`policy_scores` all call it.  Scalar math
+    throughout: it runs once per patient decision.  For an arm with n
+    observations and mean m, and E a unit exponential drawn per arm and
+    decision:
+
+    * CB: m;  GI: m + sigma v(n+1);  RGI: GI + E/(n+1);  RBI: m + E/(n+1);
+    * UCB: m + sigma sqrt(2 ln t / n);
+    * KLU: m + sigma sqrt(max(2 (ln t + 3 ln ln t), 0) / n).
     """
-    if n < 1:
-        raise ValueError("perturbed score requires at least one observation")
-    y = rng.standard_exponential() / (K + 1.0)
-    return base + (K + 1.0) / n * y
-
-
-def allocation_index(arm: ArmState, sigma: float, table: GittinsTable) -> float:
-    """Dynamic allocation score of an arm with ``n`` observations.
-
-    Looks up the standardized table at entry n+1, the serial number of the
-    arm's next observation; trial designs calibrated against the classic
-    printed index tables use this convention.
-    """
-    return arm.mean + sigma * table.value(arm.n + 1)
-
-
-def _score_vector(kind: str, arms, sigma: float, t: int,
-                  table: GittinsTable | None, rng: np.random.Generator) -> np.ndarray:
-    K = len(arms) - 1
     if kind == "CB":
-        return np.array([a.mean for a in arms])
-    if kind == "GI":
-        return np.array([allocation_index(a, sigma, table) for a in arms])
-    if kind == "UCB":
-        return np.array([ucb_score(a, sigma, t) for a in arms])
-    if kind == "KLU":
-        return np.array([klu_score(a, sigma, t) for a in arms])
-    if kind == "RBI":
-        return np.array([perturbed_score(a.mean, a.n + 1, K, rng) for a in arms])
-    if kind == "RGI":
-        return np.array([perturbed_score(allocation_index(a, sigma, table), a.n + 1, K, rng)
-                         for a in arms])
-    raise ValueError(f"{kind} does not produce a plain score vector")
+
+        def score(t: int) -> list[float]:
+            return [a.sum / a.n for a in arms]
+
+    elif kind == "GI":
+        # table entry n+1, the arm's next observation: bonuses[n] 0-indexed
+        bonuses = table.values.tolist()
+
+        def score(t: int) -> list[float]:
+            return [a.sum / a.n + sigma * bonuses[a.n] for a in arms]
+
+    elif kind == "RGI":
+        bonuses = table.values.tolist()
+        n_arms = len(arms)
+
+        def score(t: int) -> list[float]:
+            bumps = rng.standard_exponential(n_arms)
+            return [a.sum / a.n + sigma * bonuses[a.n] + bump / (a.n + 1)
+                    for a, bump in zip(arms, bumps)]
+
+    elif kind == "RBI":
+        n_arms = len(arms)
+
+        def score(t: int) -> list[float]:
+            bumps = rng.standard_exponential(n_arms)
+            return [a.sum / a.n + bump / (a.n + 1) for a, bump in zip(arms, bumps)]
+
+    elif kind == "UCB":
+
+        def score(t: int) -> list[float]:
+            width = sigma * math.sqrt(2.0 * math.log(t))
+            return [a.sum / a.n + width / math.sqrt(a.n) for a in arms]
+
+    elif kind == "KLU":
+
+        def score(t: int) -> list[float]:
+            log_t = math.log(t)
+            width = sigma * math.sqrt(max(2.0 * (log_t + 3.0 * math.log(log_t)), 0.0))
+            return [a.sum / a.n + width / math.sqrt(a.n) for a in arms]
+
+    else:
+        raise ValueError(f"{kind} does not produce a plain score vector")
+    return score
 
 
 def policy_scores(spec: PolicySpec, arms, sigma: float, t: int, T: int,
                   table: GittinsTable | None = None,
-                  rng: np.random.Generator | None = None) -> PolicyVector:
+                  rng: np.random.Generator | None = None) -> np.ndarray:
     """Evaluate one allocation rule at the current trial state.
 
     ``t`` is the 1-based index of the patient being allocated; the tempering
     exponents of TS and TP use the t-1 patients already allocated, while the
-    UCB/KLU logarithms use t itself.  Returns a probability vector for
-    randomised rules and a score vector for index rules.  Guarded rules (CG,
-    CUC) are two-stage selections, not vectors; allocate them with
-    :func:`guarded_allocate`.
+    UCB/KLU logarithms use t itself.  Returns allocation probabilities for
+    randomised rules (``spec.is_randomized``) and per-arm scores for index
+    rules.  Guarded rules (CG, CUC) are two-stage selections, not vectors;
+    allocate them with :func:`make_allocator`.
     """
     if any(a.n < 1 for a in arms):
         raise ValueError("every arm needs an observation before scoring; "
                          "the initialization phase was skipped")
     kind = spec.kind
-    k1 = len(arms)
     if kind == "FR":
-        return PolicyVector("probability", np.full(k1, 1.0 / k1))
+        return np.full(len(arms), 1.0 / len(arms))
     if kind in ("TS", "TSB"):
-        return PolicyVector("probability",
-                            ts_probabilities(arms, sigma, t - 1, T, spec.ts_draws, rng))
+        return ts_probabilities(arms, sigma, t - 1, T, spec.ts_draws, rng)
     if kind in ("TP", "TPB"):
-        return PolicyVector("probability", tp_probabilities(arms, sigma, t - 1, T))
-    if kind in ("CG", "CUC"):
-        raise ValueError(f"{kind} allocates via guarded_allocate, not a score vector")
-    return PolicyVector("score", _score_vector(kind, arms, sigma, t, table, rng))
+        return tp_probabilities(arms, sigma, t - 1, T)
+    if spec.is_guarded:
+        raise ValueError(f"{kind} is a two-stage selection, not a score vector; "
+                         "allocate it with make_allocator")
+    if spec.needs_table:
+        needed = max(a.n for a in arms) + 1
+        if table is None or table.n_max < needed:
+            raise GittinsTableError(f"{kind} needs an index table covering n = {needed}")
+    return np.array(_index_scorer(kind, arms, sigma, table, rng)(t))
 
 
 def select_from_scores(scores, rng: np.random.Generator) -> int:
@@ -348,25 +347,6 @@ def sample_from_probabilities(probs, rng: np.random.Generator) -> int:
     return last
 
 
-def guarded_allocate(spec: PolicySpec, arms, sigma: float, t: int,
-                     table: GittinsTable | None,
-                     rng: np.random.Generator) -> int:
-    """Two-stage control-guarded selection (CG, CUC).
-
-    With probability ``guard_prob`` the control arm is chosen outright;
-    otherwise the inner index rule's argmax over all arms wins, so the
-    control can also be chosen on merit (its long-run share therefore
-    exceeds the guard probability).
-    """
-    K = len(arms) - 1
-    guard = spec.guard_prob(K)
-    if rng.random() < guard:
-        return 0
-    inner = spec.inner_kind
-    scores = _score_vector(inner, arms, sigma, t, table, rng)
-    return select_from_scores(scores, rng)
-
-
 class BatchedPolicy:
     """Blocked view of a randomised rule: probabilities refresh every ``b`` patients.
 
@@ -383,8 +363,6 @@ class BatchedPolicy:
         self.spec = spec
         self.batch = spec.batch
         self._probs = np.full(n_arms, 1.0 / n_arms)
-        self.refresh_count = 0
-        self.refresh_indices: list[int] = []
 
     def probabilities(self, arms, sigma: float, t: int, T: int,
                       rng: np.random.Generator) -> np.ndarray:
@@ -397,6 +375,60 @@ class BatchedPolicy:
                 self._probs = tp_probabilities(arms, sigma, t - 1, T)
             else:
                 raise ValueError(f"no batched variant defined for {inner}")
-            self.refresh_count += 1
-            self.refresh_indices.append(t)
         return self._probs
+
+
+def make_allocator(spec: PolicySpec, arms, sigma: float, T: int,
+                   table: GittinsTable | None, rng: np.random.Generator):
+    """Bind the rule ``spec`` to the live arm states of one trial.
+
+    Returns decide(t) -> arm index for patient t > K+1, drawing every random
+    number the rule needs from ``rng``.  ``T`` is the trial size, which the
+    tempering of the randomised rules needs.
+    """
+    kind = spec.kind
+    n_arms = len(arms)
+
+    if kind == "FR":
+        uniform = [1.0 / n_arms] * n_arms
+
+        def decide(t: int) -> int:
+            return sample_from_probabilities(uniform, rng)
+
+    elif kind == "TS":
+        draws = spec.ts_draws
+
+        def decide(t: int) -> int:
+            return sample_from_probabilities(
+                ts_probabilities(arms, sigma, t - 1, T, draws, rng), rng)
+
+    elif kind == "TP":
+
+        def decide(t: int) -> int:
+            return sample_from_probabilities(tp_probabilities(arms, sigma, t - 1, T), rng)
+
+    elif spec.is_batched:
+        batched = BatchedPolicy(spec, n_arms)
+
+        def decide(t: int) -> int:
+            return sample_from_probabilities(batched.probabilities(arms, sigma, t, T, rng), rng)
+
+    elif spec.is_guarded:
+        # With probability ``guard`` the control is chosen outright; otherwise
+        # the inner index rule's argmax over all arms wins, so the control can
+        # also be chosen on merit and its long-run share exceeds ``guard``.
+        guard = spec.guard_prob(n_arms - 1)
+        score = _index_scorer(spec.inner_kind, arms, sigma, table, rng)
+
+        def decide(t: int) -> int:
+            if rng.random() < guard:
+                return 0
+            return select_from_scores(score(t), rng)
+
+    else:
+        score = _index_scorer(kind, arms, sigma, table, rng)
+
+        def decide(t: int) -> int:
+            return select_from_scores(score(t), rng)
+
+    return decide

@@ -1,11 +1,12 @@
 """Command-line interface: subcommands, determinism, file outputs."""
 
 import json
+import os
 
 import numpy as np
 import pytest
 
-from bandit_trials.cli import PRESET_NAMES, load_preset, main
+from bandit_trials.cli import PRESET_NAMES, build_parser, load_preset, main
 from bandit_trials.gittins import load_index_table
 
 
@@ -62,6 +63,19 @@ class TestPresets:
     def test_rare_preset_references_large_trial(self):
         assert load_preset("rare-t64")["reuse_critical_values_from"] == "four-arm-t302"
 
+    def test_rare_preset_reuses_large_trial_critical_values(self, tmp_path):
+        rare = tmp_path / "rare"
+        assert run_cli("simulate", "--preset", "rare-t64", "--policies", "UCB",
+                       "--hypotheses", "H0", "-M", "200", "--seed", "7",
+                       "--workers", "1", "--out-dir", str(rare)) == 0
+        cal = tmp_path / "cal"
+        assert run_cli("calibrate", "--preset", "four-arm-t302", "--policy", "UCB",
+                       "-M", "200", "--seed", "7", "--workers", "1",
+                       "--out-dir", str(cal)) == 0
+        record = json.loads((cal / "calibration_UCB_T302.json").read_text())
+        assert json.loads((rare / "critical_values.json").read_text())["UCB"] \
+            == record["critical_value"]
+
 
 class TestCalibrateCommand:
     def test_writes_json_and_histogram(self, tmp_path, capsys):
@@ -77,6 +91,12 @@ class TestCalibrateCommand:
         hist = (tmp_path / "calibration_CB_T12_hist.csv").read_text().splitlines()
         assert hist[0] == "bin_left,bin_right,count"
         assert sum(int(r.split(",")[2]) for r in hist[1:]) == 200
+
+    def test_workers_default_to_usable_cpus(self, monkeypatch):
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
+        monkeypatch.setattr(os, "cpu_count", lambda: 8)
+        for command in ("calibrate --policy CB", "simulate"):
+            assert build_parser().parse_args(command.split()).workers == 1
 
     def test_refuses_non_null_scenario(self, tmp_path, capsys):
         config = tmp_path / "cfg.json"
@@ -144,6 +164,39 @@ class TestSimulateCommand:
                        "--out-dir", str(tmp_path))
         assert code == 1
 
+    @pytest.mark.parametrize("config, message", [
+        (5, "must hold a JSON object"),
+        ({"T": 20, "policies": ["FR"]}, "lacks K, hypotheses"),
+        ({"K": 1, "T": 20, "policies": ["FR"], "hypotheses": {"H0": [0.0, 0.0, 0.0]}},
+         "hypothesis 'H0' must list K+1=2"),
+        ({"K": 1, "T": 20, "policies": ["FR"], "hypotheses": {"H0": 0.0}},
+         "hypothesis 'H0' must list K+1=2"),
+    ])
+    def test_invalid_config_is_one_error_line(self, tmp_path, capsys, config, message):
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps(config))
+        assert run_cli("simulate", "--config", str(path), "--out-dir", str(tmp_path)) == 1
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("error: ") and message in err[0]
+
+    def test_unknown_hypothesis_is_one_error_line(self, tmp_path, capsys):
+        assert run_cli("simulate", "--preset", "two-arm-t116", "--policies", "FR",
+                       "--hypotheses", "H2", "-M", "10", "--workers", "1",
+                       "--out-dir", str(tmp_path)) == 1
+        err = capsys.readouterr().err.splitlines()
+        assert err == ["error: unknown hypotheses H2; the scenario has H0, H1"]
+
+    def test_single_hypothesis_row_matches_full_run(self, tmp_path):
+        rows = {}
+        for name, extra in (("full", []), ("h1", ["--hypotheses", "H1"])):
+            out = tmp_path / name
+            assert run_cli("simulate", "--preset", "two-arm-t116", "--policies", "FR",
+                           "-M", "200", "--seed", "7", "--workers", "1",
+                           "--out-dir", str(out), *extra) == 0
+            rows[name] = (out / "results.csv").read_text().splitlines()
+        assert len(rows["full"]) == 3 and len(rows["h1"]) == 2
+        assert rows["h1"][1] == rows["full"][2]
+
     def test_table_cache_roundtrip(self, tmp_path, monkeypatch):
         cache = tmp_path / "cache"
         monkeypatch.setenv("BANDIT_TRIALS_TABLE_DIR", str(cache))
@@ -162,30 +215,31 @@ class TestSimulateCommand:
                        "--seed", "6", "--workers", "1",
                        "--out-dir", str(tmp_path / "run2")) == 0
         assert cached[0].stat().st_mtime_ns == stamp  # reused, not rebuilt
+        assert list(cache.iterdir()) == cached  # no temporary file left behind
 
 
 class TestSweepCommand:
     def test_single_size_matches_calibrate(self, tmp_path):
         out = tmp_path / "sweep"
-        assert run_cli("sweep", "--policy", "CB", "--preset", "two-arm-t116",
-                       "--sizes", "14", "--replicates", "200", "--seed", "3",
+        assert run_cli("calibrate", "--policy", "CB", "--preset", "two-arm-t116",
+                       "--T", "10,14", "--replicates", "200", "--seed", "3",
                        "--workers", "1", "--out-dir", str(out)) == 0
-        sweep_rows = (out / "sweep_CB.csv").read_text().splitlines()
-        assert sweep_rows[0] == "T,critical_value"
-        t, c = sweep_rows[1].split(",")
-        assert int(t) == 14
-
         cal_dir = tmp_path / "cal"
         assert run_cli("calibrate", "--policy", "CB", "--preset", "two-arm-t116",
                        "--T", "14", "--replicates", "200", "--seed", "3",
                        "--workers", "1", "--out-dir", str(cal_dir)) == 0
-        record = json.loads((cal_dir / "calibration_CB_T14.json").read_text())
-        assert float(c) == record["critical_value"]
+        for name in ("calibration_CB_T14.json", "calibration_CB_T14_hist.csv"):
+            assert (out / name).read_bytes() == (cal_dir / name).read_bytes()
 
     def test_multi_size_output(self, tmp_path):
         out = tmp_path / "sweep"
-        assert run_cli("sweep", "--policy", "FR", "--preset", "two-arm-t116",
-                       "--sizes", "10,20", "--replicates", "150", "--seed", "8",
+        assert run_cli("calibrate", "--policy", "FR", "--preset", "two-arm-t116",
+                       "--T", "10,20", "--replicates", "150", "--seed", "8",
                        "--workers", "1", "--out-dir", str(out)) == 0
-        rows = (out / "sweep_FR.csv").read_text().splitlines()
-        assert len(rows) == 3
+        for T in (10, 20):
+            record = json.loads((out / f"calibration_FR_T{T}.json").read_text())
+            assert record["T"] == T and record["M"] == 150
+            ci = record["critical_value_ci95"]
+            assert ci["lower"] <= record["critical_value"] <= ci["upper"]
+            assert (out / f"calibration_FR_T{T}_hist.csv").exists()
+        assert len(list(out.iterdir())) == 4

@@ -7,7 +7,7 @@ import pytest
 from scipy import stats
 
 from bandit_trials.engine import TrialScenario, run_replicates, run_trial, write_trace_csv
-from bandit_trials.policies import ArmState, PolicySpec, klu_score, ucb_score
+from bandit_trials.policies import ArmState, PolicySpec, policy_scores
 
 from .conftest import WORKERS, two_arm
 
@@ -133,17 +133,17 @@ class TestSingleTrial:
 
 
 class TestIndexConvention:
-    @pytest.mark.parametrize("kind, score", [("UCB", ucb_score), ("KLU", klu_score)])
-    def test_allocation_is_argmax_at_patient_index(self, kind, score):
-        # pins the engine's inline widths to the scalar scorers at the
-        # 1-based index t of the patient being allocated
-        scenario = TrialScenario(K=3, mu=(0.0,) * 4, sigma=1.0, T=302,
-                                 policy=PolicySpec(kind))
+    @pytest.mark.parametrize("kind", ["UCB", "KLU"])
+    def test_allocation_is_argmax_at_patient_index(self, kind):
+        # pins the engine's allocations to the rule's scores at the 1-based
+        # index t of the patient being allocated
+        spec = PolicySpec(kind)
+        scenario = TrialScenario(K=3, mu=(0.0,) * 4, sigma=1.0, T=302, policy=spec)
         record = run_trial(scenario, None, seed=15)
         arms = [ArmState() for _ in range(4)]
         for t, (k, y) in enumerate(zip(record.allocations, record.outcomes), start=1):
             if t > 4:
-                scores = [score(arm, 1.0, t) for arm in arms]
+                scores = policy_scores(spec, arms, 1.0, t, 302)
                 assert k == int(np.argmax(scores)), f"patient {t}"
             arms[k].add(y)
 

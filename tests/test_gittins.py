@@ -14,10 +14,10 @@ from bandit_trials.gittins import (
     GittinsTableError,
     compute_index_table,
     default_horizon,
-    gittins_index,
     load_index_table,
     save_index_table,
 )
+from bandit_trials.policies import ArmState, PolicySpec, policy_scores
 
 # Frozen output of tests/gittins_oracle.py (per-lambda fine-grid value
 # iteration, grid_step=0.005, horizon=400, cell-probability integration).
@@ -79,33 +79,40 @@ class TestComputeIndexTable:
         assert 0.995 ** n < 1e-8 < 0.995 ** (n - 1)
 
 
+def gi_score(mean, n, sigma, table):
+    """GI allocation score of an arm whose next observation is its n-th."""
+    spec = PolicySpec("GI", discount=table.discount)
+    arm = ArmState(mean * (n - 1), n - 1)
+    return float(policy_scores(spec, [arm], sigma, 10, 20, table=table)[0])
+
+
 class TestGittinsIndex:
     def test_identity_case(self, table09):
-        assert gittins_index(0.0, 7, 1.0, table09) == table09.value(7)
+        assert gi_score(0.0, 7, 1.0, table09) == table09.value(7)
 
     def test_linearity(self, table09):
         expected = 2.5 + 2.0 * table09.value(5)
-        assert gittins_index(2.5, 5, 2.0, table09) == pytest.approx(expected, abs=1e-15)
+        assert gi_score(2.5, 5, 2.0, table09) == pytest.approx(expected, abs=1e-15)
 
     def test_zero_discount_reduces_to_mean(self):
         table = compute_index_table(0.0, 5)
-        assert gittins_index(-1.0, 1, 0.5, table) == -1.0
+        assert gi_score(-1.0, 2, 0.5, table) == -1.0
 
     @given(mean=st.floats(-50, 50), c=st.floats(-50, 50),
-           n=st.integers(1, 60), sigma=st.floats(0.01, 10))
+           n=st.integers(2, 60), sigma=st.floats(0.01, 10))
     @settings(max_examples=50, deadline=None)
     def test_shift_equivariance(self, table09, mean, c, n, sigma):
-        lhs = gittins_index(mean + c, n, sigma, table09)
-        rhs = gittins_index(mean, n, sigma, table09) + c
+        lhs = gi_score(mean + c, n, sigma, table09)
+        rhs = gi_score(mean, n, sigma, table09) + c
         assert lhs == pytest.approx(rhs, abs=1e-12)
 
     def test_no_extrapolation(self, table09):
         with pytest.raises(GittinsTableError):
-            gittins_index(0.0, table09.n_max + 1, 1.0, table09)
+            table09.value(table09.n_max + 1)
         with pytest.raises(GittinsTableError):
-            gittins_index(0.0, 0, 1.0, table09)
-        with pytest.raises(ValueError):
-            gittins_index(0.0, 1, 0.0, table09)
+            table09.value(0)
+        with pytest.raises(GittinsTableError):
+            gi_score(0.0, table09.n_max + 1, 1.0, table09)
 
 
 class TestTableFile:

@@ -11,21 +11,23 @@ from bandit_trials.policies import (
     ArmState,
     BatchedPolicy,
     PolicySpec,
-    allocation_index,
-    guarded_allocate,
-    klu_score,
-    perturbed_score,
+    make_allocator,
     policy_scores,
     sample_from_probabilities,
     select_from_scores,
     tp_probabilities,
     ts_probabilities,
-    ucb_score,
 )
 
 
 def arms_of(*pairs):
     return [ArmState(mean * n, n) for mean, n in pairs]
+
+
+def index_score(kind, arm, sigma, t, table=None, rng=None):
+    """Score of a single arm under index rule ``kind`` at patient index t."""
+    spec = PolicySpec(kind, discount=table.discount if table else 0.995)
+    return float(policy_scores(spec, [arm], sigma, t, 2 * t, table=table, rng=rng)[0])
 
 
 class FixedRng:
@@ -90,46 +92,45 @@ class TestPolicySpec:
 class TestIndexScores:
     def test_ucb_pinned_value(self):
         arm = ArmState(0.5 * 4, 4)
-        assert ucb_score(arm, 1.0, 10) == pytest.approx(1.5729830131446736, abs=1e-5)
+        assert index_score("UCB", arm, 1.0, 10) == pytest.approx(1.5729830131446736, abs=1e-5)
 
     def test_ucb_pinned_value_scaled(self):
         arm = ArmState(-1.0, 1)
-        assert ucb_score(arm, 2.0, 3) == pytest.approx(1.9646076147350224, abs=1e-5)
+        assert index_score("UCB", arm, 2.0, 3) == pytest.approx(1.9646076147350224, abs=1e-5)
 
     def test_ucb_bonus_vanishes(self):
         arm = ArmState(0.0, 10**9)
-        assert ucb_score(arm, 1.0, 10) == pytest.approx(0.0, abs=1e-4)
+        assert index_score("UCB", arm, 1.0, 10) == pytest.approx(0.0, abs=1e-4)
 
     def test_klu_pinned_value(self):
         arm = ArmState(0.0, 1)
-        assert klu_score(arm, 1.0, 10) == pytest.approx(3.0998975559646853, abs=1e-4)
+        assert index_score("KLU", arm, 1.0, 10) == pytest.approx(3.0998975559646853, abs=1e-4)
 
     def test_klu_dominates_ucb(self):
         arm = ArmState(0.5 * 4, 4)
         for t in (3, 10, 50):
-            assert klu_score(arm, 1.0, t) >= ucb_score(arm, 1.0, t)
+            assert index_score("KLU", arm, 1.0, t) >= index_score("UCB", arm, 1.0, t)
 
     def test_klu_bonus_vanishes(self):
         arm = ArmState(1.0 * 10**9, 10**9)
-        assert klu_score(arm, 1.0, 10) == pytest.approx(1.0, abs=1e-4)
+        assert index_score("KLU", arm, 1.0, 10) == pytest.approx(1.0, abs=1e-4)
 
-    @pytest.mark.parametrize("score", [ucb_score, klu_score])
-    def test_strictly_decreasing_in_n(self, score):
+    @pytest.mark.parametrize("kind", ["UCB", "KLU"])
+    def test_strictly_decreasing_in_n(self, kind):
         t = 25
-        vals = [score(ArmState(0.5 * n, n), 1.0, t) for n in (1, 2, 5, 10, 40)]
+        vals = [index_score(kind, ArmState(0.5 * n, n), 1.0, t) for n in (1, 2, 5, 10, 40)]
         assert all(a > b for a, b in zip(vals, vals[1:]))
 
     def test_preconditions(self):
-        with pytest.raises(ValueError):
-            ucb_score(ArmState(), 1.0, 5)
-        with pytest.raises(ValueError):
-            ucb_score(ArmState(1.0, 1), 1.0, 1)
-        with pytest.raises(ValueError):
-            klu_score(ArmState(1.0, 1), 1.0, 2)
+        for kind in ("UCB", "KLU"):
+            with pytest.raises(ValueError, match="initialization"):
+                index_score(kind, ArmState(), 1.0, 5)
+        with pytest.raises(ValueError, match="score vector"):
+            policy_scores(PolicySpec("CUC"), arms_of((0.0, 1), (0.0, 1)), 1.0, 5, 10)
 
     def test_allocation_index_uses_next_observation_entry(self, table09):
         arm = ArmState(2.0, 4)
-        assert allocation_index(arm, 1.5, table09) == pytest.approx(
+        assert index_score("GI", arm, 1.5, 10, table09) == pytest.approx(
             0.5 + 1.5 * table09.value(5))
 
 
@@ -212,20 +213,31 @@ class TestTpProbabilities:
 
 
 class TestPerturbedScore:
+    # RBI scores an arm with n observations as mean + E/(n+1), E a unit
+    # exponential drawn per arm and decision
+
     def test_expected_bump_is_one_over_n(self):
         rng = np.random.default_rng(3)
         n, draws = 7, 100_000
-        bumps = np.array([perturbed_score(0.0, n, 2, rng) for _ in range(draws)])
+        arm = ArmState(0.0, n - 1)
+        bumps = np.array([index_score("RBI", arm, 1.0, 10, rng=rng) for _ in range(draws)])
         se = bumps.std() / math.sqrt(draws)
         assert bumps.mean() == pytest.approx(1 / n, abs=3 * se)
 
     def test_vanishes_for_large_n(self):
         rng = np.random.default_rng(4)
-        assert perturbed_score(1.5, 10**9, 3, rng) == pytest.approx(1.5, abs=1e-6)
+        arm = ArmState(1.5 * 10**9, 10**9)
+        assert index_score("RBI", arm, 1.0, 10, rng=rng) == pytest.approx(1.5, abs=1e-6)
 
     def test_degenerate_draw_returns_base(self):
         rng = FixedRng(exponentials=[0.0])
-        assert perturbed_score(2.5, 3, 1, rng) == 2.5
+        assert index_score("RBI", ArmState(2.5 * 2, 2), 1.0, 10, rng=rng) == 2.5
+
+    def test_rgi_adds_bump_to_gittins_index(self, table09):
+        rng = FixedRng(exponentials=[0.9])
+        arm = ArmState(2.0, 4)
+        assert index_score("RGI", arm, 1.5, 10, table09, rng) == pytest.approx(
+            0.5 + 1.5 * table09.value(5) + 0.9 / 5)
 
 
 class TestSelection:
@@ -260,21 +272,19 @@ class TestSelection:
 class TestPolicyScores:
     def test_fr_uniform(self):
         arms = arms_of((0.0, 1), (1.0, 1), (2.0, 1))
-        vec = policy_scores(PolicySpec("FR"), arms, 1.0, 5, 50)
-        assert vec.kind == "probability"
-        assert np.allclose(vec.values, 1 / 3)
+        assert PolicySpec("FR").is_randomized
+        assert np.allclose(policy_scores(PolicySpec("FR"), arms, 1.0, 5, 50), 1 / 3)
 
     def test_cb_scores_are_means(self):
         arms = arms_of((0.1, 3), (0.4, 3), (0.2, 3))
-        vec = policy_scores(PolicySpec("CB"), arms, 1.0, 10, 50)
-        assert vec.kind == "score"
-        assert int(np.argmax(vec.values)) == 1
+        assert not PolicySpec("CB").is_randomized
+        assert int(np.argmax(policy_scores(PolicySpec("CB"), arms, 1.0, 10, 50))) == 1
 
     def test_gi_equal_states_equal_scores(self, table09):
         arms = arms_of((0.3, 6), (0.3, 6), (0.3, 6))
-        vec = policy_scores(PolicySpec("GI", discount=0.9), arms, 1.0, 10, 50,
-                            table=table09)
-        assert vec.values[0] == vec.values[1] == vec.values[2]
+        scores = policy_scores(PolicySpec("GI", discount=0.9), arms, 1.0, 10, 50,
+                               table=table09)
+        assert scores[0] == scores[1] == scores[2]
 
     def test_uninitialized_arm_rejected(self):
         arms = [ArmState(1.0, 1), ArmState()]
@@ -283,7 +293,7 @@ class TestPolicyScores:
 
     def test_guarded_kinds_not_vectors(self):
         arms = arms_of((0.0, 1), (0.0, 1))
-        with pytest.raises(ValueError, match="guarded_allocate"):
+        with pytest.raises(ValueError, match="two-stage"):
             policy_scores(PolicySpec("CG"), arms, 1.0, 3, 10)
 
     def test_shift_invariance_of_score_vectors(self, table09):
@@ -292,40 +302,55 @@ class TestPolicyScores:
         moved = arms_of((0.2 + shift, 4), (0.9 + shift, 7), (-0.3 + shift, 2))
         for kind in ("CB", "GI", "UCB", "KLU"):
             spec = PolicySpec(kind, discount=0.9)
-            a = policy_scores(spec, base, 1.0, 9, 50, table=table09).values
-            b = policy_scores(spec, moved, 1.0, 9, 50, table=table09).values
+            a = policy_scores(spec, base, 1.0, 9, 50, table=table09)
+            b = policy_scores(spec, moved, 1.0, 9, 50, table=table09)
             assert np.allclose(b - a, shift, atol=1e-12)
 
 
 class TestGuardedAllocate:
+    @staticmethod
+    def decide(kind, arms, table, rng, t=9):
+        spec = PolicySpec(kind, discount=table.discount)
+        return make_allocator(spec, arms, 1.0, 50, table, rng)(t)
+
     def test_guard_fires(self, table09):
         arms = arms_of((0.0, 2), (5.0, 2), (5.0, 2), (5.0, 2))
         rng = FixedRng(uniforms=[0.1])
-        spec = PolicySpec("CG", discount=0.9)
-        assert guarded_allocate(spec, arms, 1.0, 9, table09, rng) == 0
+        assert self.decide("CG", arms, table09, rng) == 0
+        assert rng.uniform_calls == 1
 
     def test_index_stage_includes_control(self, table09):
         # control holds the best posterior mean and equal counts, so it wins
         # the index stage when the guard does not fire
         arms = arms_of((2.0, 8), (0.1, 8), (0.2, 8), (0.3, 8))
         rng = FixedRng(uniforms=[0.9, 0.5])
-        spec = PolicySpec("CG", discount=0.9)
-        assert guarded_allocate(spec, arms, 1.0, 9, table09, rng) == 0
+        assert self.decide("CG", arms, table09, rng) == 0
 
     def test_argmax_over_experimental(self, table09):
         arms = arms_of((-9.0, 8), (1.2, 8), (0.9, 8), (1.5, 8))
         rng = FixedRng(uniforms=[0.9, 0.5])
-        spec = PolicySpec("CG", discount=0.9)
-        assert guarded_allocate(spec, arms, 1.0, 9, table09, rng) == 3
+        assert self.decide("CG", arms, table09, rng) == 3
+
+    def test_merit_stage_is_the_inner_rule(self, table09):
+        # with the guard off, CG picks GI's argmax and CUC picks UCB's: the
+        # counts make the two indices disagree
+        arms = arms_of((0.0, 30), (0.3, 40), (-0.2, 2), (-0.5, 30))
+        for kind, inner in (("CG", "GI"), ("CUC", "UCB")):
+            scores = policy_scores(PolicySpec(inner, discount=0.9), arms, 1.0, 40, 50,
+                                   table=table09)
+            rng = FixedRng(uniforms=[0.99, 0.0])
+            assert self.decide(kind, arms, table09, rng, t=40) == int(np.argmax(scores))
+        gi = policy_scores(PolicySpec("GI", discount=0.9), arms, 1.0, 40, 50, table=table09)
+        ucb = policy_scores(PolicySpec("UCB"), arms, 1.0, 40, 50)
+        assert np.argmax(gi) != np.argmax(ucb)
 
     def test_long_run_control_share_exceeds_guard(self, table09):
         # with exchangeable arms the control also wins the merit stage about
         # 1/(K+1) of the time: share ~ g + (1-g)/4 for K=3
         rng = np.random.default_rng(8)
         arms = arms_of((0.0, 5), (0.0, 5), (0.0, 5), (0.0, 5))
-        spec = PolicySpec("CUC")
-        picks = np.array([guarded_allocate(spec, arms, 1.0, 9, table09, rng)
-                          for _ in range(20_000)])
+        decide = make_allocator(PolicySpec("CUC"), arms, 1.0, 50, table09, rng)
+        picks = np.array([decide(9) for _ in range(20_000)])
         share = float(np.mean(picks == 0))
         expected = 0.25 + 0.75 * 0.25
         assert share == pytest.approx(expected, abs=3 * math.sqrt(0.4375 * 0.5625 / 20_000))
@@ -333,16 +358,21 @@ class TestGuardedAllocate:
 
 class TestBatchedPolicy:
     def test_refresh_schedule(self):
-        spec = PolicySpec("TSB", batch=20, ts_draws=50)
-        batched = BatchedPolicy(spec, 2)
+        spec = PolicySpec("TPB", batch=20)
+        batched = BatchedPolicy(spec, 4)
         rng = np.random.default_rng(9)
-        arms = arms_of((0.0, 1), (0.0, 1))
-        for t in range(3, 117):
-            batched.probabilities(arms, 1.0, t, 116, rng)
-            arms[t % 2].add(0.1)
+        arms = arms_of((0.0, 1), (0.0, 1), (0.0, 1), (0.0, 1))
+        previous = batched.probabilities(arms, 1.0, 5, 116, rng).copy()
+        changed = []
+        for t in range(6, 117):
+            arms[t % 4].add(0.1 * (t % 4))
+            probs = batched.probabilities(arms, 1.0, t, 116, rng)
+            if not np.array_equal(probs, previous):
+                changed.append(t)
+            previous = probs.copy()
         # counting oracle: refreshes at t > 1 with (t-1) % 20 == 0
-        expected = [t for t in range(3, 117) if (t - 1) % 20 == 0]
-        assert batched.refresh_indices == expected == [21, 41, 61, 81, 101]
+        expected = [t for t in range(6, 117) if (t - 1) % 20 == 0]
+        assert changed == expected == [21, 41, 61, 81, 101]
 
     def test_batch_of_one_matches_unbatched(self):
         spec = PolicySpec("TSB", batch=1, ts_draws=200)
@@ -361,7 +391,6 @@ class TestBatchedPolicy:
         rng = np.random.default_rng(11)
         arms = arms_of((5.0, 4), (0.0, 4), (-5.0, 4))
         vectors = [batched.probabilities(arms, 1.0, t, 30, rng) for t in range(4, 31)]
-        assert batched.refresh_count == 0
         assert all(np.allclose(v, 1 / 3) for v in vectors)
 
     def test_stale_vector_between_refreshes(self):
