@@ -11,7 +11,6 @@ from .gittins import (
 )
 from .inference import (
     CriticalValue,
-    apply_test,
     calibrate_critical_value,
     fwer_critical_value,
     sample_size,
@@ -22,7 +21,6 @@ from .operating import (
     OperatingCharacteristics,
     aggregate,
     bias_trajectories,
-    z_histogram,
 )
 from .policies import ArmState, PolicySpec
 
@@ -38,7 +36,6 @@ __all__ = [
     "TrialRecord",
     "TrialScenario",
     "aggregate",
-    "apply_test",
     "bias_trajectories",
     "calibrate_critical_value",
     "compute_index_table",
@@ -48,6 +45,5 @@ __all__ = [
     "run_trial",
     "sample_size",
     "save_index_table",
-    "z_histogram",
     "z_statistic",
 ]

@@ -42,7 +42,7 @@ def load_preset(name: str) -> dict:
     try:
         text = resources.files("bandit_trials.presets").joinpath(fname).read_text()
     except FileNotFoundError:
-        raise SystemExit(f"unknown preset {name!r}; available: {', '.join(PRESET_NAMES)}")
+        raise ValueError(f"unknown preset {name!r}; available: {', '.join(PRESET_NAMES)}")
     return json.loads(text)
 
 
@@ -84,7 +84,6 @@ def _policy_spec(kind: str, preset: dict) -> PolicySpec:
         kind=kind,
         discount=float(preset.get("discount", 0.995)),
         batch=preset.get("batch") if kind in ("TSB", "TPB") else None,
-        ts_draws=int(preset.get("ts_draws", 1000)),
         control_guard_prob=preset.get("guard_prob"),
     )
 
@@ -238,9 +237,12 @@ def _resolve_critical(args, preset, kind, T, table, analytic) -> CriticalValue:
             workers=args.workers)
         return critical
     mapping = json.loads(Path(mode).read_text())
-    if kind not in mapping:
-        raise SystemExit(f"critical-value file {mode} has no entry for {kind}")
-    return CriticalValue(float(mapping[kind]), "fixed", float(preset.get("alpha", 0.05)))
+    if not isinstance(mapping, dict):
+        raise ValueError(f"critical-value file {mode} must hold a JSON object")
+    value = mapping.get(kind)
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise ValueError(f"critical-value file {mode} has no numeric entry for {kind}")
+    return CriticalValue(float(value), "fixed", float(preset.get("alpha", 0.05)))
 
 
 def cmd_simulate(args) -> int:

@@ -11,10 +11,10 @@ per block).
 
 Randomness discipline: each replicate owns two independent streams derived
 from (master_seed, replicate): one for policy randomness (initialization
-order, posterior draws, exploration bumps, tie-breaks, arm sampling), one
-for outcome noise.  Patient t's outcome uses the t-th noise variate whatever
-the policy did, so designs can be compared under common random numbers and
-results are identical for any worker count.
+order, exploration bumps, control-guard coin flips, tie-breaks, arm
+sampling), one for outcome noise.  Patient t's outcome uses the t-th noise
+variate whatever the policy did, so designs can be compared under common
+random numbers and results are identical for any worker count.
 """
 
 from __future__ import annotations
@@ -62,10 +62,6 @@ class TrialScenario:
     def is_global_null(self) -> bool:
         return max(self.mu) == min(self.mu)
 
-    def key(self) -> tuple:
-        return (self.K, self.mu, self.sigma, self.T, self.policy.kind,
-                self.policy.batch, self.hypothesis_label)
-
 
 @dataclass(frozen=True)
 class TrialRecord:
@@ -77,7 +73,7 @@ class TrialRecord:
     arm_counts: tuple[int, ...]      # final per-arm observation counts
     z: ZVector
     mean_trajectory: np.ndarray | None  # (K+1, T) running means, NaN before first obs
-    scenario_key: tuple
+    scenario: TrialScenario          # the configuration simulated, policy settings included
 
 
 def run_trial(scenario: TrialScenario, table: GittinsTable | None = None,
@@ -143,7 +139,7 @@ def run_trial(scenario: TrialScenario, table: GittinsTable | None = None,
         arm_counts=tuple(a.n for a in arms),
         z=z,
         mean_trajectory=trajectory,
-        scenario_key=scenario.key(),
+        scenario=scenario,
     )
 
 

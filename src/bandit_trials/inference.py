@@ -23,14 +23,12 @@ from .policies import ArmState
 __all__ = [
     "CriticalValue",
     "ZVector",
-    "TestDecision",
     "Histogram",
     "CalibrationSummary",
     "z_statistic",
     "fwer_critical_value",
     "sample_size",
     "calibrate_critical_value",
-    "apply_test",
     "default_histogram_edges",
 ]
 
@@ -66,12 +64,6 @@ class ZVector:
         values = np.asarray(self.z, dtype=float)
         object.__setattr__(self, "z", values)
         object.__setattr__(self, "zmax", float(values.max()))
-
-
-@dataclass(frozen=True)
-class TestDecision:
-    per_arm_reject: tuple[bool, ...]
-    global_reject: bool
 
 
 def z_statistic(arm_k: ArmState, arm_0: ArmState, sigma: float) -> float:
@@ -236,10 +228,3 @@ def calibrate_critical_value(null_scenario, table, master_seed: int, M: int,
     if return_records:
         return critical, summary, records
     return critical, summary
-
-
-def apply_test(record, critical: CriticalValue | float) -> TestDecision:
-    """One-sided decisions: arm k rejects when Z_k exceeds the critical value."""
-    c = critical.value if isinstance(critical, CriticalValue) else float(critical)
-    flags = tuple(bool(z > c) for z in record.z.z)
-    return TestDecision(per_arm_reject=flags, global_reject=record.z.zmax > c)

@@ -18,14 +18,13 @@ from pathlib import Path
 import numpy as np
 
 from .engine import TrialRecord, TrialScenario
-from .inference import CriticalValue, Histogram
+from .inference import CriticalValue
 
 __all__ = [
     "OperatingCharacteristics",
     "BiasTrajectory",
     "aggregate",
     "bias_trajectories",
-    "z_histogram",
     "write_results_csv",
     "write_bias_csv",
 ]
@@ -63,9 +62,8 @@ class BiasTrajectory:
 def _check_same_scenario(records, scenario: TrialScenario) -> None:
     if not records:
         raise ValueError("no records to aggregate")
-    key = scenario.key()
     for record in records:
-        if record.scenario_key != key:
+        if record.scenario != scenario:
             raise ValueError("records from mixed scenarios cannot be aggregated together")
 
 
@@ -141,22 +139,6 @@ def bias_trajectories(records, scenario: TrialScenario) -> list[BiasTrajectory]:
             mean_bias=mean_est - scenario.mu[arm],
             replicate_counts=counts[arm],
         ))
-    return out
-
-
-def z_histogram(records, edges: np.ndarray | None = None) -> dict[str, Histogram]:
-    """Histogram the test statistics: each Z_k, plus max Z for K > 1."""
-    if not records:
-        raise ValueError("no records to histogram")
-    K = records[0].z.z.size
-    M = len(records)
-    out: dict[str, Histogram] = {}
-    for k in range(K):
-        values = np.fromiter((r.z.z[k] for r in records), dtype=float, count=M)
-        out[f"Z{k + 1}"] = Histogram.of(values, edges)
-    if K > 1:
-        zmax = np.fromiter((r.z.zmax for r in records), dtype=float, count=M)
-        out["Zmax"] = Histogram.of(zmax, edges)
     return out
 
 

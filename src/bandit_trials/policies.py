@@ -25,8 +25,8 @@ Allocation-time count convention: the dynamic-index lookup (GI, RGI, CG)
 and the exploration bump of the semi-randomised rules (RBI, RGI) use the
 serial number of the arm's *next* observation, n+1 -- the convention of the
 designs whose operating characteristics this library reproduces -- while
-the UCB/KLU confidence widths and the posterior draws of TS use the current
-count n.
+the UCB/KLU confidence widths and the TS posteriors N(mean, sigma^2/n) use
+the current count n.
 
 Log index of UCB/KLU: ln t, with t the 1-based index of the patient being
 allocated.  Auer, Cesa-Bianchi & Fischer (2002) count the plays made so far,
@@ -44,6 +44,7 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
+from scipy.special import ndtr
 
 from .gittins import GittinsTable, GittinsTableError
 
@@ -69,6 +70,7 @@ _NEEDS_TABLE = frozenset({"GI", "RGI", "CG"})
 _ROUND_ROBIN_INIT = frozenset({"UCB", "KLU", "CUC"})
 
 _SQRT2 = math.sqrt(2.0)
+_SQRT_2PI = math.sqrt(2.0 * math.pi)
 
 
 def _norm_cdf(x: float) -> float:
@@ -96,9 +98,6 @@ class ArmState:
         self.sum += outcome
         self.n += 1
 
-    def copy(self) -> "ArmState":
-        return ArmState(self.sum, self.n)
-
     def __repr__(self) -> str:
         return f"ArmState(sum={self.sum!r}, n={self.n})"
 
@@ -115,7 +114,6 @@ class PolicySpec:
     kind: str
     discount: float = 0.995
     batch: int | None = None
-    ts_draws: int = 1000
     control_guard_prob: float | None = None
 
     def __post_init__(self) -> None:
@@ -127,8 +125,6 @@ class PolicySpec:
             object.__setattr__(self, "batch", 20 if kind in _BATCH_INNER else 1)
         if self.batch < 1:
             raise ValueError("batch must be >= 1")
-        if self.ts_draws < 1:
-            raise ValueError("ts_draws must be >= 1")
         if not 0.0 <= self.discount < 1.0:
             raise ValueError("discount must lie in [0, 1)")
         if self.control_guard_prob is not None and not 0.0 < self.control_guard_prob < 1.0:
@@ -169,27 +165,38 @@ class PolicySpec:
             raise ValueError("TP/TPB are defined for multi-arm trials only (K >= 2)")
 
 
-def ts_probabilities(arms, sigma: float, t: int, T: int, draws: int,
-                     rng: np.random.Generator) -> np.ndarray:
+def ts_probabilities(arms, sigma: float, t: int, T: int) -> np.ndarray:
     """Tempered posterior probability-of-best allocation weights.
 
-    Each arm's chance of being best is estimated from ``draws`` joint
-    posterior samples (mu_k ~ N(mean_k, sigma^2/n_k)) and raised to the
-    stabilising exponent c = t/(2T); weights are then normalized.  When all
-    tempered weights underflow to zero, the uniform vector is returned.
+    Arm k's posterior is N(mean_k, sigma^2/n_k), with density f_k and CDF
+    F_k, and its chance of being best is the integral of
+    f_k(y) prod_{j != k} F_j(y) dy.  The integral is taken by the trapezoid
+    rule on one grid shared by all arms: it spans every arm's mean +- 8
+    posterior s.d. and its spacing is at most half the smallest s.d., which
+    puts the error near rounding level (the integrand is smooth and its
+    tails beyond the grid are below 1e-15).  No random numbers are drawn.
+    The probabilities are raised to the stabilising exponent c = t/(2T) and
+    normalized; the best arm's probability is at least 1/(K+1), so the
+    total never vanishes.
     """
-    k1 = len(arms)
     means = np.array([a.mean for a in arms])
     sds = sigma / np.sqrt(np.array([a.n for a in arms], dtype=float))
-    noise = rng.standard_normal((draws, k1), dtype=np.float32)
-    winners = np.argmax(means + sds * noise, axis=1)
-    p_best = np.bincount(winners, minlength=k1) / draws
+    lo = float((means - 8.0 * sds).min())
+    hi = float((means + 8.0 * sds).max())
+    y, dy = np.linspace(lo, hi, math.ceil(2.0 * (hi - lo) / sds.min()) + 1, retstep=True)
+    z = (y - means[:, None]) / sds[:, None]
+    cdf = ndtr(z)
+    # row k: arm k's density (up to its factor 1/(sqrt(2 pi) s_k)) times
+    # every other arm's CDF
+    integrand = np.exp(-0.5 * z * z)
+    for j in range(len(arms)):
+        integrand[:j] *= cdf[j]
+        integrand[j + 1:] *= cdf[j]
+    trapezoid = integrand.sum(axis=1) - 0.5 * (integrand[:, 0] + integrand[:, -1])
+    p_best = trapezoid * (dy / _SQRT_2PI) / sds
     c = t / (2.0 * T)
     weights = p_best ** c  # 0**0 == 1.0, so c == 0 yields the uniform vector
-    total = weights.sum()
-    if total <= 0.0:
-        return np.full(k1, 1.0 / k1)
-    return weights / total
+    return weights / weights.sum()
 
 
 def tp_probabilities(arms, sigma: float, t: int, T: int) -> np.ndarray:
@@ -226,6 +233,16 @@ def tp_probabilities(arms, sigma: float, t: int, T: int) -> np.ndarray:
     probs[0] = control_weight
     probs[1:] = experimental
     return probs / probs.sum()
+
+
+def _probability_rule(kind: str):
+    """The weight function of TS/TSB (``kind`` "TS") or TP/TPB ("TP").
+
+    Both take (arms, sigma, t, T) with t the patients already allocated.
+    The function is looked up by its module name each time a rule is
+    bound, so a wrapper installed on that name sees every call.
+    """
+    return ts_probabilities if kind == "TS" else tp_probabilities
 
 
 def _index_scorer(kind: str, arms, sigma: float, table: GittinsTable | None,
@@ -307,10 +324,8 @@ def policy_scores(spec: PolicySpec, arms, sigma: float, t: int, T: int,
     kind = spec.kind
     if kind == "FR":
         return np.full(len(arms), 1.0 / len(arms))
-    if kind in ("TS", "TSB"):
-        return ts_probabilities(arms, sigma, t - 1, T, spec.ts_draws, rng)
-    if kind in ("TP", "TPB"):
-        return tp_probabilities(arms, sigma, t - 1, T)
+    if spec.inner_kind in ("TS", "TP"):
+        return _probability_rule(spec.inner_kind)(arms, sigma, t - 1, T)
     if spec.is_guarded:
         raise ValueError(f"{kind} is a two-stage selection, not a score vector; "
                          "allocate it with make_allocator")
@@ -358,23 +373,15 @@ class BatchedPolicy:
     """
 
     def __init__(self, spec: PolicySpec, n_arms: int):
-        if not spec.is_batched and spec.batch != 1:
-            raise ValueError("batched allocation expects a TSB/TPB spec or batch=1")
-        self.spec = spec
+        if spec.inner_kind not in ("TS", "TP"):
+            raise ValueError("batched allocation expects a TS/TSB/TP/TPB spec")
         self.batch = spec.batch
+        self._weights = _probability_rule(spec.inner_kind)
         self._probs = np.full(n_arms, 1.0 / n_arms)
 
-    def probabilities(self, arms, sigma: float, t: int, T: int,
-                      rng: np.random.Generator) -> np.ndarray:
+    def probabilities(self, arms, sigma: float, t: int, T: int) -> np.ndarray:
         if t > 1 and (t - 1) % self.batch == 0:
-            inner = self.spec.inner_kind
-            if inner == "TS":
-                self._probs = ts_probabilities(arms, sigma, t - 1, T,
-                                               self.spec.ts_draws, rng)
-            elif inner == "TP":
-                self._probs = tp_probabilities(arms, sigma, t - 1, T)
-            else:
-                raise ValueError(f"no batched variant defined for {inner}")
+            self._probs = self._weights(arms, sigma, t - 1, T)
         return self._probs
 
 
@@ -395,23 +402,17 @@ def make_allocator(spec: PolicySpec, arms, sigma: float, T: int,
         def decide(t: int) -> int:
             return sample_from_probabilities(uniform, rng)
 
-    elif kind == "TS":
-        draws = spec.ts_draws
+    elif kind in ("TS", "TP"):
+        weights = _probability_rule(kind)
 
         def decide(t: int) -> int:
-            return sample_from_probabilities(
-                ts_probabilities(arms, sigma, t - 1, T, draws, rng), rng)
-
-    elif kind == "TP":
-
-        def decide(t: int) -> int:
-            return sample_from_probabilities(tp_probabilities(arms, sigma, t - 1, T), rng)
+            return sample_from_probabilities(weights(arms, sigma, t - 1, T), rng)
 
     elif spec.is_batched:
         batched = BatchedPolicy(spec, n_arms)
 
         def decide(t: int) -> int:
-            return sample_from_probabilities(batched.probabilities(arms, sigma, t, T, rng), rng)
+            return sample_from_probabilities(batched.probabilities(arms, sigma, t, T), rng)
 
     elif spec.is_guarded:
         # With probability ``guard`` the control is chosen outright; otherwise

@@ -232,8 +232,8 @@ def test_criterion_10_property_suites(table995, table09):
         shift_ok &= bool(np.array_equal(a.allocations, b.allocations))
     checks.append((shift_ok, "common-shift outcome streams select identical arms"))
 
-    batched = two_arm("TSB", 0.545, "H1", T=50, batch=1, ts_draws=300)
-    plain = two_arm("TS", 0.545, "H1", T=50, ts_draws=300)
+    batched = two_arm("TSB", 0.545, "H1", T=50, batch=1)
+    plain = two_arm("TS", 0.545, "H1", T=50)
     a = run_trial(batched, None, seed=ACCEPT_SEED + 602)
     b = run_trial(plain, None, seed=ACCEPT_SEED + 602)
     checks.append((bool(np.array_equal(a.allocations, b.allocations)),
@@ -248,7 +248,7 @@ def test_criterion_10_property_suites(table995, table09):
 
     rng = np.random.default_rng(ACCEPT_SEED + 604)
     arms4 = [ArmState(rng.normal(), 5) for _ in range(4)]
-    ts = ts_probabilities(arms4, 1.0, 40, 100, 500, rng)
+    ts = ts_probabilities(arms4, 1.0, 40, 100)
     tp = tp_probabilities(arms4, 1.0, 40, 100)
     norm_ok = (abs(ts.sum() - 1) < 1e-12 and np.all(ts >= 0)
                and abs(tp.sum() - 1) < 1e-12 and np.all(tp >= 0))

@@ -159,6 +159,22 @@ class TestSimulateCommand:
         row = (out / "results.csv").read_text().splitlines()[1]
         assert float(row.split(",")[2]) == 1.9
 
+    @pytest.mark.parametrize("contents, message", [
+        (2.0, "must hold a JSON object"),
+        ({"FR": 1.9}, "no numeric entry for CB"),
+        ({"CB": None}, "no numeric entry for CB"),
+    ])
+    def test_invalid_critical_value_file_is_one_error_line(self, tmp_path, capsys,
+                                                           contents, message):
+        cv_file = tmp_path / "cv.json"
+        cv_file.write_text(json.dumps(contents))
+        assert run_cli("simulate", "--preset", "two-arm-t116", "--policies", "CB",
+                       "--hypotheses", "H0", "--T", "10", "--replicates", "100",
+                       "--workers", "1", "--out-dir", str(tmp_path),
+                       "--critical-values", str(cv_file)) == 1
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("error: ") and message in err[0]
+
     def test_missing_config_is_an_error(self, tmp_path, capsys):
         code = run_cli("simulate", "--config", str(tmp_path / "nope.json"),
                        "--out-dir", str(tmp_path))
@@ -171,6 +187,7 @@ class TestSimulateCommand:
          "hypothesis 'H0' must list K+1=2"),
         ({"K": 1, "T": 20, "policies": ["FR"], "hypotheses": {"H0": 0.0}},
          "hypothesis 'H0' must list K+1=2"),
+        ({"preset": "three-arm"}, "unknown preset 'three-arm'"),
     ])
     def test_invalid_config_is_one_error_line(self, tmp_path, capsys, config, message):
         path = tmp_path / "cfg.json"

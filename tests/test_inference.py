@@ -11,7 +11,6 @@ from bandit_trials.engine import run_replicates
 from bandit_trials.inference import (
     CriticalValue,
     Histogram,
-    apply_test,
     calibrate_critical_value,
     default_histogram_edges,
     fwer_critical_value,
@@ -170,34 +169,6 @@ class TestCalibration:
         assert math.isinf(hist.edges[0]) and math.isinf(hist.edges[-1])
         interior = np.diff(hist.edges[1:-1])
         assert np.allclose(interior, 0.2)
-
-
-class TestApplyTest:
-    def make_record(self, z_values):
-        scenario = two_arm("FR", 0.0, "H0", T=len(z_values) + 1)
-        from bandit_trials.engine import run_trial
-        record = run_trial(scenario, None, seed=22)
-        from bandit_trials.inference import ZVector
-        object.__setattr__(record, "z", ZVector(np.asarray(z_values, dtype=float)))
-        return record
-
-    def test_below_threshold(self):
-        record = self.make_record([1.0])
-        decision = apply_test(record, CriticalValue(1.645, "fixed", 0.05))
-        assert decision.per_arm_reject == (False,)
-        assert not decision.global_reject
-
-    def test_above_threshold(self):
-        record = self.make_record([1.81])
-        decision = apply_test(record, 1.645)
-        assert decision.per_arm_reject == (True,)
-        assert decision.global_reject
-
-    def test_componentwise(self):
-        record = self.make_record([0.5, 2.2, 1.0])
-        decision = apply_test(record, 2.062)
-        assert decision.per_arm_reject == (False, True, False)
-        assert decision.global_reject
 
 
 class TestCriticalValueType:

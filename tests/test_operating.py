@@ -13,10 +13,9 @@ from bandit_trials.operating import (
     bias_trajectories,
     write_bias_csv,
     write_results_csv,
-    z_histogram,
 )
 
-from .conftest import WORKERS, two_arm
+from .conftest import NULL4, WORKERS, four_arm, two_arm
 
 
 def synthetic_record(scenario, control_share, z_value, outcome_level):
@@ -31,7 +30,7 @@ def synthetic_record(scenario, control_share, z_value, outcome_level):
         arm_counts=(n0, T - n0),
         z=ZVector(np.array([z_value])),
         mean_trajectory=None,
-        scenario_key=scenario.key(),
+        scenario=scenario,
     )
 
 
@@ -63,6 +62,21 @@ class TestAggregate:
         records = [synthetic_record(a, 0.5, 0.0, 0.0), synthetic_record(b, 0.5, 0.0, 0.0)]
         with pytest.raises(ValueError, match="mixed"):
             aggregate(records, a, 1.645)
+
+    def test_records_of_other_policy_settings_rejected(self, table09):
+        # same rule, arms and size as the scenario, but simulated under
+        # another control guard or discount: a different design
+        pairs = [
+            (four_arm("CUC", NULL4, "H0", T=10, control_guard_prob=0.9),
+             four_arm("CUC", NULL4, "H0", T=10)),
+            (two_arm("GI", 0.0, "H0", T=10, discount=0.9),
+             two_arm("GI", 0.0, "H0", T=10, discount=0.995)),
+        ]
+        for simulated, other in pairs:
+            records = run_replicates(simulated, table09, 31, 5)
+            assert aggregate(records, simulated, 1.645).M == 5
+            with pytest.raises(ValueError, match="mixed"):
+                aggregate(records, other, 1.645)
 
     def test_empty_rejected(self):
         with pytest.raises(ValueError, match="no records"):
@@ -134,27 +148,10 @@ class TestBiasTrajectories:
 
 
 class TestZHistogram:
-    def test_degenerate_distribution_fills_one_bin(self):
-        scenario = two_arm("FR", 0.0, "H0", T=10)
-        records = [synthetic_record(scenario, 0.5, 1.23, 0.0) for _ in range(7)]
-        hist = z_histogram(records)["Z1"]
-        assert hist.counts.max() == 7
-        assert (hist.counts > 0).sum() == 1
-
     def test_fr_statistic_close_to_standard_normal(self, fr2_h0_records):
         scenario, records = fr2_h0_records
         values = np.array([r.z.z[0] for r in records])
         assert stats.kstest(values, "norm").statistic < 0.02
-
-    def test_multi_arm_includes_max(self, table995):
-        from bandit_trials.engine import TrialScenario
-        from bandit_trials.policies import PolicySpec
-        scenario = TrialScenario(K=3, mu=(0.0,) * 4, sigma=1.0, T=16,
-                                 policy=PolicySpec("FR"))
-        records = run_replicates(scenario, None, 29, 50)
-        hists = z_histogram(records)
-        assert set(hists) == {"Z1", "Z2", "Z3", "Zmax"}
-        assert all(h.counts.sum() == 50 for h in hists.values())
 
 
 class TestCsvWriters:

@@ -6,6 +6,8 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy import integrate, stats
+from scipy.special import ndtr
 
 from bandit_trials.policies import (
     ArmState,
@@ -134,42 +136,82 @@ class TestIndexScores:
             0.5 + 1.5 * table09.value(5))
 
 
+def quad_p_best(arms, sigma):
+    """P(arm k is best) for each arm by adaptive quadrature, arm by arm."""
+    means = [a.mean for a in arms]
+    sds = [sigma / math.sqrt(a.n) for a in arms]
+    out = []
+    for k, (m, s) in enumerate(zip(means, sds)):
+        def integrand(y):
+            others = [stats.norm.cdf(y, mj, sj)
+                      for j, (mj, sj) in enumerate(zip(means, sds)) if j != k]
+            return stats.norm.pdf(y, m, s) * math.prod(others)
+        breaks = sorted(mj for j, mj in enumerate(means) if j != k)
+        value, _ = integrate.quad(integrand, m - 12 * s, m + 12 * s, points=breaks,
+                                  epsabs=1e-14, epsrel=1e-13, limit=500)
+        out.append(value)
+    return np.array(out)
+
+
 class TestTsProbabilities:
+    # t = 2T makes the tempering exponent 1, so the weights are the
+    # probabilities of being best themselves
+
     def test_zero_tempering_is_uniform(self):
-        rng = np.random.default_rng(0)
         arms = arms_of((3.0, 5), (0.0, 2), (-1.0, 9))
-        probs = ts_probabilities(arms, 1.0, 0, 100, 500, rng)
-        assert np.allclose(probs, 1 / 3)
+        probs = ts_probabilities(arms, 1.0, 0, 100)
+        assert np.array_equal(probs, np.full(3, 1 / 3))
 
     def test_symmetric_arms_near_uniform(self):
-        rng = np.random.default_rng(1)
         arms = arms_of((0.5, 10), (0.5, 10), (0.5, 10), (0.5, 10))
-        probs = ts_probabilities(arms, 1.0, 50, 100, 4000, rng)
-        se = math.sqrt(0.25 * 0.75 / 4000)
-        assert np.all(np.abs(probs - 0.25) < 3 * se + 0.01)
+        probs = ts_probabilities(arms, 1.0, 50, 100)
+        assert np.allclose(probs, 0.25, rtol=0, atol=1e-12)
 
     def test_closed_form_two_arm_oracle(self):
-        # P[mu_1 best] = ndtr(1 / sqrt(2/100)) ~ 1 at full tempering c=1
-        rng = np.random.default_rng(2)
-        arms = arms_of((0.0, 100), (1.0, 100))
-        probs = ts_probabilities(arms, 1.0, 2 * 100, 100, 10_000, rng)
-        assert probs[1] == pytest.approx(0.9999999999992313, abs=3e-2)
+        # P[mu_1 best] = ndtr((m1 - m0) / sqrt(s0^2 + s1^2)); unequal counts
+        # make one posterior far narrower than the other
+        sigma = 1.3
+        for counts in ((100, 100), (1, 300), (300, 1), (3, 7)):
+            arms = arms_of((0.1, counts[0]), (0.35, counts[1]))
+            probs = ts_probabilities(arms, sigma, 200, 100)
+            spread = sigma * math.sqrt(1 / counts[0] + 1 / counts[1])
+            assert probs[1] == pytest.approx(ndtr(0.25 / spread), rel=0, abs=1e-12)
+            assert probs[0] == pytest.approx(ndtr(-0.25 / spread), rel=0, abs=1e-12)
+
+    @pytest.mark.parametrize("pairs", [
+        ((0.2, 5), (0.9, 9), (-0.3, 2), (0.5, 14)),
+        ((0.0, 1), (0.2, 150), (0.1, 148), (0.25, 152)),
+        ((0.0, 150), (1.5, 1), (0.1, 149), (0.12, 151)),
+    ])
+    def test_matches_adaptive_quadrature(self, pairs):
+        arms = arms_of(*pairs)
+        probs = ts_probabilities(arms, 1.0, 200, 100)
+        assert np.allclose(probs, quad_p_best(arms, 1.0), rtol=0, atol=1e-10)
 
     def test_shift_invariance_under_common_randomness(self):
-        arms = arms_of((0.2, 4), (0.9, 7))
-        shifted = arms_of((0.2 + 5.0, 4), (0.9 + 5.0, 7))
-        a = ts_probabilities(arms, 1.0, 30, 100, 2000, np.random.default_rng(7))
-        b = ts_probabilities(shifted, 1.0, 30, 100, 2000, np.random.default_rng(7))
-        assert np.array_equal(a, b)
+        arms = arms_of((0.2, 4), (0.9, 7), (-0.4, 30))
+        shifted = arms_of((0.2 + 5.0, 4), (0.9 + 5.0, 7), (-0.4 + 5.0, 30))
+        a = ts_probabilities(arms, 1.0, 30, 100)
+        b = ts_probabilities(shifted, 1.0, 30, 100)
+        assert np.allclose(a, b, rtol=0, atol=1e-12)
 
     @given(st.integers(0, 2**31 - 1), st.integers(0, 200))
     @settings(max_examples=25, deadline=None)
     def test_normalized(self, seed, t):
         rng = np.random.default_rng(seed)
         arms = arms_of((rng.normal(), 3), (rng.normal(), 8), (rng.normal(), 2))
-        probs = ts_probabilities(arms, 1.0, t, 200, 300, rng)
+        probs = ts_probabilities(arms, 1.0, t, 200)
         assert np.all(probs >= 0)
         assert probs.sum() == pytest.approx(1.0, abs=1e-12)
+
+    @pytest.mark.parametrize("kind", ["TS", "TSB"])
+    def test_decision_draws_one_uniform(self, kind):
+        # FixedRng has no normal generator: the weights draw nothing
+        arms = arms_of((0.0, 3), (0.4, 2))
+        rng = FixedRng(uniforms=[0.3])
+        decide = make_allocator(PolicySpec(kind, batch=1), arms, 1.0, 30, None, rng)
+        assert decide(4) in (0, 1)
+        assert rng.uniform_calls == 1
 
 
 class TestTpProbabilities:
@@ -360,13 +402,12 @@ class TestBatchedPolicy:
     def test_refresh_schedule(self):
         spec = PolicySpec("TPB", batch=20)
         batched = BatchedPolicy(spec, 4)
-        rng = np.random.default_rng(9)
         arms = arms_of((0.0, 1), (0.0, 1), (0.0, 1), (0.0, 1))
-        previous = batched.probabilities(arms, 1.0, 5, 116, rng).copy()
+        previous = batched.probabilities(arms, 1.0, 5, 116).copy()
         changed = []
         for t in range(6, 117):
             arms[t % 4].add(0.1 * (t % 4))
-            probs = batched.probabilities(arms, 1.0, t, 116, rng)
+            probs = batched.probabilities(arms, 1.0, t, 116)
             if not np.array_equal(probs, previous):
                 changed.append(t)
             previous = probs.copy()
@@ -375,35 +416,31 @@ class TestBatchedPolicy:
         assert changed == expected == [21, 41, 61, 81, 101]
 
     def test_batch_of_one_matches_unbatched(self):
-        spec = PolicySpec("TSB", batch=1, ts_draws=200)
-        arms_a = arms_of((0.4, 3), (0.1, 2))
-        arms_b = arms_of((0.4, 3), (0.1, 2))
-        rng_a, rng_b = np.random.default_rng(10), np.random.default_rng(10)
+        spec = PolicySpec("TSB", batch=1)
+        arms = arms_of((0.4, 3), (0.1, 2))
         batched = BatchedPolicy(spec, 2)
         for t in (4, 5, 6):
-            a = batched.probabilities(arms_a, 1.0, t, 30, rng_a)
-            b = ts_probabilities(arms_b, 1.0, t - 1, 30, 200, rng_b)
-            assert np.array_equal(a, b)
+            a = batched.probabilities(arms, 1.0, t, 30)
+            assert np.array_equal(a, ts_probabilities(arms, 1.0, t - 1, 30))
+            arms[t % 2].add(0.2 * t)
 
     def test_batch_of_horizon_never_refreshes(self):
         spec = PolicySpec("TSB", batch=30)
         batched = BatchedPolicy(spec, 3)
-        rng = np.random.default_rng(11)
         arms = arms_of((5.0, 4), (0.0, 4), (-5.0, 4))
-        vectors = [batched.probabilities(arms, 1.0, t, 30, rng) for t in range(4, 31)]
+        vectors = [batched.probabilities(arms, 1.0, t, 30) for t in range(4, 31)]
         assert all(np.allclose(v, 1 / 3) for v in vectors)
 
     def test_stale_vector_between_refreshes(self):
         spec = PolicySpec("TPB", batch=10)
         batched = BatchedPolicy(spec, 4)
-        rng = np.random.default_rng(12)
         arms = arms_of((0.0, 3), (0.0, 3), (0.0, 3), (0.0, 3))
-        first = batched.probabilities(arms, 1.0, 11, 80, rng).copy()
+        first = batched.probabilities(arms, 1.0, 11, 80).copy()
         arms[3].add(50.0)  # outcome accrues but stays invisible
-        second = batched.probabilities(arms, 1.0, 12, 80, rng)
+        second = batched.probabilities(arms, 1.0, 12, 80)
         assert np.array_equal(first, second)
         # at the next refresh the outcome becomes visible: arm 3 gains share
         # among the experimental arms (the control share also moves, since
         # its weight chases the leading arm's count edge)
-        third = batched.probabilities(arms, 1.0, 21, 80, rng)
+        third = batched.probabilities(arms, 1.0, 21, 80)
         assert third[3] / third[1:].sum() > first[3] / first[1:].sum()
