@@ -22,10 +22,9 @@ from .operating import (
     aggregate,
     bias_trajectories,
 )
-from .policies import ArmState, PolicySpec
+from .policies import PolicySpec
 
 __all__ = [
-    "ArmState",
     "BiasTrajectory",
     "CriticalValue",
     "DpConfig",

@@ -27,7 +27,8 @@ from pathlib import Path
 import numpy as np
 
 from .engine import TrialScenario, run_replicates, write_trace_csv
-from .gittins import DpConfig, GittinsTable, compute_index_table, load_index_table, save_index_table
+from .gittins import (DpConfig, GittinsTable, GittinsTableError, compute_index_table,
+                      load_index_table, save_index_table)
 from .inference import CriticalValue, calibrate_critical_value, fwer_critical_value, sample_size
 from .operating import aggregate, bias_trajectories, write_bias_csv, write_results_csv
 from .policies import POLICY_KINDS, PolicySpec
@@ -57,8 +58,11 @@ def get_table(discount: float, n_max: int) -> GittinsTable:
     """Fetch a cached index table or compute (and cache) one."""
     path = _table_cache_path(discount, n_max)
     if path is not None and path.exists():
-        table = load_index_table(path)
-        if table.discount == discount and table.n_max >= n_max:
+        try:
+            table = load_index_table(path)
+        except GittinsTableError:
+            table = None  # a damaged file is a miss: rebuilt and replaced below
+        if table is not None and table.discount == discount and table.n_max >= n_max:
             return table
     table = compute_index_table(discount, n_max)
     if path is not None:
@@ -284,6 +288,9 @@ def cmd_simulate(args) -> int:
                 "e_pstar": oc.e_pstar, "sd_pstar": oc.sd_pstar,
                 "e_outcome": oc.e_outcome, "sd_outcome": oc.sd_outcome,
                 "M": oc.M, "seed": seed,
+                "rejection_rate_se": oc.rejection_rate_se,
+                "global_rejection_rate_se": oc.global_rejection_rate_se,
+                "e_pstar_se": oc.e_pstar_se, "e_outcome_se": oc.e_outcome_se,
             })
             if args.bias:
                 trajs = bias_trajectories(records, scenario)

@@ -18,8 +18,6 @@ from numpy.polynomial.hermite import hermgauss
 from scipy.special import ndtr, ndtri
 from scipy.stats import binom
 
-from .policies import ArmState
-
 __all__ = [
     "CriticalValue",
     "ZVector",
@@ -66,11 +64,19 @@ class ZVector:
         object.__setattr__(self, "zmax", float(values.max()))
 
 
-def z_statistic(arm_k: ArmState, arm_0: ArmState, sigma: float) -> float:
-    """Standardized contrast (mean_k - mean_0) / (sigma sqrt(1/n_k + 1/n_0))."""
-    if arm_k.n < 1 or arm_0.n < 1:
+def z_statistic(sums, counts, sigma: float) -> np.ndarray:
+    """Standardized contrasts of arms 1..K against the control arm 0.
+
+    ``sums`` and ``counts`` hold each arm's outcome sum and observation
+    count, shape (..., K+1); returns (mean_k - mean_0) / (sigma
+    sqrt(1/n_k + 1/n_0)) for k = 1..K, shape (..., K).
+    """
+    counts = np.asarray(counts)
+    if (counts < 1).any():
         raise ValueError("test statistic undefined: an arm was never sampled")
-    return (arm_k.mean - arm_0.mean) / (sigma * math.sqrt(1.0 / arm_k.n + 1.0 / arm_0.n))
+    means = np.asarray(sums, dtype=float) / counts
+    return (means[..., 1:] - means[..., :1]) \
+        / (sigma * np.sqrt(1.0 / counts[..., 1:] + 1.0 / counts[..., :1]))
 
 
 def _max_z_cdf(c: float, K: int, nodes: np.ndarray, weights: np.ndarray) -> float:

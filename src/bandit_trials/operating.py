@@ -48,6 +48,24 @@ class OperatingCharacteristics:
         if self.sd_pstar < 0 or self.sd_outcome < 0:
             raise ValueError("standard deviations must be non-negative")
 
+    # Monte Carlo standard errors: binomial for the rates, sd/sqrt(M) for the means
+
+    @property
+    def rejection_rate_se(self) -> float:
+        return math.sqrt(self.rejection_rate * (1.0 - self.rejection_rate) / self.M)
+
+    @property
+    def global_rejection_rate_se(self) -> float:
+        return math.sqrt(self.global_rejection_rate * (1.0 - self.global_rejection_rate) / self.M)
+
+    @property
+    def e_pstar_se(self) -> float:
+        return self.sd_pstar / math.sqrt(self.M)
+
+    @property
+    def e_outcome_se(self) -> float:
+        return self.sd_outcome / math.sqrt(self.M)
+
 
 @dataclass(frozen=True)
 class BiasTrajectory:
@@ -144,11 +162,16 @@ def bias_trajectories(records, scenario: TrialScenario) -> list[BiasTrajectory]:
 
 RESULT_COLUMNS = ("policy", "hypothesis", "C_alpha", "rejection_rate",
                   "global_rejection_rate", "e_pstar", "sd_pstar", "e_outcome",
-                  "sd_outcome", "M", "seed")
+                  "sd_outcome", "M", "seed", "rejection_rate_se",
+                  "global_rejection_rate_se", "e_pstar_se", "e_outcome_se")
 
 
 def write_results_csv(rows: list[dict], path: str | Path) -> Path:
-    """One row per (policy, hypothesis): rates at 6 decimals, C at full precision."""
+    """One row per (policy, hypothesis): rates at 6 decimals, C at full precision.
+
+    The last four columns are the Monte Carlo standard errors of the two
+    rejection rates, E p* and the expected outcome (``OperatingCharacteristics``).
+    """
     path = Path(path)
     lines = [",".join(RESULT_COLUMNS)]
     for row in rows:
@@ -164,6 +187,10 @@ def write_results_csv(rows: list[dict], path: str | Path) -> Path:
             f"{row['sd_outcome']:.6f}",
             str(int(row["M"])),
             str(int(row["seed"])),
+            f"{row['rejection_rate_se']:.6f}",
+            f"{row['global_rejection_rate_se']:.6f}",
+            f"{row['e_pstar_se']:.6f}",
+            f"{row['e_outcome_se']:.6f}",
         )))
     path.write_text("\n".join(lines) + "\n")
     return path

@@ -1,22 +1,30 @@
 """Patient-allocation rules for multi-armed trials with normal outcomes.
 
-This module owns every rule: how it scores or weights the arms, which
-random numbers it draws and in what order, and how the arm is chosen.
-:func:`make_allocator` binds a rule to one trial's arm states; the trial
-engine only validates its inputs, loops over patients and fans replicates
-out, and knows nothing of any particular rule.  Each index rule has exactly
-one scoring implementation, shared by its own allocation, the merit stage
-of the guarded rules and :func:`policy_scores`.
+Every rule is an array function over a block of R replicates stepped
+together.  The state is two (R, K+1) arrays, ``sums`` and ``counts``: each
+arm's running outcome sum and observation count in each replicate.  At
+patient t a rule maps (state, t, pre-drawn variates) to (R, K+1) scores or
+probabilities, and one vectorised selector picks every replicate's arm.
+:class:`Allocator` steps a rule over a block; :func:`policy_scores` is the
+one-trial view of the same functions.  Each rule exists once: its own
+allocation, the merit stage of the guarded rules and :func:`policy_scores`
+all evaluate it through :func:`_rule_values`.
 
 Each rule reduces to one of three shapes:
 
 * deterministic index rules (UCB, KLU, CB, GI) and semi-randomised index
-  rules (RBI, RGI) produce a per-arm score vector whose argmax is selected,
-  ties broken uniformly at random;
+  rules (RBI, RGI) produce per-arm scores whose argmax is selected, ties
+  broken uniformly at random (:func:`select_from_scores`);
 * randomised rules (FR, TS, TP and their batched variants TSB, TPB) produce
-  a per-arm probability vector that the next arm is sampled from;
+  per-arm probabilities that the next arm is sampled from
+  (:func:`sample_from_probabilities`);
 * control-guarded rules (CG, CUC) first flip a coin for the control arm and
   otherwise fall back to an inner index rule's argmax over all arms.
+
+Random numbers: :func:`draw_policy_variates` draws every replicate's
+variates from its own generator before the first patient, in the order that
+replicate would consume them one decision at a time (see there), so a
+replicate's allocations do not depend on the block it is stepped in.
 
 All rules assume every arm has at least one observation; the trial engine
 guarantees that by allocating the first K+1 patients one per arm.
@@ -33,9 +41,6 @@ allocated.  Auer, Cesa-Bianchi & Fischer (2002) count the plays made so far,
 which is t-1 here.  The choice leaves acceptance criterion 8 unchanged: at
 its fixed seeds the UCB gap C(302)-C(64) is 0.0757 under ln t and 0.0796
 under ln(t-1), and both clear its Monte Carlo threshold.
-
-Scoring is pure given (state, rng), and a bound allocator holds only its
-own trial's state, so replicates can run concurrently.
 """
 
 from __future__ import annotations
@@ -50,13 +55,13 @@ from .gittins import GittinsTable, GittinsTableError
 
 __all__ = [
     "POLICY_KINDS",
-    "ArmState",
     "PolicySpec",
-    "make_allocator",
+    "PolicyDraws",
+    "draw_policy_variates",
+    "Allocator",
     "policy_scores",
     "ts_probabilities",
     "tp_probabilities",
-    "BatchedPolicy",
     "select_from_scores",
     "sample_from_probabilities",
 ]
@@ -68,38 +73,25 @@ _BATCH_INNER = {"TSB": "TS", "TPB": "TP"}
 _GUARD_INNER = {"CG": "GI", "CUC": "UCB"}
 _NEEDS_TABLE = frozenset({"GI", "RGI", "CG"})
 _ROUND_ROBIN_INIT = frozenset({"UCB", "KLU", "CUC"})
+_BUMPED = frozenset({"RBI", "RGI"})
 
 _SQRT2 = math.sqrt(2.0)
 _SQRT_2PI = math.sqrt(2.0 * math.pi)
 
+def _elementwise(fn, n_args: int):
+    """Math-module function ``fn`` applied element by element, as a float array.
 
-def _norm_cdf(x: float) -> float:
-    return 0.5 * (1.0 + math.erf(x / _SQRT2))
+    TP's weights use the math module's erf, exp and pow: numpy's vectorised
+    versions can differ from them in the last bit, which would move TP away
+    from its scalar formula at rounding level.
+    """
+    ufunc = np.frompyfunc(fn, n_args, 1)
+    return lambda *args: np.asarray(ufunc(*args), dtype=float)
 
 
-class ArmState:
-    """Sufficient statistic (running sum, observation count) of one arm."""
-
-    __slots__ = ("sum", "n")
-
-    def __init__(self, total: float = 0.0, n: int = 0):
-        if n < 0:
-            raise ValueError("observation count cannot be negative")
-        self.sum = float(total)
-        self.n = int(n)
-
-    @property
-    def mean(self) -> float:
-        if self.n < 1:
-            raise ValueError("mean undefined before the first observation")
-        return self.sum / self.n
-
-    def add(self, outcome: float) -> None:
-        self.sum += outcome
-        self.n += 1
-
-    def __repr__(self) -> str:
-        return f"ArmState(sum={self.sum!r}, n={self.n})"
+_erf = _elementwise(math.erf, 1)
+_exp = _elementwise(math.exp, 1)
+_pow = _elementwise(math.pow, 2)
 
 
 @dataclass(frozen=True)
@@ -125,6 +117,8 @@ class PolicySpec:
             object.__setattr__(self, "batch", 20 if kind in _BATCH_INNER else 1)
         if self.batch < 1:
             raise ValueError("batch must be >= 1")
+        if self.batch != 1 and kind not in _BATCH_INNER:
+            raise ValueError(f"batch applies to TSB/TPB only; {kind} sees every outcome")
         if not 0.0 <= self.discount < 1.0:
             raise ValueError("discount must lie in [0, 1)")
         if self.control_guard_prob is not None and not 0.0 < self.control_guard_prob < 1.0:
@@ -165,271 +159,316 @@ class PolicySpec:
             raise ValueError("TP/TPB are defined for multi-arm trials only (K >= 2)")
 
 
-def ts_probabilities(arms, sigma: float, t: int, T: int) -> np.ndarray:
+def ts_probabilities(sums, counts, sigma: float, t: int, T: int) -> np.ndarray:
     """Tempered posterior probability-of-best allocation weights.
 
-    Arm k's posterior is N(mean_k, sigma^2/n_k), with density f_k and CDF
-    F_k, and its chance of being best is the integral of
-    f_k(y) prod_{j != k} F_j(y) dy.  The integral is taken by the trapezoid
-    rule on one grid shared by all arms: it spans every arm's mean +- 8
-    posterior s.d. and its spacing is at most half the smallest s.d., which
-    puts the error near rounding level (the integrand is smooth and its
-    tails beyond the grid are below 1e-15).  No random numbers are drawn.
-    The probabilities are raised to the stabilising exponent c = t/(2T) and
-    normalized; the best arm's probability is at least 1/(K+1), so the
-    total never vanishes.
+    ``sums`` and ``counts`` have shape (..., K+1), one row per trial; the
+    weights have the same shape.  Arm k's posterior is N(mean_k,
+    sigma^2/n_k), with density f_k and CDF F_k, and its chance of being best
+    is the integral of f_k(y) prod_{j != k} F_j(y) dy.  The integral is taken
+    by the trapezoid rule on one grid per row, shared by its arms: it spans
+    every arm's mean +- 8 posterior s.d. and its spacing is at most half the
+    smallest s.d., which puts the error near rounding level (the integrand
+    is smooth and its tails beyond the grid are below 1e-15).  Rows evaluated
+    together share one point count, the largest any of them needs, so a
+    row's weights can move at rounding level with the rows beside it.  No
+    random numbers are drawn.  The probabilities are raised to the
+    stabilising exponent c = t/(2T) and normalized; the best arm's
+    probability is at least 1/(K+1), so the total never vanishes.
     """
-    means = np.array([a.mean for a in arms])
-    sds = sigma / np.sqrt(np.array([a.n for a in arms], dtype=float))
-    lo = float((means - 8.0 * sds).min())
-    hi = float((means + 8.0 * sds).max())
-    y, dy = np.linspace(lo, hi, math.ceil(2.0 * (hi - lo) / sds.min()) + 1, retstep=True)
-    z = (y - means[:, None]) / sds[:, None]
+    counts = np.asarray(counts)
+    means = np.asarray(sums, dtype=float) / counts
+    sds = sigma / np.sqrt(counts)
+    lo = (means - 8.0 * sds).min(axis=-1, keepdims=True)
+    hi = (means + 8.0 * sds).max(axis=-1, keepdims=True)
+    n_points = math.ceil(float((2.0 * (hi - lo) / sds.min(axis=-1, keepdims=True)).max())) + 1
+    # np.linspace's arithmetic, one row at a time
+    dy = (hi - lo) / (n_points - 1)
+    y = np.arange(n_points) * dy + lo
+    y[..., -1] = hi[..., 0]
+    z = (y[..., None, :] - means[..., None]) / sds[..., None]
     cdf = ndtr(z)
     # row k: arm k's density (up to its factor 1/(sqrt(2 pi) s_k)) times
     # every other arm's CDF
     integrand = np.exp(-0.5 * z * z)
-    for j in range(len(arms)):
-        integrand[:j] *= cdf[j]
-        integrand[j + 1:] *= cdf[j]
-    trapezoid = integrand.sum(axis=1) - 0.5 * (integrand[:, 0] + integrand[:, -1])
+    for j in range(counts.shape[-1]):
+        integrand[..., :j, :] *= cdf[..., j:j + 1, :]
+        integrand[..., j + 1:, :] *= cdf[..., j:j + 1, :]
+    trapezoid = integrand.sum(axis=-1) - 0.5 * (integrand[..., 0] + integrand[..., -1])
     p_best = trapezoid * (dy / _SQRT_2PI) / sds
     c = t / (2.0 * T)
     weights = p_best ** c  # 0**0 == 1.0, so c == 0 yields the uniform vector
-    return weights / weights.sum()
+    return weights / weights.sum(axis=-1, keepdims=True)
 
 
-def tp_probabilities(arms, sigma: float, t: int, T: int) -> np.ndarray:
+def tp_probabilities(sums, counts, sigma: float, t: int, T: int) -> np.ndarray:
     """Control-balancing randomised weights for multi-arm trials.
 
+    ``sums`` and ``counts`` have shape (..., K+1), one row per trial.
     Experimental arm k gets weight proportional to
     P[mu_k > mu_0 | data]^gamma with gamma = 3 (t/T)^1.75, normalized over
     the experimental arms; the control weight is
     (1/K) exp[(max_k (n_k - n_0))^eta] with eta = 0.25 (t/T), the base
     floored at zero and 0^0 taken as 0 so the t = 0 vector is uniform.
     """
-    K = len(arms) - 1
+    counts = np.asarray(counts)
+    K = counts.shape[-1] - 1
     if K < 2:
         raise ValueError("this rule is defined for multi-arm trials only (K >= 2)")
     frac = t / T
     gamma = 3.0 * frac ** 1.75
     eta = 0.25 * frac
-    control = arms[0]
-    p_beats_control = [
-        _norm_cdf((arm.mean - control.mean)
-                  / (sigma * math.sqrt(1.0 / arm.n + 1.0 / control.n)))
-        for arm in arms[1:]
-    ]
-    tempered = np.array(p_beats_control) ** gamma
-    total = tempered.sum()
-    experimental = tempered / total if total > 0.0 else np.full(K, 1.0 / K)
+    means = np.asarray(sums, dtype=float) / counts
+    contrast = (means[..., 1:] - means[..., :1]) \
+        / (sigma * np.sqrt(1.0 / counts[..., 1:] + 1.0 / counts[..., :1]))
+    p_beats_control = 0.5 * (1.0 + _erf(contrast / _SQRT2))
+    tempered = p_beats_control ** gamma
+    total = tempered.sum(axis=-1, keepdims=True)
+    experimental = np.divide(tempered, total, out=np.full(tempered.shape, 1.0 / K),
+                             where=total > 0.0)
 
-    count_edge = max(arm.n for arm in arms[1:]) - control.n
-    base = float(max(count_edge, 0))
-    exponent = 0.0 if (base == 0.0 and eta == 0.0) else base ** eta
-    control_weight = math.exp(exponent) / K
+    count_edge = counts[..., 1:].max(axis=-1) - counts[..., 0]
+    base = np.maximum(count_edge, 0).astype(float)
+    exponent = np.where((base == 0.0) & (eta == 0.0), 0.0, _pow(base, eta))
+    control_weight = _exp(exponent) / K
 
-    probs = np.empty(K + 1)
-    probs[0] = control_weight
-    probs[1:] = experimental
-    return probs / probs.sum()
+    probs = np.concatenate((control_weight[..., None], experimental), axis=-1)
+    return probs / probs.sum(axis=-1, keepdims=True)
 
 
-def _probability_rule(kind: str):
-    """The weight function of TS/TSB (``kind`` "TS") or TP/TPB ("TP").
+def _rule_values(kind: str, sums, counts, sigma: float, t: int, T: int,
+                 bonuses: np.ndarray | None = None, bumps=None) -> np.ndarray:
+    """Scores or probabilities of rule ``kind`` for patient t, shape (..., K+1).
 
-    Both take (arms, sigma, t, T) with t the patients already allocated.
-    The function is looked up by its module name each time a rule is
-    bound, so a wrapper installed on that name sees every call.
-    """
-    return ts_probabilities if kind == "TS" else tp_probabilities
-
-
-def _index_scorer(kind: str, arms, sigma: float, table: GittinsTable | None,
-                  rng: np.random.Generator):
-    """Bind index rule ``kind`` to the live arm states.
-
-    Returns score(t) -> per-arm scores at patient index t.  This is the only
-    implementation of each index: the rule's own allocation, the merit stage
-    of the guarded rules and :func:`policy_scores` all call it.  Scalar math
-    throughout: it runs once per patient decision.  For an arm with n
-    observations and mean m, and E a unit exponential drawn per arm and
-    decision:
+    ``kind`` is FR, TS, TP or an index rule.  ``bonuses`` is the index
+    table's values (GI, RGI); ``bumps`` holds the decision's unit
+    exponentials E, one per arm (RBI, RGI).  TS and TP are tempered by the
+    t-1 patients already allocated.  For an arm with n observations and
+    mean m:
 
     * CB: m;  GI: m + sigma v(n+1);  RGI: GI + E/(n+1);  RBI: m + E/(n+1);
     * UCB: m + sigma sqrt(2 ln t / n);
     * KLU: m + sigma sqrt(max(2 (ln t + 3 ln ln t), 0) / n).
+
+    ``ts_probabilities`` and ``tp_probabilities`` are looked up by their
+    module names at each call, so a wrapper installed on those names sees
+    every evaluation.
     """
+    if kind == "FR":
+        return np.full(np.shape(counts), 1.0 / np.shape(counts)[-1])
+    if kind == "TS":
+        return ts_probabilities(sums, counts, sigma, t - 1, T)
+    if kind == "TP":
+        return tp_probabilities(sums, counts, sigma, t - 1, T)
+    means = sums / counts
     if kind == "CB":
-
-        def score(t: int) -> list[float]:
-            return [a.sum / a.n for a in arms]
-
-    elif kind == "GI":
+        return means
+    if kind == "GI":
         # table entry n+1, the arm's next observation: bonuses[n] 0-indexed
-        bonuses = table.values.tolist()
-
-        def score(t: int) -> list[float]:
-            return [a.sum / a.n + sigma * bonuses[a.n] for a in arms]
-
-    elif kind == "RGI":
-        bonuses = table.values.tolist()
-        n_arms = len(arms)
-
-        def score(t: int) -> list[float]:
-            bumps = rng.standard_exponential(n_arms)
-            return [a.sum / a.n + sigma * bonuses[a.n] + bump / (a.n + 1)
-                    for a, bump in zip(arms, bumps)]
-
-    elif kind == "RBI":
-        n_arms = len(arms)
-
-        def score(t: int) -> list[float]:
-            bumps = rng.standard_exponential(n_arms)
-            return [a.sum / a.n + bump / (a.n + 1) for a, bump in zip(arms, bumps)]
-
-    elif kind == "UCB":
-
-        def score(t: int) -> list[float]:
-            width = sigma * math.sqrt(2.0 * math.log(t))
-            return [a.sum / a.n + width / math.sqrt(a.n) for a in arms]
-
+        return means + sigma * bonuses[counts]
+    if kind == "RGI":
+        return means + sigma * bonuses[counts] + bumps / (counts + 1)
+    if kind == "RBI":
+        return means + bumps / (counts + 1)
+    if kind == "UCB":
+        width = sigma * math.sqrt(2.0 * math.log(t))
     elif kind == "KLU":
-
-        def score(t: int) -> list[float]:
-            log_t = math.log(t)
-            width = sigma * math.sqrt(max(2.0 * (log_t + 3.0 * math.log(log_t)), 0.0))
-            return [a.sum / a.n + width / math.sqrt(a.n) for a in arms]
-
+        log_t = math.log(t)
+        width = sigma * math.sqrt(max(2.0 * (log_t + 3.0 * math.log(log_t)), 0.0))
     else:
         raise ValueError(f"{kind} does not produce a plain score vector")
-    return score
+    return means + width / np.sqrt(counts)
 
 
-def policy_scores(spec: PolicySpec, arms, sigma: float, t: int, T: int,
+def policy_scores(spec: PolicySpec, sums, counts, sigma: float, t: int, T: int,
                   table: GittinsTable | None = None,
                   rng: np.random.Generator | None = None) -> np.ndarray:
-    """Evaluate one allocation rule at the current trial state.
+    """Evaluate one allocation rule at one trial's state.
 
-    ``t`` is the 1-based index of the patient being allocated; the tempering
-    exponents of TS and TP use the t-1 patients already allocated, while the
-    UCB/KLU logarithms use t itself.  Returns allocation probabilities for
-    randomised rules (``spec.is_randomized``) and per-arm scores for index
-    rules.  Guarded rules (CG, CUC) are two-stage selections, not vectors;
-    allocate them with :func:`make_allocator`.
+    ``sums`` and ``counts`` list each arm's outcome sum and observation
+    count.  ``t`` is the 1-based index of the patient being allocated; the
+    tempering exponents of TS and TP use the t-1 patients already
+    allocated, while the UCB/KLU logarithms use t itself.  RBI and RGI draw
+    their K+1 exponentials from ``rng``.  Returns allocation probabilities
+    for randomised rules (``spec.is_randomized``; TSB/TPB give their
+    unbatched weights) and per-arm scores for index rules.  Guarded rules
+    (CG, CUC) are two-stage selections, not vectors; allocate them with
+    :class:`Allocator`.
     """
-    if any(a.n < 1 for a in arms):
+    sums = np.asarray(sums, dtype=float)
+    counts = np.asarray(counts, dtype=np.int64)
+    if (counts < 1).any():
         raise ValueError("every arm needs an observation before scoring; "
                          "the initialization phase was skipped")
     kind = spec.kind
-    if kind == "FR":
-        return np.full(len(arms), 1.0 / len(arms))
-    if spec.inner_kind in ("TS", "TP"):
-        return _probability_rule(spec.inner_kind)(arms, sigma, t - 1, T)
     if spec.is_guarded:
         raise ValueError(f"{kind} is a two-stage selection, not a score vector; "
-                         "allocate it with make_allocator")
+                         "allocate it with Allocator")
+    bonuses = None
     if spec.needs_table:
-        needed = max(a.n for a in arms) + 1
+        needed = int(counts.max()) + 1
         if table is None or table.n_max < needed:
             raise GittinsTableError(f"{kind} needs an index table covering n = {needed}")
-    return np.array(_index_scorer(kind, arms, sigma, table, rng)(t))
+        bonuses = table.values
+    bumps = rng.standard_exponential(counts.shape[-1]) if kind in _BUMPED else None
+    return _rule_values(spec.inner_kind, sums, counts, sigma, t, T, bonuses, bumps)
 
 
-def select_from_scores(scores, rng: np.random.Generator) -> int:
-    """Argmax with uniform tie-breaking.
+def select_from_scores(scores: np.ndarray, u) -> np.ndarray:
+    """Argmax of each row of ``scores`` (..., K+1), ties broken by ``u`` (...).
 
-    Exactly one uniform draw is consumed per call, tie or not, so selection
-    streams stay aligned between runs whose scores differ by a constant.
+    A row with m tied maxima takes the floor(u m)-th of them.  Each decision
+    consumes its uniform, tie or not, so selection streams stay aligned
+    between runs whose scores differ by a constant.  The loops run over the
+    K+1 arms, not the rows: numpy reduces a short last axis row by row.
     """
-    u = rng.random()
-    best = max(scores)
-    ties = [i for i, s in enumerate(scores) if s == best]
-    if len(ties) == 1:
-        return ties[0]
-    return ties[int(u * len(ties))]
+    columns = [scores[..., j] for j in range(scores.shape[-1])]
+    top = columns[0]
+    for column in columns[1:]:
+        top = np.maximum(top, column)
+    hits = [column == top for column in columns]
+    n_ties = np.zeros(top.shape, dtype=np.intp)
+    for hit in hits:
+        n_ties += hit
+    pick = (u * n_ties).astype(np.intp)  # 0 for a unique maximum
+    # the chosen arm is the number of arms whose running tie count is <= pick
+    seen = np.zeros(top.shape, dtype=np.intp)
+    choice = np.zeros(top.shape, dtype=np.intp)
+    for hit in hits:
+        seen += hit
+        choice += seen <= pick
+    return choice
 
 
-def sample_from_probabilities(probs, rng: np.random.Generator) -> int:
-    """Draw one arm index from a probability vector using one uniform."""
-    u = rng.random()
-    acc = 0.0
-    last = len(probs) - 1
-    for i, p in enumerate(probs):
-        acc += p
-        if u < acc:
-            return i
-    return last
+def sample_from_probabilities(probs: np.ndarray, u) -> np.ndarray:
+    """Inverse-CDF draw from each row of ``probs`` (..., K+1), one uniform per row.
+
+    Returns the first arm whose cumulative probability exceeds u, or the last
+    arm when rounding leaves the total at or below u.  The cumulative sums
+    add the arms in order, one column at a time.
+    """
+    u = np.asarray(u)
+    cumulative = probs[..., 0]
+    choice = (cumulative <= u).astype(np.intp)
+    for j in range(1, probs.shape[-1] - 1):
+        cumulative = cumulative + probs[..., j]
+        choice += cumulative <= u
+    return choice
 
 
-class BatchedPolicy:
-    """Blocked view of a randomised rule: probabilities refresh every ``b`` patients.
+@dataclass(frozen=True)
+class PolicyDraws:
+    """Every random number a block's rule consumes, drawn before patient 1.
 
-    The vector starts uniform, is recomputed from the current arm states at
-    patient indices t with (t-1) % b == 0 (t > 1), and is reused in between;
-    outcomes keep accruing to the arm states but stay invisible to the rule
-    until the next refresh.  Trailing patients after the last full block use
-    the final refreshed vector.
+    ``init`` (R, K+1) holds the arms of patients 1..K+1.  ``uniforms`` holds
+    one uniform per decision (R, T-K-1), or for CG/CUC a pool of two per
+    decision (R, 2(T-K-1)), read through a cursor.  ``bumps``
+    (R, T-K-1, K+1) holds RBI/RGI's unit exponentials, else None.
     """
 
-    def __init__(self, spec: PolicySpec, n_arms: int):
-        if spec.inner_kind not in ("TS", "TP"):
-            raise ValueError("batched allocation expects a TS/TSB/TP/TPB spec")
-        self.batch = spec.batch
-        self._weights = _probability_rule(spec.inner_kind)
-        self._probs = np.full(n_arms, 1.0 / n_arms)
-
-    def probabilities(self, arms, sigma: float, t: int, T: int) -> np.ndarray:
-        if t > 1 and (t - 1) % self.batch == 0:
-            self._probs = self._weights(arms, sigma, t - 1, T)
-        return self._probs
+    init: np.ndarray
+    uniforms: np.ndarray
+    bumps: np.ndarray | None = None
 
 
-def make_allocator(spec: PolicySpec, arms, sigma: float, T: int,
-                   table: GittinsTable | None, rng: np.random.Generator):
-    """Bind the rule ``spec`` to the live arm states of one trial.
+def draw_policy_variates(spec: PolicySpec, K: int, T: int, rngs) -> PolicyDraws:
+    """Draw each replicate's policy variates up front, one generator per replicate.
 
-    Returns decide(t) -> arm index for patient t > K+1, drawing every random
-    number the rule needs from ``rng``.  ``T`` is the trial size, which the
-    tempering of the randomised rules needs.
+    Each generator is read in the order its replicate, allocated one patient
+    at a time, would read it:
+
+    * the initialization order, a permutation of the K+1 arms, unless the
+      rule assigns patient t to arm t-1 (UCB, KLU, CUC);
+    * RBI/RGI: per decision, K+1 unit exponentials and then the selection
+      uniform;
+    * CG/CUC: per decision, the guard uniform and, only when the guard did
+      not fire, the selection uniform; a pool of two per decision is drawn
+      and the unused tail of the stream is never read;
+    * every other rule: one uniform per decision.
     """
-    kind = spec.kind
-    n_arms = len(arms)
+    n_arms = K + 1
+    n_decisions = T - n_arms
+    n_uniforms = 2 * n_decisions if spec.is_guarded else n_decisions
+    bumped = spec.kind in _BUMPED
+    init = np.empty((len(rngs), n_arms), dtype=np.intp)
+    uniforms = np.empty((len(rngs), n_uniforms))
+    bumps = np.empty((len(rngs), n_decisions, n_arms)) if bumped else None
+    if spec.round_robin_init:
+        init[:] = np.arange(n_arms)
+    for r, rng in enumerate(rngs):
+        if not spec.round_robin_init:
+            init[r] = rng.permutation(n_arms)
+        if bumped:
+            # the exponential sampler reads a variable number of raw draws,
+            # so the interleaved stream cannot be drawn in bulk
+            exponentials, uniform = rng.standard_exponential, rng.random
+            for d in range(n_decisions):
+                bumps[r, d] = exponentials(n_arms)
+                uniforms[r, d] = uniform()
+        else:
+            uniforms[r] = rng.random(n_uniforms)
+    return PolicyDraws(init, uniforms, bumps)
 
-    if kind == "FR":
-        uniform = [1.0 / n_arms] * n_arms
 
-        def decide(t: int) -> int:
-            return sample_from_probabilities(uniform, rng)
+class Allocator:
+    """Rule ``spec`` bound to one block of replicates and its pre-drawn variates.
 
-    elif kind in ("TS", "TP"):
-        weights = _probability_rule(kind)
+    ``allocate(sums, counts, t)`` returns each replicate's arm for patient t,
+    shape (R,), from the block's state before that patient.  Patients
+    1..K+1 follow ``draws.init``.  ``T`` is the trial size, which the
+    tempering of the randomised rules needs; ``table`` serves GI, RGI and
+    CG.  The rule's own state lives here: the stale weights of a batched
+    rule and the pool cursor of a guarded one.
+    """
 
-        def decide(t: int) -> int:
-            return sample_from_probabilities(weights(arms, sigma, t - 1, T), rng)
+    def __init__(self, spec: PolicySpec, sigma: float, T: int,
+                 table: GittinsTable | None, draws: PolicyDraws):
+        self.spec = spec
+        self.sigma = sigma
+        self.T = T
+        self.draws = draws
+        n_rows, self.n_arms = draws.init.shape
+        self._bonuses = table.values if spec.needs_table else None
+        self._rows = np.arange(n_rows)
+        self._cursor = np.zeros(n_rows, dtype=np.intp)
+        self._weights = np.full((n_rows, self.n_arms), 1.0 / self.n_arms)
 
-    elif spec.is_batched:
-        batched = BatchedPolicy(spec, n_arms)
+    def values(self, sums, counts, t: int) -> np.ndarray:
+        """The (R, K+1) scores or probabilities patient t > K+1 is allocated from.
 
-        def decide(t: int) -> int:
-            return sample_from_probabilities(batched.probabilities(arms, sigma, t, T), rng)
+        A batched rule (TSB, TPB) starts uniform and recomputes its weights
+        only at t with (t-1) % batch == 0; outcomes keep accruing to the
+        state but stay invisible to it until then.  A guarded rule returns
+        its inner index rule's scores.
+        """
+        spec = self.spec
+        if spec.is_batched:
+            if (t - 1) % spec.batch == 0:
+                self._weights = _rule_values(spec.inner_kind, sums, counts, self.sigma, t,
+                                             self.T)
+            return self._weights
+        bumps = None
+        if self.draws.bumps is not None:
+            bumps = self.draws.bumps[:, t - self.n_arms - 1]
+        return _rule_values(spec.inner_kind, sums, counts, self.sigma, t, self.T,
+                            self._bonuses, bumps)
 
-    elif spec.is_guarded:
-        # With probability ``guard`` the control is chosen outright; otherwise
-        # the inner index rule's argmax over all arms wins, so the control can
-        # also be chosen on merit and its long-run share exceeds ``guard``.
-        guard = spec.guard_prob(n_arms - 1)
-        score = _index_scorer(spec.inner_kind, arms, sigma, table, rng)
-
-        def decide(t: int) -> int:
-            if rng.random() < guard:
-                return 0
-            return select_from_scores(score(t), rng)
-
-    else:
-        score = _index_scorer(kind, arms, sigma, table, rng)
-
-        def decide(t: int) -> int:
-            return select_from_scores(score(t), rng)
-
-    return decide
+    def __call__(self, sums, counts, t: int) -> np.ndarray:
+        if t <= self.n_arms:
+            return self.draws.init[:, t - 1]
+        values = self.values(sums, counts, t)
+        uniforms = self.draws.uniforms
+        if self.spec.is_guarded:
+            # With probability ``guard`` the control is chosen outright;
+            # otherwise the inner index rule's argmax over all arms wins, so
+            # the control can also be chosen on merit and its long-run share
+            # exceeds ``guard``.
+            cursor = self._cursor
+            fired = uniforms[self._rows, cursor] < self.spec.guard_prob(self.n_arms - 1)
+            merit = select_from_scores(values, uniforms[self._rows, cursor + 1])
+            self._cursor = cursor + 2 - fired
+            return np.where(fired, 0, merit)
+        u = uniforms[:, t - self.n_arms - 1]
+        if self.spec.is_randomized:
+            return sample_from_probabilities(values, u)
+        return select_from_scores(values, u)

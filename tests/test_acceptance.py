@@ -14,7 +14,7 @@ from scipy.special import ndtri
 from bandit_trials.engine import run_replicates, run_trial
 from bandit_trials.inference import calibrate_critical_value, fwer_critical_value, sample_size
 from bandit_trials.operating import aggregate, bias_trajectories
-from bandit_trials.policies import ArmState, PolicySpec, tp_probabilities, ts_probabilities
+from bandit_trials.policies import PolicySpec, tp_probabilities, ts_probabilities
 
 from .conftest import (
     ACCEPT_SEED,
@@ -247,9 +247,9 @@ def test_criterion_10_property_suites(table995, table09):
     checks.append((conserve_ok, "patient conservation across policies"))
 
     rng = np.random.default_rng(ACCEPT_SEED + 604)
-    arms4 = [ArmState(rng.normal(), 5) for _ in range(4)]
-    ts = ts_probabilities(arms4, 1.0, 40, 100)
-    tp = tp_probabilities(arms4, 1.0, 40, 100)
+    sums4, counts4 = np.array([rng.normal() for _ in range(4)]), np.full(4, 5)
+    ts = ts_probabilities(sums4, counts4, 1.0, 40, 100)
+    tp = tp_probabilities(sums4, counts4, 1.0, 40, 100)
     norm_ok = (abs(ts.sum() - 1) < 1e-12 and np.all(ts >= 0)
                and abs(tp.sum() - 1) < 1e-12 and np.all(tp >= 0))
     checks.append((norm_ok, "probability vectors normalized"))

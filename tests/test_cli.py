@@ -234,6 +234,19 @@ class TestSimulateCommand:
         assert cached[0].stat().st_mtime_ns == stamp  # reused, not rebuilt
         assert list(cache.iterdir()) == cached  # no temporary file left behind
 
+    def test_damaged_cache_file_is_rebuilt(self, tmp_path, monkeypatch):
+        cache = tmp_path / "cache"
+        cache.mkdir()
+        damaged = cache / "gittins_d0.995_n116.csv"
+        damaged.write_text("garbage\n")
+        monkeypatch.setenv("BANDIT_TRIALS_TABLE_DIR", str(cache))
+        assert run_cli("simulate", "--preset", "two-arm-t116", "--policies", "GI",
+                       "--critical-values", "analytic", "--replicates", "1", "--seed", "0",
+                       "--workers", "1", "--out-dir", str(tmp_path / "run")) == 0
+        table = load_index_table(damaged)
+        assert table.discount == 0.995 and table.n_max == 116
+        assert list(cache.iterdir()) == [damaged]  # replaced in place, nothing left aside
+
 
 class TestSweepCommand:
     def test_single_size_matches_calibrate(self, tmp_path):

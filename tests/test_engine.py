@@ -7,7 +7,7 @@ import pytest
 from scipy import stats
 
 from bandit_trials.engine import TrialScenario, run_replicates, run_trial, write_trace_csv
-from bandit_trials.policies import ArmState, PolicySpec, policy_scores
+from bandit_trials.policies import POLICY_KINDS, PolicySpec, policy_scores
 
 from .conftest import WORKERS, two_arm
 
@@ -17,6 +17,15 @@ def records_equal(a, b):
             and np.array_equal(a.outcomes, b.outcomes)
             and np.array_equal(a.z.z, b.z.z)
             and a.arm_counts == b.arm_counts)
+
+
+def records_identical(a, b):
+    """Every field equal, bit for bit (trajectories compared NaN for NaN)."""
+    same_trajectory = (a.mean_trajectory is None and b.mean_trajectory is None) or (
+        a.mean_trajectory is not None and b.mean_trajectory is not None
+        and np.array_equal(a.mean_trajectory, b.mean_trajectory, equal_nan=True))
+    return (records_equal(a, b) and a.arm_means == b.arm_means
+            and a.scenario == b.scenario and same_trajectory)
 
 
 class TestScenarioValidation:
@@ -140,12 +149,13 @@ class TestIndexConvention:
         spec = PolicySpec(kind)
         scenario = TrialScenario(K=3, mu=(0.0,) * 4, sigma=1.0, T=302, policy=spec)
         record = run_trial(scenario, None, seed=15)
-        arms = [ArmState() for _ in range(4)]
+        sums, counts = np.zeros(4), np.zeros(4, dtype=int)
         for t, (k, y) in enumerate(zip(record.allocations, record.outcomes), start=1):
             if t > 4:
-                scores = policy_scores(spec, arms, 1.0, t, 302)
+                scores = policy_scores(spec, sums, counts, 1.0, t, 302)
                 assert k == int(np.argmax(scores)), f"patient {t}"
-            arms[k].add(y)
+            sums[k] += y
+            counts[k] += 1
 
 
 class TestBatchedView:
@@ -195,6 +205,109 @@ class TestReplicates:
         tol = 3 / math.sqrt(n_bar * 3000)
         assert abs(means[:, 0].mean()) < tol
         assert abs(means[:, 1].mean()) < tol
+
+
+# Allocations (one digit per patient) and z of replicates 0-2 at master seed
+# PIN_SEED, for every rule: a change to any rule's draw order or arithmetic
+# moves them.
+PIN_SEED = 2026
+PINNED = {
+    "FR": (
+        ("0101111110010111101111001000110100001111", (1.470786361326647,)),
+        ("1000001010101101011000111110111110101011", (2.8609277558659314,)),
+        ("0111100000001011100111000010100110110001", (2.8213569619069903,)),
+    ),
+    "TS": (
+        ("0101111110011111101111001000110111011111", (0.7661506571239275,)),
+        ("1000001010101101011001111111111111111011", (3.1507688775653038,)),
+        ("0111101001001011101111101110111111111111", (2.5485836790517373,)),
+    ),
+    "TSB": (
+        ("0101111110010111101111001000110100001111", (1.470786361326647,)),
+        ("1000001010101101011001111110111111111011", (3.0371575123537795,)),
+        ("0111100000001011100111100110111110111011", (2.1737685361795487,)),
+    ),
+    "RBI": (
+        ("0110001111111011011111111111111111111111", (0.7885978361702958,)),
+        ("1011011011111111111111111111111111111111", (2.1654726895994094,)),
+        ("0111101111011111111111111111111111111111", (2.0816176026068725,)),
+    ),
+    "RGI": (
+        ("0110011111111010011100011111111001111111", (0.616706746638865,)),
+        ("1010011011111111111111111111111111111011", (2.0161162463432727,)),
+        ("0111101111011111111111111111111111111111", (2.0816176026068725,)),
+    ),
+    "UCB": (
+        ("0110111111111101111111111111100111110111", (1.7707450533056424,)),
+        ("0110011101111111111111111111111111111111", (1.8917747057693628,)),
+        ("0111011111111111111111000000101111111110", (1.0269655412244487,)),
+    ),
+    "KLU": (
+        ("0110111111110111011111111110011111111110", (2.421760887345056,)),
+        ("0110011101111111111101111110100111111111", (2.152673509829015,)),
+        ("0111011111101101111111000011101111111101", (1.668979776564949,)),
+    ),
+    "CB": (
+        ("0110111111111111111111111111111111111111", (1.1679125532729735,)),
+        ("1010000000000000000000000000000000000000", (-0.8540558283952594,)),
+        ("0111111111101111111111111111111111111111", (0.21800729784415,)),
+    ),
+    "GI": (
+        ("0110111111111111111111111111111111111111", (1.1679125532729735,)),
+        ("1010000011111111111111111111111111111111", (1.9542703628422813,)),
+        ("0111101111100011111111111111110111111111", (1.1210212597285678,)),
+    ),
+    "CG": (
+        ("0321333000030003300033333030333333333330", (-1.2713856366207237, -0.9872954779628998, 0.7297164277483027)),
+        ("1230002201001000111100100000000000000000", (-0.8778423660100265, -1.058729724604526, -1.1064751808191262)),
+        ("0321320022301100202221220000222002222010", (-0.49001079752394333, 0.8135403818291457, -0.6914157228193286)),
+    ),
+    "CUC": (
+        ("0123010101101330210301111301011221113113", (1.037340202184041, -0.5917353580460359, -0.3181700164209044)),
+        ("0123030031330310001313311110222133303030", (0.3722115972776635, -0.7687600553981289, 0.6778862393528655)),
+        ("0123012302312021101012111100001220033120", (1.9558383260066023, 1.290599237724094, 0.8236812114812115)),
+    ),
+    "TP": (
+        ("0321312313001131310231300300023021101233", (0.9130079494237575, 0.3303209731784121, 1.8705355900438596)),
+        ("1230100211021130303300033333033133030103", (-0.1614404461646889, -1.4689039253804645, 1.4206674027743227)),
+        ("0321220100111202330233310013021133033001", (1.311731419681084, 0.37984949392039785, 2.0169894327464357)),
+    ),
+    "TPB": (
+        ("0321323323012132320331300300023020000233", (-0.9811523328136629, 0.8917537912314205, 1.4938445035131178)),
+        ("1230100212121230303200033323013133030103", (0.8609329306108847, -1.032746623224112, 1.9177748432813495)),
+        ("0321221110111212330132300002000032013000", (1.0048316708218563, 0.35664114738566544, 1.2444214994020333)),
+    ),
+}
+
+
+def pin_scenario(kind):
+    if kind in ("TP", "TPB", "CG", "CUC"):
+        return TrialScenario(K=3, mu=(0.0, 0.178, 0.178, 0.545), sigma=1.0, T=40,
+                             policy=PolicySpec(kind))
+    return TrialScenario(K=1, mu=(0.0, 0.545), sigma=1.0, T=40, policy=PolicySpec(kind))
+
+
+class TestDrawOrder:
+    @pytest.mark.parametrize("kind", POLICY_KINDS)
+    def test_pinned_replicates(self, table995, kind):
+        records = run_replicates(pin_scenario(kind), table995, PIN_SEED, 3)
+        for r, (record, (allocations, z)) in enumerate(zip(records, PINNED[kind])):
+            assert "".join(str(int(k)) for k in record.allocations) == allocations, \
+                f"replicate {r}"
+            assert tuple(float(v) for v in record.z.z) == z, f"replicate {r}"
+
+    @pytest.mark.parametrize("kind", POLICY_KINDS)
+    def test_replicates_are_single_trials(self, table995, kind):
+        # M=37 is no multiple of any block or chunk size
+        scenario = pin_scenario(kind)
+        serial = run_replicates(scenario, table995, PIN_SEED + 1, 37, keep_trajectory=True)
+        parallel = run_replicates(scenario, table995, PIN_SEED + 1, 37, workers=2,
+                                  keep_trajectory=True)
+        for r, (a, b) in enumerate(zip(serial, parallel, strict=True)):
+            single = run_trial(scenario, table995, np.random.SeedSequence((PIN_SEED + 1, r)),
+                               keep_trajectory=True)
+            assert records_identical(a, single), f"replicate {r}"
+            assert records_identical(a, b), f"replicate {r}"
 
 
 class TestTraceDump:

@@ -17,7 +17,7 @@ from bandit_trials.gittins import (
     load_index_table,
     save_index_table,
 )
-from bandit_trials.policies import ArmState, PolicySpec, policy_scores
+from bandit_trials.policies import PolicySpec, policy_scores
 
 # Frozen output of tests/gittins_oracle.py (per-lambda fine-grid value
 # iteration, grid_step=0.005, horizon=400, cell-probability integration).
@@ -82,8 +82,7 @@ class TestComputeIndexTable:
 def gi_score(mean, n, sigma, table):
     """GI allocation score of an arm whose next observation is its n-th."""
     spec = PolicySpec("GI", discount=table.discount)
-    arm = ArmState(mean * (n - 1), n - 1)
-    return float(policy_scores(spec, [arm], sigma, 10, 20, table=table)[0])
+    return float(policy_scores(spec, [mean * (n - 1)], [n - 1], sigma, 10, 20, table=table)[0])
 
 
 class TestGittinsIndex:

@@ -17,28 +17,41 @@ from bandit_trials.inference import (
     sample_size,
     z_statistic,
 )
-from bandit_trials.policies import ArmState
 
 from .conftest import WORKERS, two_arm
 
 
 class TestZStatistic:
+    # arm states as (sums, counts) with the control first
+
     def test_equal_means_give_zero(self):
-        assert z_statistic(ArmState(2.0 * 8, 8), ArmState(2.0 * 5, 5), 1.0) == 0.0
+        assert z_statistic([2.0 * 5, 2.0 * 8], [5, 8], 1.0)[0] == 0.0
 
     def test_pinned_value(self):
         # 0.545 / sqrt(2/58)
-        z = z_statistic(ArmState(0.545 * 58, 58), ArmState(0.0, 58), 1.0)
+        z = z_statistic([0.0, 0.545 * 58], [58, 58], 1.0)[0]
         assert z == pytest.approx(2.934914819888305, abs=1e-5)
 
     def test_inverse_linear_in_sigma(self):
-        arm_k, arm_0 = ArmState(3.0 * 6, 6), ArmState(1.0 * 9, 9)
-        assert z_statistic(arm_k, arm_0, 2.0) == pytest.approx(
-            z_statistic(arm_k, arm_0, 1.0) / 2.0)
+        sums, counts = [1.0 * 9, 3.0 * 6], [9, 6]
+        assert z_statistic(sums, counts, 2.0)[0] == pytest.approx(
+            z_statistic(sums, counts, 1.0)[0] / 2.0)
 
     def test_unsampled_arm_rejected(self):
         with pytest.raises(ValueError, match="never sampled"):
-            z_statistic(ArmState(), ArmState(1.0, 1), 1.0)
+            z_statistic([1.0, 0.0], [1, 0], 1.0)
+
+    def test_block_of_trials(self):
+        # one row per trial, one contrast per experimental arm
+        sums = np.array([[0.0, 1.0, 2.0], [3.0, 3.0, 0.0]])
+        counts = np.array([[1, 1, 4], [3, 1, 2]])
+        z = z_statistic(sums, counts, 1.0)
+        assert z.shape == (2, 2)
+        for row in range(2):
+            for k in (1, 2):
+                n0, nk = counts[row, 0], counts[row, k]
+                expected = (sums[row, k] / nk - sums[row, 0] / n0) / math.sqrt(1 / nk + 1 / n0)
+                assert z[row, k - 1] == expected
 
 
 def mc_max_equicorrelated_quantile(K, alpha, draws, seed):

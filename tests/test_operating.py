@@ -118,6 +118,30 @@ class TestAggregate:
         assert 0.40 <= oc.sd_pstar <= 0.50
 
 
+class TestStandardErrors:
+    def test_synthetic_records(self):
+        # four records: control shares 0.4, 0.4, 0.6, 0.6; z 0, 3, 3, 3 against
+        # C = 2; outcome levels 1, 2, 3, 4
+        scenario = two_arm("FR", 0.0, "H0", T=10)
+        records = [synthetic_record(scenario, share, z, level)
+                   for share, z, level in ((0.4, 0.0, 1.0), (0.4, 3.0, 2.0),
+                                           (0.6, 3.0, 3.0), (0.6, 3.0, 4.0))]
+        oc = aggregate(records, scenario, 2.0)
+        assert oc.rejection_rate == 0.75
+        assert oc.rejection_rate_se == pytest.approx(math.sqrt(0.75 * 0.25 / 4), rel=1e-12)
+        assert oc.global_rejection_rate_se == oc.rejection_rate_se
+        # sample sds (ddof 1): p* = 0.4, 0.4, 0.6, 0.6 and outcomes 1..4
+        assert oc.e_pstar_se == pytest.approx(math.sqrt(0.04 / 3) / 2, rel=1e-12)
+        assert oc.e_outcome_se == pytest.approx(math.sqrt(5 / 3) / 2, rel=1e-12)
+
+    def test_certain_rate_has_no_error(self):
+        scenario = two_arm("FR", 0.0, "H0", T=10)
+        records = [synthetic_record(scenario, 0.5, 3.0, 0.0) for _ in range(5)]
+        oc = aggregate(records, scenario, 2.0)
+        assert oc.rejection_rate == 1.0 and oc.rejection_rate_se == 0.0
+        assert oc.e_pstar_se == 0.0 and oc.e_outcome_se == 0.0
+
+
 class TestBiasTrajectories:
     def test_single_replicate_is_exact(self, table995):
         scenario = two_arm("GI", 0.545, "H1", T=25)
@@ -159,13 +183,18 @@ class TestCsvWriters:
         rows = [{"policy": "FR", "hypothesis": "H0", "C_alpha": 1.6448536,
                  "rejection_rate": 0.05123456, "global_rejection_rate": 0.05123456,
                  "e_pstar": 0.5, "sd_pstar": 0.05, "e_outcome": -0.0001,
-                 "sd_outcome": 0.09, "M": 10000, "seed": 7}]
+                 "sd_outcome": 0.09, "M": 10000, "seed": 7,
+                 "rejection_rate_se": 0.0022046, "global_rejection_rate_se": 0.0022046,
+                 "e_pstar_se": 0.0005, "e_outcome_se": 0.0009}]
         path = write_results_csv(rows, tmp_path / "results.csv")
         header, row = path.read_text().splitlines()
-        assert header.startswith("policy,hypothesis,C_alpha,rejection_rate")
+        assert header == ("policy,hypothesis,C_alpha,rejection_rate,global_rejection_rate,"
+                          "e_pstar,sd_pstar,e_outcome,sd_outcome,M,seed,rejection_rate_se,"
+                          "global_rejection_rate_se,e_pstar_se,e_outcome_se")
         fields = row.split(",")
         assert fields[3] == "0.051235"  # rates at 6 decimals
         assert float(fields[2]) == 1.6448536  # critical value at full precision
+        assert fields[9:] == ["10000", "7", "0.002205", "0.002205", "0.000500", "0.000900"]
 
     def test_bias_csv_layout(self, table995, tmp_path):
         scenario = two_arm("GI", 0.0, "H0", T=12)

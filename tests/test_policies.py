@@ -10,10 +10,10 @@ from scipy import integrate, stats
 from scipy.special import ndtr
 
 from bandit_trials.policies import (
-    ArmState,
-    BatchedPolicy,
+    Allocator,
+    PolicyDraws,
     PolicySpec,
-    make_allocator,
+    draw_policy_variates,
     policy_scores,
     sample_from_probabilities,
     select_from_scores,
@@ -23,48 +23,38 @@ from bandit_trials.policies import (
 
 
 def arms_of(*pairs):
-    return [ArmState(mean * n, n) for mean, n in pairs]
+    """One trial's state (sums, counts) from (mean, count) pairs."""
+    return (np.array([mean * n for mean, n in pairs], dtype=float),
+            np.array([n for _, n in pairs]))
 
 
 def index_score(kind, arm, sigma, t, table=None, rng=None):
-    """Score of a single arm under index rule ``kind`` at patient index t."""
+    """Score of a single arm (sum, count) under index rule ``kind`` at patient index t."""
     spec = PolicySpec(kind, discount=table.discount if table else 0.995)
-    return float(policy_scores(spec, [arm], sigma, t, 2 * t, table=table, rng=rng)[0])
+    total, n = arm
+    return float(policy_scores(spec, [total], [n], sigma, t, 2 * t, table=table, rng=rng)[0])
+
+
+def allocator(spec, arms, T, table=None, uniforms=(), rows=1):
+    """``rows`` copies of one trial's state, allocated with scripted uniforms."""
+    sums, counts = arms
+    n_arms = counts.size
+    uniforms = np.atleast_2d(uniforms)
+    pool = np.zeros((rows, 2 * (T - n_arms)))
+    pool[:, :uniforms.shape[1]] = uniforms
+    draws = PolicyDraws(init=np.tile(np.arange(n_arms), (rows, 1)), uniforms=pool)
+    state = np.tile(sums, (rows, 1)), np.tile(counts, (rows, 1))
+    return Allocator(spec, 1.0, T, table, draws), state
 
 
 class FixedRng:
-    """Deterministic stand-in consuming scripted draws."""
+    """Deterministic stand-in handing out scripted exponentials."""
 
-    def __init__(self, uniforms=(), exponentials=()):
-        self._u = list(uniforms)
+    def __init__(self, exponentials=()):
         self._e = list(exponentials)
-        self.uniform_calls = 0
 
-    def random(self):
-        self.uniform_calls += 1
-        return self._u.pop(0)
-
-    def standard_exponential(self, size=None):
-        if size is None:
-            return self._e.pop(0)
+    def standard_exponential(self, size):
         return np.array([self._e.pop(0) for _ in range(size)])
-
-
-class TestArmState:
-    def test_mean_requires_observation(self):
-        arm = ArmState()
-        with pytest.raises(ValueError):
-            arm.mean
-        arm.add(2.0)
-        assert arm.mean == 2.0
-
-    @given(st.lists(st.floats(-100, 100, allow_nan=False), min_size=1, max_size=50))
-    @settings(max_examples=100, deadline=None)
-    def test_incremental_mean_matches_batch_mean(self, ys):
-        arm = ArmState()
-        for y in ys:
-            arm.add(y)
-        assert arm.mean == pytest.approx(float(np.mean(ys)), abs=1e-12, rel=1e-12)
 
 
 class TestPolicySpec:
@@ -80,6 +70,13 @@ class TestPolicySpec:
         assert PolicySpec("TS").batch == 1
         assert PolicySpec("TSB", batch=5).batch == 5
 
+    @pytest.mark.parametrize("kind", ["FR", "TS", "TP", "GI", "RGI", "UCB", "CG", "CUC"])
+    def test_batch_only_for_batched_kinds(self, kind):
+        assert PolicySpec(kind).batch == 1
+        assert PolicySpec(kind, batch=1).batch == 1
+        with pytest.raises(ValueError, match="TSB/TPB"):
+            PolicySpec(kind, batch=5)
+
     def test_guard_prob_default(self):
         assert PolicySpec("CG").guard_prob(3) == 0.25
         assert PolicySpec("CG", control_guard_prob=1 / 3).guard_prob(3) == 1 / 3
@@ -93,53 +90,54 @@ class TestPolicySpec:
 
 class TestIndexScores:
     def test_ucb_pinned_value(self):
-        arm = ArmState(0.5 * 4, 4)
+        arm = (0.5 * 4, 4)
         assert index_score("UCB", arm, 1.0, 10) == pytest.approx(1.5729830131446736, abs=1e-5)
 
     def test_ucb_pinned_value_scaled(self):
-        arm = ArmState(-1.0, 1)
+        arm = (-1.0, 1)
         assert index_score("UCB", arm, 2.0, 3) == pytest.approx(1.9646076147350224, abs=1e-5)
 
     def test_ucb_bonus_vanishes(self):
-        arm = ArmState(0.0, 10**9)
+        arm = (0.0, 10**9)
         assert index_score("UCB", arm, 1.0, 10) == pytest.approx(0.0, abs=1e-4)
 
     def test_klu_pinned_value(self):
-        arm = ArmState(0.0, 1)
+        arm = (0.0, 1)
         assert index_score("KLU", arm, 1.0, 10) == pytest.approx(3.0998975559646853, abs=1e-4)
 
     def test_klu_dominates_ucb(self):
-        arm = ArmState(0.5 * 4, 4)
+        arm = (0.5 * 4, 4)
         for t in (3, 10, 50):
             assert index_score("KLU", arm, 1.0, t) >= index_score("UCB", arm, 1.0, t)
 
     def test_klu_bonus_vanishes(self):
-        arm = ArmState(1.0 * 10**9, 10**9)
+        arm = (1.0 * 10**9, 10**9)
         assert index_score("KLU", arm, 1.0, 10) == pytest.approx(1.0, abs=1e-4)
 
     @pytest.mark.parametrize("kind", ["UCB", "KLU"])
     def test_strictly_decreasing_in_n(self, kind):
         t = 25
-        vals = [index_score(kind, ArmState(0.5 * n, n), 1.0, t) for n in (1, 2, 5, 10, 40)]
+        vals = [index_score(kind, (0.5 * n, n), 1.0, t) for n in (1, 2, 5, 10, 40)]
         assert all(a > b for a, b in zip(vals, vals[1:]))
 
     def test_preconditions(self):
         for kind in ("UCB", "KLU"):
             with pytest.raises(ValueError, match="initialization"):
-                index_score(kind, ArmState(), 1.0, 5)
+                index_score(kind, (0.0, 0), 1.0, 5)
         with pytest.raises(ValueError, match="score vector"):
-            policy_scores(PolicySpec("CUC"), arms_of((0.0, 1), (0.0, 1)), 1.0, 5, 10)
+            policy_scores(PolicySpec("CUC"), *arms_of((0.0, 1), (0.0, 1)), 1.0, 5, 10)
 
     def test_allocation_index_uses_next_observation_entry(self, table09):
-        arm = ArmState(2.0, 4)
+        arm = (2.0, 4)
         assert index_score("GI", arm, 1.5, 10, table09) == pytest.approx(
             0.5 + 1.5 * table09.value(5))
 
 
 def quad_p_best(arms, sigma):
     """P(arm k is best) for each arm by adaptive quadrature, arm by arm."""
-    means = [a.mean for a in arms]
-    sds = [sigma / math.sqrt(a.n) for a in arms]
+    sums, counts = arms
+    means = [total / n for total, n in zip(sums, counts)]
+    sds = [sigma / math.sqrt(n) for n in counts]
     out = []
     for k, (m, s) in enumerate(zip(means, sds)):
         def integrand(y):
@@ -159,12 +157,12 @@ class TestTsProbabilities:
 
     def test_zero_tempering_is_uniform(self):
         arms = arms_of((3.0, 5), (0.0, 2), (-1.0, 9))
-        probs = ts_probabilities(arms, 1.0, 0, 100)
+        probs = ts_probabilities(*arms, 1.0, 0, 100)
         assert np.array_equal(probs, np.full(3, 1 / 3))
 
     def test_symmetric_arms_near_uniform(self):
         arms = arms_of((0.5, 10), (0.5, 10), (0.5, 10), (0.5, 10))
-        probs = ts_probabilities(arms, 1.0, 50, 100)
+        probs = ts_probabilities(*arms, 1.0, 50, 100)
         assert np.allclose(probs, 0.25, rtol=0, atol=1e-12)
 
     def test_closed_form_two_arm_oracle(self):
@@ -173,7 +171,7 @@ class TestTsProbabilities:
         sigma = 1.3
         for counts in ((100, 100), (1, 300), (300, 1), (3, 7)):
             arms = arms_of((0.1, counts[0]), (0.35, counts[1]))
-            probs = ts_probabilities(arms, sigma, 200, 100)
+            probs = ts_probabilities(*arms, sigma, 200, 100)
             spread = sigma * math.sqrt(1 / counts[0] + 1 / counts[1])
             assert probs[1] == pytest.approx(ndtr(0.25 / spread), rel=0, abs=1e-12)
             assert probs[0] == pytest.approx(ndtr(-0.25 / spread), rel=0, abs=1e-12)
@@ -185,14 +183,14 @@ class TestTsProbabilities:
     ])
     def test_matches_adaptive_quadrature(self, pairs):
         arms = arms_of(*pairs)
-        probs = ts_probabilities(arms, 1.0, 200, 100)
+        probs = ts_probabilities(*arms, 1.0, 200, 100)
         assert np.allclose(probs, quad_p_best(arms, 1.0), rtol=0, atol=1e-10)
 
     def test_shift_invariance_under_common_randomness(self):
         arms = arms_of((0.2, 4), (0.9, 7), (-0.4, 30))
         shifted = arms_of((0.2 + 5.0, 4), (0.9 + 5.0, 7), (-0.4 + 5.0, 30))
-        a = ts_probabilities(arms, 1.0, 30, 100)
-        b = ts_probabilities(shifted, 1.0, 30, 100)
+        a = ts_probabilities(*arms, 1.0, 30, 100)
+        b = ts_probabilities(*shifted, 1.0, 30, 100)
         assert np.allclose(a, b, rtol=0, atol=1e-12)
 
     @given(st.integers(0, 2**31 - 1), st.integers(0, 200))
@@ -200,24 +198,28 @@ class TestTsProbabilities:
     def test_normalized(self, seed, t):
         rng = np.random.default_rng(seed)
         arms = arms_of((rng.normal(), 3), (rng.normal(), 8), (rng.normal(), 2))
-        probs = ts_probabilities(arms, 1.0, t, 200)
+        probs = ts_probabilities(*arms, 1.0, t, 200)
         assert np.all(probs >= 0)
         assert probs.sum() == pytest.approx(1.0, abs=1e-12)
 
     @pytest.mark.parametrize("kind", ["TS", "TSB"])
     def test_decision_draws_one_uniform(self, kind):
-        # FixedRng has no normal generator: the weights draw nothing
-        arms = arms_of((0.0, 3), (0.4, 2))
-        rng = FixedRng(uniforms=[0.3])
-        decide = make_allocator(PolicySpec(kind, batch=1), arms, 1.0, 30, None, rng)
-        assert decide(4) in (0, 1)
-        assert rng.uniform_calls == 1
+        # the weights draw nothing: a trial's stream holds its initialization
+        # order and then exactly one uniform per decision
+        rng, reference = np.random.default_rng(11), np.random.default_rng(11)
+        draws = draw_policy_variates(PolicySpec(kind), 1, 30, [rng])
+        assert np.array_equal(draws.init[0], reference.permutation(2))
+        assert np.array_equal(draws.uniforms[0], reference.random(28))
+        assert rng.random() == reference.random()  # nothing else was read
+        sums, counts = arms_of((0.0, 3), (0.4, 2))
+        assert Allocator(PolicySpec(kind), 1.0, 30, None, draws)(
+            sums[None], counts[None], 4)[0] in (0, 1)
 
 
 class TestTpProbabilities:
     def test_start_of_trial_is_uniform(self):
         arms = arms_of((0.0, 1), (0.0, 1), (0.0, 1), (0.0, 1))
-        probs = tp_probabilities(arms, 1.0, 0, 100)
+        probs = tp_probabilities(*arms, 1.0, 0, 100)
         assert np.allclose(probs, 0.25)
 
     def test_worked_example(self):
@@ -225,7 +227,7 @@ class TestTpProbabilities:
         # experimental weights tie at 1/3 and the control weight is
         # exp(2 ** 0.125) / 3.
         arms = arms_of((0.0, 10), (0.0, 12), (0.0, 12), (0.0, 12))
-        probs = tp_probabilities(arms, 1.0, 50, 100)
+        probs = tp_probabilities(*arms, 1.0, 50, 100)
         w0 = 0.9919281973675802
         expected = np.array([w0, 1 / 3, 1 / 3, 1 / 3]) / (w0 + 1.0)
         assert np.allclose(probs, expected, atol=1e-12)
@@ -234,23 +236,23 @@ class TestTpProbabilities:
         # end of trial (gamma = 3): competitors at P=1/2 keep (1/2)^3 weight
         # each, so the sure winner holds 1/(1 + 2/8) = 0.8 of the mass
         arms = arms_of((0.0, 30), (2.0, 30), (0.0, 30), (0.0, 30))
-        probs = tp_probabilities(arms, 1.0, 100, 100)
+        probs = tp_probabilities(*arms, 1.0, 100, 100)
         experimental = probs[1:] / probs[1:].sum()
         assert experimental[0] == pytest.approx(0.8, abs=1e-6)
         # with clearly inferior competitors the winner's share tends to one
         arms = arms_of((0.0, 30), (2.0, 30), (-2.0, 30), (-2.0, 30))
-        probs = tp_probabilities(arms, 1.0, 100, 100)
+        probs = tp_probabilities(*arms, 1.0, 100, 100)
         experimental = probs[1:] / probs[1:].sum()
         assert experimental[0] > 0.999
 
     def test_requires_multiple_experimental_arms(self):
         with pytest.raises(ValueError, match="multi-arm"):
-            tp_probabilities(arms_of((0.0, 3), (0.0, 3)), 1.0, 10, 100)
+            tp_probabilities(*arms_of((0.0, 3), (0.0, 3)), 1.0, 10, 100)
 
     def test_control_deficit_floored_at_zero(self):
         # control has the most observations; the exponent base clamps to 0
         arms = arms_of((0.0, 20), (0.0, 5), (0.0, 6), (0.0, 4))
-        probs = tp_probabilities(arms, 1.0, 50, 100)
+        probs = tp_probabilities(*arms, 1.0, 50, 100)
         assert probs[0] == pytest.approx((1 / 3) / (1 + 1 / 3))
 
 
@@ -261,40 +263,48 @@ class TestPerturbedScore:
     def test_expected_bump_is_one_over_n(self):
         rng = np.random.default_rng(3)
         n, draws = 7, 100_000
-        arm = ArmState(0.0, n - 1)
+        arm = (0.0, n - 1)
         bumps = np.array([index_score("RBI", arm, 1.0, 10, rng=rng) for _ in range(draws)])
         se = bumps.std() / math.sqrt(draws)
         assert bumps.mean() == pytest.approx(1 / n, abs=3 * se)
 
     def test_vanishes_for_large_n(self):
         rng = np.random.default_rng(4)
-        arm = ArmState(1.5 * 10**9, 10**9)
+        arm = (1.5 * 10**9, 10**9)
         assert index_score("RBI", arm, 1.0, 10, rng=rng) == pytest.approx(1.5, abs=1e-6)
 
     def test_degenerate_draw_returns_base(self):
-        rng = FixedRng(exponentials=[0.0])
-        assert index_score("RBI", ArmState(2.5 * 2, 2), 1.0, 10, rng=rng) == 2.5
+        rng = FixedRng([0.0])
+        assert index_score("RBI", (2.5 * 2, 2), 1.0, 10, rng=rng) == 2.5
 
     def test_rgi_adds_bump_to_gittins_index(self, table09):
-        rng = FixedRng(exponentials=[0.9])
-        arm = ArmState(2.0, 4)
+        rng = FixedRng([0.9])
+        arm = (2.0, 4)
         assert index_score("RGI", arm, 1.5, 10, table09, rng) == pytest.approx(
             0.5 + 1.5 * table09.value(5) + 0.9 / 5)
 
 
 class TestSelection:
     def test_argmax_when_unique(self):
-        rng = FixedRng(uniforms=[0.99])
-        assert select_from_scores([0.1, 0.7, 0.3], rng) == 1
+        assert select_from_scores(np.array([0.1, 0.7, 0.3]), 0.99) == 1
 
     def test_consumes_exactly_one_uniform(self):
-        rng = FixedRng(uniforms=[0.4])
-        select_from_scores([1.0, 2.0], rng)
-        assert rng.uniform_calls == 1
+        # one uniform per decision, used only to break ties
+        scores = np.array([[1.0, 2.0], [3.0, 3.0], [3.0, 3.0]])
+        picks = select_from_scores(scores, np.array([0.9, 0.2, 0.7]))
+        assert picks.tolist() == [1, 0, 1]
+        # an index rule's stream: the initialization order, then one uniform
+        # per decision and nothing else
+        rng, reference = np.random.default_rng(12), np.random.default_rng(12)
+        draws = draw_policy_variates(PolicySpec("GI"), 1, 20, [rng])
+        reference.permutation(2)
+        assert np.array_equal(draws.uniforms[0], reference.random(18))
+        assert rng.random() == reference.random()
 
     def test_ties_broken_uniformly(self):
         rng = np.random.default_rng(5)
-        picks = [select_from_scores([1.0, 0.5, 1.0], rng) for _ in range(4000)]
+        scores = np.tile([1.0, 0.5, 1.0], (4000, 1))
+        picks = select_from_scores(scores, rng.random(4000))
         counts = np.bincount(picks, minlength=3)
         assert counts[1] == 0
         assert abs(counts[0] - 2000) < 3 * math.sqrt(4000 * 0.25)
@@ -302,41 +312,66 @@ class TestSelection:
     def test_sampling_respects_probabilities(self):
         rng = np.random.default_rng(6)
         probs = [0.1, 0.6, 0.3]
-        picks = [sample_from_probabilities(probs, rng) for _ in range(6000)]
+        picks = sample_from_probabilities(np.tile(probs, (6000, 1)), rng.random(6000))
         freq = np.bincount(picks, minlength=3) / 6000
         assert np.allclose(freq, probs, atol=0.03)
 
+    def test_matches_scalar_reference(self):
+        # the one-decision-at-a-time selectors, applied row by row
+        def argmax_with_ties(scores, u):
+            ties = [i for i, s in enumerate(scores) if s == max(scores)]
+            return ties[int(u * len(ties))]
+
+        def inverse_cdf(probs, u):
+            acc = 0.0
+            for i, p in enumerate(probs):
+                acc += p
+                if u < acc:
+                    return i
+            return len(probs) - 1
+
+        rng = np.random.default_rng(13)
+        for n_arms in (2, 3, 4):
+            scores = rng.integers(0, 3, (500, n_arms)).astype(float)  # many ties
+            probs = rng.random((500, n_arms))
+            probs /= probs.sum(axis=1, keepdims=True)
+            u = rng.random(500)
+            assert select_from_scores(scores, u).tolist() == [
+                argmax_with_ties(list(row), x) for row, x in zip(scores, u)]
+            assert sample_from_probabilities(probs, u).tolist() == [
+                inverse_cdf(list(row), x) for row, x in zip(probs, u)]
+
     def test_sampling_edge_of_unit_interval(self):
-        rng = FixedRng(uniforms=[0.999999999])
-        assert sample_from_probabilities([0.5, 0.5], rng) == 1
+        assert sample_from_probabilities(np.array([0.5, 0.5]), 0.999999999) == 1
+        # rounding can leave the total at or below u: the last arm is drawn
+        assert sample_from_probabilities(np.array([0.5, 0.5 - 1e-12]), 0.9999999999999) == 1
 
 
 class TestPolicyScores:
     def test_fr_uniform(self):
         arms = arms_of((0.0, 1), (1.0, 1), (2.0, 1))
         assert PolicySpec("FR").is_randomized
-        assert np.allclose(policy_scores(PolicySpec("FR"), arms, 1.0, 5, 50), 1 / 3)
+        assert np.allclose(policy_scores(PolicySpec("FR"), *arms, 1.0, 5, 50), 1 / 3)
 
     def test_cb_scores_are_means(self):
         arms = arms_of((0.1, 3), (0.4, 3), (0.2, 3))
         assert not PolicySpec("CB").is_randomized
-        assert int(np.argmax(policy_scores(PolicySpec("CB"), arms, 1.0, 10, 50))) == 1
+        assert int(np.argmax(policy_scores(PolicySpec("CB"), *arms, 1.0, 10, 50))) == 1
 
     def test_gi_equal_states_equal_scores(self, table09):
         arms = arms_of((0.3, 6), (0.3, 6), (0.3, 6))
-        scores = policy_scores(PolicySpec("GI", discount=0.9), arms, 1.0, 10, 50,
+        scores = policy_scores(PolicySpec("GI", discount=0.9), *arms, 1.0, 10, 50,
                                table=table09)
         assert scores[0] == scores[1] == scores[2]
 
     def test_uninitialized_arm_rejected(self):
-        arms = [ArmState(1.0, 1), ArmState()]
         with pytest.raises(ValueError, match="initialization"):
-            policy_scores(PolicySpec("CB"), arms, 1.0, 3, 10)
+            policy_scores(PolicySpec("CB"), [1.0, 0.0], [1, 0], 1.0, 3, 10)
 
     def test_guarded_kinds_not_vectors(self):
         arms = arms_of((0.0, 1), (0.0, 1))
         with pytest.raises(ValueError, match="two-stage"):
-            policy_scores(PolicySpec("CG"), arms, 1.0, 3, 10)
+            policy_scores(PolicySpec("CG"), *arms, 1.0, 3, 10)
 
     def test_shift_invariance_of_score_vectors(self, table09):
         shift = 3.7
@@ -344,46 +379,48 @@ class TestPolicyScores:
         moved = arms_of((0.2 + shift, 4), (0.9 + shift, 7), (-0.3 + shift, 2))
         for kind in ("CB", "GI", "UCB", "KLU"):
             spec = PolicySpec(kind, discount=0.9)
-            a = policy_scores(spec, base, 1.0, 9, 50, table=table09)
-            b = policy_scores(spec, moved, 1.0, 9, 50, table=table09)
+            a = policy_scores(spec, *base, 1.0, 9, 50, table=table09)
+            b = policy_scores(spec, *moved, 1.0, 9, 50, table=table09)
             assert np.allclose(b - a, shift, atol=1e-12)
 
 
 class TestGuardedAllocate:
     @staticmethod
-    def decide(kind, arms, table, rng, t=9):
+    def decide(kind, arms, table, uniforms, t=9):
         spec = PolicySpec(kind, discount=table.discount)
-        return make_allocator(spec, arms, 1.0, 50, table, rng)(t)
+        allocate, state = allocator(spec, arms, 50, table, uniforms)
+        return int(allocate(*state, t)[0])
 
     def test_guard_fires(self, table09):
         arms = arms_of((0.0, 2), (5.0, 2), (5.0, 2), (5.0, 2))
-        rng = FixedRng(uniforms=[0.1])
-        assert self.decide("CG", arms, table09, rng) == 0
-        assert rng.uniform_calls == 1
+        assert self.decide("CG", arms, table09, [0.1]) == 0
+        # a fired guard consumes one uniform: the next decision's guard is
+        # the pool's second entry (0.2 fires; 0.9 would not)
+        allocate, state = allocator(PolicySpec("CG", discount=0.9), arms, 50, table09,
+                                    [0.1, 0.2, 0.9])
+        assert allocate(*state, 9)[0] == 0
+        assert allocate(*state, 10)[0] == 0
 
     def test_index_stage_includes_control(self, table09):
         # control holds the best posterior mean and equal counts, so it wins
         # the index stage when the guard does not fire
         arms = arms_of((2.0, 8), (0.1, 8), (0.2, 8), (0.3, 8))
-        rng = FixedRng(uniforms=[0.9, 0.5])
-        assert self.decide("CG", arms, table09, rng) == 0
+        assert self.decide("CG", arms, table09, [0.9, 0.5]) == 0
 
     def test_argmax_over_experimental(self, table09):
         arms = arms_of((-9.0, 8), (1.2, 8), (0.9, 8), (1.5, 8))
-        rng = FixedRng(uniforms=[0.9, 0.5])
-        assert self.decide("CG", arms, table09, rng) == 3
+        assert self.decide("CG", arms, table09, [0.9, 0.5]) == 3
 
     def test_merit_stage_is_the_inner_rule(self, table09):
         # with the guard off, CG picks GI's argmax and CUC picks UCB's: the
         # counts make the two indices disagree
         arms = arms_of((0.0, 30), (0.3, 40), (-0.2, 2), (-0.5, 30))
         for kind, inner in (("CG", "GI"), ("CUC", "UCB")):
-            scores = policy_scores(PolicySpec(inner, discount=0.9), arms, 1.0, 40, 50,
+            scores = policy_scores(PolicySpec(inner, discount=0.9), *arms, 1.0, 40, 50,
                                    table=table09)
-            rng = FixedRng(uniforms=[0.99, 0.0])
-            assert self.decide(kind, arms, table09, rng, t=40) == int(np.argmax(scores))
-        gi = policy_scores(PolicySpec("GI", discount=0.9), arms, 1.0, 40, 50, table=table09)
-        ucb = policy_scores(PolicySpec("UCB"), arms, 1.0, 40, 50)
+            assert self.decide(kind, arms, table09, [0.99, 0.0], t=40) == int(np.argmax(scores))
+        gi = policy_scores(PolicySpec("GI", discount=0.9), *arms, 1.0, 40, 50, table=table09)
+        ucb = policy_scores(PolicySpec("UCB"), *arms, 1.0, 40, 50)
         assert np.argmax(gi) != np.argmax(ucb)
 
     def test_long_run_control_share_exceeds_guard(self, table09):
@@ -391,23 +428,29 @@ class TestGuardedAllocate:
         # 1/(K+1) of the time: share ~ g + (1-g)/4 for K=3
         rng = np.random.default_rng(8)
         arms = arms_of((0.0, 5), (0.0, 5), (0.0, 5), (0.0, 5))
-        decide = make_allocator(PolicySpec("CUC"), arms, 1.0, 50, table09, rng)
-        picks = np.array([decide(9) for _ in range(20_000)])
-        share = float(np.mean(picks == 0))
+        allocate, state = allocator(PolicySpec("CUC"), arms, 50, table09,
+                                    rng.random((20_000, 2)), rows=20_000)
+        share = float(np.mean(allocate(*state, 9) == 0))
         expected = 0.25 + 0.75 * 0.25
         assert share == pytest.approx(expected, abs=3 * math.sqrt(0.4375 * 0.5625 / 20_000))
 
 
+def batched_weights(spec, n_arms, T):
+    """weights((sums, counts), t): the vector a batched rule allocates patient t from."""
+    allocate, _ = allocator(spec, arms_of(*[(0.0, 1)] * n_arms), T)
+    return lambda arms, t: allocate.values(arms[0][None], arms[1][None], t)[0]
+
+
 class TestBatchedPolicy:
     def test_refresh_schedule(self):
-        spec = PolicySpec("TPB", batch=20)
-        batched = BatchedPolicy(spec, 4)
-        arms = arms_of((0.0, 1), (0.0, 1), (0.0, 1), (0.0, 1))
-        previous = batched.probabilities(arms, 1.0, 5, 116).copy()
+        weights = batched_weights(PolicySpec("TPB", batch=20), 4, 116)
+        sums, counts = arms_of((0.0, 1), (0.0, 1), (0.0, 1), (0.0, 1))
+        previous = weights((sums, counts), 5).copy()
         changed = []
         for t in range(6, 117):
-            arms[t % 4].add(0.1 * (t % 4))
-            probs = batched.probabilities(arms, 1.0, t, 116)
+            sums[t % 4] += 0.1 * (t % 4)
+            counts[t % 4] += 1
+            probs = weights((sums, counts), t)
             if not np.array_equal(probs, previous):
                 changed.append(t)
             previous = probs.copy()
@@ -416,31 +459,30 @@ class TestBatchedPolicy:
         assert changed == expected == [21, 41, 61, 81, 101]
 
     def test_batch_of_one_matches_unbatched(self):
-        spec = PolicySpec("TSB", batch=1)
-        arms = arms_of((0.4, 3), (0.1, 2))
-        batched = BatchedPolicy(spec, 2)
+        weights = batched_weights(PolicySpec("TSB", batch=1), 2, 30)
+        sums, counts = arms_of((0.4, 3), (0.1, 2))
         for t in (4, 5, 6):
-            a = batched.probabilities(arms, 1.0, t, 30)
-            assert np.array_equal(a, ts_probabilities(arms, 1.0, t - 1, 30))
-            arms[t % 2].add(0.2 * t)
+            a = weights((sums, counts), t)
+            assert np.array_equal(a, ts_probabilities(sums, counts, 1.0, t - 1, 30))
+            sums[t % 2] += 0.2 * t
+            counts[t % 2] += 1
 
     def test_batch_of_horizon_never_refreshes(self):
-        spec = PolicySpec("TSB", batch=30)
-        batched = BatchedPolicy(spec, 3)
+        weights = batched_weights(PolicySpec("TSB", batch=30), 3, 30)
         arms = arms_of((5.0, 4), (0.0, 4), (-5.0, 4))
-        vectors = [batched.probabilities(arms, 1.0, t, 30) for t in range(4, 31)]
+        vectors = [weights(arms, t) for t in range(4, 31)]
         assert all(np.allclose(v, 1 / 3) for v in vectors)
 
     def test_stale_vector_between_refreshes(self):
-        spec = PolicySpec("TPB", batch=10)
-        batched = BatchedPolicy(spec, 4)
-        arms = arms_of((0.0, 3), (0.0, 3), (0.0, 3), (0.0, 3))
-        first = batched.probabilities(arms, 1.0, 11, 80).copy()
-        arms[3].add(50.0)  # outcome accrues but stays invisible
-        second = batched.probabilities(arms, 1.0, 12, 80)
+        weights = batched_weights(PolicySpec("TPB", batch=10), 4, 80)
+        sums, counts = arms_of((0.0, 3), (0.0, 3), (0.0, 3), (0.0, 3))
+        first = weights((sums, counts), 11).copy()
+        sums[3] += 50.0  # outcome accrues but stays invisible
+        counts[3] += 1
+        second = weights((sums, counts), 12)
         assert np.array_equal(first, second)
         # at the next refresh the outcome becomes visible: arm 3 gains share
         # among the experimental arms (the control share also moves, since
         # its weight chases the leading arm's count edge)
-        third = batched.probabilities(arms, 1.0, 21, 80)
+        third = weights((sums, counts), 21)
         assert third[3] / third[1:].sum() > first[3] / first[1:].sum()
