@@ -9,10 +9,12 @@ simulate    operating-characteristics sweep over policies and hypotheses
 samplesize  equal-randomisation trial size for target power
 
 Index tables are cached per (discount, n_max) in $BANDIT_TRIALS_TABLE_DIR
-when that variable is set.  Every command is deterministic given its
-``--seed``; replicate streams are derived per policy, hypothesis (its
-position in the scenario) and trial size, so adding policies or selecting
-hypotheses does not perturb the others.
+when that variable is set; a command whose own size is not cached reuses a
+cached table with the same discount and a larger n_max.  Every command is
+deterministic given its ``--seed``; replicate streams are derived per
+policy, hypothesis (its position in the scenario) and trial size, so adding
+policies or selecting hypotheses does not perturb the others.  Each command
+runs its replicates on one pool of ``--workers`` processes.
 """
 
 from __future__ import annotations
@@ -26,7 +28,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .engine import TrialScenario, run_replicates, write_trace_csv
+from .engine import TrialScenario, run_replicates, shared_pool, write_trace_csv
 from .gittins import (DpConfig, GittinsTable, GittinsTableError, compute_index_table,
                       load_index_table, save_index_table)
 from .inference import CriticalValue, calibrate_critical_value, fwer_critical_value, sample_size
@@ -54,16 +56,33 @@ def _table_cache_path(discount: float, n_max: int) -> Path | None:
     return Path(cache_dir) / f"gittins_d{discount:g}_n{n_max}.csv"
 
 
+def _cached_table(path: Path, discount: float, n_max: int) -> GittinsTable | None:
+    try:
+        table = load_index_table(path)
+    except GittinsTableError:
+        return None  # a damaged file is a miss: rebuilt and replaced by get_table
+    return table if table.discount == discount and table.n_max >= n_max else None
+
+
 def get_table(discount: float, n_max: int) -> GittinsTable:
-    """Fetch a cached index table or compute (and cache) one."""
+    """Fetch a cached index table or compute (and cache) one.
+
+    The exact (discount, n_max) file is preferred; failing that, the
+    smallest cached table for the same discount that covers n_max.  A longer
+    table's leading entries match a shorter build's to about 1e-13, well
+    inside the 12 significant digits the cache keeps.
+    """
     path = _table_cache_path(discount, n_max)
-    if path is not None and path.exists():
-        try:
-            table = load_index_table(path)
-        except GittinsTableError:
-            table = None  # a damaged file is a miss: rebuilt and replaced below
-        if table is not None and table.discount == discount and table.n_max >= n_max:
-            return table
+    if path is not None:
+        longer = []
+        for other in path.parent.glob(f"gittins_d{discount:g}_n*.csv"):
+            size = other.stem.rpartition("_n")[2]
+            if size.isdigit() and int(size) > n_max:
+                longer.append((int(size), other))
+        for candidate in [path] + [other for _, other in sorted(longer)]:
+            table = _cached_table(candidate, discount, n_max)
+            if table is not None:
+                return table
     table = compute_index_table(discount, n_max)
     if path is not None:
         path.parent.mkdir(parents=True, exist_ok=True)
@@ -376,7 +395,9 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        return args.func(args)
+        # one pool of workers per command, its workers reaped before returning
+        with shared_pool():
+            return args.func(args)
     except (ValueError, OSError, json.JSONDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

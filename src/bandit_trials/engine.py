@@ -12,7 +12,11 @@ patients).
 Replicates are stepped together in blocks of up to ``BLOCK``: the loop runs
 over patients, and each step updates the (R, K+1) ``sums`` and ``counts``
 of all R replicates of the block with array operations.  ``run_trial`` is
-the R=1 case of the same code.
+the R=1 case of the same code.  With several workers, ``run_replicates``
+cuts the replicates into chunks of whole blocks (only the last block of the
+run may be short) and runs them in a process pool.  Calls made inside a
+``shared_pool`` block, as every CLI command is, share one pool, which is
+shut down and its workers joined when the block ends.
 
 Randomness discipline: each replicate owns two independent streams derived
 from (master_seed, replicate): one for policy randomness (initialization
@@ -30,6 +34,8 @@ from __future__ import annotations
 import csv
 import math
 from concurrent.futures import ProcessPoolExecutor
+from contextlib import contextmanager
+from contextvars import ContextVar
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -39,7 +45,8 @@ from .gittins import GittinsTable
 from .inference import ZVector, z_statistic
 from .policies import Allocator, PolicySpec, draw_policy_variates
 
-__all__ = ["TrialScenario", "TrialRecord", "run_trial", "run_replicates", "write_trace_csv"]
+__all__ = ["TrialScenario", "TrialRecord", "run_trial", "run_replicates", "shared_pool",
+           "write_trace_csv"]
 
 # Replicates stepped together.  A block's largest arrays are its RBI/RGI
 # exponentials and kept mean trajectories, (BLOCK, T, K+1) each, and TS's
@@ -47,6 +54,10 @@ __all__ = ["TrialScenario", "TrialRecord", "run_trial", "run_replicates", "write
 # K=3, T=302.  Larger blocks gain little once per-step overhead is spread
 # over a few hundred replicates.
 BLOCK = 256
+
+# Pools of the innermost ``shared_pool`` block, by worker count.
+_shared_pools: ContextVar[dict[int, ProcessPoolExecutor] | None] = ContextVar(
+    "shared_pools", default=None)
 
 
 @dataclass(frozen=True)
@@ -119,9 +130,12 @@ def _run_block(scenario: TrialScenario, table: GittinsTable | None,
     noise = np.empty((R, T))
     policy_rngs = []
     for r, ss in enumerate(seeds):
-        policy_ss, outcome_ss = ss.spawn(2)
-        policy_rngs.append(np.random.default_rng(policy_ss))
-        noise[r] = np.random.default_rng(outcome_ss).standard_normal(T)
+        # the children ss.spawn(2) would give, built directly: same streams, less work
+        policy_ss, outcome_ss = (
+            np.random.SeedSequence(ss.entropy, spawn_key=ss.spawn_key + (i,),
+                                   pool_size=ss.pool_size) for i in (0, 1))
+        policy_rngs.append(np.random.Generator(np.random.PCG64(policy_ss)))
+        noise[r] = np.random.Generator(np.random.PCG64(outcome_ss)).standard_normal(T)
     allocate = Allocator(spec, sigma, T, table,
                          draw_policy_variates(spec, K, T, policy_rngs))
 
@@ -177,8 +191,9 @@ def run_trial(scenario: TrialScenario, table: GittinsTable | None = None,
               keep_trajectory: bool = False) -> TrialRecord:
     """Simulate one complete trial and return its trace.
 
-    ``seed`` may be an integer or a SeedSequence; two child streams are
-    spawned from it (policy randomness, outcome noise).
+    ``seed`` may be an integer or a SeedSequence; its first two children
+    (``spawn_key`` + (0,) and + (1,)) seed the policy randomness and the
+    outcome noise.
     """
     _check_table(scenario, table)
     ss = seed if isinstance(seed, np.random.SeedSequence) else np.random.SeedSequence(seed)
@@ -198,28 +213,61 @@ def _run_chunk(scenario: TrialScenario, table: GittinsTable | None, master_seed:
     return records
 
 
+@contextmanager
+def shared_pool():
+    """Let the ``run_replicates`` calls made inside the block share worker processes.
+
+    The pool for a worker count starts on the first call that needs it and
+    serves every later call with that count.  On exit each pool is shut down
+    and its workers joined, so their CPU time and memory are accounted to
+    the caller as reaped children.  Outside such a block every call starts
+    and stops its own pool.
+    """
+    pools: dict[int, ProcessPoolExecutor] = {}
+    token = _shared_pools.set(pools)
+    try:
+        yield
+    finally:
+        _shared_pools.reset(token)
+        for pool in pools.values():
+            pool.shutdown(cancel_futures=True)
+
+
 def run_replicates(scenario: TrialScenario, table: GittinsTable | None,
                    master_seed: int, M: int, *, workers: int = 1,
                    keep_trajectory: bool = False) -> list[TrialRecord]:
     """Simulate M independent replicates, reproducibly.
 
     Replicate r derives its streams from (master_seed, r), so the result is
-    bitwise identical for any positive ``workers`` and any chunking.
+    bitwise identical for any positive ``workers`` and any chunking.  With
+    several workers the replicates are cut into chunks of whole blocks,
+    about four per worker, and run in a process pool (see ``shared_pool``).
     """
     if M < 1:
         raise ValueError("M must be >= 1")
     _check_table(scenario, table)
-    if workers <= 1 or M < 4:
+    if workers <= 1 or M <= BLOCK:
         return _run_chunk(scenario, table, master_seed, 0, M, keep_trajectory)
 
-    chunk = max(1, math.ceil(M / (workers * 4)))
+    chunk = BLOCK * math.ceil(M / (workers * 4 * BLOCK))
     bounds = [(start, min(start + chunk, M)) for start in range(0, M, chunk)]
+    pools = _shared_pools.get()
+    if pools is None:
+        with ProcessPoolExecutor(max_workers=workers) as pool:
+            return _gather(pool, scenario, table, master_seed, bounds, keep_trajectory)
+    if workers not in pools:
+        pools[workers] = ProcessPoolExecutor(max_workers=workers)
+    return _gather(pools[workers], scenario, table, master_seed, bounds, keep_trajectory)
+
+
+def _gather(pool: ProcessPoolExecutor, scenario: TrialScenario, table: GittinsTable | None,
+            master_seed: int, bounds: list[tuple[int, int]],
+            keep_trajectory: bool) -> list[TrialRecord]:
+    futures = [pool.submit(_run_chunk, scenario, table, master_seed, a, b, keep_trajectory)
+               for a, b in bounds]
     records: list[TrialRecord] = []
-    with ProcessPoolExecutor(max_workers=workers) as pool:
-        futures = [pool.submit(_run_chunk, scenario, table, master_seed, a, b, keep_trajectory)
-                   for a, b in bounds]
-        for future in futures:
-            records.extend(future.result())
+    for future in futures:
+        records.extend(future.result())
     return records
 
 

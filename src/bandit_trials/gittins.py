@@ -60,6 +60,10 @@ __all__ = [
 # Discount weight below which the truncated tail of the program is ignored.
 TAIL_WEIGHT = 1e-8
 
+# Longest transition kernel applied by direct convolution; longer ones go
+# through an FFT.
+FFT_TAPS = 96
+
 
 class GittinsTableError(ValueError):
     """Invalid table: construction or validation failed."""
@@ -162,32 +166,45 @@ def _phi(x: np.ndarray) -> np.ndarray:
     return np.exp(-0.5 * x * x) / math.sqrt(2.0 * math.pi)
 
 
-def _transition_kernel(sd: float, step: float, min_points: int) -> np.ndarray:
+def _transition_kernels(sds: np.ndarray, step: float, min_points: int) -> list[np.ndarray]:
     """Exact Gaussian quadrature weights for a piecewise-linear integrand.
 
     Weight r equals E[hat(W - r)] for W ~ N(0, (sd/step)^2) with ``hat`` the
     unit linear interpolation basis, so that ``weights @ u[i-R..i+R]`` is the
     exact integral of the interpolant of ``u`` against an N(y_i, sd^2)
     density.  Weights are renormalized so constants are preserved exactly.
+    One kernel per entry of ``sds``, computed together for all entries of
+    the same half-width (elementwise arithmetic, so each kernel is bitwise
+    the one it would be alone).  Subnormal weights of direct-convolution
+    kernels are set to 0.0; see ``compute_index_table`` for why that leaves
+    the sweep unchanged.
     """
-    g = sd / step
-    half = max(int(math.ceil(8.0 * g)), (min_points + 1) // 2, 1)
-    r = np.arange(-half, half + 1, dtype=float)
-    lower, upper = (r - 1.0) / g, (r + 1.0) / g
-    mid = r / g
-    left = (1.0 - r) * (ndtr(mid) - ndtr(lower)) + g * (_phi(lower) - _phi(mid))
-    right = (1.0 + r) * (ndtr(upper) - ndtr(mid)) - g * (_phi(mid) - _phi(upper))
-    kernel = left + right
-    return kernel / kernel.sum()
+    g = sds / step
+    halves = np.maximum(np.ceil(8.0 * g).astype(np.int64), max((min_points + 1) // 2, 1))
+    kernels: list[np.ndarray] = [np.empty(0)] * g.size
+    for half in np.unique(halves):
+        rows = np.flatnonzero(halves == half)
+        gs = g[rows, None]
+        r = np.arange(-half, half + 1, dtype=float)
+        lower, upper = (r - 1.0) / gs, (r + 1.0) / gs
+        mid = r / gs
+        left = (1.0 - r) * (ndtr(mid) - ndtr(lower)) + gs * (_phi(lower) - _phi(mid))
+        right = (1.0 + r) * (ndtr(upper) - ndtr(mid)) - gs * (_phi(mid) - _phi(upper))
+        kernel = left + right
+        kernel = kernel / kernel.sum(axis=1, keepdims=True)
+        if r.size <= FFT_TAPS:
+            kernel[np.abs(kernel) < np.finfo(float).tiny] = 0.0
+        for i, row in zip(rows, kernel):
+            kernels[i] = row
+    return kernels
 
 
-def _expect_on_grid(u: np.ndarray, kernel: np.ndarray) -> np.ndarray:
-    """E[u(y')] for y' ~ N(y_i, sd^2) at every node, boundary-clamped."""
-    pad = kernel.size // 2
-    padded = np.pad(u, pad, mode="edge")
-    if kernel.size > 96:
-        return fftconvolve(padded, kernel, mode="valid")
-    return np.convolve(padded, kernel, mode="valid")
+def _interp_columns(grid: np.ndarray, bracket: tuple[float, float]) -> slice:
+    """Grid columns that ``np.interp`` reads for every point of [-hi, -lo]."""
+    lo, hi = bracket
+    first = max(int(np.searchsorted(grid, -hi, side="left")) - 1, 0)
+    last = min(int(np.searchsorted(grid, -lo, side="right")), grid.size - 1)
+    return slice(first, last + 1)
 
 
 def compute_index_table(discount: float, n_max: int, cfg: DpConfig | None = None) -> GittinsTable:
@@ -200,6 +217,32 @@ def compute_index_table(discount: float, n_max: int, cfg: DpConfig | None = None
     as if the better of the two arms were played forever.  Each table entry
     is then found by bisection over ``lambda_bracket`` to within
     ``bisection_tol``.
+
+    Every step computes, bit for bit, ``cont = grid + d * conv(pad(u), k)``
+    with ``u = max(cont', 0)`` from the step before, ``pad`` repeating the
+    edge values and ``conv`` a full direct convolution, or an FFT one for
+    kernels of more than ``FFT_TAPS`` weights.  Three shortcuts keep the
+    values and skip work:
+
+    * ``u`` is exactly 0 below its first positive node (about half the grid
+      at d=0.995).  An output whose whole window lies there sums products
+      with 0 to exactly 0, so its ``cont`` is ``grid`` and the direct
+      convolution starts at the first window that reaches ``u > 0``.  Each
+      output is the same dot product over the same values either way.
+    * A subnormal weight (below 2.3e-308; they occur in the tails of the
+      short kernels of late steps) times an operand of at most
+      ``state_bound / (1 - d)`` is below 1e-300.  Such a term is lost in the
+      rounding of any sum above about 1e-280, and a smaller sum is itself
+      lost when added to its grid node (|y| >= grid_step there, as u > 0
+      around y = 0), so ``grid + d * E`` is the same with or without it.
+      Zeroing these weights only avoids slow arithmetic on subnormal
+      operands.  FFT kernels are left as they are: an FFT's rounding depends
+      on every input and on the transform length.
+    * Only the continuation columns that the bisection's ``np.interp`` can
+      read, over ``-lambda_bracket``, are kept.
+
+    ``tests/test_gittins.py`` checks the table against a plain per-step
+    sweep with ``np.array_equal`` on configurations that exercise all three.
     """
     if not 0.0 <= discount < 1.0:
         raise GittinsTableError(f"discount must lie in [0, 1), got {discount}")
@@ -212,18 +255,38 @@ def compute_index_table(discount: float, n_max: int, cfg: DpConfig | None = None
     half_cells = int(round(cfg.state_bound / cfg.grid_step))
     grid = np.linspace(-half_cells * cfg.grid_step, half_cells * cfg.grid_step,
                        2 * half_cells + 1)
+    size = grid.size
+    columns = _interp_columns(grid, cfg.lambda_bracket)
+    counts = np.arange(n_max + horizon - 1, 0, -1)
+    kernels = _transition_kernels(1.0 / np.sqrt(counts * (counts + 1.0)),
+                                  cfg.grid_step, cfg.quadrature_points)
 
+    # u lives inside one buffer edge-padded for the widest direct kernel
+    pad = max((k.size // 2 for k in kernels if k.size <= FFT_TAPS), default=0)
+    padded = np.empty(size + 2 * pad)
+    u = padded[pad:pad + size]
     # Tail: play the better arm forever (learning value -> 0 at depth).
-    u = np.maximum(grid, 0.0) / (1.0 - d)
-    continuation = np.empty((n_max, grid.size))
-    for m in range(n_max + horizon - 1, 0, -1):
-        sd = 1.0 / math.sqrt(m * (m + 1.0))
-        kernel = _transition_kernel(sd, cfg.grid_step, cfg.quadrature_points)
-        cont = grid + d * _expect_on_grid(u, kernel)
+    u[:] = np.maximum(grid, 0.0) / (1.0 - d)
+    cont = np.empty(size)
+    continuation = np.empty((n_max, columns.stop - columns.start))
+    for m, kernel in zip(counts.tolist(), kernels):
+        half = kernel.size // 2
+        if kernel.size > FFT_TAPS:
+            cont[:] = grid + d * fftconvolve(np.pad(u, half, mode="edge"), kernel, mode="valid")
+        else:
+            positive = u > 0.0
+            first = int(positive.argmax()) if positive.any() else size
+            start = max(first - half, 0)
+            padded[:pad] = u[0]
+            padded[pad + size:] = u[-1]
+            window = padded[pad - half + start:pad + size + half]
+            cont[:start] = grid[:start]
+            cont[start:] = grid[start:] + d * np.convolve(window, kernel, mode="valid")
         if m <= n_max:
-            continuation[m - 1] = cont
-        u = np.maximum(cont, 0.0)
+            continuation[m - 1] = cont[columns]
+        np.maximum(cont, 0.0, out=u)
 
+    grid = grid[columns]
     lo0, hi0 = cfg.lambda_bracket
     values = np.empty(n_max)
     for n in range(1, n_max + 1):

@@ -1,13 +1,16 @@
 """Command-line interface: subcommands, determinism, file outputs."""
 
 import json
+import multiprocessing
 import os
 
 import numpy as np
 import pytest
 
+from bandit_trials import cli
 from bandit_trials.cli import PRESET_NAMES, build_parser, load_preset, main
-from bandit_trials.gittins import load_index_table
+from bandit_trials.engine import BLOCK
+from bandit_trials.gittins import load_index_table, save_index_table
 
 
 def run_cli(*argv):
@@ -246,6 +249,29 @@ class TestSimulateCommand:
         table = load_index_table(damaged)
         assert table.discount == 0.995 and table.n_max == 116
         assert list(cache.iterdir()) == [damaged]  # replaced in place, nothing left aside
+
+    def test_longer_cached_table_is_reused(self, table995, tmp_path, monkeypatch):
+        cache = tmp_path / "cache"
+        cache.mkdir()
+        longer = save_index_table(table995, cache / "gittins_d0.995_n302.csv")
+
+        def no_build(*args, **kwargs):
+            raise AssertionError("index table rebuilt despite a covering cached table")
+
+        monkeypatch.setattr(cli, "compute_index_table", no_build)
+        monkeypatch.setenv("BANDIT_TRIALS_TABLE_DIR", str(cache))
+        assert run_cli("simulate", "--preset", "two-arm-t116", "--policies", "GI",
+                       "--critical-values", "analytic", "--replicates", "20", "--seed", "0",
+                       "--workers", "1", "--out-dir", str(tmp_path / "run")) == 0
+        assert list(cache.iterdir()) == [longer]  # no n116 file written
+
+    def test_workers_reaped_before_return(self, tmp_path):
+        # more than one block, so the replicates run in the pool
+        assert run_cli("simulate", "--preset", "two-arm-t116", "--policies", "FR",
+                       "--hypotheses", "H0", "--critical-values", "analytic",
+                       "-M", str(BLOCK + 1), "--workers", "2",
+                       "--out-dir", str(tmp_path)) == 0
+        assert multiprocessing.active_children() == []
 
 
 class TestSweepCommand:

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 from scipy import stats
 
-from bandit_trials.engine import TrialScenario, run_replicates, run_trial, write_trace_csv
+from bandit_trials.engine import BLOCK, TrialScenario, run_replicates, run_trial, write_trace_csv
 from bandit_trials.policies import POLICY_KINDS, PolicySpec, policy_scores
 
 from .conftest import WORKERS, two_arm
@@ -308,6 +308,17 @@ class TestDrawOrder:
                                keep_trajectory=True)
             assert records_identical(a, single), f"replicate {r}"
             assert records_identical(a, b), f"replicate {r}"
+
+    @pytest.mark.parametrize("kind", ["GI", "RGI"])
+    def test_chunked_runs_match_serial(self, table995, kind):
+        # three chunks of whole blocks, the last one partial
+        M = 2 * BLOCK + 37
+        scenario = pin_scenario(kind)
+        runs = [run_replicates(scenario, table995, PIN_SEED + 2, M, workers=w,
+                               keep_trajectory=True) for w in (1, 2, 3)]
+        assert all(len(records) == M for records in runs)
+        for r, (a, b, c) in enumerate(zip(*runs)):
+            assert records_identical(a, b) and records_identical(a, c), f"replicate {r}"
 
 
 class TestTraceDump:

@@ -6,6 +6,8 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.signal import fftconvolve
+from scipy.special import ndtr
 
 from bandit_trials.gittins import (
     BracketError,
@@ -77,6 +79,69 @@ class TestComputeIndexTable:
         assert default_horizon(0.0) == 1
         n = default_horizon(0.995)
         assert 0.995 ** n < 1e-8 < 0.995 ** (n - 1)
+
+
+def reference_table(discount, n_max, cfg):
+    """The index table by a plain per-step sweep: a fresh kernel, an edge pad and a
+    full convolution at every step.  Returns the values and how many steps had
+    subnormal weights, went through an FFT, and had u == 0 under a whole window."""
+    def phi(x):
+        return np.exp(-0.5 * x * x) / math.sqrt(2.0 * math.pi)
+
+    d, step = discount, cfg.grid_step
+    half_cells = int(round(cfg.state_bound / step))
+    grid = np.linspace(-half_cells * step, half_cells * step, 2 * half_cells + 1)
+    u = np.maximum(grid, 0.0) / (1.0 - d)
+    rows = np.empty((n_max, grid.size))
+    seen = {"subnormal": 0, "fft": 0, "zero_region": 0}
+    for m in range(n_max + cfg.resolved_horizon(d) - 1, 0, -1):
+        g = 1.0 / math.sqrt(m * (m + 1.0)) / step
+        half = max(int(math.ceil(8.0 * g)), (cfg.quadrature_points + 1) // 2, 1)
+        r = np.arange(-half, half + 1, dtype=float)
+        lower, mid, upper = (r - 1.0) / g, r / g, (r + 1.0) / g
+        left = (1.0 - r) * (ndtr(mid) - ndtr(lower)) + g * (phi(lower) - phi(mid))
+        right = (1.0 + r) * (ndtr(upper) - ndtr(mid)) - g * (phi(mid) - phi(upper))
+        kernel = left + right
+        kernel = kernel / kernel.sum()
+        padded = np.pad(u, half, mode="edge")
+        if kernel.size > 96:
+            seen["fft"] += 1
+            expected = fftconvolve(padded, kernel, mode="valid")
+        else:
+            expected = np.convolve(padded, kernel, mode="valid")
+        seen["subnormal"] += bool(np.any((kernel != 0) & (np.abs(kernel) < np.finfo(float).tiny)))
+        seen["zero_region"] += bool(np.all(u[:2 * half + 1] == 0.0))
+        cont = grid + d * expected
+        if m <= n_max:
+            rows[m - 1] = cont
+        u = np.maximum(cont, 0.0)
+
+    values = np.empty(n_max)
+    for n in range(1, n_max + 1):
+        def f(lam, row=rows[n - 1]):
+            return float(np.interp(-lam, grid, row))
+        lo, hi = cfg.lambda_bracket
+        while hi - lo > cfg.bisection_tol:
+            mid = 0.5 * (lo + hi)
+            lo, hi = (mid, hi) if f(mid) > 0.0 else (lo, mid)
+        flo, fhi = f(lo), f(hi)
+        lam = lo + (hi - lo) * flo / (flo - fhi) if flo > fhi else 0.5 * (lo + hi)
+        values[n - 1] = lam if d > 0.0 else 0.0
+    return values, seen
+
+
+class TestSweepMatchesReference:
+    @pytest.mark.parametrize("discount,n_max,cfg", [
+        (0.995, 302, DpConfig()),
+        (0.995, 60, DpConfig(grid_step=0.01, quadrature_points=24, horizon=500)),
+        (0.9, 60, DpConfig()),
+        (0.0, 5, DpConfig()),
+    ])
+    def test_bitwise_equal(self, discount, n_max, cfg):
+        expected, seen = reference_table(discount, n_max, cfg)
+        assert np.array_equal(compute_index_table(discount, n_max, cfg).values, expected)
+        if discount == 0.995:  # every shortcut of the sweep is exercised
+            assert seen["subnormal"] > 0 and seen["fft"] > 0 and seen["zero_region"] > 0
 
 
 def gi_score(mean, n, sigma, table):
