@@ -1,6 +1,6 @@
 """Adaptive allocation rules and testing calibration for multi-armed trials."""
 
-from .engine import TrialRecord, TrialScenario, run_replicates, run_trial
+from .engine import Replicates, TrialRecord, TrialScenario, run_replicates, run_trial
 from .gittins import (
     DpConfig,
     GittinsTable,
@@ -32,6 +32,7 @@ __all__ = [
     "GittinsTableError",
     "OperatingCharacteristics",
     "PolicySpec",
+    "Replicates",
     "TrialRecord",
     "TrialScenario",
     "aggregate",

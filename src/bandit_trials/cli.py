@@ -10,7 +10,8 @@ samplesize  equal-randomisation trial size for target power
 
 Index tables are cached per (discount, n_max) in $BANDIT_TRIALS_TABLE_DIR
 when that variable is set; a command whose own size is not cached reuses a
-cached table with the same discount and a larger n_max.  Every command is
+cached table with the same discount and a larger n_max.  Only tables whose
+recorded DP settings are the defaults are reused.  Every command is
 deterministic given its ``--seed``; replicate streams are derived per
 policy, hypothesis (its position in the scenario) and trial size, so adding
 policies or selecting hypotheses does not perturb the others.  Each command
@@ -61,14 +62,17 @@ def _cached_table(path: Path, discount: float, n_max: int) -> GittinsTable | Non
         table = load_index_table(path)
     except GittinsTableError:
         return None  # a damaged file is a miss: rebuilt and replaced by get_table
-    return table if table.discount == discount and table.n_max >= n_max else None
+    usable = table.discount == discount and table.n_max >= n_max \
+        and table.dp_meta == DpConfig().settings(discount)
+    return table if usable else None
 
 
 def get_table(discount: float, n_max: int) -> GittinsTable:
     """Fetch a cached index table or compute (and cache) one.
 
-    The exact (discount, n_max) file is preferred; failing that, the
-    smallest cached table for the same discount that covers n_max.  A longer
+    Only tables that record the default ``DpConfig`` settings are used.  The
+    exact (discount, n_max) file is preferred; failing that, the smallest
+    cached table for the same discount that covers n_max.  A longer
     table's leading entries match a shorter build's to about 1e-13, well
     inside the 12 significant digits the cache keeps.
     """
@@ -296,10 +300,10 @@ def cmd_simulate(args) -> int:
             scenario = _scenario(preset, kind, label, mu, T=T)
             seed = _derived_seed(args.seed, POLICY_KINDS.index(kind),
                                  1 + labels.index(label), T)
-            records = run_replicates(scenario, table, seed, args.replicates,
-                                     workers=args.workers,
-                                     keep_trajectory=args.bias)
-            oc = aggregate(records, scenario, critical)
+            replicates = run_replicates(scenario, table, seed, args.replicates,
+                                        workers=args.workers, keep_trajectory=args.bias,
+                                        traces=args.traces)
+            oc = aggregate(replicates, critical)
             rows.append({
                 "policy": kind, "hypothesis": label, "C_alpha": critical.value,
                 "rejection_rate": oc.rejection_rate,
@@ -312,10 +316,10 @@ def cmd_simulate(args) -> int:
                 "e_pstar_se": oc.e_pstar_se, "e_outcome_se": oc.e_outcome_se,
             })
             if args.bias:
-                trajs = bias_trajectories(records, scenario)
-                write_bias_csv(trajs, out_dir / f"bias_{kind}_{label}.csv")
-            for r in range(min(args.traces, len(records))):
-                write_trace_csv(records[r],
+                write_bias_csv(bias_trajectories(replicates),
+                               out_dir / f"bias_{kind}_{label}.csv")
+            for r in range(len(replicates.allocations)):
+                write_trace_csv(replicates.trace(r),
                                 out_dir / f"trace_{kind}_{label}_r{r}.csv",
                                 out_dir / f"trace_{kind}_{label}_r{r}_arms.csv")
             print(f"{kind} {label}: reject={oc.rejection_rate:.4f} "

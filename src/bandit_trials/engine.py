@@ -1,4 +1,4 @@
-"""Sequential trial simulation: arrival, allocation, outcomes, traces.
+"""Sequential trial simulation: arrival, allocation, outcomes, reduction.
 
 A replicate processes patients 1..T in order.  The first K+1 patients are
 an initialization phase giving every arm exactly one observation: UCB-family
@@ -11,12 +11,14 @@ patients).
 
 Replicates are stepped together in blocks of up to ``BLOCK``: the loop runs
 over patients, and each step updates the (R, K+1) ``sums`` and ``counts``
-of all R replicates of the block with array operations.  ``run_trial`` is
-the R=1 case of the same code.  With several workers, ``run_replicates``
-cuts the replicates into chunks of whole blocks (only the last block of the
-run may be short) and runs them in a process pool.  Calls made inside a
-``shared_pool`` block, as every CLI command is, share one pool, which is
-shut down and its workers joined when the block ends.
+of all R replicates of the block with array operations.  A block returns
+only what the reports need (``Replicates``: per-replicate contrasts, counts
+and mean outcome, bias sums, a few traces), and ``run_trial`` is its R=1
+view.  With several workers, ``run_replicates`` cuts the replicates into
+chunks of whole blocks (only the last block of the run may be short) and
+runs them in a process pool.  Calls made inside a ``shared_pool`` block, as
+every CLI command is, share one pool, which is shut down and its workers
+joined when the block ends.
 
 Randomness discipline: each replicate owns two independent streams derived
 from (master_seed, replicate): one for policy randomness (initialization
@@ -37,16 +39,17 @@ from concurrent.futures import ProcessPoolExecutor
 from contextlib import contextmanager
 from contextvars import ContextVar
 from dataclasses import dataclass
+from functools import partial
 from pathlib import Path
 
 import numpy as np
 
 from .gittins import GittinsTable
-from .inference import ZVector, z_statistic
+from .inference import z_statistic
 from .policies import Allocator, PolicySpec, draw_policy_variates
 
-__all__ = ["TrialScenario", "TrialRecord", "run_trial", "run_replicates", "shared_pool",
-           "write_trace_csv"]
+__all__ = ["TrialScenario", "TrialRecord", "Replicates", "run_trial", "run_replicates",
+           "shared_pool", "write_trace_csv"]
 
 # Replicates stepped together.  A block's largest arrays are its RBI/RGI
 # exponentials and kept mean trajectories, (BLOCK, T, K+1) each, and TS's
@@ -91,15 +94,59 @@ class TrialScenario:
 
 @dataclass(frozen=True)
 class TrialRecord:
-    """Full trace of one replicate plus its final statistics."""
+    """One replicate's trace plus its final statistics: ``Replicates.trace``."""
 
     allocations: np.ndarray          # arm index per patient, length T
     outcomes: np.ndarray             # observed outcome per patient, length T
     arm_means: tuple[float, ...]     # final per-arm sample means
     arm_counts: tuple[int, ...]      # final per-arm observation counts
-    z: ZVector
-    mean_trajectory: np.ndarray | None  # (K+1, T) running means, NaN before first obs
-    scenario: TrialScenario          # the configuration simulated, policy settings included
+    z: np.ndarray                    # contrasts of arms 1..K with the control
+
+
+@dataclass(frozen=True)
+class Replicates:
+    """M replicates of one scenario, reduced to what their reports need.
+
+    Row r of the (M, ...) arrays is replicate r.  ``bias_sums[k, i]`` sums
+    arm k's running mean after patient K+2+i over the replicates; None
+    unless the run kept trajectories.  The (n, T) traces are those of the
+    first n replicates, n being the run's ``traces`` (at most M).
+    """
+
+    scenario: TrialScenario
+    z: np.ndarray                    # (M, K) contrasts of arms 1..K with the control
+    counts: np.ndarray               # (M, K+1) observations per arm
+    mean_outcome: np.ndarray         # (M,) mean outcome of the trial's patients
+    bias_sums: np.ndarray | None     # (K+1, T-K-1)
+    allocations: np.ndarray          # (n, T) arm index per patient
+    outcomes: np.ndarray             # (n, T) observed outcome per patient
+
+    @property
+    def M(self) -> int:
+        return len(self.z)
+
+    def trace(self, r: int) -> TrialRecord:
+        """Traced replicate r as a ``TrialRecord``."""
+        allocations, outcomes, counts = self.allocations[r], self.outcomes[r], self.counts[r]
+        # bincount adds in patient order, as the engine's running sums do
+        sums = np.bincount(allocations, weights=outcomes, minlength=counts.size)
+        return TrialRecord(allocations, outcomes, tuple((sums / counts).tolist()),
+                           tuple(counts.tolist()), self.z[r])
+
+
+def _merge(blocks: list[Replicates]) -> Replicates:
+    """Join block results in replicate order, adding their bias sums in block order."""
+    bias_sums = None
+    if blocks[0].bias_sums is not None:
+        bias_sums = np.zeros_like(blocks[0].bias_sums)
+        for block in blocks:
+            bias_sums += block.bias_sums
+
+    def join(name):
+        return np.concatenate([getattr(block, name) for block in blocks])
+
+    return Replicates(blocks[0].scenario, join("z"), join("counts"), join("mean_outcome"),
+                      bias_sums, join("allocations"), join("outcomes"))
 
 
 def _check_table(scenario: TrialScenario, table: GittinsTable | None) -> None:
@@ -120,8 +167,9 @@ def _check_table(scenario: TrialScenario, table: GittinsTable | None) -> None:
 
 def _run_block(scenario: TrialScenario, table: GittinsTable | None,
                seeds: list[np.random.SeedSequence],
-               keep_trajectory: bool) -> list[TrialRecord]:
-    """Step one replicate per seed through patients 1..T together."""
+               keep_trajectory: bool, traces: int) -> Replicates:
+    """Step one replicate per seed through patients 1..T together, keeping
+    the first ``traces`` traces and, with ``keep_trajectory``, bias sums."""
     spec = scenario.policy
     K, T, sigma = scenario.K, scenario.T, scenario.sigma
     n_arms = K + 1
@@ -149,8 +197,7 @@ def _run_block(scenario: TrialScenario, table: GittinsTable | None,
     flat_sums, flat_counts = sums.reshape(-1), counts.reshape(-1)
     allocations = np.empty((T, R), dtype=np.int16)
     outcomes = np.empty((T, R))
-    trajectory = np.full((T, R, n_arms), np.nan) if keep_trajectory else None
-    current_means = np.full(R * n_arms, np.nan)
+    bias_sums = np.empty((n_arms, T - K - 1)) if keep_trajectory else None
 
     for t in range(1, T + 1):
         k = allocate(sums, counts, t)
@@ -162,33 +209,25 @@ def _run_block(scenario: TrialScenario, table: GittinsTable | None,
         flat_counts[cells] += 1
         allocations[t - 1] = k
         outcomes[t - 1] = y
-        if keep_trajectory:
-            current_means[cells] = flat_sums[cells] / flat_counts[cells]
-            trajectory[t - 1] = current_means.reshape(R, n_arms)
+        if keep_trajectory and t > n_arms:
+            # a reduction over axis 0 adds the rows one after another
+            bias_sums[:, t - n_arms - 1] = (sums / counts).sum(axis=0)
 
-    allocations = np.ascontiguousarray(allocations.T)
+    # rows of contiguous outcomes: each mean is the same pairwise sum as a lone trace's
     outcomes = np.ascontiguousarray(outcomes.T)
-    if keep_trajectory:
-        trajectory = np.ascontiguousarray(trajectory.transpose(1, 2, 0))
-    z = z_statistic(sums, counts, sigma)
-    means = sums / counts
-    return [
-        TrialRecord(
-            allocations=allocations[r],
-            outcomes=outcomes[r],
-            arm_means=tuple(means[r].tolist()),
-            arm_counts=tuple(counts[r].tolist()),
-            z=ZVector(z[r]),
-            mean_trajectory=None if trajectory is None else trajectory[r],
-            scenario=scenario,
-        )
-        for r in range(R)
-    ]
+    return Replicates(
+        scenario=scenario,
+        z=z_statistic(sums, counts, sigma),
+        counts=counts,
+        mean_outcome=outcomes.mean(axis=1),
+        bias_sums=bias_sums,
+        allocations=np.ascontiguousarray(allocations[:, :traces].T),
+        outcomes=outcomes[:traces].copy(),
+    )
 
 
 def run_trial(scenario: TrialScenario, table: GittinsTable | None = None,
-              seed: int | np.random.SeedSequence = 0,
-              keep_trajectory: bool = False) -> TrialRecord:
+              seed: int | np.random.SeedSequence = 0) -> TrialRecord:
     """Simulate one complete trial and return its trace.
 
     ``seed`` may be an integer or a SeedSequence; its first two children
@@ -197,20 +236,15 @@ def run_trial(scenario: TrialScenario, table: GittinsTable | None = None,
     """
     _check_table(scenario, table)
     ss = seed if isinstance(seed, np.random.SeedSequence) else np.random.SeedSequence(seed)
-    return _run_block(scenario, table, [ss], keep_trajectory)[0]
-
-
-def _replicate_seed(master_seed: int, r: int) -> np.random.SeedSequence:
-    return np.random.SeedSequence((master_seed, r))
+    return _run_block(scenario, table, [ss], False, 1).trace(0)
 
 
 def _run_chunk(scenario: TrialScenario, table: GittinsTable | None, master_seed: int,
-               start: int, stop: int, keep_trajectory: bool) -> list[TrialRecord]:
-    records: list[TrialRecord] = []
-    for first in range(start, stop, BLOCK):
-        seeds = [_replicate_seed(master_seed, r) for r in range(first, min(first + BLOCK, stop))]
-        records.extend(_run_block(scenario, table, seeds, keep_trajectory))
-    return records
+               keep_trajectory: bool, traces: int, start: int, stop: int) -> list[Replicates]:
+    return [_run_block(scenario, table, [np.random.SeedSequence((master_seed, r))
+                                         for r in range(first, min(first + BLOCK, stop))],
+                       keep_trajectory, max(traces - first, 0))
+            for first in range(start, stop, BLOCK)]
 
 
 @contextmanager
@@ -235,40 +269,39 @@ def shared_pool():
 
 def run_replicates(scenario: TrialScenario, table: GittinsTable | None,
                    master_seed: int, M: int, *, workers: int = 1,
-                   keep_trajectory: bool = False) -> list[TrialRecord]:
-    """Simulate M independent replicates, reproducibly.
+                   keep_trajectory: bool = False, traces: int = 0) -> Replicates:
+    """Simulate M independent replicates, reproducibly, each block reduced
+    where it runs (see ``Replicates``).
 
-    Replicate r derives its streams from (master_seed, r), so the result is
-    bitwise identical for any positive ``workers`` and any chunking.  With
-    several workers the replicates are cut into chunks of whole blocks,
-    about four per worker, and run in a process pool (see ``shared_pool``).
+    Replicate r derives its streams from (master_seed, r), and bias sums
+    add each block's replicates in order, then the blocks in order, so the
+    result is bitwise identical for any positive ``workers`` and any
+    chunking.  With several workers the replicates are cut into chunks of
+    whole blocks, about four per worker, and run in a process pool (see
+    ``shared_pool``).
     """
     if M < 1:
         raise ValueError("M must be >= 1")
     _check_table(scenario, table)
+    run = partial(_run_chunk, scenario, table, master_seed, keep_trajectory, traces)
     if workers <= 1 or M <= BLOCK:
-        return _run_chunk(scenario, table, master_seed, 0, M, keep_trajectory)
+        return _merge(run(0, M))
 
     chunk = BLOCK * math.ceil(M / (workers * 4 * BLOCK))
     bounds = [(start, min(start + chunk, M)) for start in range(0, M, chunk)]
     pools = _shared_pools.get()
     if pools is None:
         with ProcessPoolExecutor(max_workers=workers) as pool:
-            return _gather(pool, scenario, table, master_seed, bounds, keep_trajectory)
+            return _gather(pool, run, bounds)
     if workers not in pools:
         pools[workers] = ProcessPoolExecutor(max_workers=workers)
-    return _gather(pools[workers], scenario, table, master_seed, bounds, keep_trajectory)
+    return _gather(pools[workers], run, bounds)
 
 
-def _gather(pool: ProcessPoolExecutor, scenario: TrialScenario, table: GittinsTable | None,
-            master_seed: int, bounds: list[tuple[int, int]],
-            keep_trajectory: bool) -> list[TrialRecord]:
-    futures = [pool.submit(_run_chunk, scenario, table, master_seed, a, b, keep_trajectory)
-               for a, b in bounds]
-    records: list[TrialRecord] = []
-    for future in futures:
-        records.extend(future.result())
-    return records
+def _gather(pool: ProcessPoolExecutor, run: partial,
+            bounds: list[tuple[int, int]]) -> Replicates:
+    futures = [pool.submit(run, start, stop) for start, stop in bounds]
+    return _merge([block for future in futures for block in future.result()])
 
 
 def write_trace_csv(record: TrialRecord, trace_path: str | Path,

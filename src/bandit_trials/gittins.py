@@ -38,12 +38,13 @@ Tables are immutable once built and safe to share across worker processes.
 
 from __future__ import annotations
 
+import json
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from pathlib import Path
 
 import numpy as np
-from scipy.signal import fftconvolve
+from scipy.fft import irfft, next_fast_len, rfft
 from scipy.special import ndtr
 
 __all__ = [
@@ -117,6 +118,11 @@ class DpConfig:
     def resolved_horizon(self, discount: float) -> int:
         return self.horizon if self.horizon is not None else default_horizon(discount)
 
+    def settings(self, discount: float) -> dict:
+        """The ``dp_meta`` of a table built for ``discount`` with this configuration."""
+        return {**asdict(self), "horizon": self.resolved_horizon(discount),
+                "lambda_bracket": tuple(self.lambda_bracket)}
+
 
 @dataclass(frozen=True)
 class GittinsTable:
@@ -151,15 +157,6 @@ class GittinsTable:
     @property
     def n_max(self) -> int:
         return int(self.values.size)
-
-    def value(self, n: int) -> float:
-        """Standardized index at observation count ``n`` (no extrapolation)."""
-        if not 1 <= n <= self.n_max:
-            raise GittinsTableError(
-                f"n={n} outside table range 1..{self.n_max}; "
-                "rebuild the table with n_max >= the trial horizon"
-            )
-        return float(self.values[n - 1])
 
 
 def _phi(x: np.ndarray) -> np.ndarray:
@@ -197,6 +194,13 @@ def _transition_kernels(sds: np.ndarray, step: float, min_points: int) -> list[n
         for i, row in zip(rows, kernel):
             kernels[i] = row
     return kernels
+
+
+def _fft_convolve_valid(x: np.ndarray, kernel: np.ndarray) -> np.ndarray:
+    """``scipy.signal.fftconvolve(x, kernel, mode="valid")`` bit for bit: the
+    same transforms at the same length, and the same slice of the result."""
+    size = next_fast_len(x.size + kernel.size - 1, True)
+    return irfft(rfft(x, size) * rfft(kernel, size), size)[kernel.size - 1:x.size]
 
 
 def _interp_columns(grid: np.ndarray, bracket: tuple[float, float]) -> slice:
@@ -272,7 +276,7 @@ def compute_index_table(discount: float, n_max: int, cfg: DpConfig | None = None
     for m, kernel in zip(counts.tolist(), kernels):
         half = kernel.size // 2
         if kernel.size > FFT_TAPS:
-            cont[:] = grid + d * fftconvolve(np.pad(u, half, mode="edge"), kernel, mode="valid")
+            cont[:] = grid + d * _fft_convolve_valid(np.pad(u, half, mode="edge"), kernel)
         else:
             positive = u > 0.0
             first = int(positive.argmax()) if positive.any() else size
@@ -320,21 +324,16 @@ def compute_index_table(discount: float, n_max: int, cfg: DpConfig | None = None
             lam = 0.5 * (lo + hi)
         values[n - 1] = lam if d > 0.0 else 0.0
 
-    meta = {
-        "state_bound": cfg.state_bound,
-        "grid_step": cfg.grid_step,
-        "quadrature_points": cfg.quadrature_points,
-        "horizon": horizon,
-        "bisection_tol": cfg.bisection_tol,
-        "lambda_bracket": tuple(cfg.lambda_bracket),
-    }
-    return GittinsTable(discount=d, values=values, dp_meta=meta)
+    return GittinsTable(discount=d, values=values, dp_meta=cfg.settings(d))
 
 
 def save_index_table(table: GittinsTable, path: str | Path) -> Path:
-    """Write the table as CSV: a ``# discount=`` comment, header, then rows."""
+    """Write the table as CSV: a ``# discount=`` comment, one ``# key=value``
+    comment per ``dp_meta`` setting (values in JSON), header, then rows."""
     path = Path(path)
-    lines = [f"# discount={table.discount!r}", "n,value"]
+    lines = [f"# discount={table.discount!r}"]
+    lines += [f"# {key}={json.dumps(value)}" for key, value in (table.dp_meta or {}).items()]
+    lines.append("n,value")
     lines += [f"{n},{v:.12g}" for n, v in enumerate(table.values, start=1)]
     path.write_text("\n".join(lines) + "\n")
     return path
@@ -352,13 +351,17 @@ def load_index_table(source: str | Path) -> GittinsTable:
         raise GittinsTableError(f"malformed table file {path}: empty")
 
     discount = None
+    meta = {}
     while lines and lines[0].startswith("#"):
-        comment = lines.pop(0).lstrip("#").strip()
-        if comment.startswith("discount="):
-            try:
-                discount = float(comment.split("=", 1)[1])
-            except ValueError as exc:
-                raise GittinsTableError(f"malformed discount comment in {path}") from exc
+        key, _, text = lines.pop(0).lstrip("#").strip().partition("=")
+        try:
+            if key == "discount":
+                discount = float(text)
+            elif key in DpConfig.__dataclass_fields__:
+                value = json.loads(text)
+                meta[key] = tuple(value) if isinstance(value, list) else value
+        except ValueError as exc:
+            raise GittinsTableError(f"malformed {key} comment in {path}") from exc
     if discount is None:
         raise GittinsTableError(f"malformed table file {path}: missing '# discount=' comment")
     if not lines or lines.pop(0).replace(" ", "") != "n,value":
@@ -378,4 +381,4 @@ def load_index_table(source: str | Path) -> GittinsTable:
                 f"rows must be n=1..n_max in ascending order; got n={n} at row {expected_n}"
             )
         values.append(value)
-    return GittinsTable(discount=discount, values=np.asarray(values))
+    return GittinsTable(discount=discount, values=np.asarray(values), dp_meta=meta or None)

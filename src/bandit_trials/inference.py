@@ -4,23 +4,21 @@ Hypotheses are one-sided superiority tests of K experimental arms against a
 control: arm k is declared effective when its standardized contrast exceeds
 a critical value.  For equal randomisation the critical value controlling
 the family-wise error rate has a closed quadrature form; for adaptive
-designs it is calibrated empirically as a percentile of the simulated null
-distribution of the largest contrast.
+designs it is calibrated empirically as a percentile of the largest
+contrasts of simulated null trials, read off ``run_replicates``'s z array.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 from numpy.polynomial.hermite import hermgauss
-from scipy.special import ndtr, ndtri
-from scipy.stats import binom
+from scipy.special import bdtr, bdtrik, ndtr, ndtri
 
 __all__ = [
     "CriticalValue",
-    "ZVector",
     "Histogram",
     "CalibrationSummary",
     "z_statistic",
@@ -49,19 +47,6 @@ class CriticalValue:
             raise ValueError("alpha must lie in (0, 1)")
         if not math.isfinite(self.value):
             raise ValueError("critical value must be finite")
-
-
-@dataclass(frozen=True)
-class ZVector:
-    """Per-arm test statistics with their maximum."""
-
-    z: np.ndarray
-    zmax: float = field(init=False)
-
-    def __post_init__(self) -> None:
-        values = np.asarray(self.z, dtype=float)
-        object.__setattr__(self, "z", values)
-        object.__setattr__(self, "zmax", float(values.max()))
 
 
 def z_statistic(sums, counts, sigma: float) -> np.ndarray:
@@ -168,15 +153,21 @@ def _percentile_interval_ranks(M: int, q: float) -> tuple[int, int]:
     no extra simulation).  Ranks are clipped to 1..M, which only matters
     when q sits within a few draws of either end.
     """
-    lower = int(binom.ppf(0.025, M, q))
-    upper = int(binom.ppf(0.975, M, q)) + 1
+    lower = _binomial_quantile(0.025, M, q)
+    upper = _binomial_quantile(0.975, M, q) + 1
     return max(lower, 1), min(upper, M)
 
 
+def _binomial_quantile(level: float, n: int, p: float) -> int:
+    """Smallest k with P[Binomial(n, p) <= k] >= level, computed as
+    ``scipy.stats.binom.ppf`` does: ``bdtrik`` rounded up, then one step down
+    if ``bdtr`` shows the integer below already reaches the level."""
+    k = math.ceil(bdtrik(level, n, p))
+    return k - 1 if k > 0 and bdtr(k - 1, n, p) >= level else k
+
+
 def calibrate_critical_value(null_scenario, table, master_seed: int, M: int,
-                             alpha: float, *, workers: int = 1,
-                             keep_trajectories: bool = False,
-                             return_records: bool = False):
+                             alpha: float, *, workers: int = 1):
     """Empirical critical value of an adaptive design under the global null.
 
     Simulates ``M`` independent trials of ``null_scenario`` (which must have
@@ -199,9 +190,7 @@ def calibrate_critical_value(null_scenario, table, master_seed: int, M: int,
     if not 0.0 < alpha < 1.0:
         raise ValueError("alpha must lie in (0, 1)")
 
-    records = run_replicates(null_scenario, table, master_seed, M, workers=workers,
-                             keep_trajectory=keep_trajectories)
-    stats = np.fromiter((r.z.zmax for r in records), dtype=float, count=M)
+    stats = run_replicates(null_scenario, table, master_seed, M, workers=workers).z.max(axis=1)
     rank = math.ceil((1.0 - alpha) * M)  # nearest-rank order statistic, 1-based
     ordered = np.sort(stats)
     value = float(ordered[rank - 1])
@@ -231,6 +220,4 @@ def calibrate_critical_value(null_scenario, table, master_seed: int, M: int,
             },
         },
     )
-    if return_records:
-        return critical, summary, records
     return critical, summary

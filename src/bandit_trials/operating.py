@@ -1,4 +1,7 @@
-"""Aggregation of replicate traces into reported operating characteristics.
+"""Aggregation of replicates into reported operating characteristics.
+
+Both reductions read ``engine.Replicates``: the per-replicate arrays and bias
+sums that each block of replicates was reduced to where it ran.
 
 Conventions follow the trial's reporting layout: under the global null the
 headline rejection rate is the family-wise rate P[max_k Z_k > C] (identical
@@ -17,7 +20,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .engine import TrialRecord, TrialScenario
+from .engine import Replicates, TrialScenario
 from .inference import CriticalValue
 
 __all__ = [
@@ -39,7 +42,6 @@ class OperatingCharacteristics:
     e_outcome: float               # mean of per-trial mean patient outcome
     sd_outcome: float
     M: int
-    upper_bound_outcome: float     # best arm's true mean
 
     def __post_init__(self) -> None:
         for rate in (self.rejection_rate, self.global_rejection_rate):
@@ -77,14 +79,6 @@ class BiasTrajectory:
     replicate_counts: np.ndarray
 
 
-def _check_same_scenario(records, scenario: TrialScenario) -> None:
-    if not records:
-        raise ValueError("no records to aggregate")
-    for record in records:
-        if record.scenario != scenario:
-            raise ValueError("records from mixed scenarios cannot be aggregated together")
-
-
 def _best_arm(scenario: TrialScenario) -> int:
     # Under the global null the control is the convention for "best".
     if scenario.is_global_null:
@@ -92,26 +86,21 @@ def _best_arm(scenario: TrialScenario) -> int:
     return int(np.argmax(scenario.mu))
 
 
-def aggregate(records, scenario: TrialScenario,
+def aggregate(replicates: Replicates,
               critical: CriticalValue | float) -> OperatingCharacteristics:
     """Reduce replicates to rejection rates, E p*, and expected outcome."""
-    _check_same_scenario(records, scenario)
+    scenario = replicates.scenario
     c = critical.value if isinstance(critical, CriticalValue) else float(critical)
-    M = len(records)
-    T = scenario.T
-    best = _best_arm(scenario)
-
-    pstar = np.fromiter((r.arm_counts[best] / T for r in records), dtype=float, count=M)
-    outcome = np.fromiter((r.outcomes.mean() for r in records), dtype=float, count=M)
-    zmax = np.fromiter((r.z.zmax for r in records), dtype=float, count=M)
-    global_rate = float(np.mean(zmax > c))
+    M = replicates.M
+    pstar = replicates.counts[:, _best_arm(scenario)] / scenario.T
+    outcome = replicates.mean_outcome
+    global_rate = float(np.mean(replicates.z.max(axis=1) > c))
 
     if scenario.is_global_null:
         rejection = global_rate
     else:
         margin_arm = 1 + int(np.argmax(scenario.mu[1:]))  # arm with the target effect
-        z_margin = np.fromiter((r.z.z[margin_arm - 1] for r in records), dtype=float, count=M)
-        rejection = float(np.mean(z_margin > c))
+        rejection = float(np.mean(replicates.z[:, margin_arm - 1] > c))
 
     ddof = 1 if M > 1 else 0
     return OperatingCharacteristics(
@@ -122,42 +111,24 @@ def aggregate(records, scenario: TrialScenario,
         e_outcome=float(outcome.mean()),
         sd_outcome=float(outcome.std(ddof=ddof)),
         M=M,
-        upper_bound_outcome=float(max(scenario.mu)),
     )
 
 
-def bias_trajectories(records, scenario: TrialScenario) -> list[BiasTrajectory]:
+def bias_trajectories(replicates: Replicates) -> list[BiasTrajectory]:
     """Per-arm mean bias of the running estimate, from patient K+2 to T.
 
-    Requires records simulated with trajectory retention.
+    Requires replicates simulated with ``keep_trajectory=True``.
     """
-    _check_same_scenario(records, scenario)
-    if records[0].mean_trajectory is None:
-        raise ValueError("records carry no mean trajectories; "
-                         "rerun the replicates with keep_trajectory=True")
-    start = scenario.K + 2
-    t_grid = np.arange(start, scenario.T + 1)
-    span = slice(start - 1, scenario.T)
-
-    stacked_sum = np.zeros((scenario.K + 1, t_grid.size))
-    counts = np.zeros((scenario.K + 1, t_grid.size), dtype=int)
-    for record in records:
-        window = record.mean_trajectory[:, span]
-        seen = ~np.isnan(window)
-        stacked_sum += np.where(seen, window, 0.0)
-        counts += seen
-
-    out = []
-    for arm in range(scenario.K + 1):
-        with np.errstate(invalid="ignore"):
-            mean_est = stacked_sum[arm] / counts[arm]
-        out.append(BiasTrajectory(
-            arm=arm,
-            t_grid=t_grid,
-            mean_bias=mean_est - scenario.mu[arm],
-            replicate_counts=counts[arm],
-        ))
-    return out
+    if replicates.bias_sums is None:
+        raise ValueError("replicates carry no bias sums; "
+                         "rerun them with keep_trajectory=True")
+    scenario = replicates.scenario
+    t_grid = np.arange(scenario.K + 2, scenario.T + 1)
+    counts = np.full(t_grid.size, replicates.M)
+    return [BiasTrajectory(arm=arm, t_grid=t_grid,
+                           mean_bias=replicates.bias_sums[arm] / counts - scenario.mu[arm],
+                           replicate_counts=counts)
+            for arm in range(scenario.K + 1)]
 
 
 RESULT_COLUMNS = ("policy", "hypothesis", "C_alpha", "rejection_rate",
@@ -201,7 +172,6 @@ def write_bias_csv(trajectories: list[BiasTrajectory], path: str | Path) -> Path
     lines = ["arm,t,mean_bias,count"]
     for traj in trajectories:
         for t, bias, count in zip(traj.t_grid, traj.mean_bias, traj.replicate_counts):
-            bias_txt = "nan" if math.isnan(bias) else f"{bias:.6f}"
-            lines.append(f"{traj.arm},{t},{bias_txt},{count}")
+            lines.append(f"{traj.arm},{t},{bias:.6f},{count}")
     path.write_text("\n".join(lines) + "\n")
     return path

@@ -1,12 +1,13 @@
 """Shared fixtures: index tables and the heavyweight replicate sets.
 
-The M=10^4 record sets are session-scoped because the acceptance module and
+The M=10^4 replicate sets are session-scoped because the acceptance module and
 the operating-characteristics tests assert different statistics of the same
 simulations.  All seeds are fixed constants declared here.
 """
 
 import os
 
+import numpy as np
 import pytest
 
 from bandit_trials import compute_index_table
@@ -41,6 +42,20 @@ def four_arm(kind, mu, label, T=302, **kw):
                          policy=PolicySpec(kind, **kw), hypothesis_label=label)
 
 
+def running_means(replicates):
+    """(n, K+1, T) running mean of each arm in each traced replicate, NaN
+    before the arm's first observation.
+
+    Per-arm cumulative sums make the same additions in the same order as the
+    engine's running sums, so the means are theirs bit for bit.
+    """
+    arms = np.arange(replicates.scenario.K + 1)[None, :, None]
+    on_arm = replicates.allocations[:, None, :] == arms
+    sums = np.cumsum(np.where(on_arm, replicates.outcomes[:, None, :], 0.0), axis=2)
+    with np.errstate(invalid="ignore"):
+        return sums / np.cumsum(on_arm, axis=2)
+
+
 LFC = (0.0, 0.178, 0.178, 0.545)
 NULL4 = (0.0, 0.0, 0.0, 0.0)
 
@@ -61,38 +76,39 @@ def table09():
 
 
 @pytest.fixture(scope="session")
-def fr2_h0_records():
-    scenario = two_arm("FR", 0.0, "H0")
-    return scenario, run_replicates(scenario, None, ACCEPT_SEED + 101, M_FULL,
-                                    workers=WORKERS, keep_trajectory=True)
+def fr2_h0():
+    # every trace is kept: criterion 9 rebuilds the running means from them
+    return run_replicates(two_arm("FR", 0.0, "H0"), None, ACCEPT_SEED + 101, M_FULL,
+                          workers=WORKERS, keep_trajectory=True, traces=M_FULL)
 
 
 @pytest.fixture(scope="session")
-def fr2_h1_records():
-    scenario = two_arm("FR", 0.545, "H1")
-    return scenario, run_replicates(scenario, None, ACCEPT_SEED + 102, M_FULL,
-                                    workers=WORKERS)
+def fr2_h1():
+    return run_replicates(two_arm("FR", 0.545, "H1"), None, ACCEPT_SEED + 102, M_FULL,
+                          workers=WORKERS)
 
 
 @pytest.fixture(scope="session")
 def gi2_calibration(table995):
-    """(critical, summary, records) for GI under the two-arm global null."""
+    """(critical, summary, replicates) for GI under the two-arm global null.
+
+    The replicates are the calibration's own (same seed), with bias sums.
+    """
     scenario = two_arm("GI", 0.0, "H0")
-    critical, summary, records = calibrate_critical_value(
-        scenario, table995, ACCEPT_SEED + 103, M_FULL, 0.05, workers=WORKERS,
-        keep_trajectories=True, return_records=True)
-    return scenario, critical, summary, records
+    critical, summary = calibrate_critical_value(
+        scenario, table995, ACCEPT_SEED + 103, M_FULL, 0.05, workers=WORKERS)
+    replicates = run_replicates(scenario, table995, ACCEPT_SEED + 103, M_FULL,
+                                workers=WORKERS, keep_trajectory=True)
+    return critical, summary, replicates
 
 
 @pytest.fixture(scope="session")
-def gi2_h1_records(table995):
-    scenario = two_arm("GI", 0.545, "H1")
-    return scenario, run_replicates(scenario, table995, ACCEPT_SEED + 104, M_FULL,
-                                    workers=WORKERS, keep_trajectory=True)
+def gi2_h1(table995):
+    return run_replicates(two_arm("GI", 0.545, "H1"), table995, ACCEPT_SEED + 104, M_FULL,
+                          workers=WORKERS, keep_trajectory=True)
 
 
 @pytest.fixture(scope="session")
-def rgi2_h1_records(table995):
-    scenario = two_arm("RGI", 0.545, "H1")
-    return scenario, run_replicates(scenario, table995, ACCEPT_SEED + 105, M_FULL,
-                                    workers=WORKERS, keep_trajectory=True)
+def rgi2_h1(table995):
+    return run_replicates(two_arm("RGI", 0.545, "H1"), table995, ACCEPT_SEED + 105, M_FULL,
+                          workers=WORKERS, keep_trajectory=True)

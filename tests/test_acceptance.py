@@ -24,6 +24,7 @@ from .conftest import (
     NULL4,
     WORKERS,
     four_arm,
+    running_means,
     two_arm,
 )
 from .test_gittins import ORACLE_D09
@@ -70,21 +71,18 @@ def test_criterion_2_analytic_fwer():
               within("C(K=3)", c3, 2.0621, 0.005)])
 
 
-def test_criterion_3_fixed_randomisation_row(fr2_h0_records, fr2_h1_records):
-    scenario0, records0 = fr2_h0_records
-    scenario1, records1 = fr2_h1_records
-    oc0 = aggregate(records0, scenario0, 1.645)
-    oc1 = aggregate(records1, scenario1, 1.645)
+def test_criterion_3_fixed_randomisation_row(fr2_h0, fr2_h1):
+    oc0 = aggregate(fr2_h0, 1.645)
+    oc1 = aggregate(fr2_h1, 1.645)
     check(3, [within("alpha", oc0.rejection_rate, 0.0510, 0.007),
               within("power", oc1.rejection_rate, 0.8996, 0.010),
               within("Ep*", oc1.e_pstar, 0.4997, 0.010),
               within("EO", oc1.e_outcome, 0.2718, 0.005)])
 
 
-def test_criterion_4_gittins_row(gi2_calibration, gi2_h1_records):
-    _, critical, summary, _ = gi2_calibration
-    scenario1, records1 = gi2_h1_records
-    oc1 = aggregate(records1, scenario1, 1.951)
+def test_criterion_4_gittins_row(gi2_calibration, gi2_h1):
+    critical, summary, _ = gi2_calibration
+    oc1 = aggregate(gi2_h1, 1.951)
     check(4, [within("C", critical.value, 1.951, 0.05),
               within("Z sd", summary.sd, 1.37, 0.05),
               within("power", oc1.rejection_rate, 0.237, 0.02),
@@ -108,9 +106,9 @@ def test_criterion_6_four_arm_rows(table995, four_arm_criticals):
     runs = {}
     for i, kind in enumerate(("CG", "CUC", "KLU", "GI", "TP")):
         scenario = four_arm(kind, LFC, "H1-LFC")
-        records = run_replicates(scenario, table995, ACCEPT_SEED + 230 + i, M_FULL,
-                                 workers=WORKERS)
-        runs[kind] = aggregate(records, scenario, four_arm_criticals[kind])
+        replicates = run_replicates(scenario, table995, ACCEPT_SEED + 230 + i, M_FULL,
+                                    workers=WORKERS)
+        runs[kind] = aggregate(replicates, four_arm_criticals[kind])
     check(6, [within("CG power", runs["CG"].rejection_rate, 0.8667, 0.015),
               within("CG EO", runs["CG"].e_outcome, 0.3392, 0.010),
               within("CUC power", runs["CUC"].rejection_rate, 0.9599, 0.010),
@@ -122,8 +120,8 @@ def test_criterion_6_four_arm_rows(table995, four_arm_criticals):
 def test_criterion_7_rare_disease_reused_criticals(table995, four_arm_criticals):
     def rare(kind, mu, label, critical, seed):
         scenario = four_arm(kind, mu, label, T=64)
-        records = run_replicates(scenario, table995, seed, M_FULL, workers=WORKERS)
-        return aggregate(records, scenario, critical)
+        return aggregate(run_replicates(scenario, table995, seed, M_FULL, workers=WORKERS),
+                         critical)
 
     fr = rare("FR", LFC, "H1-LFC", 2.0621, ACCEPT_SEED + 301)
     cg = rare("CG", LFC, "H1-LFC", four_arm_criticals["CG"], ACCEPT_SEED + 302)
@@ -178,27 +176,23 @@ def test_criterion_8_critical_value_sweep(table995):
     ])
 
 
-def test_criterion_9_bias_trajectories(fr2_h0_records, gi2_calibration,
-                                       gi2_h1_records, rgi2_h1_records):
-    gi_scenario0, _, _, gi_records0 = gi2_calibration
-    gi_h0 = bias_trajectories(gi_records0, gi_scenario0)
+def test_criterion_9_bias_trajectories(fr2_h0, gi2_calibration,
+                                       gi2_h1, rgi2_h1):
+    gi_h0 = bias_trajectories(gi2_calibration[2])
     gi_bias_at_end = [float(traj.mean_bias[-1]) for traj in gi_h0]
 
-    fr_scenario, fr_records = fr2_h0_records
-    fr_trajs = bias_trajectories(fr_records, fr_scenario)
-    stacked = np.stack([r.mean_trajectory for r in fr_records])
+    fr_trajs = bias_trajectories(fr2_h0)
+    stacked = running_means(fr2_h0)
     fr_ok = True
     worst = 0.0
     for traj in fr_trajs:
         sd = np.nanstd(stacked[:, traj.arm, 2:], axis=0)
-        excess = np.abs(traj.mean_bias) - 3 * sd / math.sqrt(len(fr_records))
+        excess = np.abs(traj.mean_bias) - 3 * sd / math.sqrt(fr2_h0.M)
         worst = max(worst, float(excess.max()))
         fr_ok &= bool(np.all(excess < 0))
 
-    gi_scenario1, gi_records1 = gi2_h1_records
-    rgi_scenario1, rgi_records1 = rgi2_h1_records
-    gi_inferior = float(bias_trajectories(gi_records1, gi_scenario1)[0].mean_bias[-1])
-    rgi_inferior = float(bias_trajectories(rgi_records1, rgi_scenario1)[0].mean_bias[-1])
+    gi_inferior = float(bias_trajectories(gi2_h1)[0].mean_bias[-1])
+    rgi_inferior = float(bias_trajectories(rgi2_h1)[0].mean_bias[-1])
 
     check(9, [
         (all(b <= -0.02 for b in gi_bias_at_end),
@@ -215,7 +209,7 @@ def test_criterion_10_property_suites(table995, table09):
     vals = table995.values
     checks.append((bool(np.all(vals > 0) and np.all(np.diff(vals) < 0)),
                    "index table positive and strictly decreasing"))
-    oracle_ok = all(abs(table09.value(n) - v) <= 2e-4 for n, v in ORACLE_D09.items())
+    oracle_ok = all(abs(table09.values[n - 1] - v) <= 2e-4 for n, v in ORACLE_D09.items())
     checks.append((oracle_ok, "fine-grid oracle agreement at n in {1,2,5,10,50}"))
 
     # selection shift-invariance under common random numbers: shifting every
@@ -255,12 +249,11 @@ def test_criterion_10_property_suites(table995, table09):
     checks.append((norm_ok, "probability vectors normalized"))
 
     scenario = two_arm("GI", 0.545, "H1", T=40)
-    serial = run_replicates(scenario, table995, ACCEPT_SEED + 605, 20, workers=1)
+    serial = run_replicates(scenario, table995, ACCEPT_SEED + 605, 20, workers=1, traces=20)
     parallel = run_replicates(scenario, table995, ACCEPT_SEED + 605, 20,
-                              workers=max(2, WORKERS))
-    same = all(np.array_equal(x.allocations, y.allocations)
-               and np.array_equal(x.outcomes, y.outcomes)
-               for x, y in zip(serial, parallel))
+                              workers=max(2, WORKERS), traces=20)
+    same = (np.array_equal(serial.allocations, parallel.allocations)
+            and np.array_equal(serial.outcomes, parallel.outcomes))
     checks.append((same, "worker-count invariant replicates"))
 
     check(10, checks)

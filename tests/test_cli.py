@@ -3,14 +3,19 @@
 import json
 import multiprocessing
 import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import bandit_trials
 from bandit_trials import cli
 from bandit_trials.cli import PRESET_NAMES, build_parser, load_preset, main
 from bandit_trials.engine import BLOCK
-from bandit_trials.gittins import load_index_table, save_index_table
+from bandit_trials.gittins import (DpConfig, compute_index_table, load_index_table,
+                                   save_index_table)
 
 
 def run_cli(*argv):
@@ -49,7 +54,7 @@ class TestTableCommand:
         out = tmp_path / "t.csv"
         assert run_cli("table", "--discount", "0.9", "--n-max", "50", "--out", str(out)) == 0
         table = load_index_table(out)
-        assert table.value(50) == pytest.approx(0.030453, abs=2e-4)
+        assert table.values[49] == pytest.approx(0.030453, abs=2e-4)
 
 
 class TestPresets:
@@ -265,6 +270,22 @@ class TestSimulateCommand:
                        "--workers", "1", "--out-dir", str(tmp_path / "run")) == 0
         assert list(cache.iterdir()) == [longer]  # no n116 file written
 
+    @pytest.mark.parametrize("recorded", [True, False])
+    def test_table_of_other_settings_is_rebuilt(self, tmp_path, monkeypatch, recorded):
+        cache = tmp_path / "cache"
+        cache.mkdir()
+        path = cache / "gittins_d0.9_n16.csv"
+        assert run_cli("table", "--discount", "0.9", "--n-max", "16", "--grid-step", "0.01",
+                       "--out", str(path)) == 0
+        if not recorded:  # a file that names no settings at all
+            lines = path.read_text().splitlines()
+            path.write_text("\n".join(line for line in lines if not line.startswith("# ")
+                                      or line.startswith("# discount=")) + "\n")
+        monkeypatch.setenv("BANDIT_TRIALS_TABLE_DIR", str(cache))
+        table = cli.get_table(0.9, 16)
+        assert np.array_equal(table.values, compute_index_table(0.9, 16).values)
+        assert load_index_table(path).dp_meta == DpConfig().settings(0.9)  # replaced
+
     def test_workers_reaped_before_return(self, tmp_path):
         # more than one block, so the replicates run in the pool
         assert run_cli("simulate", "--preset", "two-arm-t116", "--policies", "FR",
@@ -299,3 +320,15 @@ class TestSweepCommand:
             assert ci["lower"] <= record["critical_value"] <= ci["upper"]
             assert (out / f"calibration_FR_T{T}_hist.csv").exists()
         assert len(list(out.iterdir())) == 4
+
+
+def test_import_leaves_out_scipy_signal_and_stats():
+    # both cost about a second to import, and the package needs neither
+    src = str(Path(bandit_trials.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [src] + [p for p in os.environ.get("PYTHONPATH", "").split(os.pathsep) if p]))
+    code = ("import sys, bandit_trials.cli; "
+            "print(sorted(m for m in ('scipy.signal', 'scipy.stats') if m in sys.modules))")
+    result = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                            text=True, check=True, timeout=120)
+    assert result.stdout.strip() == "[]"

@@ -9,23 +9,25 @@ from scipy import stats
 from bandit_trials.engine import BLOCK, TrialScenario, run_replicates, run_trial, write_trace_csv
 from bandit_trials.policies import POLICY_KINDS, PolicySpec, policy_scores
 
-from .conftest import WORKERS, two_arm
-
-
-def records_equal(a, b):
-    return (np.array_equal(a.allocations, b.allocations)
-            and np.array_equal(a.outcomes, b.outcomes)
-            and np.array_equal(a.z.z, b.z.z)
-            and a.arm_counts == b.arm_counts)
+from .conftest import WORKERS, running_means, two_arm
 
 
 def records_identical(a, b):
-    """Every field equal, bit for bit (trajectories compared NaN for NaN)."""
-    same_trajectory = (a.mean_trajectory is None and b.mean_trajectory is None) or (
-        a.mean_trajectory is not None and b.mean_trajectory is not None
-        and np.array_equal(a.mean_trajectory, b.mean_trajectory, equal_nan=True))
-    return (records_equal(a, b) and a.arm_means == b.arm_means
-            and a.scenario == b.scenario and same_trajectory)
+    """Every field of two ``TrialRecord``s equal, bit for bit."""
+    return (np.array_equal(a.allocations, b.allocations)
+            and np.array_equal(a.outcomes, b.outcomes)
+            and np.array_equal(a.z, b.z)
+            and a.arm_counts == b.arm_counts and a.arm_means == b.arm_means)
+
+
+def replicates_identical(a, b):
+    """Every array of two ``Replicates`` equal, bit for bit, and the same scenario."""
+    same_bias = (a.bias_sums is None and b.bias_sums is None) or (
+        a.bias_sums is not None and b.bias_sums is not None
+        and np.array_equal(a.bias_sums, b.bias_sums))
+    return (a.scenario == b.scenario and same_bias
+            and all(np.array_equal(getattr(a, name), getattr(b, name))
+                    for name in ("z", "counts", "mean_outcome", "allocations", "outcomes")))
 
 
 class TestScenarioValidation:
@@ -120,25 +122,27 @@ class TestSingleTrial:
         assert all(sorted(o) == [0, 1, 2, 3] for o in orders)
 
     def test_trajectory_recording(self, table995):
+        # one replicate's bias sums are its running means from patient K+2 on
         scenario = two_arm("GI", 0.545, "H1", T=30)
-        record = run_trial(scenario, table995, seed=10, keep_trajectory=True)
-        traj = record.mean_trajectory
-        assert traj.shape == (2, 30)
-        assert np.isnan(traj[:, 0]).sum() == 1  # only the first-treated arm has a mean
-        assert not np.isnan(traj[:, 1]).any()
+        replicates = run_replicates(scenario, table995, 10, 1, keep_trajectory=True, traces=1)
+        assert replicates.bias_sums.shape == (2, 28)
+        means = running_means(replicates)[0]
+        assert np.isnan(means[:, 0]).sum() == 1  # only the first-treated arm has a mean
+        assert np.array_equal(replicates.bias_sums, means[:, 2:])
+        record = replicates.trace(0)
         k_last = record.allocations[-1]
-        assert traj[k_last, -1] == pytest.approx(record.arm_means[k_last], rel=1e-12)
+        assert replicates.bias_sums[k_last, -1] == record.arm_means[k_last]
 
     def test_trajectory_not_kept_by_default(self):
-        record = run_trial(two_arm("FR", 0.0, "H0", T=6), None, seed=11)
-        assert record.mean_trajectory is None
+        replicates = run_replicates(two_arm("FR", 0.0, "H0", T=6), None, 11, 3)
+        assert replicates.bias_sums is None
+        assert replicates.allocations.shape == replicates.outcomes.shape == (0, 6)
 
     def test_z_vector_shape(self, table995):
         scenario = TrialScenario(K=3, mu=(0.0,) * 4, sigma=1.0, T=20,
                                  policy=PolicySpec("CUC"))
         record = run_trial(scenario, table995, seed=12)
-        assert record.z.z.shape == (3,)
-        assert record.z.zmax == record.z.z.max()
+        assert record.z.shape == (3,)
 
 
 class TestIndexConvention:
@@ -176,22 +180,22 @@ class TestBatchedView:
 class TestReplicates:
     def test_single_replicate_matches_run_trial(self, table995):
         scenario = two_arm("GI", 0.545, "H1", T=30)
-        via_replicates = run_replicates(scenario, table995, 99, 1)[0]
+        via_replicates = run_replicates(scenario, table995, 99, 1, traces=1).trace(0)
         direct = run_trial(scenario, table995, np.random.SeedSequence((99, 0)))
-        assert records_equal(via_replicates, direct)
+        assert records_identical(via_replicates, direct)
 
     def test_rerun_is_bitwise_identical(self, table995):
         scenario = two_arm("RGI", 0.545, "H1", T=40)
-        a = run_replicates(scenario, table995, 41, 12)
-        b = run_replicates(scenario, table995, 41, 12)
-        assert all(records_equal(x, y) for x, y in zip(a, b))
+        a = run_replicates(scenario, table995, 41, 12, keep_trajectory=True, traces=12)
+        b = run_replicates(scenario, table995, 41, 12, keep_trajectory=True, traces=12)
+        assert replicates_identical(a, b)
 
     @pytest.mark.skipif(WORKERS < 2, reason="needs multiple workers")
     def test_worker_count_invariance(self, table995):
         scenario = two_arm("GI", 0.545, "H1", T=40)
-        serial = run_replicates(scenario, table995, 42, 30, workers=1)
-        parallel = run_replicates(scenario, table995, 42, 30, workers=WORKERS)
-        assert all(records_equal(x, y) for x, y in zip(serial, parallel))
+        serial = run_replicates(scenario, table995, 42, 30, workers=1, traces=30)
+        parallel = run_replicates(scenario, table995, 42, 30, workers=WORKERS, traces=30)
+        assert replicates_identical(serial, parallel)
 
     def test_replicate_count_validated(self):
         with pytest.raises(ValueError):
@@ -199,8 +203,8 @@ class TestReplicates:
 
     def test_fr_null_means_unbiased(self):
         scenario = two_arm("FR", 0.0, "H0", T=40)
-        records = run_replicates(scenario, None, 43, 3000)
-        means = np.array([r.arm_means for r in records])
+        replicates = run_replicates(scenario, None, 43, 3000, traces=3000)
+        means = np.array([replicates.trace(r).arm_means for r in range(3000)])
         n_bar = 20
         tol = 3 / math.sqrt(n_bar * 3000)
         assert abs(means[:, 0].mean()) < tol
@@ -290,35 +294,49 @@ def pin_scenario(kind):
 class TestDrawOrder:
     @pytest.mark.parametrize("kind", POLICY_KINDS)
     def test_pinned_replicates(self, table995, kind):
-        records = run_replicates(pin_scenario(kind), table995, PIN_SEED, 3)
-        for r, (record, (allocations, z)) in enumerate(zip(records, PINNED[kind])):
-            assert "".join(str(int(k)) for k in record.allocations) == allocations, \
+        replicates = run_replicates(pin_scenario(kind), table995, PIN_SEED, 3, traces=3)
+        for r, (allocations, z) in enumerate(PINNED[kind]):
+            assert "".join(str(int(k)) for k in replicates.allocations[r]) == allocations, \
                 f"replicate {r}"
-            assert tuple(float(v) for v in record.z.z) == z, f"replicate {r}"
+            assert tuple(float(v) for v in replicates.z[r]) == z, f"replicate {r}"
 
     @pytest.mark.parametrize("kind", POLICY_KINDS)
     def test_replicates_are_single_trials(self, table995, kind):
         # M=37 is no multiple of any block or chunk size
         scenario = pin_scenario(kind)
-        serial = run_replicates(scenario, table995, PIN_SEED + 1, 37, keep_trajectory=True)
+        serial = run_replicates(scenario, table995, PIN_SEED + 1, 37, keep_trajectory=True,
+                                traces=37)
         parallel = run_replicates(scenario, table995, PIN_SEED + 1, 37, workers=2,
-                                  keep_trajectory=True)
-        for r, (a, b) in enumerate(zip(serial, parallel, strict=True)):
-            single = run_trial(scenario, table995, np.random.SeedSequence((PIN_SEED + 1, r)),
-                               keep_trajectory=True)
-            assert records_identical(a, single), f"replicate {r}"
-            assert records_identical(a, b), f"replicate {r}"
+                                  keep_trajectory=True, traces=37)
+        assert replicates_identical(serial, parallel)
+        for r in range(37):
+            single = run_trial(scenario, table995, np.random.SeedSequence((PIN_SEED + 1, r)))
+            assert records_identical(serial.trace(r), single), f"replicate {r}"
 
     @pytest.mark.parametrize("kind", ["GI", "RGI"])
     def test_chunked_runs_match_serial(self, table995, kind):
-        # three chunks of whole blocks, the last one partial
-        M = 2 * BLOCK + 37
+        # three chunks of whole blocks, the last one partial; the traces end
+        # inside the second block
+        M, n = 2 * BLOCK + 37, BLOCK + 5
         scenario = pin_scenario(kind)
         runs = [run_replicates(scenario, table995, PIN_SEED + 2, M, workers=w,
-                               keep_trajectory=True) for w in (1, 2, 3)]
-        assert all(len(records) == M for records in runs)
-        for r, (a, b, c) in enumerate(zip(*runs)):
-            assert records_identical(a, b) and records_identical(a, c), f"replicate {r}"
+                               keep_trajectory=True, traces=n) for w in (1, 2, 3)]
+        assert runs[0].M == M and runs[0].allocations.shape == (n, scenario.T)
+        assert replicates_identical(runs[0], runs[1]) and replicates_identical(runs[0], runs[2])
+        for r in range(n):
+            single = run_trial(scenario, table995, np.random.SeedSequence((PIN_SEED + 2, r)))
+            assert records_identical(runs[0].trace(r), single), f"replicate {r}"
+        # plain reference: each block's running means added in replicate
+        # order, then the block sums in block order
+        traced = run_replicates(scenario, table995, PIN_SEED + 2, M, traces=M)
+        means = running_means(traced)[:, :, scenario.K + 1:]
+        total = np.zeros_like(runs[0].bias_sums)
+        for first in range(0, M, BLOCK):
+            block_sum = means[first]
+            for row in means[first + 1:first + BLOCK]:
+                block_sum = block_sum + row
+            total = total + block_sum
+        assert np.array_equal(runs[0].bias_sums, total)
 
 
 class TestTraceDump:

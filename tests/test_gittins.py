@@ -42,7 +42,7 @@ class TestComputeIndexTable:
 
     @pytest.mark.parametrize("n", sorted(ORACLE_D09))
     def test_agrees_with_fine_grid_oracle(self, table09, n):
-        assert table09.value(n) == pytest.approx(ORACLE_D09[n], abs=ORACLE_RTOL)
+        assert table09.values[n - 1] == pytest.approx(ORACLE_D09[n], abs=ORACLE_RTOL)
 
     def test_monotone_in_discount(self):
         lo = compute_index_table(0.5, 10)
@@ -152,10 +152,10 @@ def gi_score(mean, n, sigma, table):
 
 class TestGittinsIndex:
     def test_identity_case(self, table09):
-        assert gi_score(0.0, 7, 1.0, table09) == table09.value(7)
+        assert gi_score(0.0, 7, 1.0, table09) == table09.values[6]
 
     def test_linearity(self, table09):
-        expected = 2.5 + 2.0 * table09.value(5)
+        expected = 2.5 + 2.0 * table09.values[4]
         assert gi_score(2.5, 5, 2.0, table09) == pytest.approx(expected, abs=1e-15)
 
     def test_zero_discount_reduces_to_mean(self):
@@ -172,10 +172,6 @@ class TestGittinsIndex:
 
     def test_no_extrapolation(self, table09):
         with pytest.raises(GittinsTableError):
-            table09.value(table09.n_max + 1)
-        with pytest.raises(GittinsTableError):
-            table09.value(0)
-        with pytest.raises(GittinsTableError):
             gi_score(0.0, table09.n_max + 1, 1.0, table09)
 
 
@@ -184,6 +180,7 @@ class TestTableFile:
         path = save_index_table(table09, tmp_path / "t.csv")
         loaded = load_index_table(path)
         assert loaded.discount == table09.discount
+        assert loaded.dp_meta == table09.dp_meta
         assert np.allclose(loaded.values, table09.values, rtol=0, atol=1e-10)
 
     def test_non_monotone_rejected(self, tmp_path):
@@ -206,6 +203,7 @@ class TestTableFile:
         "# discount=0.9\nn,value\n1,0.5\n3,0.4\n",   # gap in n
         "# discount=0.9\nn,value\n1,abc\n",          # non-numeric
         "# discount=oops\nn,value\n1,0.5\n",         # bad discount
+        "# discount=0.9\n# grid_step=oops\nn,value\n1,0.5\n",  # bad setting
     ])
     def test_malformed_files_rejected(self, tmp_path, content):
         path = tmp_path / "bad.csv"
@@ -215,7 +213,8 @@ class TestTableFile:
 
     def test_significant_digits(self, table09, tmp_path):
         path = save_index_table(table09, tmp_path / "t.csv")
-        row = path.read_text().splitlines()[2]
+        lines = path.read_text().splitlines()
+        row = lines[lines.index("n,value") + 1]
         digits = row.split(",")[1].replace(".", "").replace("-", "").lstrip("0")
         assert len(digits) >= 10
 

@@ -11,6 +11,7 @@ from bandit_trials.engine import run_replicates
 from bandit_trials.inference import (
     CriticalValue,
     Histogram,
+    _percentile_interval_ranks,
     calibrate_critical_value,
     default_histogram_edges,
     fwer_critical_value,
@@ -158,6 +159,14 @@ class TestCalibration:
         assert ci["upper"] == float(ordered[upper - 1])
         assert ci["lower"] <= critical.value <= ci["upper"]
 
+    @pytest.mark.parametrize("q", [0.9, 0.95, 0.99])
+    def test_interval_ranks_match_binomial_ppf(self, q):
+        sizes = np.array([*range(100, 3001), 10**4, 10**5, 10**6])
+        lower = binom.ppf(0.025, sizes, q).astype(int)
+        upper = binom.ppf(0.975, sizes, q).astype(int) + 1
+        for M, lo, hi in zip(sizes.tolist(), lower.tolist(), upper.tolist()):
+            assert _percentile_interval_ranks(M, q) == (max(lo, 1), min(hi, M)), M
+
     def test_fr_calibration_recovers_normal_quantile(self):
         scenario = two_arm("FR", 0.0, "H0")
         critical, summary = calibrate_critical_value(scenario, None, 18, 10_000, 0.05,
@@ -171,7 +180,7 @@ class TestCalibration:
         critical, _ = calibrate_critical_value(scenario, None, 19, 2000, 0.05,
                                                workers=WORKERS)
         fresh = run_replicates(scenario, None, 20, 2000, workers=WORKERS)
-        rate = float(np.mean([r.z.zmax > critical.value for r in fresh]))
+        rate = float(np.mean(fresh.z.max(axis=1) > critical.value))
         assert rate <= 0.05 + 3 * math.sqrt(0.05 * 0.95 / 2000)
 
     def test_histogram_binning(self):

@@ -130,7 +130,7 @@ class TestIndexScores:
     def test_allocation_index_uses_next_observation_entry(self, table09):
         arm = (2.0, 4)
         assert index_score("GI", arm, 1.5, 10, table09) == pytest.approx(
-            0.5 + 1.5 * table09.value(5))
+            0.5 + 1.5 * table09.values[4])
 
 
 def quad_p_best(arms, sigma):
@@ -281,7 +281,7 @@ class TestPerturbedScore:
         rng = FixedRng([0.9])
         arm = (2.0, 4)
         assert index_score("RGI", arm, 1.5, 10, table09, rng) == pytest.approx(
-            0.5 + 1.5 * table09.value(5) + 0.9 / 5)
+            0.5 + 1.5 * table09.values[4] + 0.9 / 5)
 
 
 class TestSelection:
