@@ -282,7 +282,7 @@ def cmd_simulate(args) -> int:
     if unknown:
         raise ValueError(f"unknown hypotheses {', '.join(unknown)}; "
                          f"the scenario has {', '.join(labels)}")
-    T = args.T or int(preset["T"])
+    T = args.T if args.T is not None else int(preset["T"])
     calibration_T = _calibration_size(preset, T) if args.critical_values == "calibrate" else T
     alpha = float(preset.get("alpha", 0.05))
     table = _scenario_table(preset, kinds, max(T, calibration_T))
@@ -337,6 +337,14 @@ def _sizes(text: str) -> list[int]:
     return [int(size) for size in text.split(",")]
 
 
+def _usable_cpus() -> int:
+    """CPUs this process may run on: its affinity set where the OS reports
+    one (Linux), else the machine's CPU count."""
+    if hasattr(os, "sched_getaffinity"):
+        return max(1, len(os.sched_getaffinity(0)))
+    return os.cpu_count() or 1
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="bandit-trials",
@@ -370,7 +378,7 @@ def build_parser() -> argparse.ArgumentParser:
                        help="JSON run config (overrides --preset)")
         p.add_argument("--replicates", "-M", type=int, default=10000)
         p.add_argument("--seed", type=int, default=0)
-        p.add_argument("--workers", type=int, default=max(1, len(os.sched_getaffinity(0))))
+        p.add_argument("--workers", type=int, default=_usable_cpus())
         p.add_argument("--out-dir", type=str, default="results")
 
     p = sub.add_parser("calibrate", help="empirical critical value under the global null")

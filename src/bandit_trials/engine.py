@@ -23,12 +23,19 @@ joined when the block ends.
 Randomness discipline: each replicate owns two independent streams derived
 from (master_seed, replicate): one for policy randomness (initialization
 order, exploration bumps, control-guard coin flips, tie-breaks, arm
-sampling), one for outcome noise.  Both are drawn before the block's first
-patient, each replicate from its own streams and in the order it would
-consume them stepping alone (``policies.draw_policy_variates``).  Patient
-t's outcome uses the t-th noise variate whatever the policy did, so designs
-can be compared under common random numbers, and results are identical for
-any worker count, block size and chunking.
+sampling), one for outcome noise.  Stream i (0 policy, 1 noise) is numpy's
+PCG64 seeded by the SeedSequence child ``SeedSequence(entropy,
+spawn_key=key + (i,))``: entropy (master_seed, r) and key () for replicate
+r of ``run_replicates``, that is ``SeedSequence((master_seed, r)).spawn(2)``,
+and the given SeedSequence's for ``run_trial``.  No SeedSequence object is
+built: ``_stream_seeds`` runs numpy's SeedSequence hash on columns of a
+whole block, and each PCG64 is seeded from its words.  Both streams
+are drawn before the block's first patient, each replicate from its own
+streams and in the order it would consume them stepping alone
+(``policies.draw_policy_variates``).  Patient t's outcome uses the t-th
+noise variate whatever the policy did, so designs can be compared under
+common random numbers, and results are identical for any worker count,
+block size and chunking.
 """
 
 from __future__ import annotations
@@ -43,6 +50,7 @@ from functools import partial
 from pathlib import Path
 
 import numpy as np
+from numpy.random.bit_generator import ISeedSequence
 
 from .gittins import GittinsTable
 from .inference import z_statistic
@@ -57,6 +65,13 @@ __all__ = ["TrialScenario", "TrialRecord", "Replicates", "run_trial", "run_repli
 # K=3, T=302.  Larger blocks gain little once per-step overhead is spread
 # over a few hundred replicates.
 BLOCK = 256
+
+# numpy's SeedSequence: default pool size, hash and mixing constants
+_POOL_SIZE = 4
+_INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
+_INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
+_MIX_MULT_L, _MIX_MULT_R = 0xCA01F9DD, 0x4973F715
+_MASK32 = 0xFFFFFFFF
 
 # Pools of the innermost ``shared_pool`` block, by worker count.
 _shared_pools: ContextVar[dict[int, ProcessPoolExecutor] | None] = ContextVar(
@@ -165,25 +180,102 @@ def _check_table(scenario: TrialScenario, table: GittinsTable | None) -> None:
             f"{spec.discount}")
 
 
+def _uint32_words(value) -> list[int]:
+    """An integer, or a sequence of them, as SeedSequence reads entropy and
+    spawn keys: each integer's 32-bit words, least significant first."""
+    if isinstance(value, (int, np.integer)):
+        value = int(value)
+        if value < 0:
+            raise ValueError(f"seed entropy must be non-negative, got {value}")
+        words = [value & _MASK32]
+        while value := value >> 32:
+            words.append(value & _MASK32)
+        return words
+    if isinstance(value, (list, tuple, range, np.ndarray)):
+        return [word for item in value for word in _uint32_words(item)]
+    raise TypeError(f"seed entropy must be integers, got {type(value).__name__}")
+
+
+def _stream_seeds(run_entropy: list, spawn_key: list[int], pool_size: int) -> np.ndarray:
+    """PCG64 seed words of streams 0 and 1 of R replicates, as a (2, R, 4) uint64 array.
+
+    ``run_entropy`` holds the replicates' entropy words, each an int shared
+    by all R or an (R,) uint32 column.  Row [i, r] equals
+    ``SeedSequence(entropy_r, spawn_key=key + (i,), pool_size=pool_size)
+    .generate_state(4, np.uint64)``: numpy's entropy assembly, ``mix_entropy``
+    and ``generate_state``, one array operation per step for the whole block.
+    """
+    def column(word):
+        return np.asarray(word, dtype=np.uint32).reshape(-1)
+
+    # a spawn key is present, so the run entropy is padded to the pool size
+    entropy = [column(word) for word in run_entropy]
+    entropy += [column(0)] * (pool_size - len(entropy))
+    entropy += [column(word) for word in spawn_key] + [np.arange(2, dtype=np.uint32)[:, None]]
+
+    # the hash constants do not depend on the data, so they stay Python ints
+    hash_const = _INIT_A
+
+    def hashmix(value):
+        nonlocal hash_const
+        value = value ^ hash_const
+        hash_const = hash_const * _MULT_A & _MASK32
+        value = value * hash_const
+        return value ^ (value >> 16)
+
+    def mix(x, y):
+        result = _MIX_MULT_L * x - _MIX_MULT_R * y
+        return result ^ (result >> 16)
+
+    pool = [hashmix(word) for word in entropy[:pool_size]]
+    for src in range(pool_size):
+        for dst in range(pool_size):
+            if src != dst:
+                pool[dst] = mix(pool[dst], hashmix(pool[src]))
+    for word in entropy[pool_size:]:
+        for dst in range(pool_size):
+            pool[dst] = mix(pool[dst], hashmix(word))
+
+    hash_const = _INIT_B
+    state = []
+    for i in range(8):
+        value = pool[i % pool_size] ^ hash_const
+        hash_const = hash_const * _MULT_B & _MASK32
+        value = value * hash_const
+        state.append(value ^ (value >> 16))
+    # every pool word has mixed in the child index, so each is (2, R)
+    state = np.stack(state, axis=-1)
+    return state.astype("<u4").view("<u8").astype(np.uint64)
+
+
+class _SeedWords(ISeedSequence):
+    """Seed words from ``_stream_seeds``: all that PCG64 asks of its seed."""
+
+    def __init__(self, words: np.ndarray):
+        self.words = words
+
+    def generate_state(self, n_words, dtype=np.uint32):
+        if n_words != 4 or np.dtype(dtype) != np.uint64:
+            raise ValueError("precomputed seed words serve PCG64's 4 uint64 words only")
+        return self.words
+
+
 def _run_block(scenario: TrialScenario, table: GittinsTable | None,
-               seeds: list[np.random.SeedSequence],
-               keep_trajectory: bool, traces: int) -> Replicates:
-    """Step one replicate per seed through patients 1..T together, keeping
-    the first ``traces`` traces and, with ``keep_trajectory``, bias sums."""
+               seed_words: np.ndarray, keep_trajectory: bool, traces: int) -> Replicates:
+    """Step one replicate per row of ``seed_words`` (see ``_stream_seeds``)
+    through patients 1..T together, keeping the first ``traces`` traces and,
+    with ``keep_trajectory``, bias sums."""
     spec = scenario.policy
     K, T, sigma = scenario.K, scenario.T, scenario.sigma
     n_arms = K + 1
-    R = len(seeds)
+    R = seed_words.shape[1]
 
     noise = np.empty((R, T))
     policy_rngs = []
-    for r, ss in enumerate(seeds):
-        # the children ss.spawn(2) would give, built directly: same streams, less work
-        policy_ss, outcome_ss = (
-            np.random.SeedSequence(ss.entropy, spawn_key=ss.spawn_key + (i,),
-                                   pool_size=ss.pool_size) for i in (0, 1))
-        policy_rngs.append(np.random.Generator(np.random.PCG64(policy_ss)))
-        noise[r] = np.random.Generator(np.random.PCG64(outcome_ss)).standard_normal(T)
+    for r, (policy_words, outcome_words) in enumerate(zip(*seed_words)):
+        policy_rngs.append(np.random.Generator(np.random.PCG64(_SeedWords(policy_words))))
+        noise[r] = np.random.Generator(
+            np.random.PCG64(_SeedWords(outcome_words))).standard_normal(T)
     allocate = Allocator(spec, sigma, T, table,
                          draw_policy_variates(spec, K, T, policy_rngs))
 
@@ -235,14 +327,29 @@ def run_trial(scenario: TrialScenario, table: GittinsTable | None = None,
     outcome noise.
     """
     _check_table(scenario, table)
-    ss = seed if isinstance(seed, np.random.SeedSequence) else np.random.SeedSequence(seed)
-    return _run_block(scenario, table, [ss], False, 1).trace(0)
+    if isinstance(seed, np.random.SeedSequence):
+        entropy, spawn_key, pool_size = seed.entropy, seed.spawn_key, seed.pool_size
+    else:
+        entropy, spawn_key, pool_size = seed, (), _POOL_SIZE
+    seed_words = _stream_seeds(_uint32_words(entropy), _uint32_words(spawn_key), pool_size)
+    return _run_block(scenario, table, seed_words, False, 1).trace(0)
 
 
-def _run_chunk(scenario: TrialScenario, table: GittinsTable | None, master_seed: int,
+def _block_seeds(master_words: list[int], first: int, stop: int) -> np.ndarray:
+    """``_stream_seeds`` of replicates first..stop-1, replicate r's entropy
+    being (master_seed, r)."""
+    # Blocks start at multiples of BLOCK, which divides 2**32, so every r of
+    # a block has as many 32-bit words as the last one.
+    r = np.arange(first, stop, dtype=np.uint64)
+    r_words = [(r >> np.uint64(32 * j) & np.uint64(_MASK32)).astype(np.uint32)
+               for j in range(len(_uint32_words(stop - 1)))]
+    return _stream_seeds(master_words + r_words, [], _POOL_SIZE)
+
+
+def _run_chunk(scenario: TrialScenario, table: GittinsTable | None, master_words: list[int],
                keep_trajectory: bool, traces: int, start: int, stop: int) -> list[Replicates]:
-    return [_run_block(scenario, table, [np.random.SeedSequence((master_seed, r))
-                                         for r in range(first, min(first + BLOCK, stop))],
+    return [_run_block(scenario, table,
+                       _block_seeds(master_words, first, min(first + BLOCK, stop)),
                        keep_trajectory, max(traces - first, 0))
             for first in range(start, stop, BLOCK)]
 
@@ -282,9 +389,12 @@ def run_replicates(scenario: TrialScenario, table: GittinsTable | None,
     """
     if M < 1:
         raise ValueError("M must be >= 1")
+    if workers < 1:
+        raise ValueError(f"workers must be >= 1, got {workers}")
     _check_table(scenario, table)
-    run = partial(_run_chunk, scenario, table, master_seed, keep_trajectory, traces)
-    if workers <= 1 or M <= BLOCK:
+    run = partial(_run_chunk, scenario, table, _uint32_words(master_seed),
+                  keep_trajectory, traces)
+    if workers == 1 or M <= BLOCK:
         return _merge(run(0, M))
 
     chunk = BLOCK * math.ceil(M / (workers * 4 * BLOCK))

@@ -136,7 +136,6 @@ class Histogram:
 class CalibrationSummary:
     """Distribution summary of the calibrated statistic (Z, or max Z for K > 1)."""
 
-    statistic: str
     values: np.ndarray
     mean: float
     sd: float
@@ -196,7 +195,6 @@ def calibrate_critical_value(null_scenario, table, master_seed: int, M: int,
     value = float(ordered[rank - 1])
     lower_rank, upper_rank = _percentile_interval_ranks(M, 1.0 - alpha)
     summary = CalibrationSummary(
-        statistic="Z" if null_scenario.K == 1 else "Zmax",
         values=stats,
         mean=float(stats.mean()),
         sd=float(stats.std(ddof=1)),

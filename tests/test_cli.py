@@ -106,6 +106,14 @@ class TestCalibrateCommand:
         for command in ("calibrate --policy CB", "simulate"):
             assert build_parser().parse_args(command.split()).workers == 1
 
+    def test_workers_default_without_affinity(self, monkeypatch):
+        # os.sched_getaffinity exists only on Linux
+        monkeypatch.delattr(os, "sched_getaffinity", raising=False)
+        monkeypatch.setattr(os, "cpu_count", lambda: 3)
+        assert build_parser().parse_args(["simulate"]).workers == 3
+        monkeypatch.setattr(os, "cpu_count", lambda: None)
+        assert build_parser().parse_args(["simulate"]).workers == 1
+
     def test_refuses_non_null_scenario(self, tmp_path, capsys):
         config = tmp_path / "cfg.json"
         config.write_text(json.dumps({
@@ -285,6 +293,16 @@ class TestSimulateCommand:
         table = cli.get_table(0.9, 16)
         assert np.array_equal(table.values, compute_index_table(0.9, 16).values)
         assert load_index_table(path).dp_meta == DpConfig().settings(0.9)  # replaced
+
+    @pytest.mark.parametrize("flag, value", [("--workers", "0"), ("--workers", "-2"),
+                                             ("--T", "0")])
+    def test_bad_count_is_one_error_line(self, tmp_path, capsys, flag, value):
+        code = run_cli("simulate", "--preset", "two-arm-t116", "--policies", "FR",
+                       "--hypotheses", "H0", "--critical-values", "analytic", "-M", "10",
+                       flag, value, "--out-dir", str(tmp_path))
+        err = capsys.readouterr().err.splitlines()
+        assert code == 1
+        assert len(err) == 1 and err[0].startswith("error: ")
 
     def test_workers_reaped_before_return(self, tmp_path):
         # more than one block, so the replicates run in the pool

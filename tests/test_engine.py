@@ -6,7 +6,8 @@ import numpy as np
 import pytest
 from scipy import stats
 
-from bandit_trials.engine import BLOCK, TrialScenario, run_replicates, run_trial, write_trace_csv
+from bandit_trials.engine import (BLOCK, TrialScenario, _block_seeds, _SeedWords, _uint32_words,
+                                  run_replicates, run_trial, write_trace_csv)
 from bandit_trials.policies import POLICY_KINDS, PolicySpec, policy_scores
 
 from .conftest import WORKERS, running_means, two_arm
@@ -201,6 +202,15 @@ class TestReplicates:
         with pytest.raises(ValueError):
             run_replicates(two_arm("FR", 0.0, "H0"), None, 1, 0)
 
+    @pytest.mark.parametrize("workers", [0, -1])
+    def test_worker_count_validated(self, workers):
+        with pytest.raises(ValueError, match="workers"):
+            run_replicates(two_arm("FR", 0.0, "H0"), None, 1, 3, workers=workers)
+
+    def test_negative_master_seed_rejected(self):
+        with pytest.raises(ValueError, match="non-negative"):
+            run_replicates(two_arm("FR", 0.0, "H0"), None, -1, 3)
+
     def test_fr_null_means_unbiased(self):
         scenario = two_arm("FR", 0.0, "H0", T=40)
         replicates = run_replicates(scenario, None, 43, 3000, traces=3000)
@@ -313,6 +323,17 @@ class TestDrawOrder:
             single = run_trial(scenario, table995, np.random.SeedSequence((PIN_SEED + 1, r)))
             assert records_identical(serial.trace(r), single), f"replicate {r}"
 
+    @pytest.mark.parametrize("kind", POLICY_KINDS)
+    def test_pool_matches_serial(self, table995, kind):
+        # more than one block, so workers=2 runs two chunks in the pool
+        M = BLOCK + 37
+        scenario = pin_scenario(kind)
+        serial = run_replicates(scenario, table995, PIN_SEED + 3, M, workers=1,
+                                keep_trajectory=True, traces=M)
+        parallel = run_replicates(scenario, table995, PIN_SEED + 3, M, workers=2,
+                                  keep_trajectory=True, traces=M)
+        assert replicates_identical(serial, parallel)
+
     @pytest.mark.parametrize("kind", ["GI", "RGI"])
     def test_chunked_runs_match_serial(self, table995, kind):
         # three chunks of whole blocks, the last one partial; the traces end
@@ -337,6 +358,38 @@ class TestDrawOrder:
                 block_sum = block_sum + row
             total = total + block_sum
         assert np.array_equal(runs[0].bias_sums, total)
+
+
+class TestStreamSeeds:
+    """Block seeding gives numpy's own SeedSequence children, bit for bit."""
+
+    # one-, two- and three-word master seeds
+    @pytest.mark.parametrize("master_seed", [7, 2**40 + 3, 2**90 + 2**33 + 5])
+    def test_block_streams_are_seed_sequence_children(self, master_seed):
+        # blocks holding r = 0, 1, 255; r = 256; r = 2**31; and two-word r from 2**32
+        for first in (0, BLOCK, 2**31, 2**32):
+            words = _block_seeds(_uint32_words(master_seed), first, first + BLOCK)
+            for r in range(first, first + BLOCK):
+                for i in (0, 1):
+                    child = np.random.SeedSequence((master_seed, r), spawn_key=(i,))
+                    assert (np.random.PCG64(_SeedWords(words[i, r - first])).state
+                            == np.random.PCG64(child).state), (master_seed, r, i)
+
+    def test_run_trial_uses_seed_sequence_children(self):
+        # a spawn key and a non-default pool size both enter the children
+        seed = np.random.SeedSequence(2**70 + 9, spawn_key=(3, 2**40), pool_size=6)
+        scenario = TrialScenario(K=3, mu=(0.0, 0.2, 0.4, 0.6), sigma=1.5, T=30,
+                                 policy=PolicySpec("FR"))
+        record = run_trial(scenario, None, seed)
+        policy_ss, noise_ss = (np.random.SeedSequence(seed.entropy,
+                                                      spawn_key=seed.spawn_key + (i,),
+                                                      pool_size=seed.pool_size)
+                               for i in (0, 1))
+        init = np.random.Generator(np.random.PCG64(policy_ss)).permutation(4)
+        noise = np.random.Generator(np.random.PCG64(noise_ss)).standard_normal(30)
+        assert np.array_equal(record.allocations[:4], init)
+        mu = np.array(scenario.mu)
+        assert np.array_equal(record.outcomes, mu[record.allocations] + 1.5 * noise)
 
 
 class TestTraceDump:
