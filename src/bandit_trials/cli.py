@@ -2,11 +2,16 @@
 
 Subcommands
 -----------
-table       build a standardized index table and write it as CSV
+table       build a standardized index table with the default DP settings
+            and write it as CSV (other settings: ``gittins.DpConfig``)
 calibrate   Monte Carlo critical value of one design under the global null,
             at one trial size or several (``--T 64,116,302``)
 simulate    operating-characteristics sweep over policies and hypotheses
 samplesize  equal-randomisation trial size for target power
+
+``calibrate`` and ``simulate`` take the one-sided alpha from the scenario
+config (``alpha``, default 0.05) and calibrate through one path.  Bad
+counts (``-M``, ``--workers``, ``--traces``) fail before any work.
 
 Index tables are cached per (discount, n_max) in $BANDIT_TRIALS_TABLE_DIR
 when that variable is set; a command whose own size is not cached reuses a
@@ -146,6 +151,10 @@ def _load_scenario_source(args) -> dict:
     for label, mu in cfg["hypotheses"].items():
         if not isinstance(mu, list) or len(mu) != n_arms:
             raise ValueError(f"hypothesis {label!r} must list K+1={n_arms} arm means")
+    alpha = cfg.get("alpha", 0.05)
+    if isinstance(alpha, bool) or not isinstance(alpha, (int, float)) or not 0 < alpha < 1:
+        raise ValueError(f"scenario alpha must be a number in (0, 1), got {alpha!r}")
+    cfg["alpha"] = float(alpha)
     return cfg
 
 
@@ -157,25 +166,8 @@ def _null_hypothesis(preset: dict) -> tuple[str, list]:
     return label, mu
 
 
-def _dp_config(args) -> DpConfig:
-    kwargs = {}
-    if args.grid_step is not None:
-        kwargs["grid_step"] = args.grid_step
-    if args.state_bound is not None:
-        kwargs["state_bound"] = args.state_bound
-    if args.quad_points is not None:
-        kwargs["quadrature_points"] = args.quad_points
-    if args.horizon is not None:
-        kwargs["horizon"] = args.horizon
-    if args.bisect_tol is not None:
-        kwargs["bisection_tol"] = args.bisect_tol
-    if args.lambda_hi is not None or args.lambda_lo is not None:
-        kwargs["lambda_bracket"] = (args.lambda_lo or 0.0, args.lambda_hi or 3.0)
-    return DpConfig(**kwargs)
-
-
 def cmd_table(args) -> int:
-    table = compute_index_table(args.discount, args.n_max, _dp_config(args))
+    table = compute_index_table(args.discount, args.n_max)
     out = Path(args.out) if args.out else Path(f"gittins_d{args.discount:g}_n{args.n_max}.csv")
     save_index_table(table, out)
     print(f"wrote {out} ({table.n_max} rows, discount={table.discount})")
@@ -205,39 +197,46 @@ def _scenario_table(preset: dict, kinds, T: int):
     return get_table(float(preset.get("discount", 0.995)), max(T, int(preset["T"])))
 
 
+def _calibrate(args, preset: dict, kind: str, T: int, table):
+    """``calibrate_critical_value`` of ``kind`` at trial size T, under the
+    scenario's global null and alpha, seeded per (policy, T)."""
+    null_label, mu = _null_hypothesis(preset)
+    scenario = _scenario(preset, kind, null_label, mu, T=T)
+    seed = _derived_seed(args.seed, POLICY_KINDS.index(kind), 0, T)
+    return calibrate_critical_value(scenario, table, seed, args.replicates, preset["alpha"],
+                                    workers=args.workers)
+
+
 def cmd_calibrate(args) -> int:
     preset = _load_scenario_source(args)
     kind = args.policy.upper()
-    null_label, mu = _null_hypothesis(preset)
+    _null_hypothesis(preset)  # refuse a non-null scenario before any work
     sizes = args.T or [int(preset["T"])]
     table = _scenario_table(preset, [kind], max(sizes))
     out_dir = Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     for T in sizes:
-        scenario = _scenario(preset, kind, null_label, mu, T=T)
-        seed = _derived_seed(args.seed, POLICY_KINDS.index(kind), 0, T)
-        critical, summary = calibrate_critical_value(
-            scenario, table, seed, args.replicates, args.alpha, workers=args.workers)
+        critical, summary = _calibrate(args, preset, kind, T, table)
         record = {
             "policy": kind,
-            "K": scenario.K,
-            "T": scenario.T,
+            "K": critical.provenance["K"],
+            "T": T,
             "M": args.replicates,
-            "alpha": args.alpha,
+            "alpha": critical.alpha,
             "critical_value": critical.value,
             "critical_value_ci95": critical.provenance["ci95"],
             "z_mean": summary.mean,
             "z_sd": summary.sd,
-            "seed": seed,
+            "seed": critical.provenance["master_seed"],
         }
-        json_path = out_dir / f"calibration_{kind}_T{scenario.T}.json"
+        json_path = out_dir / f"calibration_{kind}_T{T}.json"
         json_path.write_text(json.dumps(record, indent=2) + "\n")
-        hist_path = out_dir / f"calibration_{kind}_T{scenario.T}_hist.csv"
+        hist_path = out_dir / f"calibration_{kind}_T{T}_hist.csv"
         edges, counts = summary.histogram.edges, summary.histogram.counts
         lines = ["bin_left,bin_right,count"]
         lines += [f"{edges[i]},{edges[i + 1]},{counts[i]}" for i in range(counts.size)]
         hist_path.write_text("\n".join(lines) + "\n")
-        print(f"{kind}: C_{{{args.alpha}}} = {critical.value:.4f} "
+        print(f"{kind}: C_{{{critical.alpha}}} = {critical.value:.4f} "
               f"(statistic sd {summary.sd:.3f}); wrote {json_path} and {hist_path}",
               flush=True)
     return 0
@@ -256,12 +255,7 @@ def _resolve_critical(args, preset, kind, T, table, analytic) -> CriticalValue:
         # FR always tests at the analytic value
         return analytic
     if mode == "calibrate":
-        null_label, mu = _null_hypothesis(preset)
-        scenario = _scenario(preset, kind, null_label, mu, T=T)
-        seed = _derived_seed(args.seed, POLICY_KINDS.index(kind), 0, T)
-        critical, _ = calibrate_critical_value(
-            scenario, table, seed, args.replicates, preset.get("alpha", 0.05),
-            workers=args.workers)
+        critical, _ = _calibrate(args, preset, kind, T, table)
         return critical
     mapping = json.loads(Path(mode).read_text())
     if not isinstance(mapping, dict):
@@ -269,7 +263,7 @@ def _resolve_critical(args, preset, kind, T, table, analytic) -> CriticalValue:
     value = mapping.get(kind)
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         raise ValueError(f"critical-value file {mode} has no numeric entry for {kind}")
-    return CriticalValue(float(value), "fixed", float(preset.get("alpha", 0.05)))
+    return CriticalValue(float(value), "fixed", preset["alpha"])
 
 
 def cmd_simulate(args) -> int:
@@ -284,9 +278,12 @@ def cmd_simulate(args) -> int:
                          f"the scenario has {', '.join(labels)}")
     T = args.T if args.T is not None else int(preset["T"])
     calibration_T = _calibration_size(preset, T) if args.critical_values == "calibrate" else T
-    alpha = float(preset.get("alpha", 0.05))
+    # every scenario is checked before the table is built or a file written
+    scenarios = {(kind, label): _scenario(preset, kind, label, mu, T=T)
+                 for kind in kinds for label, mu in preset["hypotheses"].items()
+                 if label in hypotheses}
     table = _scenario_table(preset, kinds, max(T, calibration_T))
-    analytic = fwer_critical_value(int(preset["K"]), alpha)
+    analytic = fwer_critical_value(int(preset["K"]), preset["alpha"])
 
     out_dir = Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
@@ -296,8 +293,7 @@ def cmd_simulate(args) -> int:
         critical = _resolve_critical(args, preset, kind, calibration_T, table, analytic)
         criticals[kind] = critical.value
         for label in hypotheses:
-            mu = preset["hypotheses"][label]
-            scenario = _scenario(preset, kind, label, mu, T=T)
+            scenario = scenarios[kind, label]
             seed = _derived_seed(args.seed, POLICY_KINDS.index(kind),
                                  1 + labels.index(label), T)
             replicates = run_replicates(scenario, table, seed, args.replicates,
@@ -355,13 +351,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--discount", type=float, required=True)
     p.add_argument("--n-max", type=int, required=True)
     p.add_argument("--out", type=str, default=None)
-    p.add_argument("--grid-step", type=float, default=None)
-    p.add_argument("--state-bound", type=float, default=None)
-    p.add_argument("--quad-points", type=int, default=None)
-    p.add_argument("--horizon", type=int, default=None)
-    p.add_argument("--bisect-tol", type=float, default=None)
-    p.add_argument("--lambda-lo", type=float, default=None)
-    p.add_argument("--lambda-hi", type=float, default=None)
     p.set_defaults(func=cmd_table)
 
     p = sub.add_parser("samplesize", help="equal-randomisation trial size")
@@ -384,7 +373,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("calibrate", help="empirical critical value under the global null")
     common(p)
     p.add_argument("--policy", type=str, required=True)
-    p.add_argument("--alpha", type=float, default=0.05)
     p.add_argument("--T", type=_sizes, default=None,
                    help="trial size, or comma-separated sizes (default: the preset's)")
     p.set_defaults(func=cmd_calibrate)
@@ -404,9 +392,18 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _check_counts(args) -> None:
+    """Reject a bad count before the command writes a file or builds a table."""
+    for flag, least in (("replicates", 1), ("workers", 1), ("traces", 0)):
+        value = getattr(args, flag, None)
+        if value is not None and value < least:
+            raise ValueError(f"--{flag} must be >= {least}, got {value}")
+
+
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
+        _check_counts(args)
         # one pool of workers per command, its workers reaped before returning
         with shared_pool():
             return args.func(args)

@@ -25,9 +25,9 @@ from (master_seed, replicate): one for policy randomness (initialization
 order, exploration bumps, control-guard coin flips, tie-breaks, arm
 sampling), one for outcome noise.  Stream i (0 policy, 1 noise) is numpy's
 PCG64 seeded by the SeedSequence child ``SeedSequence(entropy,
-spawn_key=key + (i,))``: entropy (master_seed, r) and key () for replicate
-r of ``run_replicates``, that is ``SeedSequence((master_seed, r)).spawn(2)``,
-and the given SeedSequence's for ``run_trial``.  No SeedSequence object is
+spawn_key=(i,))``, that is ``SeedSequence(entropy).spawn(2)``: entropy
+(master_seed, r) for replicate r of ``run_replicates``, and ``run_trial``'s
+``seed`` (an integer or a tuple of them).  No SeedSequence object is
 built: ``_stream_seeds`` runs numpy's SeedSequence hash on columns of a
 whole block, and each PCG64 is seeded from its words.  Both streams
 are drawn before the block's first patient, each replicate from its own
@@ -196,22 +196,23 @@ def _uint32_words(value) -> list[int]:
     raise TypeError(f"seed entropy must be integers, got {type(value).__name__}")
 
 
-def _stream_seeds(run_entropy: list, spawn_key: list[int], pool_size: int) -> np.ndarray:
+def _stream_seeds(run_entropy: list) -> np.ndarray:
     """PCG64 seed words of streams 0 and 1 of R replicates, as a (2, R, 4) uint64 array.
 
     ``run_entropy`` holds the replicates' entropy words, each an int shared
     by all R or an (R,) uint32 column.  Row [i, r] equals
-    ``SeedSequence(entropy_r, spawn_key=key + (i,), pool_size=pool_size)
-    .generate_state(4, np.uint64)``: numpy's entropy assembly, ``mix_entropy``
-    and ``generate_state``, one array operation per step for the whole block.
+    ``SeedSequence(entropy_r, spawn_key=(i,)).generate_state(4, np.uint64)``:
+    numpy's entropy assembly, ``mix_entropy`` and ``generate_state``, one
+    array operation per step for the whole block.
     """
     def column(word):
         return np.asarray(word, dtype=np.uint32).reshape(-1)
 
-    # a spawn key is present, so the run entropy is padded to the pool size
+    # a spawn key (the child index) is present, so the run entropy is padded
+    # to the pool size
     entropy = [column(word) for word in run_entropy]
-    entropy += [column(0)] * (pool_size - len(entropy))
-    entropy += [column(word) for word in spawn_key] + [np.arange(2, dtype=np.uint32)[:, None]]
+    entropy += [column(0)] * (_POOL_SIZE - len(entropy))
+    entropy.append(np.arange(2, dtype=np.uint32)[:, None])
 
     # the hash constants do not depend on the data, so they stay Python ints
     hash_const = _INIT_A
@@ -227,19 +228,19 @@ def _stream_seeds(run_entropy: list, spawn_key: list[int], pool_size: int) -> np
         result = _MIX_MULT_L * x - _MIX_MULT_R * y
         return result ^ (result >> 16)
 
-    pool = [hashmix(word) for word in entropy[:pool_size]]
-    for src in range(pool_size):
-        for dst in range(pool_size):
+    pool = [hashmix(word) for word in entropy[:_POOL_SIZE]]
+    for src in range(_POOL_SIZE):
+        for dst in range(_POOL_SIZE):
             if src != dst:
                 pool[dst] = mix(pool[dst], hashmix(pool[src]))
-    for word in entropy[pool_size:]:
-        for dst in range(pool_size):
+    for word in entropy[_POOL_SIZE:]:
+        for dst in range(_POOL_SIZE):
             pool[dst] = mix(pool[dst], hashmix(word))
 
     hash_const = _INIT_B
     state = []
     for i in range(8):
-        value = pool[i % pool_size] ^ hash_const
+        value = pool[i % _POOL_SIZE] ^ hash_const
         hash_const = hash_const * _MULT_B & _MASK32
         value = value * hash_const
         state.append(value ^ (value >> 16))
@@ -319,20 +320,16 @@ def _run_block(scenario: TrialScenario, table: GittinsTable | None,
 
 
 def run_trial(scenario: TrialScenario, table: GittinsTable | None = None,
-              seed: int | np.random.SeedSequence = 0) -> TrialRecord:
+              seed: int | tuple[int, ...] = 0) -> TrialRecord:
     """Simulate one complete trial and return its trace.
 
-    ``seed`` may be an integer or a SeedSequence; its first two children
-    (``spawn_key`` + (0,) and + (1,)) seed the policy randomness and the
-    outcome noise.
+    ``seed`` is SeedSequence entropy, an integer or a tuple of them; the
+    first two children of ``SeedSequence(seed)`` seed the policy randomness
+    and the outcome noise.  ``run_trial(s, table, (master_seed, r))``
+    replays replicate r of ``run_replicates(s, table, master_seed, M)``.
     """
     _check_table(scenario, table)
-    if isinstance(seed, np.random.SeedSequence):
-        entropy, spawn_key, pool_size = seed.entropy, seed.spawn_key, seed.pool_size
-    else:
-        entropy, spawn_key, pool_size = seed, (), _POOL_SIZE
-    seed_words = _stream_seeds(_uint32_words(entropy), _uint32_words(spawn_key), pool_size)
-    return _run_block(scenario, table, seed_words, False, 1).trace(0)
+    return _run_block(scenario, table, _stream_seeds(_uint32_words(seed)), False, 1).trace(0)
 
 
 def _block_seeds(master_words: list[int], first: int, stop: int) -> np.ndarray:
@@ -343,7 +340,7 @@ def _block_seeds(master_words: list[int], first: int, stop: int) -> np.ndarray:
     r = np.arange(first, stop, dtype=np.uint64)
     r_words = [(r >> np.uint64(32 * j) & np.uint64(_MASK32)).astype(np.uint32)
                for j in range(len(_uint32_words(stop - 1)))]
-    return _stream_seeds(master_words + r_words, [], _POOL_SIZE)
+    return _stream_seeds(master_words + r_words)
 
 
 def _run_chunk(scenario: TrialScenario, table: GittinsTable | None, master_words: list[int],
@@ -391,6 +388,8 @@ def run_replicates(scenario: TrialScenario, table: GittinsTable | None,
         raise ValueError("M must be >= 1")
     if workers < 1:
         raise ValueError(f"workers must be >= 1, got {workers}")
+    if traces < 0:
+        raise ValueError(f"traces must be >= 0, got {traces}")
     _check_table(scenario, table)
     run = partial(_run_chunk, scenario, table, _uint32_words(master_seed),
                   keep_trajectory, traces)

@@ -49,7 +49,7 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import ndtr
+from scipy.special import erf, ndtr
 
 from .gittins import GittinsTable, GittinsTableError
 
@@ -77,21 +77,6 @@ _BUMPED = frozenset({"RBI", "RGI"})
 
 _SQRT2 = math.sqrt(2.0)
 _SQRT_2PI = math.sqrt(2.0 * math.pi)
-
-def _elementwise(fn, n_args: int):
-    """Math-module function ``fn`` applied element by element, as a float array.
-
-    TP's weights use the math module's erf, exp and pow: numpy's vectorised
-    versions can differ from them in the last bit, which would move TP away
-    from its scalar formula at rounding level.
-    """
-    ufunc = np.frompyfunc(fn, n_args, 1)
-    return lambda *args: np.asarray(ufunc(*args), dtype=float)
-
-
-_erf = _elementwise(math.erf, 1)
-_exp = _elementwise(math.exp, 1)
-_pow = _elementwise(math.pow, 2)
 
 
 @dataclass(frozen=True)
@@ -221,7 +206,7 @@ def tp_probabilities(sums, counts, sigma: float, t: int, T: int) -> np.ndarray:
     means = np.asarray(sums, dtype=float) / counts
     contrast = (means[..., 1:] - means[..., :1]) \
         / (sigma * np.sqrt(1.0 / counts[..., 1:] + 1.0 / counts[..., :1]))
-    p_beats_control = 0.5 * (1.0 + _erf(contrast / _SQRT2))
+    p_beats_control = 0.5 * (1.0 + erf(contrast / _SQRT2))
     tempered = p_beats_control ** gamma
     total = tempered.sum(axis=-1, keepdims=True)
     experimental = np.divide(tempered, total, out=np.full(tempered.shape, 1.0 / K),
@@ -229,8 +214,8 @@ def tp_probabilities(sums, counts, sigma: float, t: int, T: int) -> np.ndarray:
 
     count_edge = counts[..., 1:].max(axis=-1) - counts[..., 0]
     base = np.maximum(count_edge, 0).astype(float)
-    exponent = np.where((base == 0.0) & (eta == 0.0), 0.0, _pow(base, eta))
-    control_weight = _exp(exponent) / K
+    exponent = np.where((base == 0.0) & (eta == 0.0), 0.0, np.power(base, eta))
+    control_weight = np.exp(exponent) / K
 
     probs = np.concatenate((control_weight[..., None], experimental), axis=-1)
     return probs / probs.sum(axis=-1, keepdims=True)

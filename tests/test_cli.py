@@ -114,6 +114,21 @@ class TestCalibrateCommand:
         monkeypatch.setattr(os, "cpu_count", lambda: None)
         assert build_parser().parse_args(["simulate"]).workers == 1
 
+    def test_scenario_alpha_matches_simulate_calibration(self, tmp_path):
+        # one alpha, the config's, and one calibration path for both commands
+        config = tmp_path / "cfg.json"
+        config.write_text(json.dumps({"preset": "two-arm-t116", "alpha": 0.025}))
+        common = ["--config", str(config), "--T", "20", "-M", "400", "--seed", "5",
+                  "--workers", "1"]
+        assert run_cli("calibrate", "--policy", "CB", *common,
+                       "--out-dir", str(tmp_path / "cal")) == 0
+        assert run_cli("simulate", "--policies", "CB", "--hypotheses", "H0", *common,
+                       "--out-dir", str(tmp_path / "sim")) == 0
+        record = json.loads((tmp_path / "cal" / "calibration_CB_T20.json").read_text())
+        criticals = json.loads((tmp_path / "sim" / "critical_values.json").read_text())
+        assert record["alpha"] == 0.025
+        assert record["critical_value"] == criticals["CB"]
+
     def test_refuses_non_null_scenario(self, tmp_path, capsys):
         config = tmp_path / "cfg.json"
         config.write_text(json.dumps({
@@ -204,6 +219,9 @@ class TestSimulateCommand:
         ({"K": 1, "T": 20, "policies": ["FR"], "hypotheses": {"H0": 0.0}},
          "hypothesis 'H0' must list K+1=2"),
         ({"preset": "three-arm"}, "unknown preset 'three-arm'"),
+        ({"preset": "two-arm-t116", "alpha": 0}, "alpha must be a number in (0, 1)"),
+        ({"preset": "two-arm-t116", "alpha": 1.5}, "alpha must be a number in (0, 1)"),
+        ({"preset": "two-arm-t116", "alpha": "0.05"}, "alpha must be a number in (0, 1)"),
     ])
     def test_invalid_config_is_one_error_line(self, tmp_path, capsys, config, message):
         path = tmp_path / "cfg.json"
@@ -283,8 +301,7 @@ class TestSimulateCommand:
         cache = tmp_path / "cache"
         cache.mkdir()
         path = cache / "gittins_d0.9_n16.csv"
-        assert run_cli("table", "--discount", "0.9", "--n-max", "16", "--grid-step", "0.01",
-                       "--out", str(path)) == 0
+        save_index_table(compute_index_table(0.9, 16, DpConfig(grid_step=0.01)), path)
         if not recorded:  # a file that names no settings at all
             lines = path.read_text().splitlines()
             path.write_text("\n".join(line for line in lines if not line.startswith("# ")
@@ -295,14 +312,21 @@ class TestSimulateCommand:
         assert load_index_table(path).dp_meta == DpConfig().settings(0.9)  # replaced
 
     @pytest.mark.parametrize("flag, value", [("--workers", "0"), ("--workers", "-2"),
-                                             ("--T", "0")])
-    def test_bad_count_is_one_error_line(self, tmp_path, capsys, flag, value):
-        code = run_cli("simulate", "--preset", "two-arm-t116", "--policies", "FR",
+                                             ("--T", "0"), ("--traces", "-1"), ("-M", "0")])
+    def test_bad_count_is_one_error_line(self, tmp_path, capsys, monkeypatch, flag, value):
+        def no_build(*args, **kwargs):
+            raise AssertionError("index table built before a bad count was rejected")
+
+        monkeypatch.setattr(cli, "compute_index_table", no_build)
+        monkeypatch.delenv("BANDIT_TRIALS_TABLE_DIR", raising=False)
+        out = tmp_path / "out"
+        code = run_cli("simulate", "--preset", "two-arm-t116", "--policies", "GI",
                        "--hypotheses", "H0", "--critical-values", "analytic", "-M", "10",
-                       flag, value, "--out-dir", str(tmp_path))
+                       flag, value, "--out-dir", str(out))
         err = capsys.readouterr().err.splitlines()
         assert code == 1
         assert len(err) == 1 and err[0].startswith("error: ")
+        assert not out.exists()
 
     def test_workers_reaped_before_return(self, tmp_path):
         # more than one block, so the replicates run in the pool

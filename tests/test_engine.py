@@ -182,7 +182,7 @@ class TestReplicates:
     def test_single_replicate_matches_run_trial(self, table995):
         scenario = two_arm("GI", 0.545, "H1", T=30)
         via_replicates = run_replicates(scenario, table995, 99, 1, traces=1).trace(0)
-        direct = run_trial(scenario, table995, np.random.SeedSequence((99, 0)))
+        direct = run_trial(scenario, table995, (99, 0))
         assert records_identical(via_replicates, direct)
 
     def test_rerun_is_bitwise_identical(self, table995):
@@ -206,6 +206,10 @@ class TestReplicates:
     def test_worker_count_validated(self, workers):
         with pytest.raises(ValueError, match="workers"):
             run_replicates(two_arm("FR", 0.0, "H0"), None, 1, 3, workers=workers)
+
+    def test_trace_count_validated(self):
+        with pytest.raises(ValueError, match="traces"):
+            run_replicates(two_arm("FR", 0.0, "H0"), None, 1, 3, traces=-1)
 
     def test_negative_master_seed_rejected(self):
         with pytest.raises(ValueError, match="non-negative"):
@@ -320,7 +324,7 @@ class TestDrawOrder:
                                   keep_trajectory=True, traces=37)
         assert replicates_identical(serial, parallel)
         for r in range(37):
-            single = run_trial(scenario, table995, np.random.SeedSequence((PIN_SEED + 1, r)))
+            single = run_trial(scenario, table995, (PIN_SEED + 1, r))
             assert records_identical(serial.trace(r), single), f"replicate {r}"
 
     @pytest.mark.parametrize("kind", POLICY_KINDS)
@@ -345,7 +349,7 @@ class TestDrawOrder:
         assert runs[0].M == M and runs[0].allocations.shape == (n, scenario.T)
         assert replicates_identical(runs[0], runs[1]) and replicates_identical(runs[0], runs[2])
         for r in range(n):
-            single = run_trial(scenario, table995, np.random.SeedSequence((PIN_SEED + 2, r)))
+            single = run_trial(scenario, table995, (PIN_SEED + 2, r))
             assert records_identical(runs[0].trace(r), single), f"replicate {r}"
         # plain reference: each block's running means added in replicate
         # order, then the block sums in block order
@@ -374,22 +378,6 @@ class TestStreamSeeds:
                     child = np.random.SeedSequence((master_seed, r), spawn_key=(i,))
                     assert (np.random.PCG64(_SeedWords(words[i, r - first])).state
                             == np.random.PCG64(child).state), (master_seed, r, i)
-
-    def test_run_trial_uses_seed_sequence_children(self):
-        # a spawn key and a non-default pool size both enter the children
-        seed = np.random.SeedSequence(2**70 + 9, spawn_key=(3, 2**40), pool_size=6)
-        scenario = TrialScenario(K=3, mu=(0.0, 0.2, 0.4, 0.6), sigma=1.5, T=30,
-                                 policy=PolicySpec("FR"))
-        record = run_trial(scenario, None, seed)
-        policy_ss, noise_ss = (np.random.SeedSequence(seed.entropy,
-                                                      spawn_key=seed.spawn_key + (i,),
-                                                      pool_size=seed.pool_size)
-                               for i in (0, 1))
-        init = np.random.Generator(np.random.PCG64(policy_ss)).permutation(4)
-        noise = np.random.Generator(np.random.PCG64(noise_ss)).standard_normal(30)
-        assert np.array_equal(record.allocations[:4], init)
-        mu = np.array(scenario.mu)
-        assert np.array_equal(record.outcomes, mu[record.allocations] + 1.5 * noise)
 
 
 class TestTraceDump:
