@@ -11,7 +11,9 @@ samplesize  equal-randomisation trial size for target power
 
 ``calibrate`` and ``simulate`` take the one-sided alpha from the scenario
 config (``alpha``, default 0.05) and calibrate through one path.  Bad
-counts (``-M``, ``--workers``, ``--traces``) fail before any work.
+input fails before any work: counts (``-M``, ``--workers``, ``--traces``,
+and M >= 100 where a command calibrates), every trial size and scenario,
+and a critical-value file's entries.
 
 Index tables are cached per (discount, n_max) in $BANDIT_TRIALS_TABLE_DIR
 when that variable is set; a command whose own size is not cached reuses a
@@ -37,7 +39,8 @@ import numpy as np
 from .engine import TrialScenario, run_replicates, shared_pool, write_trace_csv
 from .gittins import (DpConfig, GittinsTable, GittinsTableError, compute_index_table,
                       load_index_table, save_index_table)
-from .inference import CriticalValue, calibrate_critical_value, fwer_critical_value, sample_size
+from .inference import (MIN_CALIBRATION_M, CriticalValue, calibrate_critical_value,
+                        fwer_critical_value, sample_size)
 from .operating import aggregate, bias_trajectories, write_bias_csv, write_results_csv
 from .policies import POLICY_KINDS, PolicySpec
 
@@ -114,20 +117,17 @@ def _derived_seed(master_seed: int, *scope) -> int:
 def _policy_spec(kind: str, preset: dict) -> PolicySpec:
     return PolicySpec(
         kind=kind,
-        discount=float(preset.get("discount", 0.995)),
         batch=preset.get("batch") if kind in ("TSB", "TPB") else None,
         control_guard_prob=preset.get("guard_prob"),
     )
 
 
-def _scenario(preset: dict, kind: str, label: str, mu, T: int | None = None) -> TrialScenario:
+def _scenario(preset: dict, kind: str, mu, T: int) -> TrialScenario:
     return TrialScenario(
-        K=int(preset["K"]),
         mu=tuple(mu),
         sigma=float(preset.get("sigma", 1.0)),
-        T=int(T if T is not None else preset["T"]),
+        T=T,
         policy=_policy_spec(kind, preset),
-        hypothesis_label=label,
     )
 
 
@@ -155,15 +155,20 @@ def _load_scenario_source(args) -> dict:
     if isinstance(alpha, bool) or not isinstance(alpha, (int, float)) or not 0 < alpha < 1:
         raise ValueError(f"scenario alpha must be a number in (0, 1), got {alpha!r}")
     cfg["alpha"] = float(alpha)
+    # the index table's discount, the only one the GI-family rules read
+    cfg["discount"] = float(cfg.get("discount", 0.995))
+    if not 0.0 <= cfg["discount"] < 1.0:
+        raise ValueError(f"scenario discount must lie in [0, 1), got {cfg['discount']}")
     return cfg
 
 
-def _null_hypothesis(preset: dict) -> tuple[str, list]:
-    """The scenario's first hypothesis, which calibration requires to be a global null."""
+def _null_scenario(preset: dict, kind: str, T: int) -> TrialScenario:
+    """``kind`` at trial size T under the scenario's first hypothesis, which
+    calibration requires to be a global null."""
     label, mu = next(iter(preset["hypotheses"].items()))
     if max(mu) != min(mu):
         raise ValueError(f"hypothesis {label!r} is not a global null; cannot calibrate")
-    return label, mu
+    return _scenario(preset, kind, mu, T)
 
 
 def cmd_table(args) -> int:
@@ -194,40 +199,41 @@ def _needs_table(kinds) -> bool:
 def _scenario_table(preset: dict, kinds, T: int):
     if not _needs_table(kinds):
         return None
-    return get_table(float(preset.get("discount", 0.995)), max(T, int(preset["T"])))
+    return get_table(preset["discount"], max(T, int(preset["T"])))
 
 
-def _calibrate(args, preset: dict, kind: str, T: int, table):
-    """``calibrate_critical_value`` of ``kind`` at trial size T, under the
-    scenario's global null and alpha, seeded per (policy, T)."""
-    null_label, mu = _null_hypothesis(preset)
-    scenario = _scenario(preset, kind, null_label, mu, T=T)
-    seed = _derived_seed(args.seed, POLICY_KINDS.index(kind), 0, T)
-    return calibrate_critical_value(scenario, table, seed, args.replicates, preset["alpha"],
-                                    workers=args.workers)
+def _calibrate(args, preset: dict, scenario: TrialScenario, table):
+    """``calibrate_critical_value`` of a ``_null_scenario`` at the scenario
+    config's alpha, seeded per (policy, T): (critical value, summary, seed)."""
+    seed = _derived_seed(args.seed, POLICY_KINDS.index(scenario.policy.kind), 0, scenario.T)
+    critical, summary = calibrate_critical_value(scenario, table, seed, args.replicates,
+                                                 preset["alpha"], workers=args.workers)
+    return critical, summary, seed
 
 
 def cmd_calibrate(args) -> int:
+    _check_calibration_size(args.replicates)
     preset = _load_scenario_source(args)
     kind = args.policy.upper()
-    _null_hypothesis(preset)  # refuse a non-null scenario before any work
-    sizes = args.T or [int(preset["T"])]
-    table = _scenario_table(preset, [kind], max(sizes))
+    # every trial size is checked before the table is built or a file written
+    scenarios = [_null_scenario(preset, kind, T) for T in args.T or [int(preset["T"])]]
+    table = _scenario_table(preset, [kind], max(scenario.T for scenario in scenarios))
     out_dir = Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
-    for T in sizes:
-        critical, summary = _calibrate(args, preset, kind, T, table)
+    for scenario in scenarios:
+        T = scenario.T
+        critical, summary, seed = _calibrate(args, preset, scenario, table)
         record = {
             "policy": kind,
-            "K": critical.provenance["K"],
+            "K": scenario.K,
             "T": T,
             "M": args.replicates,
             "alpha": critical.alpha,
             "critical_value": critical.value,
-            "critical_value_ci95": critical.provenance["ci95"],
+            "critical_value_ci95": critical.ci95,
             "z_mean": summary.mean,
             "z_sd": summary.sd,
-            "seed": critical.provenance["master_seed"],
+            "seed": seed,
         }
         json_path = out_dir / f"calibration_{kind}_T{T}.json"
         json_path.write_text(json.dumps(record, indent=2) + "\n")
@@ -248,22 +254,18 @@ def _calibration_size(preset: dict, T: int) -> int:
     return int(load_preset(source)["T"]) if source else T
 
 
-def _resolve_critical(args, preset, kind, T, table, analytic) -> CriticalValue:
-    mode = args.critical_values
-    if mode == "analytic" or (mode == "calibrate" and kind == "FR"):
-        # equal randomisation keeps the contrasts on their nominal law, so
-        # FR always tests at the analytic value
-        return analytic
-    if mode == "calibrate":
-        critical, _ = _calibrate(args, preset, kind, T, table)
-        return critical
-    mapping = json.loads(Path(mode).read_text())
+def _file_criticals(path: str, kinds, alpha: float) -> dict[str, CriticalValue]:
+    """Each policy's value from a critical-value file, every entry checked."""
+    mapping = json.loads(Path(path).read_text())
     if not isinstance(mapping, dict):
-        raise ValueError(f"critical-value file {mode} must hold a JSON object")
-    value = mapping.get(kind)
-    if isinstance(value, bool) or not isinstance(value, (int, float)):
-        raise ValueError(f"critical-value file {mode} has no numeric entry for {kind}")
-    return CriticalValue(float(value), "fixed", preset["alpha"])
+        raise ValueError(f"critical-value file {path} must hold a JSON object")
+    criticals = {}
+    for kind in kinds:
+        value = mapping.get(kind)
+        if isinstance(value, bool) or not isinstance(value, (int, float)):
+            raise ValueError(f"critical-value file {path} has no numeric entry for {kind}")
+        criticals[kind] = CriticalValue(float(value), alpha)
+    return criticals
 
 
 def cmd_simulate(args) -> int:
@@ -277,20 +279,33 @@ def cmd_simulate(args) -> int:
         raise ValueError(f"unknown hypotheses {', '.join(unknown)}; "
                          f"the scenario has {', '.join(labels)}")
     T = args.T if args.T is not None else int(preset["T"])
-    calibration_T = _calibration_size(preset, T) if args.critical_values == "calibrate" else T
-    # every scenario is checked before the table is built or a file written
-    scenarios = {(kind, label): _scenario(preset, kind, label, mu, T=T)
+    alpha = preset["alpha"]
+    # every scenario, calibration and critical value is checked before the
+    # table is built or a file written
+    scenarios = {(kind, label): _scenario(preset, kind, mu, T)
                  for kind in kinds for label, mu in preset["hypotheses"].items()
                  if label in hypotheses}
+    mode = args.critical_values
+    calibration_T = _calibration_size(preset, T) if mode == "calibrate" else T
+    # equal randomisation keeps the contrasts on their nominal law, so FR
+    # always tests at the analytic value
+    null_scenarios = {kind: _null_scenario(preset, kind, calibration_T)
+                      for kind in kinds if mode == "calibrate" and kind != "FR"}
+    if null_scenarios:
+        _check_calibration_size(args.replicates)
+    fixed = {} if mode in ("analytic", "calibrate") else _file_criticals(mode, kinds, alpha)
     table = _scenario_table(preset, kinds, max(T, calibration_T))
-    analytic = fwer_critical_value(int(preset["K"]), preset["alpha"])
+    analytic = fwer_critical_value(int(preset["K"]), alpha)
 
     out_dir = Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     rows = []
     criticals = {}
     for kind in kinds:
-        critical = _resolve_critical(args, preset, kind, calibration_T, table, analytic)
+        if kind in null_scenarios:
+            critical, _, _ = _calibrate(args, preset, null_scenarios[kind], table)
+        else:
+            critical = fixed.get(kind, analytic)
         criticals[kind] = critical.value
         for label in hypotheses:
             scenario = scenarios[kind, label]
@@ -398,6 +413,11 @@ def _check_counts(args) -> None:
         value = getattr(args, flag, None)
         if value is not None and value < least:
             raise ValueError(f"--{flag} must be >= {least}, got {value}")
+
+
+def _check_calibration_size(M: int) -> None:
+    if M < MIN_CALIBRATION_M:
+        raise ValueError(f"--replicates must be >= {MIN_CALIBRATION_M} to calibrate, got {M}")
 
 
 def main(argv=None) -> int:

@@ -18,7 +18,8 @@ view.  With several workers, ``run_replicates`` cuts the replicates into
 chunks of whole blocks (only the last block of the run may be short) and
 runs them in a process pool.  Calls made inside a ``shared_pool`` block, as
 every CLI command is, share one pool, which is shut down and its workers
-joined when the block ends.
+joined when the block ends; a call made outside one runs in a block of its
+own.
 
 Randomness discipline: each replicate owns two independent streams derived
 from (master_seed, replicate): one for policy randomness (initialization
@@ -43,7 +44,7 @@ from __future__ import annotations
 import csv
 import math
 from concurrent.futures import ProcessPoolExecutor
-from contextlib import contextmanager
+from contextlib import contextmanager, nullcontext
 from contextvars import ContextVar
 from dataclasses import dataclass
 from functools import partial
@@ -52,7 +53,7 @@ from pathlib import Path
 import numpy as np
 from numpy.random.bit_generator import ISeedSequence
 
-from .gittins import GittinsTable
+from .gittins import GittinsTable, GittinsTableError
 from .inference import z_statistic
 from .policies import Allocator, PolicySpec, draw_policy_variates
 
@@ -82,25 +83,26 @@ _shared_pools: ContextVar[dict[int, ProcessPoolExecutor] | None] = ContextVar(
 class TrialScenario:
     """One simulated trial configuration.
 
-    ``mu`` lists the K+1 true arm means with index 0 the control.
+    ``mu`` lists the K+1 true arm means with index 0 the control, so it
+    fixes K, the number of experimental arms.
     """
 
-    K: int
     mu: tuple[float, ...]
     sigma: float
     T: int
     policy: PolicySpec
-    hypothesis_label: str = ""
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "mu", tuple(float(m) for m in self.mu))
-        if len(self.mu) != self.K + 1:
-            raise ValueError(f"mu must list K+1={self.K + 1} means, got {len(self.mu)}")
         if self.T < self.K + 1:
             raise ValueError("T must cover the initialization phase (T >= K+1)")
         if self.sigma <= 0:
             raise ValueError("sigma must be positive")
         self.policy.check_arms(self.K)
+
+    @property
+    def K(self) -> int:
+        return len(self.mu) - 1
 
     @property
     def is_global_null(self) -> bool:
@@ -171,13 +173,9 @@ def _check_table(scenario: TrialScenario, table: GittinsTable | None) -> None:
     if table is None:
         raise ValueError(f"policy {spec.kind} requires a Gittins index table")
     if table.n_max < scenario.T:
-        raise ValueError(
+        raise GittinsTableError(
             f"index table covers n <= {table.n_max} but the trial may observe "
             f"one arm {scenario.T} times; rebuild with n_max >= T")
-    if table.discount != spec.discount:
-        raise ValueError(
-            f"table discount {table.discount} does not match policy discount "
-            f"{spec.discount}")
 
 
 def _uint32_words(value) -> list[int]:
@@ -358,8 +356,8 @@ def shared_pool():
     The pool for a worker count starts on the first call that needs it and
     serves every later call with that count.  On exit each pool is shut down
     and its workers joined, so their CPU time and memory are accounted to
-    the caller as reaped children.  Outside such a block every call starts
-    and stops its own pool.
+    the caller as reaped children.  A call made outside such a block enters
+    one of its own.
     """
     pools: dict[int, ProcessPoolExecutor] = {}
     token = _shared_pools.set(pools)
@@ -397,34 +395,25 @@ def run_replicates(scenario: TrialScenario, table: GittinsTable | None,
         return _merge(run(0, M))
 
     chunk = BLOCK * math.ceil(M / (workers * 4 * BLOCK))
-    bounds = [(start, min(start + chunk, M)) for start in range(0, M, chunk)]
-    pools = _shared_pools.get()
-    if pools is None:
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            return _gather(pool, run, bounds)
-    if workers not in pools:
-        pools[workers] = ProcessPoolExecutor(max_workers=workers)
-    return _gather(pools[workers], run, bounds)
-
-
-def _gather(pool: ProcessPoolExecutor, run: partial,
-            bounds: list[tuple[int, int]]) -> Replicates:
-    futures = [pool.submit(run, start, stop) for start, stop in bounds]
-    return _merge([block for future in futures for block in future.result()])
+    with nullcontext() if _shared_pools.get() is not None else shared_pool():
+        pools = _shared_pools.get()
+        if workers not in pools:
+            pools[workers] = ProcessPoolExecutor(max_workers=workers)
+        futures = [pools[workers].submit(run, start, min(start + chunk, M))
+                   for start in range(0, M, chunk)]
+        return _merge([block for future in futures for block in future.result()])
 
 
 def write_trace_csv(record: TrialRecord, trace_path: str | Path,
-                    summary_path: str | Path | None = None) -> None:
-    """Dump one replicate: per-patient rows, plus an optional per-arm summary."""
-    trace_path = Path(trace_path)
-    with trace_path.open("w", newline="") as fh:
+                    summary_path: str | Path) -> None:
+    """Dump one replicate: per-patient rows, and a per-arm summary beside them."""
+    with Path(trace_path).open("w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(["t", "arm", "outcome"])
         for t, (arm, outcome) in enumerate(zip(record.allocations, record.outcomes), start=1):
             writer.writerow([t, int(arm), f"{outcome:.12g}"])
-    if summary_path is not None:
-        with Path(summary_path).open("w", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(["arm", "n", "mean"])
-            for arm, (n, mean) in enumerate(zip(record.arm_counts, record.arm_means)):
-                writer.writerow([arm, n, f"{mean:.12g}"])
+    with Path(summary_path).open("w", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(["arm", "n", "mean"])
+        for arm, (n, mean) in enumerate(zip(record.arm_counts, record.arm_means)):
+            writer.writerow([arm, n, f"{mean:.12g}"])

@@ -5,7 +5,8 @@ control: arm k is declared effective when its standardized contrast exceeds
 a critical value.  For equal randomisation the critical value controlling
 the family-wise error rate has a closed quadrature form; for adaptive
 designs it is calibrated empirically as a percentile of the largest
-contrasts of simulated null trials, read off ``run_replicates``'s z array.
+contrasts of simulated null trials, read off ``run_replicates``'s z array,
+and carries the distribution-free 95% interval of that percentile.
 """
 
 from __future__ import annotations
@@ -28,21 +29,24 @@ __all__ = [
     "default_histogram_edges",
 ]
 
-_METHODS = ("analytic-mvn", "empirical-percentile", "fixed")
+# fewest replicates a calibration accepts
+MIN_CALIBRATION_M = 100
 
 
 @dataclass(frozen=True)
 class CriticalValue:
-    """A rejection threshold plus how it was obtained."""
+    """A rejection threshold at one-sided level ``alpha``.
+
+    ``ci95`` is set for a calibrated value only: the distribution-free 95%
+    interval of the percentile, ``{"lower", "upper", "ranks"}`` (see
+    ``calibrate_critical_value``).
+    """
 
     value: float
-    method: str
     alpha: float
-    provenance: dict | None = None
+    ci95: dict | None = None
 
     def __post_init__(self) -> None:
-        if self.method not in _METHODS:
-            raise ValueError(f"method must be one of {_METHODS}")
         if not 0.0 < self.alpha < 1.0:
             raise ValueError("alpha must lie in (0, 1)")
         if not math.isfinite(self.value):
@@ -95,7 +99,7 @@ def fwer_critical_value(K: int, alpha: float) -> CriticalValue:
             lo = mid
         else:
             hi = mid
-    return CriticalValue(0.5 * (lo + hi), "analytic-mvn", alpha)
+    return CriticalValue(0.5 * (lo + hi), alpha)
 
 
 def sample_size(K: int, sigma: float, delta1: float, c_alpha: float, beta: float) -> int:
@@ -126,8 +130,9 @@ class Histogram:
     counts: np.ndarray
 
     @classmethod
-    def of(cls, values: np.ndarray, edges: np.ndarray | None = None) -> "Histogram":
-        edges = default_histogram_edges() if edges is None else np.asarray(edges, dtype=float)
+    def of(cls, values: np.ndarray) -> "Histogram":
+        """``values`` counted in ``default_histogram_edges``' bins."""
+        edges = default_histogram_edges()
         counts, _ = np.histogram(values, bins=edges)
         return cls(edges=edges, counts=counts)
 
@@ -172,7 +177,7 @@ def calibrate_critical_value(null_scenario, table, master_seed: int, M: int,
     Simulates ``M`` independent trials of ``null_scenario`` (which must have
     all true means equal), collects the per-trial max contrast, and returns
     the nearest-rank (1-alpha) percentile together with a distribution
-    summary.  ``provenance["ci95"]`` holds the distribution-free 95% interval
+    summary.  The value's ``ci95`` holds the distribution-free 95% interval
     of the percentile (see ``_percentile_interval_ranks``) as
     ``{"lower", "upper", "ranks"}``, so its Monte Carlo error travels with the
     value.  Replicate r is seeded from (master_seed, r), so results do not
@@ -184,8 +189,8 @@ def calibrate_critical_value(null_scenario, table, master_seed: int, M: int,
     if max(mu) != min(mu):
         raise ValueError("calibration requires a global-null scenario (all means equal); "
                          f"got mu={mu}")
-    if M < 100:
-        raise ValueError("calibration needs M >= 100 replicates")
+    if M < MIN_CALIBRATION_M:
+        raise ValueError(f"calibration needs M >= {MIN_CALIBRATION_M} replicates")
     if not 0.0 < alpha < 1.0:
         raise ValueError("alpha must lie in (0, 1)")
 
@@ -200,22 +205,9 @@ def calibrate_critical_value(null_scenario, table, master_seed: int, M: int,
         sd=float(stats.std(ddof=1)),
         histogram=Histogram.of(stats),
     )
-    critical = CriticalValue(
-        value=value,
-        method="empirical-percentile",
-        alpha=alpha,
-        provenance={
-            "M": M,
-            "master_seed": master_seed,
-            "policy": null_scenario.policy.kind,
-            "K": null_scenario.K,
-            "T": null_scenario.T,
-            "hypothesis": null_scenario.hypothesis_label,
-            "ci95": {
-                "lower": float(ordered[lower_rank - 1]),
-                "upper": float(ordered[upper_rank - 1]),
-                "ranks": [lower_rank, upper_rank],
-            },
-        },
-    )
+    critical = CriticalValue(value, alpha, ci95={
+        "lower": float(ordered[lower_rank - 1]),
+        "upper": float(ordered[upper_rank - 1]),
+        "ranks": [lower_rank, upper_rank],
+    })
     return critical, summary

@@ -5,10 +5,10 @@ together.  The state is two (R, K+1) arrays, ``sums`` and ``counts``: each
 arm's running outcome sum and observation count in each replicate.  At
 patient t a rule maps (state, t, pre-drawn variates) to (R, K+1) scores or
 probabilities, and one vectorised selector picks every replicate's arm.
-:class:`Allocator` steps a rule over a block; :func:`policy_scores` is the
-one-trial view of the same functions.  Each rule exists once: its own
-allocation, the merit stage of the guarded rules and :func:`policy_scores`
-all evaluate it through :func:`_rule_values`.
+:class:`Allocator` steps a rule over a block, and ``Allocator.values`` gives
+the scores or probabilities it allocates from.  Each rule exists once: its
+own allocation and the merit stage of the guarded rules both evaluate it
+through :func:`_rule_values`.
 
 Each rule reduces to one of three shapes:
 
@@ -51,7 +51,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.special import erf, ndtr
 
-from .gittins import GittinsTable, GittinsTableError
+from .gittins import GittinsTable
 
 __all__ = [
     "POLICY_KINDS",
@@ -59,7 +59,6 @@ __all__ = [
     "PolicyDraws",
     "draw_policy_variates",
     "Allocator",
-    "policy_scores",
     "ts_probabilities",
     "tp_probabilities",
     "select_from_scores",
@@ -85,11 +84,11 @@ class PolicySpec:
 
     ``batch`` defaults to 20 for the batched kinds (TSB, TPB) and 1
     otherwise; ``control_guard_prob=None`` resolves to 1/(K+1) at allocation
-    time (pass 1/K explicitly for the stricter guard).
+    time (pass 1/K explicitly for the stricter guard).  The index rules'
+    discount is the index table's (``GittinsTable.discount``).
     """
 
     kind: str
-    discount: float = 0.995
     batch: int | None = None
     control_guard_prob: float | None = None
 
@@ -104,8 +103,6 @@ class PolicySpec:
             raise ValueError("batch must be >= 1")
         if self.batch != 1 and kind not in _BATCH_INNER:
             raise ValueError(f"batch applies to TSB/TPB only; {kind} sees every outcome")
-        if not 0.0 <= self.discount < 1.0:
-            raise ValueError("discount must lie in [0, 1)")
         if self.control_guard_prob is not None and not 0.0 < self.control_guard_prob < 1.0:
             raise ValueError("control_guard_prob must lie in (0, 1)")
 
@@ -263,40 +260,6 @@ def _rule_values(kind: str, sums, counts, sigma: float, t: int, T: int,
     else:
         raise ValueError(f"{kind} does not produce a plain score vector")
     return means + width / np.sqrt(counts)
-
-
-def policy_scores(spec: PolicySpec, sums, counts, sigma: float, t: int, T: int,
-                  table: GittinsTable | None = None,
-                  rng: np.random.Generator | None = None) -> np.ndarray:
-    """Evaluate one allocation rule at one trial's state.
-
-    ``sums`` and ``counts`` list each arm's outcome sum and observation
-    count.  ``t`` is the 1-based index of the patient being allocated; the
-    tempering exponents of TS and TP use the t-1 patients already
-    allocated, while the UCB/KLU logarithms use t itself.  RBI and RGI draw
-    their K+1 exponentials from ``rng``.  Returns allocation probabilities
-    for randomised rules (``spec.is_randomized``; TSB/TPB give their
-    unbatched weights) and per-arm scores for index rules.  Guarded rules
-    (CG, CUC) are two-stage selections, not vectors; allocate them with
-    :class:`Allocator`.
-    """
-    sums = np.asarray(sums, dtype=float)
-    counts = np.asarray(counts, dtype=np.int64)
-    if (counts < 1).any():
-        raise ValueError("every arm needs an observation before scoring; "
-                         "the initialization phase was skipped")
-    kind = spec.kind
-    if spec.is_guarded:
-        raise ValueError(f"{kind} is a two-stage selection, not a score vector; "
-                         "allocate it with Allocator")
-    bonuses = None
-    if spec.needs_table:
-        needed = int(counts.max()) + 1
-        if table is None or table.n_max < needed:
-            raise GittinsTableError(f"{kind} needs an index table covering n = {needed}")
-        bonuses = table.values
-    bumps = rng.standard_exponential(counts.shape[-1]) if kind in _BUMPED else None
-    return _rule_values(spec.inner_kind, sums, counts, sigma, t, T, bonuses, bumps)
 
 
 def select_from_scores(scores: np.ndarray, u) -> np.ndarray:

@@ -32,14 +32,12 @@ def pytest_terminal_summary(terminalreporter, exitstatus, config):
             terminalreporter.write_line(line)
 
 
-def two_arm(kind, mu1, label, T=116, **kw):
-    return TrialScenario(K=1, mu=(0.0, mu1), sigma=1.0, T=T,
-                         policy=PolicySpec(kind, **kw), hypothesis_label=label)
+def two_arm(kind, mu1, T=116, **kw):
+    return TrialScenario(mu=(0.0, mu1), sigma=1.0, T=T, policy=PolicySpec(kind, **kw))
 
 
-def four_arm(kind, mu, label, T=302, **kw):
-    return TrialScenario(K=3, mu=mu, sigma=1.0, T=T,
-                         policy=PolicySpec(kind, **kw), hypothesis_label=label)
+def four_arm(kind, mu, T=302, **kw):
+    return TrialScenario(mu=mu, sigma=1.0, T=T, policy=PolicySpec(kind, **kw))
 
 
 def running_means(replicates):
@@ -78,13 +76,13 @@ def table09():
 @pytest.fixture(scope="session")
 def fr2_h0():
     # every trace is kept: criterion 9 rebuilds the running means from them
-    return run_replicates(two_arm("FR", 0.0, "H0"), None, ACCEPT_SEED + 101, M_FULL,
+    return run_replicates(two_arm("FR", 0.0), None, ACCEPT_SEED + 101, M_FULL,
                           workers=WORKERS, keep_trajectory=True, traces=M_FULL)
 
 
 @pytest.fixture(scope="session")
 def fr2_h1():
-    return run_replicates(two_arm("FR", 0.545, "H1"), None, ACCEPT_SEED + 102, M_FULL,
+    return run_replicates(two_arm("FR", 0.545), None, ACCEPT_SEED + 102, M_FULL,
                           workers=WORKERS)
 
 
@@ -94,7 +92,7 @@ def gi2_calibration(table995):
 
     The replicates are the calibration's own (same seed), with bias sums.
     """
-    scenario = two_arm("GI", 0.0, "H0")
+    scenario = two_arm("GI", 0.0)
     critical, summary = calibrate_critical_value(
         scenario, table995, ACCEPT_SEED + 103, M_FULL, 0.05, workers=WORKERS)
     replicates = run_replicates(scenario, table995, ACCEPT_SEED + 103, M_FULL,
@@ -104,11 +102,11 @@ def gi2_calibration(table995):
 
 @pytest.fixture(scope="session")
 def gi2_h1(table995):
-    return run_replicates(two_arm("GI", 0.545, "H1"), table995, ACCEPT_SEED + 104, M_FULL,
+    return run_replicates(two_arm("GI", 0.545), table995, ACCEPT_SEED + 104, M_FULL,
                           workers=WORKERS, keep_trajectory=True)
 
 
 @pytest.fixture(scope="session")
 def rgi2_h1(table995):
-    return run_replicates(two_arm("RGI", 0.545, "H1"), table995, ACCEPT_SEED + 105, M_FULL,
+    return run_replicates(two_arm("RGI", 0.545), table995, ACCEPT_SEED + 105, M_FULL,
                           workers=WORKERS, keep_trajectory=True)

@@ -50,7 +50,7 @@ def four_arm_criticals(table995):
     """T=302 calibrated critical values, reused by criteria 6 and 7."""
     criticals = {}
     for i, kind in enumerate(("CG", "CUC", "KLU", "GI", "TP", "UCB")):
-        scenario = four_arm(kind, NULL4, "H0")
+        scenario = four_arm(kind, NULL4)
         critical, _ = calibrate_critical_value(
             scenario, table995, ACCEPT_SEED + 210 + i, M_FULL, 0.05, workers=WORKERS)
         criticals[kind] = critical.value
@@ -95,7 +95,7 @@ def test_criterion_5_two_arm_critical_values(table995):
                "UCB": 2.068, "KLU": 1.867, "CB": 1.782}
     checks = []
     for i, (kind, target) in enumerate(targets.items()):
-        scenario = two_arm(kind, 0.0, "H0")
+        scenario = two_arm(kind, 0.0)
         critical, _ = calibrate_critical_value(
             scenario, table995, ACCEPT_SEED + 110 + i, M_FULL, 0.05, workers=WORKERS)
         checks.append(within(f"C[{kind}]", critical.value, target, 0.06))
@@ -105,7 +105,7 @@ def test_criterion_5_two_arm_critical_values(table995):
 def test_criterion_6_four_arm_rows(table995, four_arm_criticals):
     runs = {}
     for i, kind in enumerate(("CG", "CUC", "KLU", "GI", "TP")):
-        scenario = four_arm(kind, LFC, "H1-LFC")
+        scenario = four_arm(kind, LFC)
         replicates = run_replicates(scenario, table995, ACCEPT_SEED + 230 + i, M_FULL,
                                     workers=WORKERS)
         runs[kind] = aggregate(replicates, four_arm_criticals[kind])
@@ -118,15 +118,15 @@ def test_criterion_6_four_arm_rows(table995, four_arm_criticals):
 
 
 def test_criterion_7_rare_disease_reused_criticals(table995, four_arm_criticals):
-    def rare(kind, mu, label, critical, seed):
-        scenario = four_arm(kind, mu, label, T=64)
+    def rare(kind, mu, critical, seed):
+        scenario = four_arm(kind, mu, T=64)
         return aggregate(run_replicates(scenario, table995, seed, M_FULL, workers=WORKERS),
                          critical)
 
-    fr = rare("FR", LFC, "H1-LFC", 2.0621, ACCEPT_SEED + 301)
-    cg = rare("CG", LFC, "H1-LFC", four_arm_criticals["CG"], ACCEPT_SEED + 302)
-    gi = rare("GI", LFC, "H1-LFC", four_arm_criticals["GI"], ACCEPT_SEED + 303)
-    ucb = rare("UCB", NULL4, "H0", four_arm_criticals["UCB"], ACCEPT_SEED + 304)
+    fr = rare("FR", LFC, 2.0621, ACCEPT_SEED + 301)
+    cg = rare("CG", LFC, four_arm_criticals["CG"], ACCEPT_SEED + 302)
+    gi = rare("GI", LFC, four_arm_criticals["GI"], ACCEPT_SEED + 303)
+    ucb = rare("UCB", NULL4, four_arm_criticals["UCB"], ACCEPT_SEED + 304)
     check(7, [within("FR power", fr.rejection_rate, 0.2975, 0.015),
               within("CG power", cg.rejection_rate, 0.3806, 0.015),
               within("GI EO", gi.e_outcome, 0.3585, 0.015),
@@ -136,8 +136,8 @@ def test_criterion_7_rare_disease_reused_criticals(table995, four_arm_criticals)
 def test_criterion_8_critical_value_sweep(table995):
     # Error model of the gap check.  Each C(T) is the nearest-rank 95th
     # percentile of M_SWEEP null replicates; its standard error is read off
-    # the distribution-free order-statistic 95% interval in the calibration
-    # provenance (width / (2 z_0.975)), and se_gap combines the two
+    # the distribution-free order-statistic 95% interval the calibrated value
+    # carries (width / (2 z_0.975)), and se_gap combines the two
     # independent UCB calibrations.  The published 0.08 is itself a difference
     # of two percentiles estimated from M_PUBLISHED replicates each, so it
     # carries the same per-replicate spread at that smaller count: se_ref =
@@ -150,14 +150,14 @@ def test_criterion_8_critical_value_sweep(table995):
     M_PUBLISHED = 10_000
     ucb, ucb_se, fr = {}, {}, {}
     for T in (64, 116, 302):
-        scenario = four_arm("UCB", NULL4, "H0", T=T)
+        scenario = four_arm("UCB", NULL4, T=T)
         critical, _ = calibrate_critical_value(
             scenario, table995, ACCEPT_SEED + 400 + T, M_SWEEP, 0.05, workers=WORKERS)
         ucb[T] = critical.value
-        ci = critical.provenance["ci95"]
+        ci = critical.ci95
         ucb_se[T] = (ci["upper"] - ci["lower"]) / (2 * ndtri(0.975))
     for T in (64, 116, 302):
-        scenario = four_arm("FR", NULL4, "H0", T=T)
+        scenario = four_arm("FR", NULL4, T=T)
         critical, _ = calibrate_critical_value(
             scenario, table995, ACCEPT_SEED + 500 + T, M_SWEEP, 0.05, workers=WORKERS)
         fr[T] = critical.value
@@ -217,17 +217,15 @@ def test_criterion_10_property_suites(table995, table09):
     from bandit_trials.engine import TrialScenario
     shift_ok = True
     for kind in ("GI", "UCB", "CB"):
-        base = TrialScenario(K=1, mu=(0.0, 0.545), sigma=1.0, T=60,
-                             policy=PolicySpec(kind), hypothesis_label="H1")
-        moved = TrialScenario(K=1, mu=(2.5, 0.545 + 2.5), sigma=1.0, T=60,
-                              policy=PolicySpec(kind), hypothesis_label="H1")
+        base = TrialScenario(mu=(0.0, 0.545), sigma=1.0, T=60, policy=PolicySpec(kind))
+        moved = TrialScenario(mu=(2.5, 0.545 + 2.5), sigma=1.0, T=60, policy=PolicySpec(kind))
         a = run_trial(base, table995, seed=ACCEPT_SEED + 601)
         b = run_trial(moved, table995, seed=ACCEPT_SEED + 601)
         shift_ok &= bool(np.array_equal(a.allocations, b.allocations))
     checks.append((shift_ok, "common-shift outcome streams select identical arms"))
 
-    batched = two_arm("TSB", 0.545, "H1", T=50, batch=1)
-    plain = two_arm("TS", 0.545, "H1", T=50)
+    batched = two_arm("TSB", 0.545, T=50, batch=1)
+    plain = two_arm("TS", 0.545, T=50)
     a = run_trial(batched, None, seed=ACCEPT_SEED + 602)
     b = run_trial(plain, None, seed=ACCEPT_SEED + 602)
     checks.append((bool(np.array_equal(a.allocations, b.allocations)),
@@ -235,7 +233,7 @@ def test_criterion_10_property_suites(table995, table09):
 
     conserve_ok = True
     for kind in ("FR", "TS", "RBI", "RGI", "UCB", "KLU", "CB", "GI"):
-        record = run_trial(two_arm(kind, 0.545, "H1", T=41), table995,
+        record = run_trial(two_arm(kind, 0.545, T=41), table995,
                            seed=ACCEPT_SEED + 603)
         conserve_ok &= sum(record.arm_counts) == 41
     checks.append((conserve_ok, "patient conservation across policies"))
@@ -248,7 +246,7 @@ def test_criterion_10_property_suites(table995, table09):
                and abs(tp.sum() - 1) < 1e-12 and np.all(tp >= 0))
     checks.append((norm_ok, "probability vectors normalized"))
 
-    scenario = two_arm("GI", 0.545, "H1", T=40)
+    scenario = two_arm("GI", 0.545, T=40)
     serial = run_replicates(scenario, table995, ACCEPT_SEED + 605, 20, workers=1, traces=20)
     parallel = run_replicates(scenario, table995, ACCEPT_SEED + 605, 20,
                               workers=max(2, WORKERS), traces=20)

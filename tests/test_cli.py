@@ -22,6 +22,22 @@ def run_cli(*argv):
     return main(list(argv))
 
 
+@pytest.fixture
+def no_table_build(monkeypatch):
+    """Fail the test if a command builds an index table."""
+    def no_build(*args, **kwargs):
+        raise AssertionError("index table built before bad input was rejected")
+
+    monkeypatch.setattr(cli, "compute_index_table", no_build)
+    monkeypatch.delenv("BANDIT_TRIALS_TABLE_DIR", raising=False)
+
+
+def assert_one_error_line(capsys, code):
+    err = capsys.readouterr().err.splitlines()
+    assert code == 1
+    assert len(err) == 1 and err[0].startswith("error: ")
+
+
 class TestSampleSize:
     def test_two_arm_reference(self, capsys):
         assert run_cli("samplesize", "--k", "1", "--delta", "0.545") == 0
@@ -140,6 +156,15 @@ class TestCalibrateCommand:
         assert code == 1
         assert "global null" in capsys.readouterr().err
 
+    # every trial size and the calibration's M >= 100 are checked first
+    @pytest.mark.parametrize("flag, value", [("--T", "0"), ("--T", "116,0"), ("-M", "50")])
+    def test_bad_size_is_one_error_line(self, tmp_path, capsys, no_table_build, flag, value):
+        out = tmp_path / "out"
+        code = run_cli("calibrate", "--preset", "two-arm-t116", "--policy", "GI", "-M", "100",
+                       flag, value, "--out-dir", str(out))
+        assert_one_error_line(capsys, code)
+        assert not out.exists()
+
 
 class TestSimulateCommand:
     def test_tiny_sweep(self, tmp_path):
@@ -222,6 +247,8 @@ class TestSimulateCommand:
         ({"preset": "two-arm-t116", "alpha": 0}, "alpha must be a number in (0, 1)"),
         ({"preset": "two-arm-t116", "alpha": 1.5}, "alpha must be a number in (0, 1)"),
         ({"preset": "two-arm-t116", "alpha": "0.05"}, "alpha must be a number in (0, 1)"),
+        ({"K": 1, "T": 20, "policies": ["FR"], "hypotheses": {"H0": [0.0, 0.0]}, "discount": 1.5},
+         "discount must lie in [0, 1)"),
     ])
     def test_invalid_config_is_one_error_line(self, tmp_path, capsys, config, message):
         path = tmp_path / "cfg.json"
@@ -313,19 +340,26 @@ class TestSimulateCommand:
 
     @pytest.mark.parametrize("flag, value", [("--workers", "0"), ("--workers", "-2"),
                                              ("--T", "0"), ("--traces", "-1"), ("-M", "0")])
-    def test_bad_count_is_one_error_line(self, tmp_path, capsys, monkeypatch, flag, value):
-        def no_build(*args, **kwargs):
-            raise AssertionError("index table built before a bad count was rejected")
-
-        monkeypatch.setattr(cli, "compute_index_table", no_build)
-        monkeypatch.delenv("BANDIT_TRIALS_TABLE_DIR", raising=False)
+    def test_bad_count_is_one_error_line(self, tmp_path, capsys, no_table_build, flag, value):
         out = tmp_path / "out"
         code = run_cli("simulate", "--preset", "two-arm-t116", "--policies", "GI",
                        "--hypotheses", "H0", "--critical-values", "analytic", "-M", "10",
                        flag, value, "--out-dir", str(out))
-        err = capsys.readouterr().err.splitlines()
-        assert code == 1
-        assert len(err) == 1 and err[0].startswith("error: ")
+        assert_one_error_line(capsys, code)
+        assert not out.exists()
+
+    @pytest.mark.parametrize("mode", ["file", "calibrate"])
+    def test_bad_critical_value_input_is_one_error_line(self, tmp_path, capsys, no_table_build,
+                                                        mode):
+        # a file without the policy's value, or too few replicates to calibrate
+        cv_file = tmp_path / "cv.json"
+        cv_file.write_text(json.dumps({"CB": 2.0}))
+        out = tmp_path / "out"
+        code = run_cli("simulate", "--preset", "two-arm-t116", "--policies", "GI",
+                       "--hypotheses", "H0", "-M", "100" if mode == "file" else "50",
+                       "--critical-values", str(cv_file) if mode == "file" else "calibrate",
+                       "--out-dir", str(out))
+        assert_one_error_line(capsys, code)
         assert not out.exists()
 
     def test_workers_reaped_before_return(self, tmp_path):

@@ -1,6 +1,7 @@
 """Trial simulation: initialization, conservation, reproducibility."""
 
 import math
+import multiprocessing
 
 import numpy as np
 import pytest
@@ -8,7 +9,7 @@ from scipy import stats
 
 from bandit_trials.engine import (BLOCK, TrialScenario, _block_seeds, _SeedWords, _uint32_words,
                                   run_replicates, run_trial, write_trace_csv)
-from bandit_trials.policies import POLICY_KINDS, PolicySpec, policy_scores
+from bandit_trials.policies import POLICY_KINDS, Allocator, PolicyDraws, PolicySpec
 
 from .conftest import WORKERS, running_means, two_arm
 
@@ -32,63 +33,54 @@ def replicates_identical(a, b):
 
 
 class TestScenarioValidation:
-    def test_mu_length(self):
-        with pytest.raises(ValueError, match="K\\+1"):
-            TrialScenario(K=2, mu=(0.0, 0.0), sigma=1.0, T=10, policy=PolicySpec("FR"))
-
     def test_horizon_covers_initialization(self):
         with pytest.raises(ValueError, match="K\\+1"):
-            TrialScenario(K=3, mu=(0.0,) * 4, sigma=1.0, T=3, policy=PolicySpec("FR"))
+            TrialScenario(mu=(0.0,) * 4, sigma=1.0, T=3, policy=PolicySpec("FR"))
 
     def test_tp_needs_multiple_arms(self):
         with pytest.raises(ValueError, match="multi-arm"):
-            TrialScenario(K=1, mu=(0.0, 0.0), sigma=1.0, T=10, policy=PolicySpec("TP"))
+            TrialScenario(mu=(0.0, 0.0), sigma=1.0, T=10, policy=PolicySpec("TP"))
 
     def test_sigma_positive(self):
         with pytest.raises(ValueError, match="sigma"):
-            TrialScenario(K=1, mu=(0.0, 0.0), sigma=0.0, T=10, policy=PolicySpec("FR"))
+            TrialScenario(mu=(0.0, 0.0), sigma=0.0, T=10, policy=PolicySpec("FR"))
 
 
 class TestTableContract:
     def test_index_policy_requires_table(self):
-        scenario = two_arm("GI", 0.0, "H0", T=10)
+        scenario = two_arm("GI", 0.0, T=10)
         with pytest.raises(ValueError, match="requires a Gittins index table"):
             run_trial(scenario, None, seed=1)
 
     def test_short_table_rejected(self, table09):
-        scenario = two_arm("GI", 0.0, "H0", T=table09.n_max + 1, discount=0.9)
+        scenario = two_arm("GI", 0.0, T=table09.n_max + 1)
         with pytest.raises(ValueError, match="n_max >= T"):
-            run_trial(scenario, table09, seed=1)
-
-    def test_discount_mismatch_rejected(self, table09):
-        scenario = two_arm("GI", 0.0, "H0", T=20, discount=0.995)
-        with pytest.raises(ValueError, match="discount"):
             run_trial(scenario, table09, seed=1)
 
 
 class TestSingleTrial:
     @pytest.mark.parametrize("kind", ["FR", "TS", "RBI", "UCB", "KLU", "CB", "GI"])
     def test_initialization_exhausts_minimal_trial(self, table995, kind):
-        scenario = two_arm(kind, 0.545, "H1", T=2)
+        scenario = two_arm(kind, 0.545, T=2)
         record = run_trial(scenario, table995, seed=3)
         assert record.arm_counts == (1, 1)
 
     def test_minimal_four_arm(self, table995):
-        scenario = TrialScenario(K=3, mu=(0.0,) * 4, sigma=1.0, T=4,
+        scenario = TrialScenario(mu=(0.0,) * 4, sigma=1.0, T=4,
                                  policy=PolicySpec("CG"))
         record = run_trial(scenario, table995, seed=4)
         assert record.arm_counts == (1, 1, 1, 1)
 
     @pytest.mark.parametrize("kind", ["FR", "TSB", "RGI", "UCB", "CB", "GI"])
     def test_patient_conservation(self, table995, kind):
-        scenario = two_arm(kind, 0.545, "H1", T=57)
+        scenario = two_arm(kind, 0.545, T=57)
         record = run_trial(scenario, table995, seed=5)
         assert sum(record.arm_counts) == 57
         assert record.allocations.shape == (57,)
         assert all(n >= 1 for n in record.arm_counts)
 
     def test_fr_allocations_uniform(self):
-        scenario = two_arm("FR", 0.0, "H0", T=10_000)
+        scenario = two_arm("FR", 0.0, T=10_000)
         record = run_trial(scenario, None, seed=6)
         counts = np.bincount(record.allocations, minlength=2)
         assert stats.chisquare(counts).pvalue > 0.001
@@ -96,26 +88,26 @@ class TestSingleTrial:
     def test_gi_locks_onto_clearly_best_arm(self, table995):
         # near-noiseless outcomes: after initialization the superior arm's
         # index dominates at every step
-        scenario = TrialScenario(K=1, mu=(0.0, 0.545), sigma=0.001, T=40,
+        scenario = TrialScenario(mu=(0.0, 0.545), sigma=0.001, T=40,
                                  policy=PolicySpec("GI"))
         record = run_trial(scenario, table995, seed=7)
         assert record.arm_counts == (1, 39)
 
     def test_final_means_match_trace(self, table995):
-        scenario = two_arm("RGI", 0.545, "H1", T=80)
+        scenario = two_arm("RGI", 0.545, T=80)
         record = run_trial(scenario, table995, seed=8)
         for k in range(2):
             outcomes = record.outcomes[record.allocations == k]
             assert record.arm_means[k] == pytest.approx(float(outcomes.mean()), rel=1e-12)
 
     def test_ucb_init_is_round_robin(self):
-        scenario = TrialScenario(K=3, mu=(0.0,) * 4, sigma=1.0, T=8,
+        scenario = TrialScenario(mu=(0.0,) * 4, sigma=1.0, T=8,
                                  policy=PolicySpec("UCB"))
         record = run_trial(scenario, None, seed=9)
         assert record.allocations[:4].tolist() == [0, 1, 2, 3]
 
     def test_random_init_order_varies(self):
-        scenario = TrialScenario(K=3, mu=(0.0,) * 4, sigma=1.0, T=4,
+        scenario = TrialScenario(mu=(0.0,) * 4, sigma=1.0, T=4,
                                  policy=PolicySpec("FR"))
         orders = {tuple(run_trial(scenario, None, seed=s).allocations.tolist())
                   for s in range(12)}
@@ -124,7 +116,7 @@ class TestSingleTrial:
 
     def test_trajectory_recording(self, table995):
         # one replicate's bias sums are its running means from patient K+2 on
-        scenario = two_arm("GI", 0.545, "H1", T=30)
+        scenario = two_arm("GI", 0.545, T=30)
         replicates = run_replicates(scenario, table995, 10, 1, keep_trajectory=True, traces=1)
         assert replicates.bias_sums.shape == (2, 28)
         means = running_means(replicates)[0]
@@ -135,12 +127,12 @@ class TestSingleTrial:
         assert replicates.bias_sums[k_last, -1] == record.arm_means[k_last]
 
     def test_trajectory_not_kept_by_default(self):
-        replicates = run_replicates(two_arm("FR", 0.0, "H0", T=6), None, 11, 3)
+        replicates = run_replicates(two_arm("FR", 0.0, T=6), None, 11, 3)
         assert replicates.bias_sums is None
         assert replicates.allocations.shape == replicates.outcomes.shape == (0, 6)
 
     def test_z_vector_shape(self, table995):
-        scenario = TrialScenario(K=3, mu=(0.0,) * 4, sigma=1.0, T=20,
+        scenario = TrialScenario(mu=(0.0,) * 4, sigma=1.0, T=20,
                                  policy=PolicySpec("CUC"))
         record = run_trial(scenario, table995, seed=12)
         assert record.z.shape == (3,)
@@ -152,12 +144,14 @@ class TestIndexConvention:
         # pins the engine's allocations to the rule's scores at the 1-based
         # index t of the patient being allocated
         spec = PolicySpec(kind)
-        scenario = TrialScenario(K=3, mu=(0.0,) * 4, sigma=1.0, T=302, policy=spec)
+        scenario = TrialScenario(mu=(0.0,) * 4, sigma=1.0, T=302, policy=spec)
         record = run_trial(scenario, None, seed=15)
+        draws = PolicyDraws(init=np.arange(4)[None], uniforms=np.zeros((1, 302 - 4)))
+        rule = Allocator(spec, 1.0, 302, None, draws)
         sums, counts = np.zeros(4), np.zeros(4, dtype=int)
         for t, (k, y) in enumerate(zip(record.allocations, record.outcomes), start=1):
             if t > 4:
-                scores = policy_scores(spec, sums, counts, 1.0, t, 302)
+                scores = rule.values(sums[None], counts[None], t)[0]
                 assert k == int(np.argmax(scores)), f"patient {t}"
             sums[k] += y
             counts[k] += 1
@@ -167,56 +161,61 @@ class TestBatchedView:
     def test_full_horizon_batch_behaves_like_fixed_randomisation(self):
         # batch == T: the rule never refreshes, so allocations stay uniform
         # even with a huge true effect
-        scenario = two_arm("TSB", 5.0, "H1", T=400, batch=400)
+        scenario = two_arm("TSB", 5.0, T=400, batch=400)
         record = run_trial(scenario, None, seed=13)
         share = record.arm_counts[1] / 400
         assert abs(share - 0.5) < 3 * math.sqrt(0.25 / 400) + 0.01
 
     def test_unit_batch_tracks_effect(self):
-        scenario = two_arm("TSB", 5.0, "H1", T=400, batch=1)
+        scenario = two_arm("TSB", 5.0, T=400, batch=1)
         record = run_trial(scenario, None, seed=13)
         assert record.arm_counts[1] / 400 > 0.6
 
 
 class TestReplicates:
     def test_single_replicate_matches_run_trial(self, table995):
-        scenario = two_arm("GI", 0.545, "H1", T=30)
+        scenario = two_arm("GI", 0.545, T=30)
         via_replicates = run_replicates(scenario, table995, 99, 1, traces=1).trace(0)
         direct = run_trial(scenario, table995, (99, 0))
         assert records_identical(via_replicates, direct)
 
     def test_rerun_is_bitwise_identical(self, table995):
-        scenario = two_arm("RGI", 0.545, "H1", T=40)
+        scenario = two_arm("RGI", 0.545, T=40)
         a = run_replicates(scenario, table995, 41, 12, keep_trajectory=True, traces=12)
         b = run_replicates(scenario, table995, 41, 12, keep_trajectory=True, traces=12)
         assert replicates_identical(a, b)
 
     @pytest.mark.skipif(WORKERS < 2, reason="needs multiple workers")
     def test_worker_count_invariance(self, table995):
-        scenario = two_arm("GI", 0.545, "H1", T=40)
+        scenario = two_arm("GI", 0.545, T=40)
         serial = run_replicates(scenario, table995, 42, 30, workers=1, traces=30)
         parallel = run_replicates(scenario, table995, 42, 30, workers=WORKERS, traces=30)
         assert replicates_identical(serial, parallel)
 
+    def test_own_pool_shut_down_before_return(self):
+        # more than one block and no shared_pool: the call runs its own pool
+        run_replicates(two_arm("FR", 0.0, T=10), None, 44, BLOCK + 1, workers=2)
+        assert multiprocessing.active_children() == []
+
     def test_replicate_count_validated(self):
         with pytest.raises(ValueError):
-            run_replicates(two_arm("FR", 0.0, "H0"), None, 1, 0)
+            run_replicates(two_arm("FR", 0.0), None, 1, 0)
 
     @pytest.mark.parametrize("workers", [0, -1])
     def test_worker_count_validated(self, workers):
         with pytest.raises(ValueError, match="workers"):
-            run_replicates(two_arm("FR", 0.0, "H0"), None, 1, 3, workers=workers)
+            run_replicates(two_arm("FR", 0.0), None, 1, 3, workers=workers)
 
     def test_trace_count_validated(self):
         with pytest.raises(ValueError, match="traces"):
-            run_replicates(two_arm("FR", 0.0, "H0"), None, 1, 3, traces=-1)
+            run_replicates(two_arm("FR", 0.0), None, 1, 3, traces=-1)
 
     def test_negative_master_seed_rejected(self):
         with pytest.raises(ValueError, match="non-negative"):
-            run_replicates(two_arm("FR", 0.0, "H0"), None, -1, 3)
+            run_replicates(two_arm("FR", 0.0), None, -1, 3)
 
     def test_fr_null_means_unbiased(self):
-        scenario = two_arm("FR", 0.0, "H0", T=40)
+        scenario = two_arm("FR", 0.0, T=40)
         replicates = run_replicates(scenario, None, 43, 3000, traces=3000)
         means = np.array([replicates.trace(r).arm_means for r in range(3000)])
         n_bar = 20
@@ -300,9 +299,9 @@ PINNED = {
 
 def pin_scenario(kind):
     if kind in ("TP", "TPB", "CG", "CUC"):
-        return TrialScenario(K=3, mu=(0.0, 0.178, 0.178, 0.545), sigma=1.0, T=40,
+        return TrialScenario(mu=(0.0, 0.178, 0.178, 0.545), sigma=1.0, T=40,
                              policy=PolicySpec(kind))
-    return TrialScenario(K=1, mu=(0.0, 0.545), sigma=1.0, T=40, policy=PolicySpec(kind))
+    return TrialScenario(mu=(0.0, 0.545), sigma=1.0, T=40, policy=PolicySpec(kind))
 
 
 class TestDrawOrder:
@@ -382,7 +381,7 @@ class TestStreamSeeds:
 
 class TestTraceDump:
     def test_trace_csv_round_trip(self, tmp_path):
-        record = run_trial(two_arm("FR", 0.0, "H0", T=12), None, seed=14)
+        record = run_trial(two_arm("FR", 0.0, T=12), None, seed=14)
         trace = tmp_path / "trace.csv"
         summary = tmp_path / "arms.csv"
         write_trace_csv(record, trace, summary)

@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 from scipy.signal import fftconvolve
 from scipy.special import ndtr
 
+from bandit_trials.engine import run_trial
 from bandit_trials.gittins import (
     BracketError,
     DpConfig,
@@ -19,7 +20,9 @@ from bandit_trials.gittins import (
     load_index_table,
     save_index_table,
 )
-from bandit_trials.policies import PolicySpec, policy_scores
+from bandit_trials.policies import Allocator, PolicyDraws, PolicySpec
+
+from .conftest import two_arm
 
 # Frozen output of tests/gittins_oracle.py (per-lambda fine-grid value
 # iteration, grid_step=0.005, horizon=400, cell-probability integration).
@@ -146,8 +149,9 @@ class TestSweepMatchesReference:
 
 def gi_score(mean, n, sigma, table):
     """GI allocation score of an arm whose next observation is its n-th."""
-    spec = PolicySpec("GI", discount=table.discount)
-    return float(policy_scores(spec, [mean * (n - 1)], [n - 1], sigma, 10, 20, table=table)[0])
+    draws = PolicyDraws(init=np.zeros((1, 1), dtype=np.intp), uniforms=np.zeros((1, 19)))
+    rule = Allocator(PolicySpec("GI"), sigma, 20, table, draws)
+    return float(rule.values(np.array([[mean * (n - 1)]]), np.array([[n - 1]]), 10)[0, 0])
 
 
 class TestGittinsIndex:
@@ -171,8 +175,9 @@ class TestGittinsIndex:
         assert lhs == pytest.approx(rhs, abs=1e-12)
 
     def test_no_extrapolation(self, table09):
+        # an arm may be observed T times, so a table shorter than T is refused
         with pytest.raises(GittinsTableError):
-            gi_score(0.0, table09.n_max + 1, 1.0, table09)
+            run_trial(two_arm("GI", 0.0, T=table09.n_max + 1), table09, seed=1)
 
 
 class TestTableFile:

@@ -34,7 +34,7 @@ def synthetic(scenario, trials):
 
 class TestAggregate:
     def test_two_synthetic_records(self):
-        scenario = two_arm("FR", 0.0, "H0", T=10)
+        scenario = two_arm("FR", 0.0, T=10)
         oc = aggregate(synthetic(scenario, [(0.4, 0.0, 1.0), (0.6, 2.0, 3.0)]), 1.645)
         assert oc.e_pstar == pytest.approx(0.5)
         assert oc.sd_pstar == pytest.approx(0.14142135, abs=1e-6)
@@ -43,7 +43,7 @@ class TestAggregate:
         assert oc.M == 2
 
     def test_permutation_invariant(self):
-        scenario = two_arm("FR", 0.0, "H0", T=10)
+        scenario = two_arm("FR", 0.0, T=10)
         trials = [(0.3, 1.0, 0.5), (0.5, -1.0, 0.2), (0.9, 2.5, 1.5)]
         fwd = aggregate(synthetic(scenario, trials), 1.0)
         rev = aggregate(synthetic(scenario, trials[::-1]), 1.0)
@@ -52,30 +52,30 @@ class TestAggregate:
             assert getattr(fwd, field) == pytest.approx(getattr(rev, field), rel=1e-12)
 
     def test_best_arm_is_control_under_null(self):
-        scenario = two_arm("FR", 0.0, "H0", T=10)
+        scenario = two_arm("FR", 0.0, T=10)
         oc = aggregate(synthetic(scenario, [(0.7, 0.0, 0.0)]), 1.645)
         assert oc.e_pstar == pytest.approx(0.7)
 
     def test_marginal_vs_global_rates_under_alternative(self):
-        scenario = two_arm("FR", 0.545, "H1", T=10)
+        scenario = two_arm("FR", 0.545, T=10)
         oc = aggregate(synthetic(scenario, [(0.5, 1.0, 0.0), (0.5, 2.0, 0.0)]), 1.645)
         assert oc.rejection_rate == pytest.approx(0.5)
 
     def test_fr_proportion_near_uniform(self):
-        scenario = two_arm("FR", 0.545, "H1", T=60)
+        scenario = two_arm("FR", 0.545, T=60)
         oc = aggregate(run_replicates(scenario, None, 23, 2000, workers=WORKERS), 1.645)
         assert abs(oc.e_pstar - 0.5) < 3 * oc.sd_pstar / math.sqrt(2000)
 
     def test_outcome_bounded_by_arm_means(self, table995):
         for kind in ("FR", "GI"):
-            scenario = two_arm(kind, 0.545, "H1", T=40)
+            scenario = two_arm(kind, 0.545, T=40)
             oc = aggregate(run_replicates(scenario, table995, 24, 1500, workers=WORKERS), 1.645)
             margin = 3 * oc.sd_outcome / math.sqrt(1500)
             assert oc.e_outcome <= 0.545 + margin
             assert oc.e_outcome >= 0.0 - margin
 
     def test_cb_proportion_spread_near_bernoulli_limit(self):
-        scenario = two_arm("CB", 0.0, "H0")
+        scenario = two_arm("CB", 0.0)
         oc = aggregate(run_replicates(scenario, None, 25, 4000, workers=WORKERS), 1.782)
         assert 0.40 <= oc.sd_pstar <= 0.50
 
@@ -84,7 +84,7 @@ class TestStandardErrors:
     def test_synthetic_records(self):
         # four records: control shares 0.4, 0.4, 0.6, 0.6; z 0, 3, 3, 3 against
         # C = 2; outcome levels 1, 2, 3, 4
-        scenario = two_arm("FR", 0.0, "H0", T=10)
+        scenario = two_arm("FR", 0.0, T=10)
         oc = aggregate(synthetic(scenario, [(0.4, 0.0, 1.0), (0.4, 3.0, 2.0),
                                             (0.6, 3.0, 3.0), (0.6, 3.0, 4.0)]), 2.0)
         assert oc.rejection_rate == 0.75
@@ -95,7 +95,7 @@ class TestStandardErrors:
         assert oc.e_outcome_se == pytest.approx(math.sqrt(5 / 3) / 2, rel=1e-12)
 
     def test_certain_rate_has_no_error(self):
-        scenario = two_arm("FR", 0.0, "H0", T=10)
+        scenario = two_arm("FR", 0.0, T=10)
         oc = aggregate(synthetic(scenario, [(0.5, 3.0, 0.0)] * 5), 2.0)
         assert oc.rejection_rate == 1.0 and oc.rejection_rate_se == 0.0
         assert oc.e_pstar_se == 0.0 and oc.e_outcome_se == 0.0
@@ -103,7 +103,7 @@ class TestStandardErrors:
 
 class TestBiasTrajectories:
     def test_single_replicate_is_exact(self, table995):
-        scenario = two_arm("GI", 0.545, "H1", T=25)
+        scenario = two_arm("GI", 0.545, T=25)
         replicates = run_replicates(scenario, table995, 26, 1, keep_trajectory=True, traces=1)
         trajs = bias_trajectories(replicates)
         assert [t.arm for t in trajs] == [0, 1]
@@ -114,7 +114,7 @@ class TestBiasTrajectories:
             assert np.all(traj.replicate_counts == 1)
 
     def test_fr_unbiased_everywhere(self):
-        scenario = two_arm("FR", 0.0, "H0", T=30)
+        scenario = two_arm("FR", 0.0, T=30)
         replicates = run_replicates(scenario, None, 27, 800, workers=WORKERS,
                                     keep_trajectory=True, traces=800)
         stacked = running_means(replicates)
@@ -123,7 +123,7 @@ class TestBiasTrajectories:
             assert np.all(np.abs(traj.mean_bias) < 3 * sd / math.sqrt(800) + 1e-9)
 
     def test_requires_trajectories(self):
-        replicates = run_replicates(two_arm("FR", 0.0, "H0", T=10), None, 28, 5)
+        replicates = run_replicates(two_arm("FR", 0.0, T=10), None, 28, 5)
         with pytest.raises(ValueError, match="keep_trajectory"):
             bias_trajectories(replicates)
 
@@ -152,7 +152,7 @@ class TestCsvWriters:
         assert fields[9:] == ["10000", "7", "0.002205", "0.002205", "0.000500", "0.000900"]
 
     def test_bias_csv_layout(self, table995, tmp_path):
-        scenario = two_arm("GI", 0.0, "H0", T=12)
+        scenario = two_arm("GI", 0.0, T=12)
         replicates = run_replicates(scenario, table995, 30, 2, keep_trajectory=True)
         path = write_bias_csv(bias_trajectories(replicates), tmp_path / "bias.csv")
         lines = path.read_text().splitlines()

@@ -14,7 +14,6 @@ from bandit_trials.policies import (
     PolicyDraws,
     PolicySpec,
     draw_policy_variates,
-    policy_scores,
     sample_from_probabilities,
     select_from_scores,
     tp_probabilities,
@@ -28,33 +27,40 @@ def arms_of(*pairs):
             np.array([n for _, n in pairs]))
 
 
-def index_score(kind, arm, sigma, t, table=None, rng=None):
-    """Score of a single arm (sum, count) under index rule ``kind`` at patient index t."""
-    spec = PolicySpec(kind, discount=table.discount if table else 0.995)
-    total, n = arm
-    return float(policy_scores(spec, [total], [n], sigma, t, 2 * t, table=table, rng=rng)[0])
-
-
-def allocator(spec, arms, T, table=None, uniforms=(), rows=1):
-    """``rows`` copies of one trial's state, allocated with scripted uniforms."""
+def allocator(spec, arms, T, table=None, uniforms=(), rows=1, sigma=1.0, bumps=None):
+    """``rows`` copies of one trial's state, allocated with scripted uniforms
+    and, for RBI/RGI, scripted exponentials ``bumps`` (rows, T-K-1, K+1)."""
     sums, counts = arms
     n_arms = counts.size
     uniforms = np.atleast_2d(uniforms)
     pool = np.zeros((rows, 2 * (T - n_arms)))
     pool[:, :uniforms.shape[1]] = uniforms
-    draws = PolicyDraws(init=np.tile(np.arange(n_arms), (rows, 1)), uniforms=pool)
+    draws = PolicyDraws(init=np.tile(np.arange(n_arms), (rows, 1)), uniforms=pool, bumps=bumps)
     state = np.tile(sums, (rows, 1)), np.tile(counts, (rows, 1))
-    return Allocator(spec, 1.0, T, table, draws), state
+    return Allocator(spec, sigma, T, table, draws), state
 
 
-class FixedRng:
-    """Deterministic stand-in handing out scripted exponentials."""
+def rule_values(kind, arms, t, T, table=None):
+    """One trial's scores or probabilities under rule ``kind`` for patient t."""
+    allocate, state = allocator(PolicySpec(kind), arms, T, table)
+    return allocate.values(*state, t)[0]
 
-    def __init__(self, exponentials=()):
-        self._e = list(exponentials)
 
-    def standard_exponential(self, size):
-        return np.array([self._e.pop(0) for _ in range(size)])
+def index_scores(kind, arm, sigma, t, table=None, bumps=(0.0,)):
+    """Scores of a single arm (sum, count) under index rule ``kind`` at patient
+    index t, one per scripted exponential of RBI/RGI in ``bumps``."""
+    total, n = arm
+    bumps = np.asarray(bumps, dtype=float)
+    scripted = np.zeros((bumps.size, 2 * t - 1, 1))
+    scripted[:, t - 2, 0] = bumps
+    allocate, state = allocator(PolicySpec(kind), (np.array([float(total)]), np.array([n])),
+                                2 * t, table, rows=bumps.size, sigma=sigma, bumps=scripted)
+    return allocate.values(*state, t)[:, 0]
+
+
+def index_score(kind, arm, sigma, t, table=None, bump=0.0):
+    """Score of a single arm (sum, count) under index rule ``kind`` at patient index t."""
+    return float(index_scores(kind, arm, sigma, t, table, [bump])[0])
 
 
 class TestPolicySpec:
@@ -119,13 +125,6 @@ class TestIndexScores:
         t = 25
         vals = [index_score(kind, (0.5 * n, n), 1.0, t) for n in (1, 2, 5, 10, 40)]
         assert all(a > b for a, b in zip(vals, vals[1:]))
-
-    def test_preconditions(self):
-        for kind in ("UCB", "KLU"):
-            with pytest.raises(ValueError, match="initialization"):
-                index_score(kind, (0.0, 0), 1.0, 5)
-        with pytest.raises(ValueError, match="score vector"):
-            policy_scores(PolicySpec("CUC"), *arms_of((0.0, 1), (0.0, 1)), 1.0, 5, 10)
 
     def test_allocation_index_uses_next_observation_entry(self, table09):
         arm = (2.0, 4)
@@ -264,23 +263,22 @@ class TestPerturbedScore:
         rng = np.random.default_rng(3)
         n, draws = 7, 100_000
         arm = (0.0, n - 1)
-        bumps = np.array([index_score("RBI", arm, 1.0, 10, rng=rng) for _ in range(draws)])
+        bumps = index_scores("RBI", arm, 1.0, 10, bumps=rng.standard_exponential(draws))
         se = bumps.std() / math.sqrt(draws)
         assert bumps.mean() == pytest.approx(1 / n, abs=3 * se)
 
     def test_vanishes_for_large_n(self):
         rng = np.random.default_rng(4)
         arm = (1.5 * 10**9, 10**9)
-        assert index_score("RBI", arm, 1.0, 10, rng=rng) == pytest.approx(1.5, abs=1e-6)
+        assert index_score("RBI", arm, 1.0, 10, bump=rng.standard_exponential()) \
+            == pytest.approx(1.5, abs=1e-6)
 
     def test_degenerate_draw_returns_base(self):
-        rng = FixedRng([0.0])
-        assert index_score("RBI", (2.5 * 2, 2), 1.0, 10, rng=rng) == 2.5
+        assert index_score("RBI", (2.5 * 2, 2), 1.0, 10, bump=0.0) == 2.5
 
     def test_rgi_adds_bump_to_gittins_index(self, table09):
-        rng = FixedRng([0.9])
         arm = (2.0, 4)
-        assert index_score("RGI", arm, 1.5, 10, table09, rng) == pytest.approx(
+        assert index_score("RGI", arm, 1.5, 10, table09, bump=0.9) == pytest.approx(
             0.5 + 1.5 * table09.values[4] + 0.9 / 5)
 
 
@@ -348,47 +346,37 @@ class TestSelection:
 
 
 class TestPolicyScores:
+    # the vectors a rule allocates from: ``Allocator.values``
+
     def test_fr_uniform(self):
         arms = arms_of((0.0, 1), (1.0, 1), (2.0, 1))
         assert PolicySpec("FR").is_randomized
-        assert np.allclose(policy_scores(PolicySpec("FR"), *arms, 1.0, 5, 50), 1 / 3)
+        assert np.allclose(rule_values("FR", arms, 5, 50), 1 / 3)
 
     def test_cb_scores_are_means(self):
         arms = arms_of((0.1, 3), (0.4, 3), (0.2, 3))
         assert not PolicySpec("CB").is_randomized
-        assert int(np.argmax(policy_scores(PolicySpec("CB"), *arms, 1.0, 10, 50))) == 1
+        assert int(np.argmax(rule_values("CB", arms, 10, 50))) == 1
 
     def test_gi_equal_states_equal_scores(self, table09):
         arms = arms_of((0.3, 6), (0.3, 6), (0.3, 6))
-        scores = policy_scores(PolicySpec("GI", discount=0.9), *arms, 1.0, 10, 50,
-                               table=table09)
+        scores = rule_values("GI", arms, 10, 50, table09)
         assert scores[0] == scores[1] == scores[2]
-
-    def test_uninitialized_arm_rejected(self):
-        with pytest.raises(ValueError, match="initialization"):
-            policy_scores(PolicySpec("CB"), [1.0, 0.0], [1, 0], 1.0, 3, 10)
-
-    def test_guarded_kinds_not_vectors(self):
-        arms = arms_of((0.0, 1), (0.0, 1))
-        with pytest.raises(ValueError, match="two-stage"):
-            policy_scores(PolicySpec("CG"), *arms, 1.0, 3, 10)
 
     def test_shift_invariance_of_score_vectors(self, table09):
         shift = 3.7
         base = arms_of((0.2, 4), (0.9, 7), (-0.3, 2))
         moved = arms_of((0.2 + shift, 4), (0.9 + shift, 7), (-0.3 + shift, 2))
         for kind in ("CB", "GI", "UCB", "KLU"):
-            spec = PolicySpec(kind, discount=0.9)
-            a = policy_scores(spec, *base, 1.0, 9, 50, table=table09)
-            b = policy_scores(spec, *moved, 1.0, 9, 50, table=table09)
+            a = rule_values(kind, base, 9, 50, table09)
+            b = rule_values(kind, moved, 9, 50, table09)
             assert np.allclose(b - a, shift, atol=1e-12)
 
 
 class TestGuardedAllocate:
     @staticmethod
     def decide(kind, arms, table, uniforms, t=9):
-        spec = PolicySpec(kind, discount=table.discount)
-        allocate, state = allocator(spec, arms, 50, table, uniforms)
+        allocate, state = allocator(PolicySpec(kind), arms, 50, table, uniforms)
         return int(allocate(*state, t)[0])
 
     def test_guard_fires(self, table09):
@@ -396,7 +384,7 @@ class TestGuardedAllocate:
         assert self.decide("CG", arms, table09, [0.1]) == 0
         # a fired guard consumes one uniform: the next decision's guard is
         # the pool's second entry (0.2 fires; 0.9 would not)
-        allocate, state = allocator(PolicySpec("CG", discount=0.9), arms, 50, table09,
+        allocate, state = allocator(PolicySpec("CG"), arms, 50, table09,
                                     [0.1, 0.2, 0.9])
         assert allocate(*state, 9)[0] == 0
         assert allocate(*state, 10)[0] == 0
@@ -416,11 +404,10 @@ class TestGuardedAllocate:
         # counts make the two indices disagree
         arms = arms_of((0.0, 30), (0.3, 40), (-0.2, 2), (-0.5, 30))
         for kind, inner in (("CG", "GI"), ("CUC", "UCB")):
-            scores = policy_scores(PolicySpec(inner, discount=0.9), *arms, 1.0, 40, 50,
-                                   table=table09)
+            scores = rule_values(inner, arms, 40, 50, table09)
             assert self.decide(kind, arms, table09, [0.99, 0.0], t=40) == int(np.argmax(scores))
-        gi = policy_scores(PolicySpec("GI", discount=0.9), *arms, 1.0, 40, 50, table=table09)
-        ucb = policy_scores(PolicySpec("UCB"), *arms, 1.0, 40, 50)
+        gi = rule_values("GI", arms, 40, 50, table09)
+        ucb = rule_values("UCB", arms, 40, 50)
         assert np.argmax(gi) != np.argmax(ucb)
 
     def test_long_run_control_share_exceeds_guard(self, table09):
