@@ -131,6 +131,14 @@ def _scenario(preset: dict, kind: str, mu, T: int) -> TrialScenario:
     )
 
 
+def _check_number(name: str, value, integer: bool) -> None:
+    """Reject a config value of the wrong JSON type (true and false are not numbers)."""
+    number = isinstance(value, (int, float)) and not isinstance(value, bool)
+    if not number or integer and not (isinstance(value, int) or value.is_integer()):
+        raise ValueError(f"{name} must be {'an integer' if integer else 'a number'}, "
+                         f"got {json.dumps(value)}")
+
+
 def _load_scenario_source(args) -> dict:
     if getattr(args, "config", None):
         cfg = json.loads(Path(args.config).read_text())
@@ -147,10 +155,23 @@ def _load_scenario_source(args) -> dict:
         raise ValueError(f"scenario config lacks {', '.join(missing)}")
     if not isinstance(cfg["hypotheses"], dict) or not cfg["hypotheses"]:
         raise ValueError("scenario config needs 'hypotheses': a non-empty map of label to means")
+    if not isinstance(cfg["policies"], list) \
+            or not all(isinstance(kind, str) for kind in cfg["policies"]):
+        raise ValueError("scenario policies must be a list of policy names")
+    # (key, integer, nullable): batch and guard_prob may be null, the policy's default
+    for key, integer, nullable in (("K", True, False), ("T", True, False),
+                                   ("sigma", False, False), ("discount", False, False),
+                                   ("batch", True, True), ("guard_prob", False, True)):
+        if key in cfg and not (nullable and cfg[key] is None):
+            _check_number(f"scenario {key}", cfg[key], integer)
+    if cfg["K"] < 1:
+        raise ValueError(f"scenario K must be >= 1 experimental arm, got {cfg['K']}")
     n_arms = int(cfg["K"]) + 1
     for label, mu in cfg["hypotheses"].items():
         if not isinstance(mu, list) or len(mu) != n_arms:
             raise ValueError(f"hypothesis {label!r} must list K+1={n_arms} arm means")
+        for mean in mu:
+            _check_number(f"hypothesis {label!r}'s mean", mean, integer=False)
     alpha = cfg.get("alpha", 0.05)
     if isinstance(alpha, bool) or not isinstance(alpha, (int, float)) or not 0 < alpha < 1:
         raise ValueError(f"scenario alpha must be a number in (0, 1), got {alpha!r}")

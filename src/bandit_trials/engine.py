@@ -61,10 +61,12 @@ __all__ = ["TrialScenario", "TrialRecord", "Replicates", "run_trial", "run_repli
            "shared_pool", "write_trace_csv"]
 
 # Replicates stepped together.  A block's largest arrays are its RBI/RGI
-# exponentials and kept mean trajectories, (BLOCK, T, K+1) each, and TS's
-# quadrature arrays, (BLOCK, K+1, grid points): 2.5 MB and about 4.5 MB at
-# K=3, T=302.  Larger blocks gain little once per-step overhead is spread
-# over a few hundred replicates.
+# exponentials and kept mean trajectories, (BLOCK, T, K+1) each, 2.5 MB at
+# K=3, T=302, and TS's quadrature arrays, (rows, K+1, grid points) for each
+# group of the block's rows that share a point count: at most 1.2 MB each
+# there at the largest point count measured in such trials (141).  Larger
+# blocks gain little once per-step overhead is spread over a few hundred
+# replicates.
 BLOCK = 256
 
 # numpy's SeedSequence: default pool size, hash and mixing constants

@@ -249,6 +249,13 @@ class TestSimulateCommand:
         ({"preset": "two-arm-t116", "alpha": "0.05"}, "alpha must be a number in (0, 1)"),
         ({"K": 1, "T": 20, "policies": ["FR"], "hypotheses": {"H0": [0.0, 0.0]}, "discount": 1.5},
          "discount must lie in [0, 1)"),
+        ({"preset": "two-arm-t116", "sigma": None}, "sigma must be a number, got null"),
+        ({"preset": "two-arm-t116", "discount": None}, "discount must be a number, got null"),
+        ({"preset": "two-arm-t116", "T": None}, "T must be an integer, got null"),
+        ({"preset": "two-arm-t116", "batch": "20"}, 'batch must be an integer, got "20"'),
+        ({"preset": "two-arm-t116", "policies": ["FR", 1]}, "policies must be a list"),
+        ({"preset": "two-arm-t116", "hypotheses": {"H0": [0.0, None]}},
+         "hypothesis 'H0''s mean must be a number, got null"),
     ])
     def test_invalid_config_is_one_error_line(self, tmp_path, capsys, config, message):
         path = tmp_path / "cfg.json"
@@ -345,6 +352,19 @@ class TestSimulateCommand:
         code = run_cli("simulate", "--preset", "two-arm-t116", "--policies", "GI",
                        "--hypotheses", "H0", "--critical-values", "analytic", "-M", "10",
                        flag, value, "--out-dir", str(out))
+        assert_one_error_line(capsys, code)
+        assert not out.exists()
+
+    @pytest.mark.parametrize("command", ["calibrate", "simulate"])
+    def test_no_experimental_arm_is_one_error_line(self, tmp_path, capsys, no_table_build,
+                                                   command):
+        config = tmp_path / "cfg.json"
+        config.write_text(json.dumps({"K": 0, "T": 10, "policies": ["CB"],
+                                      "hypotheses": {"H0": [0.0]}}))
+        out = tmp_path / "out"
+        policy = ["--policy", "CB"] if command == "calibrate" else []
+        code = run_cli(command, "--config", str(config), *policy, "-M", "100",
+                       "--out-dir", str(out))
         assert_one_error_line(capsys, code)
         assert not out.exists()
 

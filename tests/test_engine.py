@@ -11,7 +11,7 @@ from bandit_trials.engine import (BLOCK, TrialScenario, _block_seeds, _SeedWords
                                   run_replicates, run_trial, write_trace_csv)
 from bandit_trials.policies import POLICY_KINDS, Allocator, PolicyDraws, PolicySpec
 
-from .conftest import WORKERS, running_means, two_arm
+from .conftest import LFC, WORKERS, four_arm, running_means, two_arm
 
 
 def records_identical(a, b):
@@ -325,6 +325,16 @@ class TestDrawOrder:
         for r in range(37):
             single = run_trial(scenario, table995, (PIN_SEED + 1, r))
             assert records_identical(serial.trace(r), single), f"replicate {r}"
+
+    @pytest.mark.parametrize("kind", ["TS", "TSB"])
+    def test_four_arm_replicates_are_single_trials(self, kind):
+        # at K >= 2 the TS weights come from a quadrature grid sized row by row
+        scenario = four_arm(kind, LFC, T=64)
+        replicates = run_replicates(scenario, None, PIN_SEED + 4, 64, keep_trajectory=True,
+                                    traces=64)
+        for r in range(64):
+            single = run_trial(scenario, None, (PIN_SEED + 4, r))
+            assert records_identical(replicates.trace(r), single), f"replicate {r}"
 
     @pytest.mark.parametrize("kind", POLICY_KINDS)
     def test_pool_matches_serial(self, table995, kind):

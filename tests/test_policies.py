@@ -7,8 +7,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy import integrate, stats
-from scipy.special import ndtr
+from scipy.special import log_ndtr, ndtr
 
+from bandit_trials.engine import run_replicates
 from bandit_trials.policies import (
     Allocator,
     PolicyDraws,
@@ -19,6 +20,8 @@ from bandit_trials.policies import (
     tp_probabilities,
     ts_probabilities,
 )
+
+from .conftest import LFC, four_arm, two_arm
 
 
 def arms_of(*pairs):
@@ -150,6 +153,47 @@ def quad_p_best(arms, sigma):
     return np.array(out)
 
 
+def log_quad_p_best(means, sds):
+    """log P(arm k is best) for each arm by adaptive quadrature in log space.
+
+    Arm k's integrand, exp(log f_k + sum_{j != k} log F_j), is log-concave:
+    it is integrated relative to its mode y*, over y* +- 40 s_k, where it has
+    fallen below exp(-800) of its peak.
+    """
+    means, sds = np.asarray(means), np.asarray(sds)
+    out = []
+    for k in range(means.size):
+        others = np.arange(means.size) != k
+
+        def log_f(y, k=k, others=others):
+            log_cdfs = log_ndtr((np.asarray(y)[..., None] - means[others]) / sds[others])
+            return (-0.5 * ((y - means[k]) / sds[k]) ** 2
+                    - math.log(sds[k] * math.sqrt(2 * math.pi)) + log_cdfs.sum(axis=-1))
+
+        grid = np.linspace((means - 40 * sds).min(), (means + 40 * sds).max(), 20001)
+        mode = grid[np.argmax(log_f(grid))]
+        peak = float(log_f(mode))
+        mass = sum(integrate.quad(lambda y: math.exp(float(log_f(y)) - peak), a, b,
+                                  epsabs=0.0, epsrel=1e-13, limit=200)[0]
+                   for a, b in ((mode - 40 * sds[k], mode), (mode, mode + 40 * sds[k])))
+        out.append(peak + math.log(mass))
+    return np.array(out)
+
+
+def ts_trial_states(scenario, seed, n_trials, stride):
+    """(sums, counts, t) before every ``stride``-th patient t > K+1 of
+    ``n_trials`` TS trials of ``scenario``: counts sum to t-1."""
+    replicates = run_replicates(scenario, None, seed, n_trials, traces=n_trials)
+    n_arms = scenario.K + 1
+    states = []
+    for allocations, outcomes in zip(replicates.allocations, replicates.outcomes):
+        for t in range(n_arms + 1, scenario.T + 1, stride):
+            seen = allocations[:t - 1]
+            states.append((np.bincount(seen, outcomes[:t - 1], n_arms),
+                           np.bincount(seen, minlength=n_arms), t))
+    return states
+
+
 class TestTsProbabilities:
     # t = 2T makes the tempering exponent 1, so the weights are the
     # probabilities of being best themselves
@@ -200,6 +244,34 @@ class TestTsProbabilities:
         probs = ts_probabilities(*arms, 1.0, t, 200)
         assert np.all(probs >= 0)
         assert probs.sum() == pytest.approx(1.0, abs=1e-12)
+
+    @given(st.integers(0, 2**31 - 1), st.sampled_from([1, 3]))
+    @settings(max_examples=20, deadline=None)
+    def test_rows_independent_of_their_block(self, seed, K):
+        # counts from 1 to 300 give each row its own grid size at K = 3
+        rng = np.random.default_rng(seed)
+        counts = rng.integers(1, 301, size=(64, K + 1))
+        sums = rng.normal(0.0, 0.5, size=counts.shape) * counts
+        t = int(rng.integers(1, 605))
+        block = ts_probabilities(sums, counts, 1.0, t, 302)
+        for r in range(len(counts)):
+            assert np.array_equal(block[r], ts_probabilities(sums[r], counts[r], 1.0, t, 302))
+
+    @pytest.mark.parametrize("scenario", [two_arm("TS", 0.545), two_arm("TS", 0.0),
+                                          four_arm("TS", LFC, T=64), four_arm("TS", LFC)],
+                             ids=["K1-H1", "K1-H0", "K3-T64", "K3-T302"])
+    def test_trial_states_match_log_space_quadrature(self, scenario):
+        # states a real TS trial allocates from, tempered as the engine tempers them
+        for sums, counts, t in ts_trial_states(scenario, 5, 3, scenario.T // 12):
+            c = (t - 1) / (2.0 * scenario.T)
+            log_p = log_quad_p_best(sums / counts, 1.0 / np.sqrt(counts))
+            tempered = np.exp(c * (log_p - log_p.max()))
+            weights = ts_probabilities(sums, counts, 1.0, t - 1, scenario.T)
+            assert np.abs(weights - tempered / tempered.sum()).max() < 1e-12, (counts, t)
+            if scenario.K == 1:  # p against the closed form, in relative error
+                x = (sums[1] / counts[1] - sums[0] / counts[0]) \
+                    / math.sqrt(1.0 / counts[0] + 1.0 / counts[1])
+                assert np.abs(np.expm1(log_p - log_ndtr([-x, x]))).max() < 1e-12, (counts, t)
 
     @pytest.mark.parametrize("kind", ["TS", "TSB"])
     def test_decision_draws_one_uniform(self, kind):
