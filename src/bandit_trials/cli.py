@@ -10,19 +10,21 @@ simulate    operating-characteristics sweep over policies and hypotheses
 samplesize  equal-randomisation trial size for target power
 
 ``calibrate`` and ``simulate`` take the one-sided alpha from the scenario
-config (``alpha``, default 0.05) and calibrate through one path.  Bad
+config (``alpha``, default 0.05) and calibrate through one path: simulate
+null replicates, then reduce them with ``calibrate_critical_value``.  Bad
 input fails before any work: counts (``-M``, ``--workers``, ``--traces``,
-and M >= 100 where a command calibrates), every trial size and scenario,
-and a critical-value file's entries.
+``--seed``, and M >= 100 where a command calibrates), every trial size and
+scenario, and a critical-value file's entries.
 
 Index tables are cached per (discount, n_max) in $BANDIT_TRIALS_TABLE_DIR
-when that variable is set; a command whose own size is not cached reuses a
-cached table with the same discount and a larger n_max.  Only tables whose
-recorded DP settings are the defaults are reused.  Every command is
-deterministic given its ``--seed``; replicate streams are derived per
-policy, hypothesis (its position in the scenario) and trial size, so adding
-policies or selecting hypotheses does not perturb the others.  Each command
-runs its replicates on one pool of ``--workers`` processes.
+when that variable is set.  A command reuses only the file of its own
+discount and n_max whose recorded DP settings are the defaults; the file
+keeps every value losslessly, so a cached run matches a cold one byte for
+byte.  Every command is deterministic given its ``--seed``, whatever the
+cache holds; replicate streams are derived per policy, hypothesis (its
+position in the scenario) and trial size, so adding policies or selecting
+hypotheses does not perturb the others.  Each command runs its replicates
+on one pool of ``--workers`` processes.
 """
 
 from __future__ import annotations
@@ -69,32 +71,24 @@ def _cached_table(path: Path, discount: float, n_max: int) -> GittinsTable | Non
     try:
         table = load_index_table(path)
     except GittinsTableError:
-        return None  # a damaged file is a miss: rebuilt and replaced by get_table
-    usable = table.discount == discount and table.n_max >= n_max \
+        return None  # a missing or damaged file is a miss: (re)built by get_table
+    usable = table.discount == discount and table.n_max == n_max \
         and table.dp_meta == DpConfig().settings(discount)
     return table if usable else None
 
 
 def get_table(discount: float, n_max: int) -> GittinsTable:
-    """Fetch a cached index table or compute (and cache) one.
+    """Fetch the cached (discount, n_max) index table or compute (and cache) it.
 
-    Only tables that record the default ``DpConfig`` settings are used.  The
-    exact (discount, n_max) file is preferred; failing that, the smallest
-    cached table for the same discount that covers n_max.  A longer
-    table's leading entries match a shorter build's to about 1e-13, well
-    inside the 12 significant digits the cache keeps.
+    Only the file of exactly this discount and n_max, recording the default
+    ``DpConfig`` settings, is used; it holds every value losslessly, so a
+    cached table is the build it replaces, bit for bit.
     """
     path = _table_cache_path(discount, n_max)
     if path is not None:
-        longer = []
-        for other in path.parent.glob(f"gittins_d{discount:g}_n*.csv"):
-            size = other.stem.rpartition("_n")[2]
-            if size.isdigit() and int(size) > n_max:
-                longer.append((int(size), other))
-        for candidate in [path] + [other for _, other in sorted(longer)]:
-            table = _cached_table(candidate, discount, n_max)
-            if table is not None:
-                return table
+        table = _cached_table(path, discount, n_max)
+        if table is not None:
+            return table
     table = compute_index_table(discount, n_max)
     if path is not None:
         path.parent.mkdir(parents=True, exist_ok=True)
@@ -224,12 +218,12 @@ def _scenario_table(preset: dict, kinds, T: int):
 
 
 def _calibrate(args, preset: dict, scenario: TrialScenario, table):
-    """``calibrate_critical_value`` of a ``_null_scenario`` at the scenario
-    config's alpha, seeded per (policy, T): (critical value, summary, seed)."""
+    """Null replicates of a ``_null_scenario``, seeded per (policy, T), and
+    their critical value at the scenario config's alpha:
+    (critical value, replicates, seed)."""
     seed = _derived_seed(args.seed, POLICY_KINDS.index(scenario.policy.kind), 0, scenario.T)
-    critical, summary = calibrate_critical_value(scenario, table, seed, args.replicates,
-                                                 preset["alpha"], workers=args.workers)
-    return critical, summary, seed
+    replicates = run_replicates(scenario, table, seed, args.replicates, workers=args.workers)
+    return calibrate_critical_value(replicates, preset["alpha"]), replicates, seed
 
 
 def cmd_calibrate(args) -> int:
@@ -239,11 +233,15 @@ def cmd_calibrate(args) -> int:
     # every trial size is checked before the table is built or a file written
     scenarios = [_null_scenario(preset, kind, T) for T in args.T or [int(preset["T"])]]
     table = _scenario_table(preset, [kind], max(scenario.T for scenario in scenarios))
+    # histogram bins of the statistic: [-6, 6] in steps of 0.2, with overflow bins
+    edges = np.concatenate(([-np.inf], np.round(np.arange(-6.0, 6.0 + 0.1, 0.2), 10), [np.inf]))
     out_dir = Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     for scenario in scenarios:
         T = scenario.T
-        critical, summary, seed = _calibrate(args, preset, scenario, table)
+        critical, replicates, seed = _calibrate(args, preset, scenario, table)
+        stats = replicates.z.max(axis=1)  # Z, or max Z for K > 1
+        z_sd = float(stats.std(ddof=1))
         record = {
             "policy": kind,
             "K": scenario.K,
@@ -252,19 +250,19 @@ def cmd_calibrate(args) -> int:
             "alpha": critical.alpha,
             "critical_value": critical.value,
             "critical_value_ci95": critical.ci95,
-            "z_mean": summary.mean,
-            "z_sd": summary.sd,
+            "z_mean": float(stats.mean()),
+            "z_sd": z_sd,
             "seed": seed,
         }
         json_path = out_dir / f"calibration_{kind}_T{T}.json"
         json_path.write_text(json.dumps(record, indent=2) + "\n")
         hist_path = out_dir / f"calibration_{kind}_T{T}_hist.csv"
-        edges, counts = summary.histogram.edges, summary.histogram.counts
+        counts, _ = np.histogram(stats, bins=edges)
         lines = ["bin_left,bin_right,count"]
         lines += [f"{edges[i]},{edges[i + 1]},{counts[i]}" for i in range(counts.size)]
         hist_path.write_text("\n".join(lines) + "\n")
         print(f"{kind}: C_{{{critical.alpha}}} = {critical.value:.4f} "
-              f"(statistic sd {summary.sd:.3f}); wrote {json_path} and {hist_path}",
+              f"(statistic sd {z_sd:.3f}); wrote {json_path} and {hist_path}",
               flush=True)
     return 0
 
@@ -430,7 +428,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 def _check_counts(args) -> None:
     """Reject a bad count before the command writes a file or builds a table."""
-    for flag, least in (("replicates", 1), ("workers", 1), ("traces", 0)):
+    for flag, least in (("replicates", 1), ("workers", 1), ("traces", 0), ("seed", 0)):
         value = getattr(args, flag, None)
         if value is not None and value < least:
             raise ValueError(f"--{flag} must be >= {least}, got {value}")

@@ -334,7 +334,7 @@ def save_index_table(table: GittinsTable, path: str | Path) -> Path:
     lines = [f"# discount={table.discount!r}"]
     lines += [f"# {key}={json.dumps(value)}" for key, value in (table.dp_meta or {}).items()]
     lines.append("n,value")
-    lines += [f"{n},{v:.12g}" for n, v in enumerate(table.values, start=1)]
+    lines += [f"{n},{float(v)!r}" for n, v in enumerate(table.values, start=1)]
     path.write_text("\n".join(lines) + "\n")
     return path
 

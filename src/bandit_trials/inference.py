@@ -4,9 +4,10 @@ Hypotheses are one-sided superiority tests of K experimental arms against a
 control: arm k is declared effective when its standardized contrast exceeds
 a critical value.  For equal randomisation the critical value controlling
 the family-wise error rate has a closed quadrature form; for adaptive
-designs it is calibrated empirically as a percentile of the largest
-contrasts of simulated null trials, read off ``run_replicates``'s z array,
-and carries the distribution-free 95% interval of that percentile.
+designs it is calibrated empirically: ``calibrate_critical_value`` reduces
+simulated null trials (a ``Replicates`` from ``engine.run_replicates``) to a
+percentile of their largest contrasts, with the distribution-free 95%
+interval of that percentile.  This module simulates nothing.
 """
 
 from __future__ import annotations
@@ -20,13 +21,10 @@ from scipy.special import bdtr, bdtrik, ndtr, ndtri
 
 __all__ = [
     "CriticalValue",
-    "Histogram",
-    "CalibrationSummary",
     "z_statistic",
     "fwer_critical_value",
     "sample_size",
     "calibrate_critical_value",
-    "default_histogram_edges",
 ]
 
 # fewest replicates a calibration accepts
@@ -118,35 +116,6 @@ def sample_size(K: int, sigma: float, delta1: float, c_alpha: float, beta: float
     return math.ceil(total - 1e-9)
 
 
-def default_histogram_edges() -> np.ndarray:
-    """Calibration binning: [-6, 6] in steps of 0.2 with overflow bins."""
-    interior = np.round(np.arange(-6.0, 6.0 + 0.1, 0.2), 10)
-    return np.concatenate(([-np.inf], interior, [np.inf]))
-
-
-@dataclass(frozen=True)
-class Histogram:
-    edges: np.ndarray
-    counts: np.ndarray
-
-    @classmethod
-    def of(cls, values: np.ndarray) -> "Histogram":
-        """``values`` counted in ``default_histogram_edges``' bins."""
-        edges = default_histogram_edges()
-        counts, _ = np.histogram(values, bins=edges)
-        return cls(edges=edges, counts=counts)
-
-
-@dataclass(frozen=True)
-class CalibrationSummary:
-    """Distribution summary of the calibrated statistic (Z, or max Z for K > 1)."""
-
-    values: np.ndarray
-    mean: float
-    sd: float
-    histogram: Histogram
-
-
 def _percentile_interval_ranks(M: int, q: float) -> tuple[int, int]:
     """1-based order-statistic ranks (l, u) bracketing the q-quantile of M draws.
 
@@ -170,44 +139,31 @@ def _binomial_quantile(level: float, n: int, p: float) -> int:
     return k - 1 if k > 0 and bdtr(k - 1, n, p) >= level else k
 
 
-def calibrate_critical_value(null_scenario, table, master_seed: int, M: int,
-                             alpha: float, *, workers: int = 1):
+def calibrate_critical_value(replicates, alpha: float) -> CriticalValue:
     """Empirical critical value of an adaptive design under the global null.
 
-    Simulates ``M`` independent trials of ``null_scenario`` (which must have
-    all true means equal), collects the per-trial max contrast, and returns
-    the nearest-rank (1-alpha) percentile together with a distribution
-    summary.  The value's ``ci95`` holds the distribution-free 95% interval
-    of the percentile (see ``_percentile_interval_ranks``) as
-    ``{"lower", "upper", "ranks"}``, so its Monte Carlo error travels with the
-    value.  Replicate r is seeded from (master_seed, r), so results do not
-    depend on worker count.
+    ``replicates`` are simulated trials of a scenario whose true means are
+    all equal (see ``engine.run_replicates``); returns the nearest-rank
+    (1-alpha) percentile of their per-trial max contrast.  Its ``ci95`` holds
+    the distribution-free 95% interval of the percentile (see
+    ``_percentile_interval_ranks``) as ``{"lower", "upper", "ranks"}``, so
+    its Monte Carlo error travels with the value.
     """
-    from .engine import run_replicates
-
-    mu = null_scenario.mu
+    mu = replicates.scenario.mu
     if max(mu) != min(mu):
         raise ValueError("calibration requires a global-null scenario (all means equal); "
                          f"got mu={mu}")
+    M = replicates.M
     if M < MIN_CALIBRATION_M:
         raise ValueError(f"calibration needs M >= {MIN_CALIBRATION_M} replicates")
     if not 0.0 < alpha < 1.0:
         raise ValueError("alpha must lie in (0, 1)")
 
-    stats = run_replicates(null_scenario, table, master_seed, M, workers=workers).z.max(axis=1)
     rank = math.ceil((1.0 - alpha) * M)  # nearest-rank order statistic, 1-based
-    ordered = np.sort(stats)
-    value = float(ordered[rank - 1])
+    ordered = np.sort(replicates.z.max(axis=1))
     lower_rank, upper_rank = _percentile_interval_ranks(M, 1.0 - alpha)
-    summary = CalibrationSummary(
-        values=stats,
-        mean=float(stats.mean()),
-        sd=float(stats.std(ddof=1)),
-        histogram=Histogram.of(stats),
-    )
-    critical = CriticalValue(value, alpha, ci95={
+    return CriticalValue(float(ordered[rank - 1]), alpha, ci95={
         "lower": float(ordered[lower_rank - 1]),
         "upper": float(ordered[upper_rank - 1]),
         "ranks": [lower_rank, upper_rank],
     })
-    return critical, summary

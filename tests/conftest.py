@@ -88,16 +88,11 @@ def fr2_h1():
 
 @pytest.fixture(scope="session")
 def gi2_calibration(table995):
-    """(critical, summary, replicates) for GI under the two-arm global null.
-
-    The replicates are the calibration's own (same seed), with bias sums.
-    """
-    scenario = two_arm("GI", 0.0)
-    critical, summary = calibrate_critical_value(
-        scenario, table995, ACCEPT_SEED + 103, M_FULL, 0.05, workers=WORKERS)
-    replicates = run_replicates(scenario, table995, ACCEPT_SEED + 103, M_FULL,
+    """(critical, replicates) for GI under the two-arm global null: the
+    calibration's replicates, with bias sums."""
+    replicates = run_replicates(two_arm("GI", 0.0), table995, ACCEPT_SEED + 103, M_FULL,
                                 workers=WORKERS, keep_trajectory=True)
-    return critical, summary, replicates
+    return calibrate_critical_value(replicates, 0.05), replicates
 
 
 @pytest.fixture(scope="session")

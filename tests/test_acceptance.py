@@ -50,10 +50,9 @@ def four_arm_criticals(table995):
     """T=302 calibrated critical values, reused by criteria 6 and 7."""
     criticals = {}
     for i, kind in enumerate(("CG", "CUC", "KLU", "GI", "TP", "UCB")):
-        scenario = four_arm(kind, NULL4)
-        critical, _ = calibrate_critical_value(
-            scenario, table995, ACCEPT_SEED + 210 + i, M_FULL, 0.05, workers=WORKERS)
-        criticals[kind] = critical.value
+        replicates = run_replicates(four_arm(kind, NULL4), table995, ACCEPT_SEED + 210 + i,
+                                    M_FULL, workers=WORKERS)
+        criticals[kind] = calibrate_critical_value(replicates, 0.05).value
     return criticals
 
 
@@ -81,10 +80,10 @@ def test_criterion_3_fixed_randomisation_row(fr2_h0, fr2_h1):
 
 
 def test_criterion_4_gittins_row(gi2_calibration, gi2_h1):
-    critical, summary, _ = gi2_calibration
+    critical, replicates = gi2_calibration
     oc1 = aggregate(gi2_h1, 1.951)
     check(4, [within("C", critical.value, 1.951, 0.05),
-              within("Z sd", summary.sd, 1.37, 0.05),
+              within("Z sd", replicates.z[:, 0].std(ddof=1), 1.37, 0.05),
               within("power", oc1.rejection_rate, 0.237, 0.02),
               within("Ep*", oc1.e_pstar, 0.879, 0.02),
               within("EO", oc1.e_outcome, 0.480, 0.015)])
@@ -95,9 +94,9 @@ def test_criterion_5_two_arm_critical_values(table995):
                "UCB": 2.068, "KLU": 1.867, "CB": 1.782}
     checks = []
     for i, (kind, target) in enumerate(targets.items()):
-        scenario = two_arm(kind, 0.0)
-        critical, _ = calibrate_critical_value(
-            scenario, table995, ACCEPT_SEED + 110 + i, M_FULL, 0.05, workers=WORKERS)
+        replicates = run_replicates(two_arm(kind, 0.0), table995, ACCEPT_SEED + 110 + i,
+                                    M_FULL, workers=WORKERS)
+        critical = calibrate_critical_value(replicates, 0.05)
         checks.append(within(f"C[{kind}]", critical.value, target, 0.06))
     check(5, checks)
 
@@ -150,17 +149,16 @@ def test_criterion_8_critical_value_sweep(table995):
     M_PUBLISHED = 10_000
     ucb, ucb_se, fr = {}, {}, {}
     for T in (64, 116, 302):
-        scenario = four_arm("UCB", NULL4, T=T)
-        critical, _ = calibrate_critical_value(
-            scenario, table995, ACCEPT_SEED + 400 + T, M_SWEEP, 0.05, workers=WORKERS)
+        replicates = run_replicates(four_arm("UCB", NULL4, T=T), table995,
+                                    ACCEPT_SEED + 400 + T, M_SWEEP, workers=WORKERS)
+        critical = calibrate_critical_value(replicates, 0.05)
         ucb[T] = critical.value
         ci = critical.ci95
         ucb_se[T] = (ci["upper"] - ci["lower"]) / (2 * ndtri(0.975))
     for T in (64, 116, 302):
-        scenario = four_arm("FR", NULL4, T=T)
-        critical, _ = calibrate_critical_value(
-            scenario, table995, ACCEPT_SEED + 500 + T, M_SWEEP, 0.05, workers=WORKERS)
-        fr[T] = critical.value
+        replicates = run_replicates(four_arm("FR", NULL4, T=T), table995,
+                                    ACCEPT_SEED + 500 + T, M_SWEEP, workers=WORKERS)
+        fr[T] = calibrate_critical_value(replicates, 0.05).value
     gap = ucb[302] - ucb[64]
     se_gap = math.hypot(ucb_se[302], ucb_se[64])
     se_ref = se_gap * math.sqrt(M_SWEEP / M_PUBLISHED)
@@ -178,7 +176,7 @@ def test_criterion_8_critical_value_sweep(table995):
 
 def test_criterion_9_bias_trajectories(fr2_h0, gi2_calibration,
                                        gi2_h1, rgi2_h1):
-    gi_h0 = bias_trajectories(gi2_calibration[2])
+    gi_h0 = bias_trajectories(gi2_calibration[1])
     gi_bias_at_end = [float(traj.mean_bias[-1]) for traj in gi_h0]
 
     fr_trajs = bias_trajectories(fr2_h0)

@@ -1,6 +1,8 @@
 """Command-line interface: subcommands, determinism, file outputs."""
 
+import dataclasses
 import json
+import math
 import multiprocessing
 import os
 import subprocess
@@ -13,7 +15,7 @@ import pytest
 import bandit_trials
 from bandit_trials import cli
 from bandit_trials.cli import PRESET_NAMES, build_parser, load_preset, main
-from bandit_trials.engine import BLOCK
+from bandit_trials.engine import BLOCK, run_replicates
 from bandit_trials.gittins import (DpConfig, compute_index_table, load_index_table,
                                    save_index_table)
 
@@ -36,6 +38,14 @@ def assert_one_error_line(capsys, code):
     err = capsys.readouterr().err.splitlines()
     assert code == 1
     assert len(err) == 1 and err[0].startswith("error: ")
+    return err[0]
+
+
+def histogram_rows(path):
+    """(bin_left, bin_right, count) text fields of a calibration histogram."""
+    lines = path.read_text().splitlines()
+    assert lines[0] == "bin_left,bin_right,count"
+    return [line.split(",") for line in lines[1:]]
 
 
 class TestSampleSize:
@@ -112,9 +122,34 @@ class TestCalibrateCommand:
         assert 0 < record["critical_value"] < 6
         ci = record["critical_value_ci95"]
         assert ci["lower"] <= record["critical_value"] <= ci["upper"]
-        hist = (tmp_path / "calibration_CB_T12_hist.csv").read_text().splitlines()
-        assert hist[0] == "bin_left,bin_right,count"
-        assert sum(int(r.split(",")[2]) for r in hist[1:]) == 200
+        rows = histogram_rows(tmp_path / "calibration_CB_T12_hist.csv")
+        assert sum(int(row[2]) for row in rows) == 200
+
+    def test_histogram_binning(self, tmp_path):
+        assert run_cli("calibrate", "--policy", "CB", "--preset", "two-arm-t116",
+                       "--T", "8", "-M", "200", "--seed", "21", "--workers", "1",
+                       "--out-dir", str(tmp_path)) == 0
+        rows = histogram_rows(tmp_path / "calibration_CB_T8_hist.csv")
+        edges = np.array([float(row[0]) for row in rows] + [float(rows[-1][1])])
+        assert sum(int(row[2]) for row in rows) == 200
+        assert math.isinf(edges[0]) and math.isinf(edges[-1])
+        assert np.allclose(np.diff(edges[1:-1]), 0.2)
+
+    def test_histogram_overflow_bins(self, tmp_path, monkeypatch):
+        # one statistic below -6, one above 6, the rest at 0
+        def extreme(*args, **kwargs):
+            replicates = run_replicates(*args, **kwargs)
+            z = np.zeros_like(replicates.z)
+            z[0], z[-1] = -100.0, 100.0
+            return dataclasses.replace(replicates, z=z)
+
+        monkeypatch.setattr(cli, "run_replicates", extreme)
+        assert run_cli("calibrate", "--policy", "FR", "--preset", "two-arm-t116",
+                       "--T", "6", "-M", "100", "--workers", "1",
+                       "--out-dir", str(tmp_path)) == 0
+        rows = histogram_rows(tmp_path / "calibration_FR_T6_hist.csv")
+        assert rows[0] == ["-inf", "-6.0", "1"] and rows[-1] == ["6.0", "inf", "1"]
+        assert ["0.0", "0.2", "98"] in rows
 
     def test_workers_default_to_usable_cpus(self, monkeypatch):
         monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
@@ -156,14 +191,17 @@ class TestCalibrateCommand:
         assert code == 1
         assert "global null" in capsys.readouterr().err
 
-    # every trial size and the calibration's M >= 100 are checked first
-    @pytest.mark.parametrize("flag, value", [("--T", "0"), ("--T", "116,0"), ("-M", "50")])
+    # every trial size, the seed and the calibration's M >= 100 are checked first
+    @pytest.mark.parametrize("flag, value", [("--T", "0"), ("--T", "116,0"), ("-M", "50"),
+                                             ("--seed", "-1")])
     def test_bad_size_is_one_error_line(self, tmp_path, capsys, no_table_build, flag, value):
         out = tmp_path / "out"
         code = run_cli("calibrate", "--preset", "two-arm-t116", "--policy", "GI", "-M", "100",
                        flag, value, "--out-dir", str(out))
-        assert_one_error_line(capsys, code)
+        line = assert_one_error_line(capsys, code)
         assert not out.exists()
+        if flag == "--seed":
+            assert line == "error: --seed must be >= 0, got -1"
 
 
 class TestSimulateCommand:
@@ -315,20 +353,17 @@ class TestSimulateCommand:
         assert table.discount == 0.995 and table.n_max == 116
         assert list(cache.iterdir()) == [damaged]  # replaced in place, nothing left aside
 
-    def test_longer_cached_table_is_reused(self, table995, tmp_path, monkeypatch):
+    def test_longer_cached_table_is_not_served(self, tmp_path, monkeypatch):
+        # a longer table's leading entries differ from a shorter build's in the
+        # last bits, so only the exact (discount, n_max) file is used
         cache = tmp_path / "cache"
         cache.mkdir()
-        longer = save_index_table(table995, cache / "gittins_d0.995_n302.csv")
-
-        def no_build(*args, **kwargs):
-            raise AssertionError("index table rebuilt despite a covering cached table")
-
-        monkeypatch.setattr(cli, "compute_index_table", no_build)
+        longer = save_index_table(compute_index_table(0.9, 24), cache / "gittins_d0.9_n24.csv")
         monkeypatch.setenv("BANDIT_TRIALS_TABLE_DIR", str(cache))
-        assert run_cli("simulate", "--preset", "two-arm-t116", "--policies", "GI",
-                       "--critical-values", "analytic", "--replicates", "20", "--seed", "0",
-                       "--workers", "1", "--out-dir", str(tmp_path / "run")) == 0
-        assert list(cache.iterdir()) == [longer]  # no n116 file written
+        table = cli.get_table(0.9, 16)
+        assert table.n_max == 16
+        assert np.array_equal(table.values, compute_index_table(0.9, 16).values)
+        assert sorted(cache.iterdir()) == sorted([longer, cache / "gittins_d0.9_n16.csv"])
 
     @pytest.mark.parametrize("recorded", [True, False])
     def test_table_of_other_settings_is_rebuilt(self, tmp_path, monkeypatch, recorded):
@@ -346,14 +381,17 @@ class TestSimulateCommand:
         assert load_index_table(path).dp_meta == DpConfig().settings(0.9)  # replaced
 
     @pytest.mark.parametrize("flag, value", [("--workers", "0"), ("--workers", "-2"),
-                                             ("--T", "0"), ("--traces", "-1"), ("-M", "0")])
+                                             ("--T", "0"), ("--traces", "-1"), ("-M", "0"),
+                                             ("--seed", "-1")])
     def test_bad_count_is_one_error_line(self, tmp_path, capsys, no_table_build, flag, value):
         out = tmp_path / "out"
         code = run_cli("simulate", "--preset", "two-arm-t116", "--policies", "GI",
                        "--hypotheses", "H0", "--critical-values", "analytic", "-M", "10",
                        flag, value, "--out-dir", str(out))
-        assert_one_error_line(capsys, code)
+        line = assert_one_error_line(capsys, code)
         assert not out.exists()
+        if flag == "--seed":
+            assert line == "error: --seed must be >= 0, got -1"
 
     @pytest.mark.parametrize("command", ["calibrate", "simulate"])
     def test_no_experimental_arm_is_one_error_line(self, tmp_path, capsys, no_table_build,

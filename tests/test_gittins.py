@@ -186,7 +186,7 @@ class TestTableFile:
         loaded = load_index_table(path)
         assert loaded.discount == table09.discount
         assert loaded.dp_meta == table09.dp_meta
-        assert np.allclose(loaded.values, table09.values, rtol=0, atol=1e-10)
+        assert np.array_equal(loaded.values, table09.values)  # lossless
 
     def test_non_monotone_rejected(self, tmp_path):
         path = tmp_path / "bad.csv"

@@ -10,10 +10,8 @@ from scipy.stats import binom
 from bandit_trials.engine import run_replicates
 from bandit_trials.inference import (
     CriticalValue,
-    Histogram,
     _percentile_interval_ranks,
     calibrate_critical_value,
-    default_histogram_edges,
     fwer_critical_value,
     sample_size,
     z_statistic,
@@ -121,31 +119,37 @@ class TestSampleSize:
 
 class TestCalibration:
     def test_refuses_non_null_scenario(self, table995):
-        scenario = two_arm("GI", 0.545)
+        replicates = run_replicates(two_arm("GI", 0.545), table995, 1, 200)
         with pytest.raises(ValueError, match="global-null"):
-            calibrate_critical_value(scenario, table995, 1, 200, 0.05)
+            calibrate_critical_value(replicates, 0.05)
 
     def test_requires_enough_replicates(self):
-        scenario = two_arm("FR", 0.0, T=6)
+        replicates = run_replicates(two_arm("FR", 0.0, T=6), None, 1, 50)
         with pytest.raises(ValueError, match="M >= 100"):
-            calibrate_critical_value(scenario, None, 1, 50, 0.05)
+            calibrate_critical_value(replicates, 0.05)
+
+    def test_requires_alpha_in_unit_interval(self):
+        replicates = run_replicates(two_arm("FR", 0.0, T=6), None, 1, 100)
+        for alpha in (0.0, 1.0):
+            with pytest.raises(ValueError, match="alpha"):
+                calibrate_critical_value(replicates, alpha)
 
     def test_nearest_rank_small_sample(self):
-        scenario = two_arm("CB", 0.0, T=8)
-        critical, summary = calibrate_critical_value(scenario, None, 16, 100, 0.05)
-        assert critical.value == float(np.sort(summary.values)[94])
+        replicates = run_replicates(two_arm("CB", 0.0, T=8), None, 16, 100)
+        critical = calibrate_critical_value(replicates, 0.05)
+        assert critical.value == float(np.sort(replicates.z.max(axis=1))[94])
 
     @pytest.mark.parametrize("M", [100, 10_000])
     def test_percentile_interval(self, M):
-        scenario = two_arm("CB", 0.0, T=6)
-        critical, summary = calibrate_critical_value(scenario, None, 23, M, 0.05)
+        replicates = run_replicates(two_arm("CB", 0.0, T=6), None, 23, M)
+        critical = calibrate_critical_value(replicates, 0.05)
         ci = critical.ci95
         lower, upper = ci["ranks"]
         # l is the 2.5% and u-1 the 97.5% quantile of Binomial(M, 0.95), the
         # count of draws at or below the true 95th percentile
         assert binom.cdf(lower - 1, M, 0.95) < 0.025 <= binom.cdf(lower, M, 0.95)
         assert binom.cdf(upper - 2, M, 0.95) < 0.975 <= binom.cdf(upper - 1, M, 0.95)
-        ordered = np.sort(summary.values)
+        ordered = np.sort(replicates.z.max(axis=1))
         assert ci["lower"] == float(ordered[lower - 1])
         assert ci["upper"] == float(ordered[upper - 1])
         assert ci["lower"] <= critical.value <= ci["upper"]
@@ -159,29 +163,20 @@ class TestCalibration:
             assert _percentile_interval_ranks(M, q) == (max(lo, 1), min(hi, M)), M
 
     def test_fr_calibration_recovers_normal_quantile(self):
-        scenario = two_arm("FR", 0.0)
-        critical, summary = calibrate_critical_value(scenario, None, 18, 10_000, 0.05,
-                                                     workers=WORKERS)
+        replicates = run_replicates(two_arm("FR", 0.0), None, 18, 10_000, workers=WORKERS)
+        critical = calibrate_critical_value(replicates, 0.05)
+        stats = replicates.z.max(axis=1)
         assert critical.value == pytest.approx(1.645, abs=0.05)
-        assert summary.mean == pytest.approx(0.0, abs=0.05)
-        assert summary.sd == pytest.approx(1.0, abs=0.05)
+        assert stats.mean() == pytest.approx(0.0, abs=0.05)
+        assert stats.std(ddof=1) == pytest.approx(1.0, abs=0.05)
 
     def test_self_consistency_on_fresh_seeds(self):
         scenario = two_arm("CB", 0.0, T=40)
-        critical, _ = calibrate_critical_value(scenario, None, 19, 2000, 0.05,
-                                               workers=WORKERS)
+        critical = calibrate_critical_value(
+            run_replicates(scenario, None, 19, 2000, workers=WORKERS), 0.05)
         fresh = run_replicates(scenario, None, 20, 2000, workers=WORKERS)
         rate = float(np.mean(fresh.z.max(axis=1) > critical.value))
         assert rate <= 0.05 + 3 * math.sqrt(0.05 * 0.95 / 2000)
-
-    def test_histogram_binning(self):
-        scenario = two_arm("CB", 0.0, T=8)
-        _, summary = calibrate_critical_value(scenario, None, 21, 200, 0.05)
-        hist = summary.histogram
-        assert hist.counts.sum() == 200
-        assert math.isinf(hist.edges[0]) and math.isinf(hist.edges[-1])
-        interior = np.diff(hist.edges[1:-1])
-        assert np.allclose(interior, 0.2)
 
 
 class TestCriticalValueType:
@@ -190,9 +185,3 @@ class TestCriticalValueType:
             CriticalValue(1.0, 1.5)
         with pytest.raises(ValueError):
             CriticalValue(float("inf"), 0.05)
-
-    def test_histogram_default_edges(self):
-        edges = default_histogram_edges()
-        assert edges[1] == -6.0 and edges[-2] == 6.0
-        hist = Histogram.of(np.array([-100.0, 0.0, 100.0]))
-        assert hist.counts[0] == 1 and hist.counts[-1] == 1
