@@ -1,6 +1,6 @@
 """Adaptive allocation rules and testing calibration for multi-armed trials."""
 
-from .engine import Replicates, TrialRecord, TrialScenario, run_replicates, run_trial
+from .engine import Replicates, TrialScenario, run_replicates, run_trial
 from .gittins import (
     DpConfig,
     GittinsTable,
@@ -16,16 +16,10 @@ from .inference import (
     sample_size,
     z_statistic,
 )
-from .operating import (
-    BiasTrajectory,
-    OperatingCharacteristics,
-    aggregate,
-    bias_trajectories,
-)
+from .operating import OperatingCharacteristics, aggregate, bias_trajectories
 from .policies import PolicySpec
 
 __all__ = [
-    "BiasTrajectory",
     "CriticalValue",
     "DpConfig",
     "GittinsTable",
@@ -33,7 +27,6 @@ __all__ = [
     "OperatingCharacteristics",
     "PolicySpec",
     "Replicates",
-    "TrialRecord",
     "TrialScenario",
     "aggregate",
     "bias_trajectories",

@@ -14,7 +14,8 @@ config (``alpha``, default 0.05) and calibrate through one path: simulate
 null replicates, then reduce them with ``calibrate_critical_value``.  Bad
 input fails before any work: counts (``-M``, ``--workers``, ``--traces``,
 ``--seed``, and M >= 100 where a command calibrates), every trial size and
-scenario, and a critical-value file's entries.
+scenario, a policy, hypothesis or trial size listed twice, and a
+critical-value file's entries.
 
 Index tables are cached per (discount, n_max) in $BANDIT_TRIALS_TABLE_DIR
 when that variable is set.  A command reuses only the file of its own
@@ -43,7 +44,7 @@ from .gittins import (DpConfig, GittinsTable, GittinsTableError, compute_index_t
                       load_index_table, save_index_table)
 from .inference import (MIN_CALIBRATION_M, CriticalValue, calibrate_critical_value,
                         fwer_critical_value, sample_size)
-from .operating import aggregate, bias_trajectories, write_bias_csv, write_results_csv
+from .operating import aggregate, write_bias_csv, write_results_csv
 from .policies import POLICY_KINDS, PolicySpec
 
 TABLE_DIR_ENV = "BANDIT_TRIALS_TABLE_DIR"
@@ -226,12 +227,21 @@ def _calibrate(args, preset: dict, scenario: TrialScenario, table):
     return calibrate_critical_value(replicates, preset["alpha"]), replicates, seed
 
 
+def _check_distinct(what: str, items: list) -> None:
+    """Reject a list that names an entry twice: it would rerun the same work."""
+    repeated = [str(item) for item in dict.fromkeys(items) if items.count(item) > 1]
+    if repeated:
+        raise ValueError(f"{what} {', '.join(repeated)} listed more than once")
+
+
 def cmd_calibrate(args) -> int:
     _check_calibration_size(args.replicates)
     preset = _load_scenario_source(args)
     kind = args.policy.upper()
+    sizes = args.T or [int(preset["T"])]
+    _check_distinct("trial size", sizes)
     # every trial size is checked before the table is built or a file written
-    scenarios = [_null_scenario(preset, kind, T) for T in args.T or [int(preset["T"])]]
+    scenarios = [_null_scenario(preset, kind, T) for T in sizes]
     table = _scenario_table(preset, [kind], max(scenario.T for scenario in scenarios))
     # histogram bins of the statistic: [-6, 6] in steps of 0.2, with overflow bins
     edges = np.concatenate(([-np.inf], np.round(np.arange(-6.0, 6.0 + 0.1, 0.2), 10), [np.inf]))
@@ -292,6 +302,8 @@ def cmd_simulate(args) -> int:
     kinds = [k.upper() for k in (args.policies.split(",") if args.policies else preset["policies"])]
     hypotheses = (args.hypotheses.split(",") if args.hypotheses
                   else list(preset["hypotheses"]))
+    _check_distinct("policy", kinds)
+    _check_distinct("hypothesis", hypotheses)
     labels = list(preset["hypotheses"])
     unknown = [label for label in hypotheses if label not in labels]
     if unknown:
@@ -333,23 +345,12 @@ def cmd_simulate(args) -> int:
             replicates = run_replicates(scenario, table, seed, args.replicates,
                                         workers=args.workers, keep_trajectory=args.bias,
                                         traces=args.traces)
-            oc = aggregate(replicates, critical)
-            rows.append({
-                "policy": kind, "hypothesis": label, "C_alpha": critical.value,
-                "rejection_rate": oc.rejection_rate,
-                "global_rejection_rate": oc.global_rejection_rate,
-                "e_pstar": oc.e_pstar, "sd_pstar": oc.sd_pstar,
-                "e_outcome": oc.e_outcome, "sd_outcome": oc.sd_outcome,
-                "M": oc.M, "seed": seed,
-                "rejection_rate_se": oc.rejection_rate_se,
-                "global_rejection_rate_se": oc.global_rejection_rate_se,
-                "e_pstar_se": oc.e_pstar_se, "e_outcome_se": oc.e_outcome_se,
-            })
+            oc = aggregate(replicates, critical.value)
+            rows.append((kind, label, critical.value, seed, oc))
             if args.bias:
-                write_bias_csv(bias_trajectories(replicates),
-                               out_dir / f"bias_{kind}_{label}.csv")
+                write_bias_csv(replicates, out_dir / f"bias_{kind}_{label}.csv")
             for r in range(len(replicates.allocations)):
-                write_trace_csv(replicates.trace(r),
+                write_trace_csv(replicates, r,
                                 out_dir / f"trace_{kind}_{label}_r{r}.csv",
                                 out_dir / f"trace_{kind}_{label}_r{r}_arms.csv")
             print(f"{kind} {label}: reject={oc.rejection_rate:.4f} "

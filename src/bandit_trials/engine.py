@@ -13,13 +13,13 @@ Replicates are stepped together in blocks of up to ``BLOCK``: the loop runs
 over patients, and each step updates the (R, K+1) ``sums`` and ``counts``
 of all R replicates of the block with array operations.  A block returns
 only what the reports need (``Replicates``: per-replicate contrasts, counts
-and mean outcome, bias sums, a few traces), and ``run_trial`` is its R=1
-view.  With several workers, ``run_replicates`` cuts the replicates into
-chunks of whole blocks (only the last block of the run may be short) and
-runs them in a process pool.  Calls made inside a ``shared_pool`` block, as
-every CLI command is, share one pool, which is shut down and its workers
-joined when the block ends; a call made outside one runs in a block of its
-own.
+and mean outcome, bias sums, a few traces), and ``run_trial`` returns the
+one-row ``Replicates`` of a block of R=1, its trace kept.  With several
+workers, ``run_replicates`` cuts the replicates into chunks of whole blocks
+(only the last block of the run may be short) and runs them in a process
+pool.  Calls made inside a ``shared_pool`` block, as every CLI command is,
+share one pool, which is shut down and its workers joined when the block
+ends; a call made outside one runs in a block of its own.
 
 Randomness discipline: each replicate owns two independent streams derived
 from (master_seed, replicate): one for policy randomness (initialization
@@ -57,8 +57,8 @@ from .gittins import GittinsTable, GittinsTableError
 from .inference import z_statistic
 from .policies import Allocator, PolicySpec, draw_policy_variates
 
-__all__ = ["TrialScenario", "TrialRecord", "Replicates", "run_trial", "run_replicates",
-           "shared_pool", "write_trace_csv"]
+__all__ = ["TrialScenario", "Replicates", "run_trial", "run_replicates", "shared_pool",
+           "write_trace_csv"]
 
 # Replicates stepped together.  A block's largest arrays are its RBI/RGI
 # exponentials and kept mean trajectories, (BLOCK, T, K+1) each, 2.5 MB at
@@ -96,10 +96,14 @@ class TrialScenario:
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "mu", tuple(float(m) for m in self.mu))
+        if len(self.mu) < 2:
+            raise ValueError("mu must list a control and at least one experimental arm")
+        if not all(math.isfinite(m) for m in self.mu):
+            raise ValueError(f"arm means must be finite, got {self.mu}")
+        if not (math.isfinite(self.sigma) and self.sigma > 0):
+            raise ValueError(f"sigma must be positive and finite, got {self.sigma}")
         if self.T < self.K + 1:
             raise ValueError("T must cover the initialization phase (T >= K+1)")
-        if self.sigma <= 0:
-            raise ValueError("sigma must be positive")
         self.policy.check_arms(self.K)
 
     @property
@@ -109,17 +113,6 @@ class TrialScenario:
     @property
     def is_global_null(self) -> bool:
         return max(self.mu) == min(self.mu)
-
-
-@dataclass(frozen=True)
-class TrialRecord:
-    """One replicate's trace plus its final statistics: ``Replicates.trace``."""
-
-    allocations: np.ndarray          # arm index per patient, length T
-    outcomes: np.ndarray             # observed outcome per patient, length T
-    arm_means: tuple[float, ...]     # final per-arm sample means
-    arm_counts: tuple[int, ...]      # final per-arm observation counts
-    z: np.ndarray                    # contrasts of arms 1..K with the control
 
 
 @dataclass(frozen=True)
@@ -143,14 +136,6 @@ class Replicates:
     @property
     def M(self) -> int:
         return len(self.z)
-
-    def trace(self, r: int) -> TrialRecord:
-        """Traced replicate r as a ``TrialRecord``."""
-        allocations, outcomes, counts = self.allocations[r], self.outcomes[r], self.counts[r]
-        # bincount adds in patient order, as the engine's running sums do
-        sums = np.bincount(allocations, weights=outcomes, minlength=counts.size)
-        return TrialRecord(allocations, outcomes, tuple((sums / counts).tolist()),
-                           tuple(counts.tolist()), self.z[r])
 
 
 def _merge(blocks: list[Replicates]) -> Replicates:
@@ -320,8 +305,8 @@ def _run_block(scenario: TrialScenario, table: GittinsTable | None,
 
 
 def run_trial(scenario: TrialScenario, table: GittinsTable | None = None,
-              seed: int | tuple[int, ...] = 0) -> TrialRecord:
-    """Simulate one complete trial and return its trace.
+              seed: int | tuple[int, ...] = 0) -> Replicates:
+    """Simulate one complete trial: a ``Replicates`` of M=1 with its trace.
 
     ``seed`` is SeedSequence entropy, an integer or a tuple of them; the
     first two children of ``SeedSequence(seed)`` seed the policy randomness
@@ -329,7 +314,7 @@ def run_trial(scenario: TrialScenario, table: GittinsTable | None = None,
     replays replicate r of ``run_replicates(s, table, master_seed, M)``.
     """
     _check_table(scenario, table)
-    return _run_block(scenario, table, _stream_seeds(_uint32_words(seed)), False, 1).trace(0)
+    return _run_block(scenario, table, _stream_seeds(_uint32_words(seed)), False, 1)
 
 
 def _block_seeds(master_words: list[int], first: int, stop: int) -> np.ndarray:
@@ -406,16 +391,20 @@ def run_replicates(scenario: TrialScenario, table: GittinsTable | None,
         return _merge([block for future in futures for block in future.result()])
 
 
-def write_trace_csv(record: TrialRecord, trace_path: str | Path,
+def write_trace_csv(replicates: Replicates, r: int, trace_path: str | Path,
                     summary_path: str | Path) -> None:
-    """Dump one replicate: per-patient rows, and a per-arm summary beside them."""
+    """Dump traced replicate r: per-patient rows, and a per-arm summary beside them."""
+    allocations, outcomes, counts = (replicates.allocations[r], replicates.outcomes[r],
+                                     replicates.counts[r])
     with Path(trace_path).open("w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(["t", "arm", "outcome"])
-        for t, (arm, outcome) in enumerate(zip(record.allocations, record.outcomes), start=1):
+        for t, (arm, outcome) in enumerate(zip(allocations, outcomes), start=1):
             writer.writerow([t, int(arm), f"{outcome:.12g}"])
+    # bincount adds in patient order, as the engine's running sums do
+    means = np.bincount(allocations, weights=outcomes, minlength=counts.size) / counts
     with Path(summary_path).open("w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(["arm", "n", "mean"])
-        for arm, (n, mean) in enumerate(zip(record.arm_counts, record.arm_means)):
+        for arm, (n, mean) in enumerate(zip(counts, means)):
             writer.writerow([arm, n, f"{mean:.12g}"])

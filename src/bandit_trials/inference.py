@@ -107,8 +107,9 @@ def sample_size(K: int, sigma: float, delta1: float, c_alpha: float, beta: float
     the next integer (e.g. 116 for the one-experimental-arm reference design
     and 302 for the three-arm design).
     """
-    if delta1 <= 0:
-        raise ValueError("delta1 must be positive")
+    for name, value in (("sigma", sigma), ("delta1", delta1)):
+        if not (math.isfinite(value) and value > 0):
+            raise ValueError(f"{name} must be positive and finite, got {value}")
     if not 0.0 < beta < 1.0:
         raise ValueError("beta must lie in (0, 1)")
     z_beta = float(ndtri(1.0 - beta))

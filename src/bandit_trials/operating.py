@@ -1,7 +1,10 @@
 """Aggregation of replicates into reported operating characteristics.
 
-Both reductions read ``engine.Replicates``: the per-replicate arrays and bias
-sums that each block of replicates was reduced to where it ran.
+Every report reads ``engine.Replicates``, the per-replicate arrays and bias
+sums that each block of replicates was reduced to where it ran:
+``aggregate`` reduces them to one ``OperatingCharacteristics``, which
+``write_results_csv`` writes as a row of results.csv, and
+``bias_trajectories`` and ``write_bias_csv`` report the running-mean bias.
 
 Conventions follow the trial's reporting layout: under the global null the
 headline rejection rate is the family-wise rate P[max_k Z_k > C] (identical
@@ -21,11 +24,9 @@ from pathlib import Path
 import numpy as np
 
 from .engine import Replicates, TrialScenario
-from .inference import CriticalValue
 
 __all__ = [
     "OperatingCharacteristics",
-    "BiasTrajectory",
     "aggregate",
     "bias_trajectories",
     "write_results_csv",
@@ -69,16 +70,6 @@ class OperatingCharacteristics:
         return self.sd_outcome / math.sqrt(self.M)
 
 
-@dataclass(frozen=True)
-class BiasTrajectory:
-    """Mean running-estimate bias of one arm against patient count."""
-
-    arm: int
-    t_grid: np.ndarray
-    mean_bias: np.ndarray
-    replicate_counts: np.ndarray
-
-
 def _best_arm(scenario: TrialScenario) -> int:
     # Under the global null the control is the convention for "best".
     if scenario.is_global_null:
@@ -86,21 +77,20 @@ def _best_arm(scenario: TrialScenario) -> int:
     return int(np.argmax(scenario.mu))
 
 
-def aggregate(replicates: Replicates,
-              critical: CriticalValue | float) -> OperatingCharacteristics:
-    """Reduce replicates to rejection rates, E p*, and expected outcome."""
+def aggregate(replicates: Replicates, critical: float) -> OperatingCharacteristics:
+    """Reduce replicates to rejection rates, E p*, and expected outcome at
+    critical value ``critical``."""
     scenario = replicates.scenario
-    c = critical.value if isinstance(critical, CriticalValue) else float(critical)
     M = replicates.M
     pstar = replicates.counts[:, _best_arm(scenario)] / scenario.T
     outcome = replicates.mean_outcome
-    global_rate = float(np.mean(replicates.z.max(axis=1) > c))
+    global_rate = float(np.mean(replicates.z.max(axis=1) > critical))
 
     if scenario.is_global_null:
         rejection = global_rate
     else:
         margin_arm = 1 + int(np.argmax(scenario.mu[1:]))  # arm with the target effect
-        rejection = float(np.mean(replicates.z[:, margin_arm - 1] > c))
+        rejection = float(np.mean(replicates.z[:, margin_arm - 1] > critical))
 
     ddof = 1 if M > 1 else 0
     return OperatingCharacteristics(
@@ -114,21 +104,17 @@ def aggregate(replicates: Replicates,
     )
 
 
-def bias_trajectories(replicates: Replicates) -> list[BiasTrajectory]:
-    """Per-arm mean bias of the running estimate, from patient K+2 to T.
+def bias_trajectories(replicates: Replicates) -> np.ndarray:
+    """Mean bias of each arm's running estimate after patients K+2..T:
+    a (K+1, T-K-1) array, row k for arm k.
 
     Requires replicates simulated with ``keep_trajectory=True``.
     """
     if replicates.bias_sums is None:
         raise ValueError("replicates carry no bias sums; "
                          "rerun them with keep_trajectory=True")
-    scenario = replicates.scenario
-    t_grid = np.arange(scenario.K + 2, scenario.T + 1)
-    counts = np.full(t_grid.size, replicates.M)
-    return [BiasTrajectory(arm=arm, t_grid=t_grid,
-                           mean_bias=replicates.bias_sums[arm] / counts - scenario.mu[arm],
-                           replicate_counts=counts)
-            for arm in range(scenario.K + 1)]
+    mu = np.array(replicates.scenario.mu)
+    return replicates.bias_sums / replicates.M - mu[:, None]
 
 
 RESULT_COLUMNS = ("policy", "hypothesis", "C_alpha", "rejection_rate",
@@ -137,41 +123,36 @@ RESULT_COLUMNS = ("policy", "hypothesis", "C_alpha", "rejection_rate",
                   "global_rejection_rate_se", "e_pstar_se", "e_outcome_se")
 
 
-def write_results_csv(rows: list[dict], path: str | Path) -> Path:
-    """One row per (policy, hypothesis): rates at 6 decimals, C at full precision.
+def write_results_csv(rows: list[tuple[str, str, float, int, OperatingCharacteristics]],
+                      path: str | Path) -> Path:
+    """One row per ``(policy, hypothesis, C, seed, characteristics)``: rates at
+    6 decimals, C at full precision.
 
     The last four columns are the Monte Carlo standard errors of the two
     rejection rates, E p* and the expected outcome (``OperatingCharacteristics``).
     """
     path = Path(path)
     lines = [",".join(RESULT_COLUMNS)]
-    for row in rows:
-        lines.append(",".join((
-            row["policy"],
-            row["hypothesis"],
-            repr(float(row["C_alpha"])),
-            f"{row['rejection_rate']:.6f}",
-            f"{row['global_rejection_rate']:.6f}",
-            f"{row['e_pstar']:.6f}",
-            f"{row['sd_pstar']:.6f}",
-            f"{row['e_outcome']:.6f}",
-            f"{row['sd_outcome']:.6f}",
-            str(int(row["M"])),
-            str(int(row["seed"])),
-            f"{row['rejection_rate_se']:.6f}",
-            f"{row['global_rejection_rate_se']:.6f}",
-            f"{row['e_pstar_se']:.6f}",
-            f"{row['e_outcome_se']:.6f}",
-        )))
+    for policy, hypothesis, critical, seed, oc in rows:
+        rates = (oc.rejection_rate, oc.global_rejection_rate, oc.e_pstar, oc.sd_pstar,
+                 oc.e_outcome, oc.sd_outcome)
+        errors = (oc.rejection_rate_se, oc.global_rejection_rate_se, oc.e_pstar_se,
+                  oc.e_outcome_se)
+        lines.append(",".join((policy, hypothesis, repr(float(critical)),
+                               *(f"{v:.6f}" for v in rates), str(int(oc.M)), str(int(seed)),
+                               *(f"{v:.6f}" for v in errors))))
     path.write_text("\n".join(lines) + "\n")
     return path
 
 
-def write_bias_csv(trajectories: list[BiasTrajectory], path: str | Path) -> Path:
+def write_bias_csv(replicates: Replicates, path: str | Path) -> Path:
+    """``bias_trajectories`` of the replicates, one row per arm and patient
+    t = K+2..T, each the mean over all M replicates."""
     path = Path(path)
+    scenario = replicates.scenario
+    t_grid = range(scenario.K + 2, scenario.T + 1)
     lines = ["arm,t,mean_bias,count"]
-    for traj in trajectories:
-        for t, bias, count in zip(traj.t_grid, traj.mean_bias, traj.replicate_counts):
-            lines.append(f"{traj.arm},{t},{bias:.6f},{count}")
+    for arm, mean_bias in enumerate(bias_trajectories(replicates)):
+        lines += [f"{arm},{t},{bias:.6f},{replicates.M}" for t, bias in zip(t_grid, mean_bias)]
     path.write_text("\n".join(lines) + "\n")
     return path

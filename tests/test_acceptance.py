@@ -176,21 +176,19 @@ def test_criterion_8_critical_value_sweep(table995):
 
 def test_criterion_9_bias_trajectories(fr2_h0, gi2_calibration,
                                        gi2_h1, rgi2_h1):
-    gi_h0 = bias_trajectories(gi2_calibration[1])
-    gi_bias_at_end = [float(traj.mean_bias[-1]) for traj in gi_h0]
+    gi_bias_at_end = [float(b) for b in bias_trajectories(gi2_calibration[1])[:, -1]]
 
-    fr_trajs = bias_trajectories(fr2_h0)
     stacked = running_means(fr2_h0)
     fr_ok = True
     worst = 0.0
-    for traj in fr_trajs:
-        sd = np.nanstd(stacked[:, traj.arm, 2:], axis=0)
-        excess = np.abs(traj.mean_bias) - 3 * sd / math.sqrt(fr2_h0.M)
+    for arm, mean_bias in enumerate(bias_trajectories(fr2_h0)):
+        sd = np.nanstd(stacked[:, arm, 2:], axis=0)
+        excess = np.abs(mean_bias) - 3 * sd / math.sqrt(fr2_h0.M)
         worst = max(worst, float(excess.max()))
         fr_ok &= bool(np.all(excess < 0))
 
-    gi_inferior = float(bias_trajectories(gi2_h1)[0].mean_bias[-1])
-    rgi_inferior = float(bias_trajectories(rgi2_h1)[0].mean_bias[-1])
+    gi_inferior = float(bias_trajectories(gi2_h1)[0, -1])
+    rgi_inferior = float(bias_trajectories(rgi2_h1)[0, -1])
 
     check(9, [
         (all(b <= -0.02 for b in gi_bias_at_end),
@@ -233,7 +231,7 @@ def test_criterion_10_property_suites(table995, table09):
     for kind in ("FR", "TS", "RBI", "RGI", "UCB", "KLU", "CB", "GI"):
         record = run_trial(two_arm(kind, 0.545, T=41), table995,
                            seed=ACCEPT_SEED + 603)
-        conserve_ok &= sum(record.arm_counts) == 41
+        conserve_ok &= record.counts.sum() == 41
     checks.append((conserve_ok, "patient conservation across policies"))
 
     rng = np.random.default_rng(ACCEPT_SEED + 604)

@@ -61,6 +61,19 @@ class TestSampleSize:
         assert run_cli("samplesize", "--k", "1", "--delta", "1.09") == 0
         assert "T = 29" in capsys.readouterr().out
 
+    @pytest.mark.parametrize("flag, value, message", [
+        ("--sigma", "0", "sigma must be positive and finite, got 0.0"),
+        ("--sigma", "-1", "sigma must be positive and finite, got -1.0"),
+        ("--sigma", "nan", "sigma must be positive and finite, got nan"),
+        ("--delta", "inf", "delta1 must be positive and finite, got inf"),
+    ])
+    def test_meaningless_sigma_or_delta_is_one_error_line(self, capsys, flag, value, message):
+        argv = {"--k": "1", "--delta": "0.5", flag: value}
+        code = run_cli("samplesize", *(item for pair in argv.items() for item in pair))
+        captured = capsys.readouterr()
+        assert code == 1 and captured.out == ""
+        assert captured.err.splitlines() == [f"error: {message}"]
+
 
 class TestTableCommand:
     def test_writes_decreasing_table(self, tmp_path, capsys):
@@ -193,7 +206,7 @@ class TestCalibrateCommand:
 
     # every trial size, the seed and the calibration's M >= 100 are checked first
     @pytest.mark.parametrize("flag, value", [("--T", "0"), ("--T", "116,0"), ("-M", "50"),
-                                             ("--seed", "-1")])
+                                             ("--seed", "-1"), ("--T", "20,20")])
     def test_bad_size_is_one_error_line(self, tmp_path, capsys, no_table_build, flag, value):
         out = tmp_path / "out"
         code = run_cli("calibrate", "--preset", "two-arm-t116", "--policy", "GI", "-M", "100",
@@ -202,6 +215,8 @@ class TestCalibrateCommand:
         assert not out.exists()
         if flag == "--seed":
             assert line == "error: --seed must be >= 0, got -1"
+        if value == "20,20":
+            assert line == "error: trial size 20 listed more than once"
 
 
 class TestSimulateCommand:
@@ -392,6 +407,43 @@ class TestSimulateCommand:
         assert not out.exists()
         if flag == "--seed":
             assert line == "error: --seed must be >= 0, got -1"
+
+    @pytest.mark.parametrize("argv, config, message", [
+        (["--policies", "GI,gi"], {}, "policy GI listed more than once"),
+        (["--hypotheses", "H0,H1,H0"], {}, "hypothesis H0 listed more than once"),
+        ([], {"policies": ["GI", "FR", "gi", "FR"]}, "policy GI, FR listed more than once"),
+    ])
+    def test_repeated_entry_is_one_error_line(self, tmp_path, capsys, no_table_build,
+                                              argv, config, message):
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps({"preset": "two-arm-t116", "policies": ["GI"], **config}))
+        out = tmp_path / "out"
+        code = run_cli("simulate", "--config", str(path), *argv, "-M", "100",
+                       "--workers", "1", "--out-dir", str(out))
+        assert assert_one_error_line(capsys, code) == f"error: {message}"
+        assert not out.exists()
+
+    # a non-finite sigma or arm mean fails as the scenarios are built, before
+    # any table, directory or results row
+    @pytest.mark.parametrize("config, message", [
+        ({"sigma": math.inf}, "sigma must be positive and finite, got inf"),
+        ({"sigma": math.nan}, "sigma must be positive and finite, got nan"),
+        ({"hypotheses": {"H0": [0.0, 0.0], "H1": [0.0, math.nan]}},
+         "arm means must be finite, got (0.0, nan)"),
+        ({"hypotheses": {"H0": [0.0, 0.0], "H1": [0.0, -math.inf]}},
+         "arm means must be finite, got (0.0, -inf)"),
+    ])
+    def test_non_finite_scenario_is_one_error_line(self, tmp_path, capsys, no_table_build,
+                                                   config, message):
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps({"preset": "two-arm-t116", **config}))
+        out = tmp_path / "out"
+        code = run_cli("simulate", "--config", str(path), "--policies", "FR,GI", "-M", "100",
+                       "--workers", "1", "--out-dir", str(out))
+        captured = capsys.readouterr()
+        assert code == 1 and captured.out == ""
+        assert captured.err.splitlines() == [f"error: {message}"]
+        assert not out.exists()
 
     @pytest.mark.parametrize("command", ["calibrate", "simulate"])
     def test_no_experimental_arm_is_one_error_line(self, tmp_path, capsys, no_table_build,

@@ -14,12 +14,10 @@ from bandit_trials.policies import POLICY_KINDS, Allocator, PolicyDraws, PolicyS
 from .conftest import LFC, WORKERS, four_arm, running_means, two_arm
 
 
-def records_identical(a, b):
-    """Every field of two ``TrialRecord``s equal, bit for bit."""
-    return (np.array_equal(a.allocations, b.allocations)
-            and np.array_equal(a.outcomes, b.outcomes)
-            and np.array_equal(a.z, b.z)
-            and a.arm_counts == b.arm_counts and a.arm_means == b.arm_means)
+def row_identical(replicates, r, single):
+    """Traced row r of ``replicates`` equals the one-row ``single``, bit for bit."""
+    return all(np.array_equal(getattr(replicates, name)[r], getattr(single, name)[0])
+               for name in ("allocations", "outcomes", "z", "counts", "mean_outcome"))
 
 
 def replicates_identical(a, b):
@@ -45,6 +43,22 @@ class TestScenarioValidation:
         with pytest.raises(ValueError, match="sigma"):
             TrialScenario(mu=(0.0, 0.0), sigma=0.0, T=10, policy=PolicySpec("FR"))
 
+    @pytest.mark.parametrize("sigma", [math.inf, math.nan])
+    def test_sigma_finite(self, sigma):
+        with pytest.raises(ValueError, match="sigma must be positive and finite"):
+            TrialScenario(mu=(0.0, 0.0), sigma=sigma, T=10, policy=PolicySpec("FR"))
+
+    @pytest.mark.parametrize("mu", [(0.0, math.nan), (math.inf, 0.0), (0.0, 0.0, -math.inf)])
+    def test_means_finite(self, mu):
+        # a NaN mean would otherwise pass for a global null
+        with pytest.raises(ValueError, match="arm means must be finite"):
+            TrialScenario(mu=mu, sigma=1.0, T=10, policy=PolicySpec("FR"))
+
+    @pytest.mark.parametrize("mu", [(0.0,), ()])
+    def test_needs_an_experimental_arm(self, mu):
+        with pytest.raises(ValueError, match="at least one experimental arm"):
+            TrialScenario(mu=mu, sigma=1.0, T=10, policy=PolicySpec("FR"))
+
 
 class TestTableContract:
     def test_index_policy_requires_table(self):
@@ -63,26 +77,26 @@ class TestSingleTrial:
     def test_initialization_exhausts_minimal_trial(self, table995, kind):
         scenario = two_arm(kind, 0.545, T=2)
         record = run_trial(scenario, table995, seed=3)
-        assert record.arm_counts == (1, 1)
+        assert record.counts.tolist() == [[1, 1]]
 
     def test_minimal_four_arm(self, table995):
         scenario = TrialScenario(mu=(0.0,) * 4, sigma=1.0, T=4,
                                  policy=PolicySpec("CG"))
         record = run_trial(scenario, table995, seed=4)
-        assert record.arm_counts == (1, 1, 1, 1)
+        assert record.counts.tolist() == [[1, 1, 1, 1]]
 
     @pytest.mark.parametrize("kind", ["FR", "TSB", "RGI", "UCB", "CB", "GI"])
     def test_patient_conservation(self, table995, kind):
         scenario = two_arm(kind, 0.545, T=57)
         record = run_trial(scenario, table995, seed=5)
-        assert sum(record.arm_counts) == 57
-        assert record.allocations.shape == (57,)
-        assert all(n >= 1 for n in record.arm_counts)
+        assert record.counts.sum() == 57
+        assert record.allocations.shape == (1, 57)
+        assert np.all(record.counts >= 1)
 
     def test_fr_allocations_uniform(self):
         scenario = two_arm("FR", 0.0, T=10_000)
         record = run_trial(scenario, None, seed=6)
-        counts = np.bincount(record.allocations, minlength=2)
+        counts = np.bincount(record.allocations[0], minlength=2)
         assert stats.chisquare(counts).pvalue > 0.001
 
     def test_gi_locks_onto_clearly_best_arm(self, table995):
@@ -91,25 +105,26 @@ class TestSingleTrial:
         scenario = TrialScenario(mu=(0.0, 0.545), sigma=0.001, T=40,
                                  policy=PolicySpec("GI"))
         record = run_trial(scenario, table995, seed=7)
-        assert record.arm_counts == (1, 39)
+        assert record.counts.tolist() == [[1, 39]]
 
     def test_final_means_match_trace(self, table995):
         scenario = two_arm("RGI", 0.545, T=80)
         record = run_trial(scenario, table995, seed=8)
+        final_means = running_means(record)[0, :, -1]
         for k in range(2):
-            outcomes = record.outcomes[record.allocations == k]
-            assert record.arm_means[k] == pytest.approx(float(outcomes.mean()), rel=1e-12)
+            outcomes = record.outcomes[0][record.allocations[0] == k]
+            assert final_means[k] == pytest.approx(float(outcomes.mean()), rel=1e-12)
 
     def test_ucb_init_is_round_robin(self):
         scenario = TrialScenario(mu=(0.0,) * 4, sigma=1.0, T=8,
                                  policy=PolicySpec("UCB"))
         record = run_trial(scenario, None, seed=9)
-        assert record.allocations[:4].tolist() == [0, 1, 2, 3]
+        assert record.allocations[0, :4].tolist() == [0, 1, 2, 3]
 
     def test_random_init_order_varies(self):
         scenario = TrialScenario(mu=(0.0,) * 4, sigma=1.0, T=4,
                                  policy=PolicySpec("FR"))
-        orders = {tuple(run_trial(scenario, None, seed=s).allocations.tolist())
+        orders = {tuple(run_trial(scenario, None, seed=s).allocations[0].tolist())
                   for s in range(12)}
         assert len(orders) > 1
         assert all(sorted(o) == [0, 1, 2, 3] for o in orders)
@@ -122,9 +137,11 @@ class TestSingleTrial:
         means = running_means(replicates)[0]
         assert np.isnan(means[:, 0]).sum() == 1  # only the first-treated arm has a mean
         assert np.array_equal(replicates.bias_sums, means[:, 2:])
-        record = replicates.trace(0)
-        k_last = record.allocations[-1]
-        assert replicates.bias_sums[k_last, -1] == record.arm_means[k_last]
+        # the trace writer's bincount mean is the engine's running mean
+        allocations = replicates.allocations[0]
+        sums = np.bincount(allocations, weights=replicates.outcomes[0], minlength=2)
+        k_last = allocations[-1]
+        assert replicates.bias_sums[k_last, -1] == sums[k_last] / replicates.counts[0, k_last]
 
     def test_trajectory_not_kept_by_default(self):
         replicates = run_replicates(two_arm("FR", 0.0, T=6), None, 11, 3)
@@ -135,7 +152,7 @@ class TestSingleTrial:
         scenario = TrialScenario(mu=(0.0,) * 4, sigma=1.0, T=20,
                                  policy=PolicySpec("CUC"))
         record = run_trial(scenario, table995, seed=12)
-        assert record.z.shape == (3,)
+        assert record.z.shape == (1, 3)
 
 
 class TestIndexConvention:
@@ -149,7 +166,7 @@ class TestIndexConvention:
         draws = PolicyDraws(init=np.arange(4)[None], uniforms=np.zeros((1, 302 - 4)))
         rule = Allocator(spec, 1.0, 302, None, draws)
         sums, counts = np.zeros(4), np.zeros(4, dtype=int)
-        for t, (k, y) in enumerate(zip(record.allocations, record.outcomes), start=1):
+        for t, (k, y) in enumerate(zip(record.allocations[0], record.outcomes[0]), start=1):
             if t > 4:
                 scores = rule.values(sums[None], counts[None], t)[0]
                 assert k == int(np.argmax(scores)), f"patient {t}"
@@ -163,21 +180,22 @@ class TestBatchedView:
         # even with a huge true effect
         scenario = two_arm("TSB", 5.0, T=400, batch=400)
         record = run_trial(scenario, None, seed=13)
-        share = record.arm_counts[1] / 400
+        share = record.counts[0, 1] / 400
         assert abs(share - 0.5) < 3 * math.sqrt(0.25 / 400) + 0.01
 
     def test_unit_batch_tracks_effect(self):
         scenario = two_arm("TSB", 5.0, T=400, batch=1)
         record = run_trial(scenario, None, seed=13)
-        assert record.arm_counts[1] / 400 > 0.6
+        assert record.counts[0, 1] / 400 > 0.6
 
 
 class TestReplicates:
     def test_single_replicate_matches_run_trial(self, table995):
         scenario = two_arm("GI", 0.545, T=30)
-        via_replicates = run_replicates(scenario, table995, 99, 1, traces=1).trace(0)
+        via_replicates = run_replicates(scenario, table995, 99, 1, traces=1)
         direct = run_trial(scenario, table995, (99, 0))
-        assert records_identical(via_replicates, direct)
+        assert direct.M == 1
+        assert replicates_identical(via_replicates, direct)
 
     def test_rerun_is_bitwise_identical(self, table995):
         scenario = two_arm("RGI", 0.545, T=40)
@@ -217,7 +235,7 @@ class TestReplicates:
     def test_fr_null_means_unbiased(self):
         scenario = two_arm("FR", 0.0, T=40)
         replicates = run_replicates(scenario, None, 43, 3000, traces=3000)
-        means = np.array([replicates.trace(r).arm_means for r in range(3000)])
+        means = running_means(replicates)[:, :, -1]
         n_bar = 20
         tol = 3 / math.sqrt(n_bar * 3000)
         assert abs(means[:, 0].mean()) < tol
@@ -324,7 +342,7 @@ class TestDrawOrder:
         assert replicates_identical(serial, parallel)
         for r in range(37):
             single = run_trial(scenario, table995, (PIN_SEED + 1, r))
-            assert records_identical(serial.trace(r), single), f"replicate {r}"
+            assert row_identical(serial, r, single), f"replicate {r}"
 
     @pytest.mark.parametrize("kind", ["TS", "TSB"])
     def test_four_arm_replicates_are_single_trials(self, kind):
@@ -334,7 +352,7 @@ class TestDrawOrder:
                                     traces=64)
         for r in range(64):
             single = run_trial(scenario, None, (PIN_SEED + 4, r))
-            assert records_identical(replicates.trace(r), single), f"replicate {r}"
+            assert row_identical(replicates, r, single), f"replicate {r}"
 
     @pytest.mark.parametrize("kind", POLICY_KINDS)
     def test_pool_matches_serial(self, table995, kind):
@@ -359,7 +377,7 @@ class TestDrawOrder:
         assert replicates_identical(runs[0], runs[1]) and replicates_identical(runs[0], runs[2])
         for r in range(n):
             single = run_trial(scenario, table995, (PIN_SEED + 2, r))
-            assert records_identical(runs[0].trace(r), single), f"replicate {r}"
+            assert row_identical(runs[0], r, single), f"replicate {r}"
         # plain reference: each block's running means added in replicate
         # order, then the block sums in block order
         traced = run_replicates(scenario, table995, PIN_SEED + 2, M, traces=M)
@@ -394,7 +412,7 @@ class TestTraceDump:
         record = run_trial(two_arm("FR", 0.0, T=12), None, seed=14)
         trace = tmp_path / "trace.csv"
         summary = tmp_path / "arms.csv"
-        write_trace_csv(record, trace, summary)
+        write_trace_csv(record, 0, trace, summary)
         lines = trace.read_text().splitlines()
         assert lines[0] == "t,arm,outcome"
         assert len(lines) == 13

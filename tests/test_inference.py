@@ -116,6 +116,15 @@ class TestSampleSize:
         with pytest.raises(ValueError):
             sample_size(1, 1.0, 0.5, 1.645, 1.0)
 
+    @pytest.mark.parametrize("sigma, delta1, name", [
+        (0.0, 0.5, "sigma"), (-1.0, 0.5, "sigma"), (math.nan, 0.5, "sigma"),
+        (math.inf, 0.5, "sigma"), (1.0, math.inf, "delta1"), (1.0, math.nan, "delta1"),
+        (1.0, -0.5, "delta1"),
+    ])
+    def test_sigma_and_delta_finite_and_positive(self, sigma, delta1, name):
+        with pytest.raises(ValueError, match=f"{name} must be positive and finite"):
+            sample_size(1, sigma, delta1, 1.645, 0.1)
+
 
 class TestCalibration:
     def test_refuses_non_null_scenario(self, table995):

@@ -8,6 +8,7 @@ from scipy import stats
 
 from bandit_trials.engine import Replicates, run_replicates
 from bandit_trials.operating import (
+    OperatingCharacteristics,
     aggregate,
     bias_trajectories,
     write_bias_csv,
@@ -102,25 +103,27 @@ class TestStandardErrors:
 
 
 class TestBiasTrajectories:
-    def test_single_replicate_is_exact(self, table995):
+    def test_single_replicate_is_exact(self, table995, tmp_path):
         scenario = two_arm("GI", 0.545, T=25)
         replicates = run_replicates(scenario, table995, 26, 1, keep_trajectory=True, traces=1)
-        trajs = bias_trajectories(replicates)
-        assert [t.arm for t in trajs] == [0, 1]
-        for traj in trajs:
-            assert traj.t_grid[0] == 3 and traj.t_grid[-1] == 25
-            expected = running_means(replicates)[0, traj.arm, 2:] - scenario.mu[traj.arm]
-            assert np.array_equal(traj.mean_bias, expected)
-            assert np.all(traj.replicate_counts == 1)
+        bias = bias_trajectories(replicates)
+        assert bias.shape == (2, 23)  # t = 3..25
+        for arm in range(2):
+            expected = running_means(replicates)[0, arm, 2:] - scenario.mu[arm]
+            assert np.array_equal(bias[arm], expected)
+        rows = [line.split(",") for line in
+                write_bias_csv(replicates, tmp_path / "bias.csv").read_text().splitlines()[1:]]
+        assert [int(t) for _, t, _, _ in rows] == list(range(3, 26)) * 2
+        assert all(count == "1" for _, _, _, count in rows)
 
     def test_fr_unbiased_everywhere(self):
         scenario = two_arm("FR", 0.0, T=30)
         replicates = run_replicates(scenario, None, 27, 800, workers=WORKERS,
                                     keep_trajectory=True, traces=800)
         stacked = running_means(replicates)
-        for traj in bias_trajectories(replicates):
-            sd = np.nanstd(stacked[:, traj.arm, 2:], axis=0)
-            assert np.all(np.abs(traj.mean_bias) < 3 * sd / math.sqrt(800) + 1e-9)
+        for arm, mean_bias in enumerate(bias_trajectories(replicates)):
+            sd = np.nanstd(stacked[:, arm, 2:], axis=0)
+            assert np.all(np.abs(mean_bias) < 3 * sd / math.sqrt(800) + 1e-9)
 
     def test_requires_trajectories(self):
         replicates = run_replicates(two_arm("FR", 0.0, T=10), None, 28, 5)
@@ -135,13 +138,10 @@ class TestZHistogram:
 
 class TestCsvWriters:
     def test_results_csv_layout(self, tmp_path):
-        rows = [{"policy": "FR", "hypothesis": "H0", "C_alpha": 1.6448536,
-                 "rejection_rate": 0.05123456, "global_rejection_rate": 0.05123456,
-                 "e_pstar": 0.5, "sd_pstar": 0.05, "e_outcome": -0.0001,
-                 "sd_outcome": 0.09, "M": 10000, "seed": 7,
-                 "rejection_rate_se": 0.0022046, "global_rejection_rate_se": 0.0022046,
-                 "e_pstar_se": 0.0005, "e_outcome_se": 0.0009}]
-        path = write_results_csv(rows, tmp_path / "results.csv")
+        oc = OperatingCharacteristics(
+            rejection_rate=0.05123456, global_rejection_rate=0.05123456, e_pstar=0.5,
+            sd_pstar=0.05, e_outcome=-0.0001, sd_outcome=0.09, M=10000)
+        path = write_results_csv([("FR", "H0", 1.6448536, 7, oc)], tmp_path / "results.csv")
         header, row = path.read_text().splitlines()
         assert header == ("policy,hypothesis,C_alpha,rejection_rate,global_rejection_rate,"
                           "e_pstar,sd_pstar,e_outcome,sd_outcome,M,seed,rejection_rate_se,"
@@ -154,7 +154,7 @@ class TestCsvWriters:
     def test_bias_csv_layout(self, table995, tmp_path):
         scenario = two_arm("GI", 0.0, T=12)
         replicates = run_replicates(scenario, table995, 30, 2, keep_trajectory=True)
-        path = write_bias_csv(bias_trajectories(replicates), tmp_path / "bias.csv")
+        path = write_bias_csv(replicates, tmp_path / "bias.csv")
         lines = path.read_text().splitlines()
         assert lines[0] == "arm,t,mean_bias,count"
         assert len(lines) == 1 + 2 * 10  # two arms, t = 3..12
