@@ -2,7 +2,6 @@
 
 from .engine import Replicates, TrialScenario, run_replicates, run_trial
 from .gittins import (
-    DpConfig,
     GittinsTable,
     GittinsTableError,
     compute_index_table,
@@ -21,7 +20,6 @@ from .policies import PolicySpec
 
 __all__ = [
     "CriticalValue",
-    "DpConfig",
     "GittinsTable",
     "GittinsTableError",
     "OperatingCharacteristics",

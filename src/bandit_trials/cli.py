@@ -2,8 +2,8 @@
 
 Subcommands
 -----------
-table       build a standardized index table with the default DP settings
-            and write it as CSV (other settings: ``gittins.DpConfig``)
+table       build a standardized index table (the DP settings are the
+            ``gittins`` module constants) and write it as CSV
 calibrate   Monte Carlo critical value of one design under the global null,
             at one trial size or several (``--T 64,116,302``)
 simulate    operating-characteristics sweep over policies and hypotheses
@@ -19,7 +19,7 @@ critical-value file's entries.
 
 Index tables are cached per (discount, n_max) in $BANDIT_TRIALS_TABLE_DIR
 when that variable is set.  A command reuses only the file of its own
-discount and n_max whose recorded DP settings are the defaults; the file
+discount and n_max whose recorded DP settings are the program's; the file
 keeps every value losslessly, so a cached run matches a cold one byte for
 byte.  Every command is deterministic given its ``--seed``, whatever the
 cache holds; replicate streams are derived per policy, hypothesis (its
@@ -40,7 +40,7 @@ from pathlib import Path
 import numpy as np
 
 from .engine import TrialScenario, run_replicates, shared_pool, write_trace_csv
-from .gittins import (DpConfig, GittinsTable, GittinsTableError, compute_index_table,
+from .gittins import (GittinsTable, GittinsTableError, compute_index_table, dp_settings,
                       load_index_table, save_index_table)
 from .inference import (MIN_CALIBRATION_M, CriticalValue, calibrate_critical_value,
                         fwer_critical_value, sample_size)
@@ -74,16 +74,17 @@ def _cached_table(path: Path, discount: float, n_max: int) -> GittinsTable | Non
     except GittinsTableError:
         return None  # a missing or damaged file is a miss: (re)built by get_table
     usable = table.discount == discount and table.n_max == n_max \
-        and table.dp_meta == DpConfig().settings(discount)
+        and table.dp_meta == dp_settings(discount)
     return table if usable else None
 
 
 def get_table(discount: float, n_max: int) -> GittinsTable:
     """Fetch the cached (discount, n_max) index table or compute (and cache) it.
 
-    Only the file of exactly this discount and n_max, recording the default
-    ``DpConfig`` settings, is used; it holds every value losslessly, so a
-    cached table is the build it replaces, bit for bit.
+    Only the file of exactly this discount and n_max, recording the DP
+    settings ``gittins.dp_settings(discount)``, is used; it holds every value
+    losslessly, so a cached table is the build it replaces, bit for bit.  A
+    file that records other settings (or none) is rebuilt.
     """
     path = _table_cache_path(discount, n_max)
     if path is not None:
@@ -110,10 +111,13 @@ def _derived_seed(master_seed: int, *scope) -> int:
 
 
 def _policy_spec(kind: str, preset: dict) -> PolicySpec:
+    """``kind`` with the scenario's batch and guard_prob, each passed only to
+    the kinds that read it."""
+    rule = PolicySpec(kind)
     return PolicySpec(
         kind=kind,
-        batch=preset.get("batch") if kind in ("TSB", "TPB") else None,
-        control_guard_prob=preset.get("guard_prob"),
+        batch=preset.get("batch") if rule.is_batched else None,
+        control_guard_prob=preset.get("guard_prob") if rule.is_guarded else None,
     )
 
 
@@ -150,9 +154,9 @@ def _load_scenario_source(args) -> dict:
         raise ValueError(f"scenario config lacks {', '.join(missing)}")
     if not isinstance(cfg["hypotheses"], dict) or not cfg["hypotheses"]:
         raise ValueError("scenario config needs 'hypotheses': a non-empty map of label to means")
-    if not isinstance(cfg["policies"], list) \
+    if not isinstance(cfg["policies"], list) or not cfg["policies"] \
             or not all(isinstance(kind, str) for kind in cfg["policies"]):
-        raise ValueError("scenario policies must be a list of policy names")
+        raise ValueError("scenario policies must be a list of one or more policy names")
     # (key, integer, nullable): batch and guard_prob may be null, the policy's default
     for key, integer, nullable in (("K", True, False), ("T", True, False),
                                    ("sigma", False, False), ("discount", False, False),
@@ -161,6 +165,11 @@ def _load_scenario_source(args) -> dict:
             _check_number(f"scenario {key}", cfg[key], integer)
     if cfg["K"] < 1:
         raise ValueError(f"scenario K must be >= 1 experimental arm, got {cfg['K']}")
+    # checked here too, since only the kinds that read them see them
+    if cfg.get("batch") is not None and cfg["batch"] < 1:
+        raise ValueError(f"scenario batch must be >= 1, got {cfg['batch']}")
+    if cfg.get("guard_prob") is not None and not 0 < cfg["guard_prob"] < 1:
+        raise ValueError(f"scenario guard_prob must lie in (0, 1), got {cfg['guard_prob']}")
     n_arms = int(cfg["K"]) + 1
     for label, mu in cfg["hypotheses"].items():
         if not isinstance(mu, list) or len(mu) != n_arms:

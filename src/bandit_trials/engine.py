@@ -35,8 +35,12 @@ are drawn before the block's first patient, each replicate from its own
 streams and in the order it would consume them stepping alone
 (``policies.draw_policy_variates``).  Patient t's outcome uses the t-th
 noise variate whatever the policy did, so designs can be compared under
-common random numbers, and results are identical for any worker count,
-block size and chunking.
+common random numbers.  Every per-replicate array (contrasts, counts, mean
+outcome, traces) is identical for any worker count, block size and
+chunking.  The bias sums are identical for any worker count and chunking
+at a fixed ``BLOCK``: each block sums its own replicates and the blocks
+are added in order, so another block size regroups the additions and can
+move them in the last bits.
 """
 
 from __future__ import annotations

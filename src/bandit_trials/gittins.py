@@ -33,6 +33,10 @@ node-sampled quadrature error oscillate at the 1e-3 level without
 converging, while the piecewise-exact weights leave grid resolution as the
 only error source.
 
+The program's numerical settings are the module constants ``STATE_BOUND``,
+``GRID_STEP``, ``QUADRATURE_POINTS``, ``BISECTION_TOL`` and
+``LAMBDA_BRACKET``, with the horizon ``default_horizon(discount)``; every
+table is built with them, and tests vary them by patching the module.
 Tables are immutable once built and safe to share across worker processes.
 """
 
@@ -40,7 +44,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
@@ -48,11 +52,10 @@ from scipy.fft import irfft, next_fast_len, rfft
 from scipy.special import ndtr
 
 __all__ = [
-    "DpConfig",
     "GittinsTable",
     "GittinsTableError",
-    "BracketError",
     "compute_index_table",
+    "dp_settings",
     "save_index_table",
     "load_index_table",
     "default_horizon",
@@ -60,6 +63,19 @@ __all__ = [
 
 # Discount weight below which the truncated tail of the program is ignored.
 TAIL_WEIGHT = 1e-8
+
+# Half-width of the posterior-mean grid, [-STATE_BOUND, STATE_BOUND].
+STATE_BOUND = 8.0
+# Grid spacing; it should stay below the smallest transition s.d. reached,
+# about 1/n_max, or the last entries of the table lose accuracy.
+GRID_STEP = 0.00125
+# Floor on the number of nonzero transition-kernel weights; the kernel
+# always extends to at least 8 transition s.d.
+QUADRATURE_POINTS = 32
+# Width at which the bisection for each table entry stops.
+BISECTION_TOL = 1e-4
+# Interval searched for each index value.
+LAMBDA_BRACKET = (0.0, 3.0)
 
 # Longest transition kernel applied by direct convolution; longer ones go
 # through an FFT.
@@ -70,10 +86,6 @@ class GittinsTableError(ValueError):
     """Invalid table: construction or validation failed."""
 
 
-class BracketError(GittinsTableError):
-    """Bisection endpoints do not straddle the indifference value."""
-
-
 def default_horizon(discount: float) -> int:
     """Smallest N >= 1 with discount**N below the tail-weight cutoff."""
     if discount <= 0.0:
@@ -81,47 +93,12 @@ def default_horizon(discount: float) -> int:
     return max(1, math.ceil(math.log(TAIL_WEIGHT) / math.log(discount)))
 
 
-@dataclass(frozen=True)
-class DpConfig:
-    """Numerical controls for the index dynamic program.
-
-    ``horizon=None`` resolves to the smallest truncation depth whose
-    discount weight falls below 1e-8 for the requested discount.
-    ``quadrature_points`` floors the number of nonzero transition-kernel
-    weights; the kernel always extends to at least 8 transition s.d.
-    ``grid_step`` should stay below the smallest transition s.d. reached,
-    about 1/n_max, or the last entries of the table lose accuracy.
-    """
-
-    state_bound: float = 8.0
-    grid_step: float = 0.00125
-    quadrature_points: int = 32
-    horizon: int | None = None
-    bisection_tol: float = 1e-4
-    lambda_bracket: tuple[float, float] = (0.0, 3.0)
-
-    def __post_init__(self) -> None:
-        if self.state_bound <= 0:
-            raise ValueError("state_bound must be positive")
-        if self.grid_step <= 0:
-            raise ValueError("grid_step must be positive")
-        if self.quadrature_points < 1:
-            raise ValueError("quadrature_points must be >= 1")
-        if self.horizon is not None and self.horizon < 1:
-            raise ValueError("horizon must be >= 1")
-        if self.bisection_tol <= 0:
-            raise ValueError("bisection_tol must be positive")
-        lo, hi = self.lambda_bracket
-        if not lo < hi:
-            raise ValueError("lambda_bracket must be an increasing pair")
-
-    def resolved_horizon(self, discount: float) -> int:
-        return self.horizon if self.horizon is not None else default_horizon(discount)
-
-    def settings(self, discount: float) -> dict:
-        """The ``dp_meta`` of a table built for ``discount`` with this configuration."""
-        return {**asdict(self), "horizon": self.resolved_horizon(discount),
-                "lambda_bracket": tuple(self.lambda_bracket)}
+def dp_settings(discount: float) -> dict:
+    """The ``dp_meta`` of a table built for ``discount``: the DP settings, in
+    the order its file records them."""
+    return {"state_bound": STATE_BOUND, "grid_step": GRID_STEP,
+            "quadrature_points": QUADRATURE_POINTS, "horizon": default_horizon(discount),
+            "bisection_tol": BISECTION_TOL, "lambda_bracket": LAMBDA_BRACKET}
 
 
 @dataclass(frozen=True)
@@ -211,16 +188,17 @@ def _interp_columns(grid: np.ndarray, bracket: tuple[float, float]) -> slice:
     return slice(first, last + 1)
 
 
-def compute_index_table(discount: float, n_max: int, cfg: DpConfig | None = None) -> GittinsTable:
+def compute_index_table(discount: float, n_max: int) -> GittinsTable:
     """Build the standardized index table for ``n = 1..n_max``.
 
     Backward induction runs over observation counts from ``n_max + horizon``
-    down to 1 on a uniform grid over [-state_bound, state_bound]; posterior
+    down to 1 on a uniform grid over [-STATE_BOUND, STATE_BOUND]; posterior
     means transition as N(y, 1/(m(m+1))), integrated exactly against the
     piecewise-linear value representation, and the truncated tail is valued
     as if the better of the two arms were played forever.  Each table entry
-    is then found by bisection over ``lambda_bracket`` to within
-    ``bisection_tol``.
+    is then found by bisection over ``LAMBDA_BRACKET`` to within
+    ``BISECTION_TOL``.  The settings are this module's constants, read at
+    each call, so a test can patch them to build a table at other settings.
 
     Every step computes, bit for bit, ``cont = grid + d * conv(pad(u), k)``
     with ``u = max(cont', 0)`` from the step before, ``pad`` repeating the
@@ -235,35 +213,33 @@ def compute_index_table(discount: float, n_max: int, cfg: DpConfig | None = None
       output is the same dot product over the same values either way.
     * A subnormal weight (below 2.3e-308; they occur in the tails of the
       short kernels of late steps) times an operand of at most
-      ``state_bound / (1 - d)`` is below 1e-300.  Such a term is lost in the
+      ``STATE_BOUND / (1 - d)`` is below 1e-300.  Such a term is lost in the
       rounding of any sum above about 1e-280, and a smaller sum is itself
-      lost when added to its grid node (|y| >= grid_step there, as u > 0
+      lost when added to its grid node (|y| >= GRID_STEP there, as u > 0
       around y = 0), so ``grid + d * E`` is the same with or without it.
       Zeroing these weights only avoids slow arithmetic on subnormal
       operands.  FFT kernels are left as they are: an FFT's rounding depends
       on every input and on the transform length.
     * Only the continuation columns that the bisection's ``np.interp`` can
-      read, over ``-lambda_bracket``, are kept.
+      read, over ``-LAMBDA_BRACKET``, are kept.
 
     ``tests/test_gittins.py`` checks the table against a plain per-step
-    sweep with ``np.array_equal`` on configurations that exercise all three.
+    sweep with ``np.array_equal`` on settings that exercise all three.
     """
     if not 0.0 <= discount < 1.0:
         raise GittinsTableError(f"discount must lie in [0, 1), got {discount}")
     if n_max < 1:
         raise GittinsTableError("n_max must be >= 1")
-    cfg = cfg or DpConfig()
     d = discount
-    horizon = cfg.resolved_horizon(d)
+    horizon = default_horizon(d)
 
-    half_cells = int(round(cfg.state_bound / cfg.grid_step))
-    grid = np.linspace(-half_cells * cfg.grid_step, half_cells * cfg.grid_step,
-                       2 * half_cells + 1)
+    half_cells = int(round(STATE_BOUND / GRID_STEP))
+    grid = np.linspace(-half_cells * GRID_STEP, half_cells * GRID_STEP, 2 * half_cells + 1)
     size = grid.size
-    columns = _interp_columns(grid, cfg.lambda_bracket)
+    columns = _interp_columns(grid, LAMBDA_BRACKET)
     counts = np.arange(n_max + horizon - 1, 0, -1)
     kernels = _transition_kernels(1.0 / np.sqrt(counts * (counts + 1.0)),
-                                  cfg.grid_step, cfg.quadrature_points)
+                                  GRID_STEP, QUADRATURE_POINTS)
 
     # u lives inside one buffer edge-padded for the widest direct kernel
     pad = max((k.size // 2 for k in kernels if k.size <= FFT_TAPS), default=0)
@@ -291,7 +267,7 @@ def compute_index_table(discount: float, n_max: int, cfg: DpConfig | None = None
         np.maximum(cont, 0.0, out=u)
 
     grid = grid[columns]
-    lo0, hi0 = cfg.lambda_bracket
+    lo0, hi0 = LAMBDA_BRACKET
     values = np.empty(n_max)
     for n in range(1, n_max + 1):
         row = continuation[n - 1]
@@ -302,13 +278,13 @@ def compute_index_table(discount: float, n_max: int, cfg: DpConfig | None = None
         flo, fhi = f(lo0), f(hi0)
         # f is decreasing in lam; the root needs f(lo) >= 0 >= f(hi).
         if flo < 0.0 or fhi > 0.0:
-            raise BracketError(
-                f"lambda_bracket {cfg.lambda_bracket} does not straddle the "
-                f"indifference value at n={n} (f(lo)={flo:.3g}, f(hi)={fhi:.3g}); "
-                "widen the bracket"
+            raise GittinsTableError(
+                f"lambda_bracket {LAMBDA_BRACKET} does not straddle the "
+                f"indifference value at n={n} for discount {d} "
+                f"(f(lo)={flo:.3g}, f(hi)={fhi:.3g})"
             )
         lo, hi = lo0, hi0
-        while hi - lo > cfg.bisection_tol:
+        while hi - lo > BISECTION_TOL:
             mid = 0.5 * (lo + hi)
             if f(mid) > 0.0:
                 lo = mid
@@ -316,7 +292,7 @@ def compute_index_table(discount: float, n_max: int, cfg: DpConfig | None = None
                 hi = mid
         # Secant refinement inside the converged bracket: f is close to
         # linear at this scale, and without it neighbouring entries can
-        # collide at bisection_tol resolution.
+        # collide at BISECTION_TOL resolution.
         flo, fhi = f(lo), f(hi)
         if flo > fhi:
             lam = lo + (hi - lo) * flo / (flo - fhi)
@@ -324,7 +300,7 @@ def compute_index_table(discount: float, n_max: int, cfg: DpConfig | None = None
             lam = 0.5 * (lo + hi)
         values[n - 1] = lam if d > 0.0 else 0.0
 
-    return GittinsTable(discount=d, values=values, dp_meta=cfg.settings(d))
+    return GittinsTable(discount=d, values=values, dp_meta=dp_settings(d))
 
 
 def save_index_table(table: GittinsTable, path: str | Path) -> Path:
@@ -357,7 +333,7 @@ def load_index_table(source: str | Path) -> GittinsTable:
         try:
             if key == "discount":
                 discount = float(text)
-            elif key in DpConfig.__dataclass_fields__:
+            elif key in dp_settings(0.0):  # the same keys at every discount
                 value = json.loads(text)
                 meta[key] = tuple(value) if isinstance(value, list) else value
         except ValueError as exc:

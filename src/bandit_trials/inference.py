@@ -160,7 +160,10 @@ def calibrate_critical_value(replicates, alpha: float) -> CriticalValue:
     if not 0.0 < alpha < 1.0:
         raise ValueError("alpha must lie in (0, 1)")
 
-    rank = math.ceil((1.0 - alpha) * M)  # nearest-rank order statistic, 1-based
+    # nearest-rank order statistic, 1-based; the guard keeps a product that
+    # rounds just above an integer ((1 - 0.059) * 1000 = 941.0000000000001)
+    # from taking the next rank
+    rank = math.ceil((1.0 - alpha) * M - 1e-9)
     ordered = np.sort(replicates.z.max(axis=1))
     lower_rank, upper_rank = _percentile_interval_ranks(M, 1.0 - alpha)
     return CriticalValue(float(ordered[rank - 1]), alpha, ci95={

@@ -83,9 +83,10 @@ class PolicySpec:
     """Allocation rule selection plus its tuning knobs.
 
     ``batch`` defaults to 20 for the batched kinds (TSB, TPB) and 1
-    otherwise; ``control_guard_prob=None`` resolves to 1/(K+1) at allocation
-    time (pass 1/K explicitly for the stricter guard).  The index rules'
-    discount is the index table's (``GittinsTable.discount``).
+    otherwise.  ``control_guard_prob`` applies to the guarded kinds (CG, CUC)
+    only; None resolves to 1/(K+1) at allocation time (pass 1/K explicitly
+    for the stricter guard).  The index rules' discount is the index table's
+    (``GittinsTable.discount``).
     """
 
     kind: str
@@ -103,6 +104,8 @@ class PolicySpec:
             raise ValueError("batch must be >= 1")
         if self.batch != 1 and kind not in _BATCH_INNER:
             raise ValueError(f"batch applies to TSB/TPB only; {kind} sees every outcome")
+        if self.control_guard_prob is not None and kind not in _GUARD_INNER:
+            raise ValueError(f"control_guard_prob applies to CG/CUC only; {kind} has no guard")
         if self.control_guard_prob is not None and not 0.0 < self.control_guard_prob < 1.0:
             raise ValueError("control_guard_prob must lie in (0, 1)")
 

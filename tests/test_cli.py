@@ -13,10 +13,10 @@ import numpy as np
 import pytest
 
 import bandit_trials
-from bandit_trials import cli
+from bandit_trials import cli, gittins
 from bandit_trials.cli import PRESET_NAMES, build_parser, load_preset, main
 from bandit_trials.engine import BLOCK, run_replicates
-from bandit_trials.gittins import (DpConfig, compute_index_table, load_index_table,
+from bandit_trials.gittins import (compute_index_table, dp_settings, load_index_table,
                                    save_index_table)
 
 
@@ -309,6 +309,11 @@ class TestSimulateCommand:
         ({"preset": "two-arm-t116", "policies": ["FR", 1]}, "policies must be a list"),
         ({"preset": "two-arm-t116", "hypotheses": {"H0": [0.0, None]}},
          "hypothesis 'H0''s mean must be a number, got null"),
+        ({"preset": "two-arm-t116", "policies": []},
+         "policies must be a list of one or more policy names"),
+        ({"preset": "two-arm-t116", "policies": ["GI"], "batch": 0}, "batch must be >= 1"),
+        ({"preset": "two-arm-t116", "policies": ["GI"], "guard_prob": 1.5},
+         "guard_prob must lie in (0, 1)"),
     ])
     def test_invalid_config_is_one_error_line(self, tmp_path, capsys, config, message):
         path = tmp_path / "cfg.json"
@@ -316,6 +321,25 @@ class TestSimulateCommand:
         assert run_cli("simulate", "--config", str(path), "--out-dir", str(tmp_path)) == 1
         err = capsys.readouterr().err.splitlines()
         assert len(err) == 1 and err[0].startswith("error: ") and message in err[0]
+
+    def test_guard_prob_reaches_guarded_kinds_only(self, tmp_path, monkeypatch):
+        # a scenario guard_prob is CG's; GI, which has no guard, runs as without it
+        monkeypatch.delenv("BANDIT_TRIALS_TABLE_DIR", raising=False)
+        rows = {}
+        for guard in (None, 0.9):
+            path = tmp_path / f"cfg{guard}.json"
+            path.write_text(json.dumps({
+                "K": 1, "T": 16, "discount": 0.9, "guard_prob": guard,
+                "policies": ["FR"], "hypotheses": {"H1": [0.0, 0.5]},
+            }))
+            out = tmp_path / f"run{guard}"
+            assert run_cli("simulate", "--config", str(path), "--policies", "GI,CG",
+                           "--critical-values", "analytic", "-M", "200", "--seed", "5",
+                           "--workers", "1", "--out-dir", str(out)) == 0
+            rows[guard] = (out / "results.csv").read_text().splitlines()
+        assert rows[None][1].startswith("GI,") and rows[None][2].startswith("CG,")
+        assert rows[0.9][1] == rows[None][1]
+        assert rows[0.9][2] != rows[None][2]
 
     def test_unknown_hypothesis_is_one_error_line(self, tmp_path, capsys):
         assert run_cli("simulate", "--preset", "two-arm-t116", "--policies", "FR",
@@ -385,7 +409,9 @@ class TestSimulateCommand:
         cache = tmp_path / "cache"
         cache.mkdir()
         path = cache / "gittins_d0.9_n16.csv"
-        save_index_table(compute_index_table(0.9, 16, DpConfig(grid_step=0.01)), path)
+        with monkeypatch.context() as patch:
+            patch.setattr(gittins, "GRID_STEP", 0.01)
+            save_index_table(compute_index_table(0.9, 16), path)
         if not recorded:  # a file that names no settings at all
             lines = path.read_text().splitlines()
             path.write_text("\n".join(line for line in lines if not line.startswith("# ")
@@ -393,7 +419,7 @@ class TestSimulateCommand:
         monkeypatch.setenv("BANDIT_TRIALS_TABLE_DIR", str(cache))
         table = cli.get_table(0.9, 16)
         assert np.array_equal(table.values, compute_index_table(0.9, 16).values)
-        assert load_index_table(path).dp_meta == DpConfig().settings(0.9)  # replaced
+        assert load_index_table(path).dp_meta == dp_settings(0.9)  # replaced
 
     @pytest.mark.parametrize("flag, value", [("--workers", "0"), ("--workers", "-2"),
                                              ("--T", "0"), ("--traces", "-1"), ("-M", "0"),

@@ -9,10 +9,9 @@ from hypothesis import strategies as st
 from scipy.signal import fftconvolve
 from scipy.special import ndtr
 
+from bandit_trials import gittins
 from bandit_trials.engine import run_trial
 from bandit_trials.gittins import (
-    BracketError,
-    DpConfig,
     GittinsTable,
     GittinsTableError,
     compute_index_table,
@@ -27,7 +26,7 @@ from .conftest import two_arm
 # Frozen output of tests/gittins_oracle.py (per-lambda fine-grid value
 # iteration, grid_step=0.005, horizon=400, cell-probability integration).
 ORACLE_D09 = {1: 0.746578, 2: 0.466221, 5: 0.233265, 10: 0.131344, 50: 0.030453}
-ORACLE_RTOL = 2 * 1e-4  # 2 x default bisection_tol
+ORACLE_RTOL = 2 * 1e-4  # 2 x BISECTION_TOL
 
 
 class TestComputeIndexTable:
@@ -52,29 +51,26 @@ class TestComputeIndexTable:
         hi = compute_index_table(0.9, 10)
         assert np.all(lo.values <= hi.values)
 
-    def test_grid_convergence(self, table995):
-        cfg = DpConfig(grid_step=DpConfig().grid_step / 2,
-                       quadrature_points=DpConfig().quadrature_points * 2)
-        refined = compute_index_table(0.995, 302, cfg)
+    def test_grid_convergence(self, table995, monkeypatch):
+        monkeypatch.setattr(gittins, "GRID_STEP", gittins.GRID_STEP / 2)
+        monkeypatch.setattr(gittins, "QUADRATURE_POINTS", gittins.QUADRATURE_POINTS * 2)
+        refined = compute_index_table(0.995, 302)
         assert np.max(np.abs(refined.values - table995.values)) < 5 * 1e-4
 
-    def test_narrow_bracket_rejected(self):
-        with pytest.raises(BracketError):
-            compute_index_table(0.995, 2, DpConfig(lambda_bracket=(0.0, 0.01)))
+    def test_narrow_bracket_rejected(self, monkeypatch):
+        monkeypatch.setattr(gittins, "LAMBDA_BRACKET", (0.0, 0.01))
+        with pytest.raises(GittinsTableError, match="discount 0.995"):
+            compute_index_table(0.995, 2)
 
     def test_bad_inputs(self):
         with pytest.raises(GittinsTableError):
             compute_index_table(1.0, 5)
         with pytest.raises(GittinsTableError):
             compute_index_table(0.9, 0)
-        with pytest.raises(ValueError):
-            DpConfig(grid_step=-1.0)
-        with pytest.raises(ValueError):
-            DpConfig(lambda_bracket=(2.0, 1.0))
 
     def test_dp_meta_recorded(self, table09):
         meta = table09.dp_meta
-        assert meta["grid_step"] == DpConfig().grid_step
+        assert meta["grid_step"] == gittins.GRID_STEP
         assert meta["horizon"] == default_horizon(0.9)
         assert meta["bisection_tol"] == 1e-4
 
@@ -84,22 +80,23 @@ class TestComputeIndexTable:
         assert 0.995 ** n < 1e-8 < 0.995 ** (n - 1)
 
 
-def reference_table(discount, n_max, cfg):
-    """The index table by a plain per-step sweep: a fresh kernel, an edge pad and a
-    full convolution at every step.  Returns the values and how many steps had
-    subnormal weights, went through an FFT, and had u == 0 under a whole window."""
+def reference_table(discount, n_max):
+    """The index table by a plain per-step sweep at the ``gittins`` settings: a fresh
+    kernel, an edge pad and a full convolution at every step.  Returns the values and
+    how many steps had subnormal weights, went through an FFT, and had u == 0 under
+    a whole window."""
     def phi(x):
         return np.exp(-0.5 * x * x) / math.sqrt(2.0 * math.pi)
 
-    d, step = discount, cfg.grid_step
-    half_cells = int(round(cfg.state_bound / step))
+    d, step = discount, gittins.GRID_STEP
+    half_cells = int(round(gittins.STATE_BOUND / step))
     grid = np.linspace(-half_cells * step, half_cells * step, 2 * half_cells + 1)
     u = np.maximum(grid, 0.0) / (1.0 - d)
     rows = np.empty((n_max, grid.size))
     seen = {"subnormal": 0, "fft": 0, "zero_region": 0}
-    for m in range(n_max + cfg.resolved_horizon(d) - 1, 0, -1):
+    for m in range(n_max + gittins.default_horizon(d) - 1, 0, -1):
         g = 1.0 / math.sqrt(m * (m + 1.0)) / step
-        half = max(int(math.ceil(8.0 * g)), (cfg.quadrature_points + 1) // 2, 1)
+        half = max(int(math.ceil(8.0 * g)), (gittins.QUADRATURE_POINTS + 1) // 2, 1)
         r = np.arange(-half, half + 1, dtype=float)
         lower, mid, upper = (r - 1.0) / g, r / g, (r + 1.0) / g
         left = (1.0 - r) * (ndtr(mid) - ndtr(lower)) + g * (phi(lower) - phi(mid))
@@ -123,8 +120,8 @@ def reference_table(discount, n_max, cfg):
     for n in range(1, n_max + 1):
         def f(lam, row=rows[n - 1]):
             return float(np.interp(-lam, grid, row))
-        lo, hi = cfg.lambda_bracket
-        while hi - lo > cfg.bisection_tol:
+        lo, hi = gittins.LAMBDA_BRACKET
+        while hi - lo > gittins.BISECTION_TOL:
             mid = 0.5 * (lo + hi)
             lo, hi = (mid, hi) if f(mid) > 0.0 else (lo, mid)
         flo, fhi = f(lo), f(hi)
@@ -134,15 +131,19 @@ def reference_table(discount, n_max, cfg):
 
 
 class TestSweepMatchesReference:
+    # cfg: the gittins module settings patched for the case
     @pytest.mark.parametrize("discount,n_max,cfg", [
-        (0.995, 302, DpConfig()),
-        (0.995, 60, DpConfig(grid_step=0.01, quadrature_points=24, horizon=500)),
-        (0.9, 60, DpConfig()),
-        (0.0, 5, DpConfig()),
+        (0.995, 302, {}),
+        (0.995, 60, {"GRID_STEP": 0.01, "QUADRATURE_POINTS": 24,
+                     "default_horizon": lambda discount: 500}),
+        (0.9, 60, {}),
+        (0.0, 5, {}),
     ])
-    def test_bitwise_equal(self, discount, n_max, cfg):
-        expected, seen = reference_table(discount, n_max, cfg)
-        assert np.array_equal(compute_index_table(discount, n_max, cfg).values, expected)
+    def test_bitwise_equal(self, monkeypatch, discount, n_max, cfg):
+        for name, value in cfg.items():
+            monkeypatch.setattr(gittins, name, value)
+        expected, seen = reference_table(discount, n_max)
+        assert np.array_equal(compute_index_table(discount, n_max).values, expected)
         if discount == 0.995:  # every shortcut of the sweep is exercised
             assert seen["subnormal"] > 0 and seen["fft"] > 0 and seen["zero_region"] > 0
 

@@ -1,13 +1,14 @@
 """Test statistics, analytic and empirical critical values, sample size."""
 
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
 from scipy.special import ndtri
 from scipy.stats import binom
 
-from bandit_trials.engine import run_replicates
+from bandit_trials.engine import Replicates, run_replicates
 from bandit_trials.inference import (
     CriticalValue,
     _percentile_interval_ranks,
@@ -147,6 +148,17 @@ class TestCalibration:
         replicates = run_replicates(two_arm("CB", 0.0, T=8), None, 16, 100)
         critical = calibrate_critical_value(replicates, 0.05)
         assert critical.value == float(np.sort(replicates.z.max(axis=1))[94])
+
+    @pytest.mark.parametrize("M", [100, 300, 1000, 2500, 10_000])
+    def test_nearest_rank_over_alpha_grid(self, M):
+        # statistic r + 1 at row r, so the value read is the rank itself;
+        # (1 - alpha) * M rounds above an integer for some alphas (0.059 at 1000)
+        empty = np.empty((0, 0))
+        replicates = Replicates(two_arm("FR", 0.0), np.arange(1.0, M + 1)[:, None],
+                                empty, empty, None, empty, empty)
+        for k in range(1, 1000):
+            expected = math.ceil(Fraction(1000 - k, 1000) * M)
+            assert calibrate_critical_value(replicates, k / 1000).value == expected, k
 
     @pytest.mark.parametrize("M", [100, 10_000])
     def test_percentile_interval(self, M):

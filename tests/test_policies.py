@@ -86,6 +86,12 @@ class TestPolicySpec:
         with pytest.raises(ValueError, match="TSB/TPB"):
             PolicySpec(kind, batch=5)
 
+    @pytest.mark.parametrize("kind", ["FR", "TS", "TSB", "RBI", "RGI", "UCB", "KLU", "CB",
+                                      "GI", "TP", "TPB"])
+    def test_guard_prob_only_for_guarded_kinds(self, kind):
+        with pytest.raises(ValueError, match="CG/CUC"):
+            PolicySpec(kind, control_guard_prob=0.3)
+
     def test_guard_prob_default(self):
         assert PolicySpec("CG").guard_prob(3) == 0.25
         assert PolicySpec("CG", control_guard_prob=1 / 3).guard_prob(3) == 1 / 3
