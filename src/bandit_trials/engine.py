@@ -64,13 +64,13 @@ from .policies import Allocator, PolicySpec, draw_policy_variates
 __all__ = ["TrialScenario", "Replicates", "run_trial", "run_replicates", "shared_pool",
            "write_trace_csv"]
 
-# Replicates stepped together.  A block's largest arrays are its RBI/RGI
-# exponentials and kept mean trajectories, (BLOCK, T, K+1) each, 2.5 MB at
-# K=3, T=302, and TS's quadrature arrays, (rows, K+1, grid points) for each
-# group of the block's rows that share a point count: at most 1.2 MB each
-# there at the largest point count measured in such trials (141).  Larger
-# blocks gain little once per-step overhead is spread over a few hundred
-# replicates.
+# Replicates stepped together.  A block's largest arrays are RBI/RGI's
+# draws, one (BLOCK, T-K-1, K+2) buffer of exponentials and selection
+# uniforms, 3.1 MB at K=3, T=302, and TS's quadrature arrays, (rows, K+1,
+# grid points) for each group of the block's rows that share a point count:
+# at most 1.2 MB each there at the largest point count measured in such
+# trials (141).  Larger blocks gain little once per-step overhead is spread
+# over a few hundred replicates.
 BLOCK = 256
 
 # numpy's SeedSequence: default pool size, hash and mixing constants

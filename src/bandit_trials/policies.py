@@ -22,9 +22,11 @@ Each rule reduces to one of three shapes:
   otherwise fall back to an inner index rule's argmax over all arms.
 
 Random numbers: :func:`draw_policy_variates` draws every replicate's
-variates from its own generator before the first patient, in the order that
-replicate would consume them one decision at a time (see there), so a
-replicate's allocations do not depend on the block it is stepped in.
+variates from its own generator before the first patient: its
+initialization order, then all of its uniforms in one call (see there), so
+a replicate's allocations do not depend on the block it is stepped in.
+RBI/RGI's unit exponentials are drawn by inversion, -log1p(-u), one
+uniform each.
 
 All rules assume every arm has at least one observation; the trial engine
 guarantees that by allocating the first K+1 patients one per arm.
@@ -340,7 +342,10 @@ class PolicyDraws:
     ``init`` (R, K+1) holds the arms of patients 1..K+1.  ``uniforms`` holds
     one uniform per decision (R, T-K-1), or for CG/CUC a pool of two per
     decision (R, 2(T-K-1)), read through a cursor.  ``bumps``
-    (R, T-K-1, K+1) holds RBI/RGI's unit exponentials, else None.
+    (R, T-K-1, K+1) holds RBI/RGI's unit exponentials, else None; for those
+    rules ``bumps`` and ``uniforms`` are views of one (R, T-K-1, K+2) array,
+    each decision's row holding its K+1 exponentials and then its selection
+    uniform.
     """
 
     init: np.ndarray
@@ -351,40 +356,41 @@ class PolicyDraws:
 def draw_policy_variates(spec: PolicySpec, K: int, T: int, rngs) -> PolicyDraws:
     """Draw each replicate's policy variates up front, one generator per replicate.
 
-    Each generator is read in the order its replicate, allocated one patient
-    at a time, would read it:
+    Each generator is read as:
 
     * the initialization order, a permutation of the K+1 arms, unless the
       rule assigns patient t to arm t-1 (UCB, KLU, CUC);
-    * RBI/RGI: per decision, K+1 unit exponentials and then the selection
-      uniform;
-    * CG/CUC: per decision, the guard uniform and, only when the guard did
-      not fire, the selection uniform; a pool of two per decision is drawn
-      and the unused tail of the stream is never read;
-    * every other rule: one uniform per decision.
+    * then one call for every uniform of the trial:
+      * RBI/RGI: (T-K-1, K+2) uniforms, a row per decision: K+1 unit
+        exponentials by inversion, -log1p(-u), and then the selection
+        uniform;
+      * CG/CUC: a pool of two per decision, read through a cursor: the
+        guard uniform and, only when the guard did not fire, the selection
+        uniform; the unused tail of the pool is never read;
+      * every other rule: one uniform per decision.
     """
     n_arms = K + 1
     n_decisions = T - n_arms
-    n_uniforms = 2 * n_decisions if spec.is_guarded else n_decisions
     bumped = spec.kind in _BUMPED
+    if bumped:
+        raw = np.empty((len(rngs), n_decisions, n_arms + 1))
+    else:
+        raw = np.empty((len(rngs), 2 * n_decisions if spec.is_guarded else n_decisions))
     init = np.empty((len(rngs), n_arms), dtype=np.intp)
-    uniforms = np.empty((len(rngs), n_uniforms))
-    bumps = np.empty((len(rngs), n_decisions, n_arms)) if bumped else None
     if spec.round_robin_init:
         init[:] = np.arange(n_arms)
     for r, rng in enumerate(rngs):
         if not spec.round_robin_init:
             init[r] = rng.permutation(n_arms)
-        if bumped:
-            # the exponential sampler reads a variable number of raw draws,
-            # so the interleaved stream cannot be drawn in bulk
-            exponentials, uniform = rng.standard_exponential, rng.random
-            for d in range(n_decisions):
-                bumps[r, d] = exponentials(n_arms)
-                uniforms[r, d] = uniform()
-        else:
-            uniforms[r] = rng.random(n_uniforms)
-    return PolicyDraws(init, uniforms, bumps)
+        rng.random(out=raw[r])
+    if not bumped:
+        return PolicyDraws(init, raw)
+    # -log1p(-u) in place over the block: no second array of exponentials
+    bumps = raw[..., :n_arms]
+    np.negative(bumps, out=bumps)
+    np.log1p(bumps, out=bumps)
+    np.negative(bumps, out=bumps)
+    return PolicyDraws(init, raw[..., n_arms], bumps)
 
 
 class Allocator:

@@ -101,6 +101,20 @@ def test_criterion_5_two_arm_critical_values(table995):
     check(5, checks)
 
 
+@pytest.mark.slow
+@pytest.mark.parametrize("offset, kind, target", [(700, "RBI", 1.998), (701, "RGI", 1.941)])
+def test_criterion_5_converged_bumped_rules(table995, offset, kind, target):
+    """The converged C of the semi-randomised rules lies inside criterion 5's
+    band: the distribution-free 95% interval from 10^6 null replicates on a
+    seed of its own (minutes; run with -m slow)."""
+    replicates = run_replicates(two_arm(kind, 0.0), table995, ACCEPT_SEED + offset, 10**6,
+                                workers=WORKERS)
+    critical = calibrate_critical_value(replicates, 0.05)
+    lower, upper = critical.ci95["lower"], critical.ci95["upper"]
+    print(f"C[{kind}] converged: {critical.value:.4f} [{lower:.4f}, {upper:.4f}]")
+    assert target - 0.06 <= lower and upper <= target + 0.06
+
+
 def test_criterion_6_four_arm_rows(table995, four_arm_criticals):
     runs = {}
     for i, kind in enumerate(("CG", "CUC", "KLU", "GI", "TP")):

@@ -263,14 +263,14 @@ PINNED = {
         ("0111100000001011100111100110111110111011", (2.1737685361795487,)),
     ),
     "RBI": (
-        ("0110001111111011011111111111111111111111", (0.7885978361702958,)),
-        ("1011011011111111111111111111111111111111", (2.1654726895994094,)),
-        ("0111101111011111111111111111111111111111", (2.0816176026068725,)),
+        ("0110011111101111111111111111111111111111", (1.8785761709313,)),
+        ("1011111011101111111111111111111111111111", (2.670989947009706,)),
+        ("0111110101011111111111111111111111111111", (1.5880042445799798,)),
     ),
     "RGI": (
-        ("0110011111111010011100011111111001111111", (0.616706746638865,)),
-        ("1010011011111111111111111111111111111011", (2.0161162463432727,)),
-        ("0111101111011111111111111111111111111111", (2.0816176026068725,)),
+        ("0110011111101111111011111111111111111111", (1.96168564461279,)),
+        ("1011011011101111111111101111111111111111", (2.0851128930823752,)),
+        ("0111101101011111111111111111111111111111", (1.9263919796232303,)),
     ),
     "UCB": (
         ("0110111111111101111111111111100111110111", (1.7707450533056424,)),

@@ -359,6 +359,29 @@ class TestPerturbedScore:
         assert index_score("RGI", arm, 1.5, 10, table09, bump=0.9) == pytest.approx(
             0.5 + 1.5 * table09.values[4] + 0.9 / 5)
 
+    @pytest.mark.parametrize("kind", ["RBI", "RGI"])
+    @pytest.mark.parametrize("K, T, R", [(1, 116, 450), (3, 302, 90)])
+    def test_block_draws_are_one_uniform_each(self, kind, K, T, R):
+        # each replicate's stream: the initialization order, then one
+        # (T-K-1, K+2) block of uniforms, a row per decision holding its K+1
+        # exponentials by inversion and then its selection uniform
+        rngs = [np.random.default_rng((5, r)) for r in range(R)]
+        draws = draw_policy_variates(PolicySpec(kind), K, T, rngs)
+        assert draws.bumps.shape == (R, T - K - 1, K + 1)
+        assert draws.uniforms.shape == (R, T - K - 1)
+        for r in range(R):
+            reference = np.random.default_rng((5, r))
+            assert np.array_equal(draws.init[r], reference.permutation(K + 1))
+            u = reference.random((T - K - 1, K + 2))
+            assert np.array_equal(draws.bumps[r], -np.log1p(-u[:, :K + 1]))
+            assert np.array_equal(draws.uniforms[r], u[:, K + 1])
+            assert rngs[r].random() == reference.random()  # nothing else was read
+        bumps = draws.bumps.ravel()
+        assert bumps.size >= 10**5
+        assert np.all(np.isfinite(bumps)) and bumps.min() >= 0.0
+        se = bumps.std() / math.sqrt(bumps.size)
+        assert bumps.mean() == pytest.approx(1.0, abs=6 * se)
+
 
 class TestSelection:
     def test_argmax_when_unique(self):
