@@ -25,7 +25,8 @@ byte.  Every command is deterministic given its ``--seed``, whatever the
 cache holds; replicate streams are derived per policy, hypothesis (its
 position in the scenario) and trial size, so adding policies or selecting
 hypotheses does not perturb the others.  Each command runs its replicates
-on one pool of ``--workers`` processes.
+on one pool of ``--workers`` processes, or of one per 256-replicate block
+when ``-M`` gives fewer blocks.
 """
 
 from __future__ import annotations
@@ -61,11 +62,16 @@ def load_preset(name: str) -> dict:
     return json.loads(text)
 
 
+def _table_file_name(discount: float, n_max: int) -> str:
+    # repr round-trips, so each discount has a name of its own
+    return f"gittins_d{discount!r}_n{n_max}.csv"
+
+
 def _table_cache_path(discount: float, n_max: int) -> Path | None:
     cache_dir = os.environ.get(TABLE_DIR_ENV)
     if not cache_dir:
         return None
-    return Path(cache_dir) / f"gittins_d{discount:g}_n{n_max}.csv"
+    return Path(cache_dir) / _table_file_name(discount, n_max)
 
 
 def _cached_table(path: Path, discount: float, n_max: int) -> GittinsTable | None:
@@ -198,7 +204,7 @@ def _null_scenario(preset: dict, kind: str, T: int) -> TrialScenario:
 
 def cmd_table(args) -> int:
     table = compute_index_table(args.discount, args.n_max)
-    out = Path(args.out) if args.out else Path(f"gittins_d{args.discount:g}_n{args.n_max}.csv")
+    out = Path(args.out or _table_file_name(args.discount, args.n_max))
     save_index_table(table, out)
     print(f"wrote {out} ({table.n_max} rows, discount={table.discount})")
     return 0

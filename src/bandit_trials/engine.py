@@ -9,38 +9,38 @@ N(mu_k, sigma^2) and is observable before the next allocation (batched
 rules see a stale probability vector instead, refreshed per block of
 patients).
 
-Replicates are stepped together in blocks of up to ``BLOCK``: the loop runs
-over patients, and each step updates the (R, K+1) ``sums`` and ``counts``
-of all R replicates of the block with array operations.  A block returns
-only what the reports need (``Replicates``: per-replicate contrasts, counts
-and mean outcome, bias sums, a few traces), and ``run_trial`` returns the
-one-row ``Replicates`` of a block of R=1, its trace kept.  With several
-workers, ``run_replicates`` cuts the replicates into chunks of whole blocks
-(only the last block of the run may be short) and runs them in a process
-pool.  Calls made inside a ``shared_pool`` block, as every CLI command is,
-share one pool, which is shut down and its workers joined when the block
-ends; a call made outside one runs in a block of its own.
+Replicate r of a master seed is the only identity a trial has, and a block
+of replicates the only unit of work.  ``run_replicates`` steps blocks
+[0, BLOCK), [BLOCK, 2 BLOCK), ... (only the last may be short): the loop
+runs over patients, and each step updates the (R, K+1) ``sums`` and
+``counts`` of all R replicates of the block with array operations.  A block
+returns only what the reports need (``Replicates``: per-replicate contrasts,
+counts and mean outcome, bias sums, a few traces).  ``run_trial(scenario,
+table, (master_seed, r))`` runs the one-row block [r, r+1) through the same
+block function and returns its ``Replicates``, trace kept.  With several
+workers, each block is one task of a process pool of at most one worker
+per block.  Calls made inside a ``shared_pool`` block, as every CLI command
+is, share one pool, which is shut down and its workers joined when the
+block ends; a call made outside one runs in a block of its own.
 
 Randomness discipline: each replicate owns two independent streams derived
-from (master_seed, replicate): one for policy randomness (initialization
-order, exploration bumps, control-guard coin flips, tie-breaks, arm
-sampling), one for outcome noise.  Stream i (0 policy, 1 noise) is numpy's
-PCG64 seeded by the SeedSequence child ``SeedSequence(entropy,
-spawn_key=(i,))``, that is ``SeedSequence(entropy).spawn(2)``: entropy
-(master_seed, r) for replicate r of ``run_replicates``, and ``run_trial``'s
-``seed`` (an integer or a tuple of them).  No SeedSequence object is
-built: ``_stream_seeds`` runs numpy's SeedSequence hash on columns of a
-whole block, and each PCG64 is seeded from its words.  Both streams
-are drawn before the block's first patient, each replicate from its own
-streams and in the order it would consume them stepping alone
-(``policies.draw_policy_variates``).  Patient t's outcome uses the t-th
-noise variate whatever the policy did, so designs can be compared under
-common random numbers.  Every per-replicate array (contrasts, counts, mean
-outcome, traces) is identical for any worker count, block size and
-chunking.  The bias sums are identical for any worker count and chunking
-at a fixed ``BLOCK``: each block sums its own replicates and the blocks
-are added in order, so another block size regroups the additions and can
-move them in the last bits.
+from (master_seed, r): one for policy randomness (initialization order,
+exploration bumps, control-guard coin flips, tie-breaks, arm sampling), one
+for outcome noise.  Stream i (0 policy, 1 noise) is numpy's PCG64 seeded by
+the SeedSequence child ``SeedSequence((master_seed, r), spawn_key=(i,))``,
+that is ``SeedSequence((master_seed, r)).spawn(2)[i]``.  No SeedSequence
+object is built: each block derives its own seeds, as ``_stream_seeds``
+runs numpy's SeedSequence hash on columns of the whole block, and each
+PCG64 is seeded from its words.  Both streams are drawn before the block's
+first patient, each replicate from its own streams and in the order it
+would consume them stepping alone (``policies.draw_policy_variates``).
+Patient t's outcome uses the t-th noise variate whatever the policy did, so
+designs can be compared under common random numbers.  Every per-replicate
+array (contrasts, counts, mean outcome, traces) is identical for any worker
+count and block size.  The bias sums are identical for any worker count at
+a fixed ``BLOCK``: each block sums its own replicates and the blocks are
+added in order, so another block size regroups the additions and can move
+them in the last bits.
 """
 
 from __future__ import annotations
@@ -169,37 +169,44 @@ def _check_table(scenario: TrialScenario, table: GittinsTable | None) -> None:
             f"one arm {scenario.T} times; rebuild with n_max >= T")
 
 
-def _uint32_words(value) -> list[int]:
-    """An integer, or a sequence of them, as SeedSequence reads entropy and
-    spawn keys: each integer's 32-bit words, least significant first."""
-    if isinstance(value, (int, np.integer)):
-        value = int(value)
-        if value < 0:
-            raise ValueError(f"seed entropy must be non-negative, got {value}")
-        words = [value & _MASK32]
-        while value := value >> 32:
-            words.append(value & _MASK32)
-        return words
-    if isinstance(value, (list, tuple, range, np.ndarray)):
-        return [word for item in value for word in _uint32_words(item)]
-    raise TypeError(f"seed entropy must be integers, got {type(value).__name__}")
+def _uint32_words(value: int) -> list[int]:
+    """A non-negative integer's 32-bit words, least significant first: how
+    SeedSequence reads an integer of its entropy."""
+    if not isinstance(value, (int, np.integer)):
+        raise TypeError(f"seed entropy must be an integer, got {type(value).__name__}")
+    value = int(value)
+    if value < 0:
+        raise ValueError(f"seed entropy must be non-negative, got {value}")
+    words = [value & _MASK32]
+    while value := value >> 32:
+        words.append(value & _MASK32)
+    return words
 
 
-def _stream_seeds(run_entropy: list) -> np.ndarray:
-    """PCG64 seed words of streams 0 and 1 of R replicates, as a (2, R, 4) uint64 array.
+def _stream_seeds(master_words: list[int], first: int, stop: int) -> np.ndarray:
+    """PCG64 seed words of streams 0 and 1 of replicates first..stop-1, as a
+    (2, R, 4) uint64 array.
 
-    ``run_entropy`` holds the replicates' entropy words, each an int shared
-    by all R or an (R,) uint32 column.  Row [i, r] equals
-    ``SeedSequence(entropy_r, spawn_key=(i,)).generate_state(4, np.uint64)``:
+    Replicate r's entropy is (master_seed, r), ``master_words`` being
+    ``_uint32_words(master_seed)``.  Row [i, r - first] equals
+    ``SeedSequence((master_seed, r), spawn_key=(i,)).generate_state(4, np.uint64)``:
     numpy's entropy assembly, ``mix_entropy`` and ``generate_state``, one
     array operation per step for the whole block.
     """
+    # Every r of the range must have as many 32-bit words as the last one:
+    # true of one replicate, and of a block starting at a multiple of BLOCK,
+    # which divides 2**32.
+    n_words = len(_uint32_words(stop - 1))
+    r = np.arange(first, stop, dtype=np.uint64)
+    r_words = [(r >> np.uint64(32 * j) & np.uint64(_MASK32)).astype(np.uint32)
+               for j in range(n_words)]
+
     def column(word):
         return np.asarray(word, dtype=np.uint32).reshape(-1)
 
     # a spawn key (the child index) is present, so the run entropy is padded
     # to the pool size
-    entropy = [column(word) for word in run_entropy]
+    entropy = [column(word) for word in master_words + r_words]
     entropy += [column(0)] * (_POOL_SIZE - len(entropy))
     entropy.append(np.arange(2, dtype=np.uint32)[:, None])
 
@@ -250,15 +257,17 @@ class _SeedWords(ISeedSequence):
         return self.words
 
 
-def _run_block(scenario: TrialScenario, table: GittinsTable | None,
-               seed_words: np.ndarray, keep_trajectory: bool, traces: int) -> Replicates:
-    """Step one replicate per row of ``seed_words`` (see ``_stream_seeds``)
-    through patients 1..T together, keeping the first ``traces`` traces and,
-    with ``keep_trajectory``, bias sums."""
+def _run_block(scenario: TrialScenario, table: GittinsTable | None, master_words: list[int],
+               keep_trajectory: bool, traces: int, first: int, stop: int) -> Replicates:
+    """Step replicates first..stop-1 of the master seed with words
+    ``master_words`` through patients 1..T together, keeping the traces of
+    the run's first ``traces`` replicates and, with ``keep_trajectory``,
+    bias sums."""
     spec = scenario.policy
     K, T, sigma = scenario.K, scenario.T, scenario.sigma
     n_arms = K + 1
-    R = seed_words.shape[1]
+    R = stop - first
+    seed_words = _stream_seeds(master_words, first, stop)
 
     noise = np.empty((R, T))
     policy_rngs = []
@@ -297,47 +306,29 @@ def _run_block(scenario: TrialScenario, table: GittinsTable | None,
 
     # rows of contiguous outcomes: each mean is the same pairwise sum as a lone trace's
     outcomes = np.ascontiguousarray(outcomes.T)
+    kept = max(traces - first, 0)
     return Replicates(
         scenario=scenario,
         z=z_statistic(sums, counts, sigma),
         counts=counts,
         mean_outcome=outcomes.mean(axis=1),
         bias_sums=bias_sums,
-        allocations=np.ascontiguousarray(allocations[:, :traces].T),
-        outcomes=outcomes[:traces].copy(),
+        allocations=np.ascontiguousarray(allocations[:, :kept].T),
+        outcomes=outcomes[:kept].copy(),
     )
 
 
-def run_trial(scenario: TrialScenario, table: GittinsTable | None = None,
-              seed: int | tuple[int, ...] = 0) -> Replicates:
-    """Simulate one complete trial: a ``Replicates`` of M=1 with its trace.
-
-    ``seed`` is SeedSequence entropy, an integer or a tuple of them; the
-    first two children of ``SeedSequence(seed)`` seed the policy randomness
-    and the outcome noise.  ``run_trial(s, table, (master_seed, r))``
-    replays replicate r of ``run_replicates(s, table, master_seed, M)``.
-    """
+def run_trial(scenario: TrialScenario, table: GittinsTable | None,
+              seed: tuple[int, int]) -> Replicates:
+    """Replay replicate r of master seed m, ``seed = (m, r)``: the one-row
+    ``Replicates`` of row r of ``run_replicates(scenario, table, m, M)``, any
+    M > r, with its trace."""
+    try:
+        master_seed, r = seed
+    except (TypeError, ValueError):
+        raise TypeError(f"seed must be a (master_seed, r) pair, got {seed!r}") from None
     _check_table(scenario, table)
-    return _run_block(scenario, table, _stream_seeds(_uint32_words(seed)), False, 1)
-
-
-def _block_seeds(master_words: list[int], first: int, stop: int) -> np.ndarray:
-    """``_stream_seeds`` of replicates first..stop-1, replicate r's entropy
-    being (master_seed, r)."""
-    # Blocks start at multiples of BLOCK, which divides 2**32, so every r of
-    # a block has as many 32-bit words as the last one.
-    r = np.arange(first, stop, dtype=np.uint64)
-    r_words = [(r >> np.uint64(32 * j) & np.uint64(_MASK32)).astype(np.uint32)
-               for j in range(len(_uint32_words(stop - 1)))]
-    return _stream_seeds(master_words + r_words)
-
-
-def _run_chunk(scenario: TrialScenario, table: GittinsTable | None, master_words: list[int],
-               keep_trajectory: bool, traces: int, start: int, stop: int) -> list[Replicates]:
-    return [_run_block(scenario, table,
-                       _block_seeds(master_words, first, min(first + BLOCK, stop)),
-                       keep_trajectory, max(traces - first, 0))
-            for first in range(start, stop, BLOCK)]
+    return _run_block(scenario, table, _uint32_words(master_seed), False, r + 1, r, r + 1)
 
 
 @contextmanager
@@ -368,10 +359,9 @@ def run_replicates(scenario: TrialScenario, table: GittinsTable | None,
 
     Replicate r derives its streams from (master_seed, r), and bias sums
     add each block's replicates in order, then the blocks in order, so the
-    result is bitwise identical for any positive ``workers`` and any
-    chunking.  With several workers the replicates are cut into chunks of
-    whole blocks, about four per worker, and run in a process pool (see
-    ``shared_pool``).
+    result is bitwise identical for any positive ``workers``.  With several
+    workers and blocks, each block is one task of a process pool of at most
+    one worker per block (see ``shared_pool``).
     """
     if M < 1:
         raise ValueError("M must be >= 1")
@@ -380,19 +370,19 @@ def run_replicates(scenario: TrialScenario, table: GittinsTable | None,
     if traces < 0:
         raise ValueError(f"traces must be >= 0, got {traces}")
     _check_table(scenario, table)
-    run = partial(_run_chunk, scenario, table, _uint32_words(master_seed),
+    run = partial(_run_block, scenario, table, _uint32_words(master_seed),
                   keep_trajectory, traces)
-    if workers == 1 or M <= BLOCK:
-        return _merge(run(0, M))
+    firsts = range(0, M, BLOCK)
+    stops = [min(first + BLOCK, M) for first in firsts]
+    workers = min(workers, len(firsts))
+    if workers == 1:
+        return _merge(list(map(run, firsts, stops)))
 
-    chunk = BLOCK * math.ceil(M / (workers * 4 * BLOCK))
     with nullcontext() if _shared_pools.get() is not None else shared_pool():
         pools = _shared_pools.get()
         if workers not in pools:
             pools[workers] = ProcessPoolExecutor(max_workers=workers)
-        futures = [pools[workers].submit(run, start, min(start + chunk, M))
-                   for start in range(0, M, chunk)]
-        return _merge([block for future in futures for block in future.result()])
+        return _merge(list(pools[workers].map(run, firsts, stops)))
 
 
 def write_trace_csv(replicates: Replicates, r: int, trace_path: str | Path,

@@ -5,6 +5,7 @@ the operating-characteristics tests assert different statistics of the same
 simulations.  All seeds are fixed constants declared here.
 """
 
+import json
 import os
 
 import numpy as np
@@ -21,15 +22,19 @@ WORKERS = min(2, os.cpu_count() or 1)
 ACCEPT_SEED = 20260810
 M_FULL = 10_000
 
-# One line per acceptance criterion, echoed after the run summary.
-ACCEPTANCE_LINES: list[str] = []
+# One entry per acceptance criterion run: its number, pass, line and
+# ``within`` checks.  The lines are echoed after the run summary, and the
+# entries written to acceptance.json in the rootdir.
+ACCEPTANCE: list[dict] = []
 
 
 def pytest_terminal_summary(terminalreporter, exitstatus, config):
-    if ACCEPTANCE_LINES:
+    if ACCEPTANCE:
         terminalreporter.section("acceptance criteria")
-        for line in ACCEPTANCE_LINES:
-            terminalreporter.write_line(line)
+        for entry in ACCEPTANCE:
+            terminalreporter.write_line(entry["line"])
+        path = config.rootpath / "acceptance.json"
+        path.write_text(json.dumps(ACCEPTANCE, indent=2) + "\n")
 
 
 def two_arm(kind, mu1, T=116, **kw):

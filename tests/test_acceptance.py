@@ -18,7 +18,7 @@ from bandit_trials.policies import PolicySpec, tp_probabilities, ts_probabilitie
 
 from .conftest import (
     ACCEPT_SEED,
-    ACCEPTANCE_LINES,
+    ACCEPTANCE,
     LFC,
     M_FULL,
     NULL4,
@@ -31,18 +31,24 @@ from .test_gittins import ORACLE_D09
 
 
 def check(criterion, checks):
-    """Record one line for the criterion; fail if any sub-check failed."""
-    ok = all(passed for passed, _ in checks)
-    detail = "; ".join(text for _, text in checks)
+    """Record one line for the criterion; fail if any sub-check failed.
+
+    Each check is (passed, text), or from ``within`` (passed, text, record).
+    """
+    ok = all(passed for passed, *_ in checks)
+    detail = "; ".join(text for _, text, *_ in checks)
     line = f"[{'PASS' if ok else 'FAIL'}] criterion {criterion}: {detail}"
-    ACCEPTANCE_LINES.append(line)
+    ACCEPTANCE.append({"criterion": criterion, "pass": ok, "line": line,
+                       "within": [check[2] for check in checks if len(check) == 3]})
     print(line)
     assert ok, line
 
 
 def within(name, value, target, tol):
-    return (abs(value - target) <= tol,
-            f"{name}={value:.4f} (target {target} ± {tol})")
+    passed = abs(value - target) <= tol
+    return (passed, f"{name}={value:.4f} (target {target} ± {tol})",
+            {"name": name, "value": float(value), "target": target, "tolerance": tol,
+             "pass": bool(passed)})
 
 
 @pytest.fixture(scope="session")
@@ -229,22 +235,22 @@ def test_criterion_10_property_suites(table995, table09):
     for kind in ("GI", "UCB", "CB"):
         base = TrialScenario(mu=(0.0, 0.545), sigma=1.0, T=60, policy=PolicySpec(kind))
         moved = TrialScenario(mu=(2.5, 0.545 + 2.5), sigma=1.0, T=60, policy=PolicySpec(kind))
-        a = run_trial(base, table995, seed=ACCEPT_SEED + 601)
-        b = run_trial(moved, table995, seed=ACCEPT_SEED + 601)
+        a = run_trial(base, table995, seed=(ACCEPT_SEED + 601, 0))
+        b = run_trial(moved, table995, seed=(ACCEPT_SEED + 601, 0))
         shift_ok &= bool(np.array_equal(a.allocations, b.allocations))
     checks.append((shift_ok, "common-shift outcome streams select identical arms"))
 
     batched = two_arm("TSB", 0.545, T=50, batch=1)
     plain = two_arm("TS", 0.545, T=50)
-    a = run_trial(batched, None, seed=ACCEPT_SEED + 602)
-    b = run_trial(plain, None, seed=ACCEPT_SEED + 602)
+    a = run_trial(batched, None, seed=(ACCEPT_SEED + 602, 0))
+    b = run_trial(plain, None, seed=(ACCEPT_SEED + 602, 0))
     checks.append((bool(np.array_equal(a.allocations, b.allocations)),
                    "batch of 1 replays the unbatched rule"))
 
     conserve_ok = True
     for kind in ("FR", "TS", "RBI", "RGI", "UCB", "KLU", "CB", "GI"):
         record = run_trial(two_arm(kind, 0.545, T=41), table995,
-                           seed=ACCEPT_SEED + 603)
+                           seed=(ACCEPT_SEED + 603, 0))
         conserve_ok &= record.counts.sum() == 41
     checks.append((conserve_ok, "patient conservation across policies"))
 

@@ -89,6 +89,13 @@ class TestTableCommand:
         assert run_cli("table", "--discount", "0", "--n-max", "5", "--out", str(out)) == 0
         assert np.array_equal(load_index_table(out).values, np.zeros(5))
 
+    def test_default_name_keeps_the_discount(self, tmp_path, monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        for discount in ("0.9", "0.9000001"):
+            assert run_cli("table", "--discount", discount, "--n-max", "5") == 0
+        assert sorted(path.name for path in tmp_path.iterdir()) == [
+            "gittins_d0.9000001_n5.csv", "gittins_d0.9_n5.csv"]
+
     def test_oracle_fixture_via_cli(self, tmp_path):
         out = tmp_path / "t.csv"
         assert run_cli("table", "--discount", "0.9", "--n-max", "50", "--out", str(out)) == 0
@@ -378,6 +385,25 @@ class TestSimulateCommand:
                        "--out-dir", str(tmp_path / "run2")) == 0
         assert cached[0].stat().st_mtime_ns == stamp  # reused, not rebuilt
         assert list(cache.iterdir()) == cached  # no temporary file left behind
+
+    def test_near_equal_discounts_keep_their_own_files(self, tmp_path, monkeypatch):
+        # both discounts print as 0.9 under "%g": one file name made them
+        # rebuild and overwrite each other's table
+        cache = tmp_path / "cache"
+        monkeypatch.setenv("BANDIT_TRIALS_TABLE_DIR", str(cache))
+        discounts = (0.9, 0.9000001)
+        built = {discount: cli.get_table(discount, 16) for discount in discounts}
+        assert sorted(path.name for path in cache.iterdir()) == [
+            "gittins_d0.9000001_n16.csv", "gittins_d0.9_n16.csv"]
+
+        def no_build(*args):
+            raise AssertionError(f"index table rebuilt: {args}")
+
+        monkeypatch.setattr(cli, "compute_index_table", no_build)
+        for discount in discounts + discounts:
+            table = cli.get_table(discount, 16)
+            assert table.discount == discount
+            assert np.array_equal(table.values, built[discount].values)
 
     def test_damaged_cache_file_is_rebuilt(self, tmp_path, monkeypatch):
         cache = tmp_path / "cache"

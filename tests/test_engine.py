@@ -7,7 +7,8 @@ import numpy as np
 import pytest
 from scipy import stats
 
-from bandit_trials.engine import (BLOCK, TrialScenario, _block_seeds, _SeedWords, _uint32_words,
+from bandit_trials import engine
+from bandit_trials.engine import (BLOCK, TrialScenario, _SeedWords, _stream_seeds, _uint32_words,
                                   run_replicates, run_trial, write_trace_csv)
 from bandit_trials.policies import POLICY_KINDS, Allocator, PolicyDraws, PolicySpec
 
@@ -64,38 +65,38 @@ class TestTableContract:
     def test_index_policy_requires_table(self):
         scenario = two_arm("GI", 0.0, T=10)
         with pytest.raises(ValueError, match="requires a Gittins index table"):
-            run_trial(scenario, None, seed=1)
+            run_trial(scenario, None, seed=(1, 0))
 
     def test_short_table_rejected(self, table09):
         scenario = two_arm("GI", 0.0, T=table09.n_max + 1)
         with pytest.raises(ValueError, match="n_max >= T"):
-            run_trial(scenario, table09, seed=1)
+            run_trial(scenario, table09, seed=(1, 0))
 
 
 class TestSingleTrial:
     @pytest.mark.parametrize("kind", ["FR", "TS", "RBI", "UCB", "KLU", "CB", "GI"])
     def test_initialization_exhausts_minimal_trial(self, table995, kind):
         scenario = two_arm(kind, 0.545, T=2)
-        record = run_trial(scenario, table995, seed=3)
+        record = run_trial(scenario, table995, seed=(3, 0))
         assert record.counts.tolist() == [[1, 1]]
 
     def test_minimal_four_arm(self, table995):
         scenario = TrialScenario(mu=(0.0,) * 4, sigma=1.0, T=4,
                                  policy=PolicySpec("CG"))
-        record = run_trial(scenario, table995, seed=4)
+        record = run_trial(scenario, table995, seed=(4, 0))
         assert record.counts.tolist() == [[1, 1, 1, 1]]
 
     @pytest.mark.parametrize("kind", ["FR", "TSB", "RGI", "UCB", "CB", "GI"])
     def test_patient_conservation(self, table995, kind):
         scenario = two_arm(kind, 0.545, T=57)
-        record = run_trial(scenario, table995, seed=5)
+        record = run_trial(scenario, table995, seed=(5, 0))
         assert record.counts.sum() == 57
         assert record.allocations.shape == (1, 57)
         assert np.all(record.counts >= 1)
 
     def test_fr_allocations_uniform(self):
         scenario = two_arm("FR", 0.0, T=10_000)
-        record = run_trial(scenario, None, seed=6)
+        record = run_trial(scenario, None, seed=(6, 0))
         counts = np.bincount(record.allocations[0], minlength=2)
         assert stats.chisquare(counts).pvalue > 0.001
 
@@ -104,12 +105,12 @@ class TestSingleTrial:
         # index dominates at every step
         scenario = TrialScenario(mu=(0.0, 0.545), sigma=0.001, T=40,
                                  policy=PolicySpec("GI"))
-        record = run_trial(scenario, table995, seed=7)
+        record = run_trial(scenario, table995, seed=(7, 0))
         assert record.counts.tolist() == [[1, 39]]
 
     def test_final_means_match_trace(self, table995):
         scenario = two_arm("RGI", 0.545, T=80)
-        record = run_trial(scenario, table995, seed=8)
+        record = run_trial(scenario, table995, seed=(8, 0))
         final_means = running_means(record)[0, :, -1]
         for k in range(2):
             outcomes = record.outcomes[0][record.allocations[0] == k]
@@ -118,13 +119,13 @@ class TestSingleTrial:
     def test_ucb_init_is_round_robin(self):
         scenario = TrialScenario(mu=(0.0,) * 4, sigma=1.0, T=8,
                                  policy=PolicySpec("UCB"))
-        record = run_trial(scenario, None, seed=9)
+        record = run_trial(scenario, None, seed=(9, 0))
         assert record.allocations[0, :4].tolist() == [0, 1, 2, 3]
 
     def test_random_init_order_varies(self):
         scenario = TrialScenario(mu=(0.0,) * 4, sigma=1.0, T=4,
                                  policy=PolicySpec("FR"))
-        orders = {tuple(run_trial(scenario, None, seed=s).allocations[0].tolist())
+        orders = {tuple(run_trial(scenario, None, seed=(s, 0)).allocations[0].tolist())
                   for s in range(12)}
         assert len(orders) > 1
         assert all(sorted(o) == [0, 1, 2, 3] for o in orders)
@@ -151,7 +152,7 @@ class TestSingleTrial:
     def test_z_vector_shape(self, table995):
         scenario = TrialScenario(mu=(0.0,) * 4, sigma=1.0, T=20,
                                  policy=PolicySpec("CUC"))
-        record = run_trial(scenario, table995, seed=12)
+        record = run_trial(scenario, table995, seed=(12, 0))
         assert record.z.shape == (1, 3)
 
 
@@ -162,7 +163,7 @@ class TestIndexConvention:
         # index t of the patient being allocated
         spec = PolicySpec(kind)
         scenario = TrialScenario(mu=(0.0,) * 4, sigma=1.0, T=302, policy=spec)
-        record = run_trial(scenario, None, seed=15)
+        record = run_trial(scenario, None, seed=(15, 0))
         draws = PolicyDraws(init=np.arange(4)[None], uniforms=np.zeros((1, 302 - 4)))
         rule = Allocator(spec, 1.0, 302, None, draws)
         sums, counts = np.zeros(4), np.zeros(4, dtype=int)
@@ -179,13 +180,13 @@ class TestBatchedView:
         # batch == T: the rule never refreshes, so allocations stay uniform
         # even with a huge true effect
         scenario = two_arm("TSB", 5.0, T=400, batch=400)
-        record = run_trial(scenario, None, seed=13)
+        record = run_trial(scenario, None, seed=(13, 0))
         share = record.counts[0, 1] / 400
         assert abs(share - 0.5) < 3 * math.sqrt(0.25 / 400) + 0.01
 
     def test_unit_batch_tracks_effect(self):
         scenario = two_arm("TSB", 5.0, T=400, batch=1)
-        record = run_trial(scenario, None, seed=13)
+        record = run_trial(scenario, None, seed=(13, 0))
         assert record.counts[0, 1] / 400 > 0.6
 
 
@@ -196,6 +197,16 @@ class TestReplicates:
         direct = run_trial(scenario, table995, (99, 0))
         assert direct.M == 1
         assert replicates_identical(via_replicates, direct)
+
+    @pytest.mark.parametrize("seed", [3, (3,), (3, 0, 1)])
+    def test_trial_seed_is_a_pair(self, seed):
+        with pytest.raises(TypeError, match=r"\(master_seed, r\) pair"):
+            run_trial(two_arm("FR", 0.0, T=6), None, seed)
+
+    @pytest.mark.parametrize("seed", [(-1, 0), (3, -1)])
+    def test_trial_seed_non_negative(self, seed):
+        with pytest.raises(ValueError, match="non-negative"):
+            run_trial(two_arm("FR", 0.0, T=6), None, seed)
 
     def test_rerun_is_bitwise_identical(self, table995):
         scenario = two_arm("RGI", 0.545, T=40)
@@ -214,6 +225,32 @@ class TestReplicates:
         # more than one block and no shared_pool: the call runs its own pool
         run_replicates(two_arm("FR", 0.0, T=10), None, 44, BLOCK + 1, workers=2)
         assert multiprocessing.active_children() == []
+
+    @pytest.mark.parametrize("workers, M, pool", [(3, BLOCK + 1, 2), (2, 3 * BLOCK, 2),
+                                                  (3, BLOCK, None)])
+    def test_one_task_per_block_and_no_idle_workers(self, monkeypatch, workers, M, pool):
+        created, tasks = [], []
+
+        class RecordingPool:
+            """In-process stand-in that records its size and its tasks."""
+
+            def __init__(self, max_workers):
+                created.append(max_workers)
+
+            def map(self, fn, *args):
+                tasks.extend(zip(*args))
+                return map(fn, *args)
+
+            def shutdown(self, cancel_futures=False):
+                pass
+
+        monkeypatch.setattr(engine, "ProcessPoolExecutor", RecordingPool)
+        scenario = two_arm("FR", 0.0, T=6)
+        pooled = run_replicates(scenario, None, 45, M, workers=workers)
+        assert created == ([] if pool is None else [pool])
+        blocks = [(first, min(first + BLOCK, M)) for first in range(0, M, BLOCK)]
+        assert tasks == ([] if pool is None else blocks)
+        assert replicates_identical(pooled, run_replicates(scenario, None, 45, M))
 
     def test_replicate_count_validated(self):
         with pytest.raises(ValueError):
@@ -333,7 +370,7 @@ class TestDrawOrder:
 
     @pytest.mark.parametrize("kind", POLICY_KINDS)
     def test_replicates_are_single_trials(self, table995, kind):
-        # M=37 is no multiple of any block or chunk size
+        # M=37 is no multiple of any block size
         scenario = pin_scenario(kind)
         serial = run_replicates(scenario, table995, PIN_SEED + 1, 37, keep_trajectory=True,
                                 traces=37)
@@ -356,7 +393,7 @@ class TestDrawOrder:
 
     @pytest.mark.parametrize("kind", POLICY_KINDS)
     def test_pool_matches_serial(self, table995, kind):
-        # more than one block, so workers=2 runs two chunks in the pool
+        # more than one block, so workers=2 runs two pool tasks, one per block
         M = BLOCK + 37
         scenario = pin_scenario(kind)
         serial = run_replicates(scenario, table995, PIN_SEED + 3, M, workers=1,
@@ -367,7 +404,7 @@ class TestDrawOrder:
 
     @pytest.mark.parametrize("kind", ["GI", "RGI"])
     def test_chunked_runs_match_serial(self, table995, kind):
-        # three chunks of whole blocks, the last one partial; the traces end
+        # three blocks, the last one partial, one pool task each; the traces end
         # inside the second block
         M, n = 2 * BLOCK + 37, BLOCK + 5
         scenario = pin_scenario(kind)
@@ -399,7 +436,7 @@ class TestStreamSeeds:
     def test_block_streams_are_seed_sequence_children(self, master_seed):
         # blocks holding r = 0, 1, 255; r = 256; r = 2**31; and two-word r from 2**32
         for first in (0, BLOCK, 2**31, 2**32):
-            words = _block_seeds(_uint32_words(master_seed), first, first + BLOCK)
+            words = _stream_seeds(_uint32_words(master_seed), first, first + BLOCK)
             for r in range(first, first + BLOCK):
                 for i in (0, 1):
                     child = np.random.SeedSequence((master_seed, r), spawn_key=(i,))
@@ -409,7 +446,7 @@ class TestStreamSeeds:
 
 class TestTraceDump:
     def test_trace_csv_round_trip(self, tmp_path):
-        record = run_trial(two_arm("FR", 0.0, T=12), None, seed=14)
+        record = run_trial(two_arm("FR", 0.0, T=12), None, seed=(14, 0))
         trace = tmp_path / "trace.csv"
         summary = tmp_path / "arms.csv"
         write_trace_csv(record, 0, trace, summary)

@@ -178,7 +178,7 @@ class TestGittinsIndex:
     def test_no_extrapolation(self, table09):
         # an arm may be observed T times, so a table shorter than T is refused
         with pytest.raises(GittinsTableError):
-            run_trial(two_arm("GI", 0.0, T=table09.n_max + 1), table09, seed=1)
+            run_trial(two_arm("GI", 0.0, T=table09.n_max + 1), table09, seed=(1, 0))
 
 
 class TestTableFile:
