@@ -9,10 +9,15 @@ calibrate   Monte Carlo critical value of one design under the global null,
 simulate    operating-characteristics sweep over policies and hypotheses
 samplesize  equal-randomisation trial size for target power
 
-``calibrate`` and ``simulate`` take the one-sided alpha from the scenario
-config (``alpha``, default 0.05) and calibrate through one path: simulate
-null replicates, then reduce them with ``calibrate_critical_value``.  Bad
-input fails before any work: counts (``-M``, ``--workers``, ``--traces``,
+A scenario (a bundled preset, or a ``--config`` JSON object that may start
+from one through ``preset``) states each setting once, under the keys in
+``CONFIG_KEYS``; any other key is an error, so a misspelt setting is never
+ignored.  K is the length of the hypotheses minus one: every hypothesis
+lists the same number of means, at least two, control first.  ``calibrate``
+and ``simulate`` take the one-sided alpha from the scenario config
+(``alpha``, default 0.05) and calibrate through one path: simulate null
+replicates, then reduce them with ``calibrate_critical_value``.  Bad input
+fails before any work: counts (``-M``, ``--workers``, ``--traces``,
 ``--seed``, and M >= 100 where a command calibrates), every trial size and
 scenario, a policy, hypothesis or trial size listed twice, and a
 critical-value file's entries.
@@ -50,10 +55,15 @@ from .policies import POLICY_KINDS, PolicySpec
 
 TABLE_DIR_ENV = "BANDIT_TRIALS_TABLE_DIR"
 PRESET_NAMES = ("two-arm-t116", "four-arm-t302", "rare-t64")
+# every key a scenario config may hold; name and description are free text
+CONFIG_KEYS = ("preset", "name", "description", "T", "sigma", "alpha", "discount",
+               "policies", "hypotheses", "reuse_critical_values_from")
 
 
 def load_preset(name: str) -> dict:
     """Load a bundled scenario preset by name."""
+    if not isinstance(name, str):
+        raise ValueError(f"preset name must be a string, got {json.dumps(name)}")
     fname = name.replace("-", "_") + ".json"
     try:
         text = resources.files("bandit_trials.presets").joinpath(fname).read_text()
@@ -116,23 +126,12 @@ def _derived_seed(master_seed: int, *scope) -> int:
     return int(np.random.SeedSequence(entropy).generate_state(1, dtype=np.uint64)[0] >> 1)
 
 
-def _policy_spec(kind: str, preset: dict) -> PolicySpec:
-    """``kind`` with the scenario's batch and guard_prob, each passed only to
-    the kinds that read it."""
-    rule = PolicySpec(kind)
-    return PolicySpec(
-        kind=kind,
-        batch=preset.get("batch") if rule.is_batched else None,
-        control_guard_prob=preset.get("guard_prob") if rule.is_guarded else None,
-    )
-
-
 def _scenario(preset: dict, kind: str, mu, T: int) -> TrialScenario:
     return TrialScenario(
         mu=tuple(mu),
         sigma=float(preset.get("sigma", 1.0)),
         T=T,
-        policy=_policy_spec(kind, preset),
+        policy=PolicySpec(kind),
     )
 
 
@@ -155,7 +154,11 @@ def _load_scenario_source(args) -> dict:
             cfg = preset
     else:
         cfg = load_preset(args.preset)
-    missing = [key for key in ("K", "T", "hypotheses", "policies") if key not in cfg]
+    unknown = [key for key in cfg if key not in CONFIG_KEYS]
+    if unknown:
+        raise ValueError(f"scenario config sets unknown {', '.join(map(repr, unknown))}; "
+                         f"its keys are {', '.join(CONFIG_KEYS)}")
+    missing = [key for key in ("T", "hypotheses", "policies") if key not in cfg]
     if missing:
         raise ValueError(f"scenario config lacks {', '.join(missing)}")
     if not isinstance(cfg["hypotheses"], dict) or not cfg["hypotheses"]:
@@ -163,23 +166,19 @@ def _load_scenario_source(args) -> dict:
     if not isinstance(cfg["policies"], list) or not cfg["policies"] \
             or not all(isinstance(kind, str) for kind in cfg["policies"]):
         raise ValueError("scenario policies must be a list of one or more policy names")
-    # (key, integer, nullable): batch and guard_prob may be null, the policy's default
-    for key, integer, nullable in (("K", True, False), ("T", True, False),
-                                   ("sigma", False, False), ("discount", False, False),
-                                   ("batch", True, True), ("guard_prob", False, True)):
-        if key in cfg and not (nullable and cfg[key] is None):
+    for key, integer in (("T", True), ("sigma", False), ("discount", False)):
+        if key in cfg:
             _check_number(f"scenario {key}", cfg[key], integer)
-    if cfg["K"] < 1:
-        raise ValueError(f"scenario K must be >= 1 experimental arm, got {cfg['K']}")
-    # checked here too, since only the kinds that read them see them
-    if cfg.get("batch") is not None and cfg["batch"] < 1:
-        raise ValueError(f"scenario batch must be >= 1, got {cfg['batch']}")
-    if cfg.get("guard_prob") is not None and not 0 < cfg["guard_prob"] < 1:
-        raise ValueError(f"scenario guard_prob must lie in (0, 1), got {cfg['guard_prob']}")
-    n_arms = int(cfg["K"]) + 1
-    for label, mu in cfg["hypotheses"].items():
+    # the first hypothesis fixes the arm count K+1, control first
+    hypotheses = cfg["hypotheses"]
+    first = next(iter(hypotheses))
+    n_arms = len(hypotheses[first]) if isinstance(hypotheses[first], list) else 0
+    if n_arms < 2:
+        raise ValueError(f"hypothesis {first!r} must list two or more arm means, control first")
+    for label, mu in hypotheses.items():
         if not isinstance(mu, list) or len(mu) != n_arms:
-            raise ValueError(f"hypothesis {label!r} must list K+1={n_arms} arm means")
+            raise ValueError(f"hypothesis {label!r} must list {n_arms} arm means, "
+                             f"as {first!r} does")
         for mean in mu:
             _check_number(f"hypothesis {label!r}'s mean", mean, integer=False)
     alpha = cfg.get("alpha", 0.05)
@@ -295,7 +294,7 @@ def cmd_calibrate(args) -> int:
 def _calibration_size(preset: dict, T: int) -> int:
     """Trial size of the calibration: the referenced preset's, if any (rare-t64)."""
     source = preset.get("reuse_critical_values_from")
-    return int(load_preset(source)["T"]) if source else T
+    return int(load_preset(source)["T"]) if source is not None else T
 
 
 def _file_criticals(path: str, kinds, alpha: float) -> dict[str, CriticalValue]:
@@ -341,7 +340,7 @@ def cmd_simulate(args) -> int:
         _check_calibration_size(args.replicates)
     fixed = {} if mode in ("analytic", "calibrate") else _file_criticals(mode, kinds, alpha)
     table = _scenario_table(preset, kinds, max(T, calibration_T))
-    analytic = fwer_critical_value(int(preset["K"]), alpha)
+    analytic = fwer_critical_value(next(iter(scenarios.values())).K, alpha)
 
     out_dir = Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)

@@ -162,8 +162,9 @@ def calibrate_critical_value(replicates, alpha: float) -> CriticalValue:
 
     # nearest-rank order statistic, 1-based; the guard keeps a product that
     # rounds just above an integer ((1 - 0.059) * 1000 = 941.0000000000001)
-    # from taking the next rank
-    rank = math.ceil((1.0 - alpha) * M - 1e-9)
+    # from taking the next rank, and an alpha within 1e-9 / M of 1 reads the
+    # smallest statistic, not (through index -1) the largest
+    rank = max(1, math.ceil((1.0 - alpha) * M - 1e-9))
     ordered = np.sort(replicates.z.max(axis=1))
     lower_rank, upper_rank = _percentile_interval_ranks(M, 1.0 - alpha)
     return CriticalValue(float(ordered[rank - 1]), alpha, ci95={

@@ -82,18 +82,16 @@ _SQRT_2PI = math.sqrt(2.0 * math.pi)
 
 @dataclass(frozen=True)
 class PolicySpec:
-    """Allocation rule selection plus its tuning knobs.
+    """Allocation rule selection plus its one tuning knob.
 
     ``batch`` defaults to 20 for the batched kinds (TSB, TPB) and 1
-    otherwise.  ``control_guard_prob`` applies to the guarded kinds (CG, CUC)
-    only; None resolves to 1/(K+1) at allocation time (pass 1/K explicitly
-    for the stricter guard).  The index rules' discount is the index table's
+    otherwise.  The guarded kinds (CG, CUC) choose the control outright with
+    probability 1/(K+1).  The index rules' discount is the index table's
     (``GittinsTable.discount``).
     """
 
     kind: str
     batch: int | None = None
-    control_guard_prob: float | None = None
 
     def __post_init__(self) -> None:
         kind = self.kind.upper()
@@ -106,10 +104,6 @@ class PolicySpec:
             raise ValueError("batch must be >= 1")
         if self.batch != 1 and kind not in _BATCH_INNER:
             raise ValueError(f"batch applies to TSB/TPB only; {kind} sees every outcome")
-        if self.control_guard_prob is not None and kind not in _GUARD_INNER:
-            raise ValueError(f"control_guard_prob applies to CG/CUC only; {kind} has no guard")
-        if self.control_guard_prob is not None and not 0.0 < self.control_guard_prob < 1.0:
-            raise ValueError("control_guard_prob must lie in (0, 1)")
 
     @property
     def is_randomized(self) -> bool:
@@ -134,11 +128,6 @@ class PolicySpec:
     @property
     def round_robin_init(self) -> bool:
         return self.kind in _ROUND_ROBIN_INIT
-
-    def guard_prob(self, n_experimental: int) -> float:
-        if self.control_guard_prob is not None:
-            return self.control_guard_prob
-        return 1.0 / (n_experimental + 1)
 
     def check_arms(self, n_experimental: int) -> None:
         """Raise ValueError when the rule is undefined for this many arms."""
@@ -442,12 +431,12 @@ class Allocator:
         values = self.values(sums, counts, t)
         uniforms = self.draws.uniforms
         if self.spec.is_guarded:
-            # With probability ``guard`` the control is chosen outright;
+            # With probability 1/(K+1) the control is chosen outright;
             # otherwise the inner index rule's argmax over all arms wins, so
             # the control can also be chosen on merit and its long-run share
-            # exceeds ``guard``.
+            # exceeds 1/(K+1).
             cursor = self._cursor
-            fired = uniforms[self._rows, cursor] < self.spec.guard_prob(self.n_arms - 1)
+            fired = uniforms[self._rows, cursor] < 1.0 / self.n_arms
             merit = select_from_scores(values, uniforms[self._rows, cursor + 1])
             self._cursor = cursor + 2 - fired
             return np.where(fired, 0, merit)

@@ -14,7 +14,7 @@ import pytest
 
 import bandit_trials
 from bandit_trials import cli, gittins
-from bandit_trials.cli import PRESET_NAMES, build_parser, load_preset, main
+from bandit_trials.cli import CONFIG_KEYS, PRESET_NAMES, build_parser, load_preset, main
 from bandit_trials.engine import BLOCK, run_replicates
 from bandit_trials.gittins import (compute_index_table, dp_settings, load_index_table,
                                    save_index_table)
@@ -107,10 +107,12 @@ class TestPresets:
     @pytest.mark.parametrize("name", PRESET_NAMES)
     def test_presets_parse(self, name):
         preset = load_preset(name)
+        assert set(preset) <= set(CONFIG_KEYS)
         assert len(preset["hypotheses"]) == 2
-        for mu in preset["hypotheses"].values():
-            assert len(mu) == preset["K"] + 1
-        assert preset["T"] >= preset["K"] + 1
+        # K is the hypotheses' length minus one, the same for each
+        n_arms = {len(mu) for mu in preset["hypotheses"].values()}
+        assert len(n_arms) == 1 and min(n_arms) >= 2
+        assert preset["T"] >= min(n_arms)
         assert set(preset["policies"]) <= {"FR", "TS", "TSB", "RBI", "RGI", "UCB",
                                            "KLU", "CB", "GI", "CG", "CUC", "TP", "TPB"}
 
@@ -203,7 +205,7 @@ class TestCalibrateCommand:
     def test_refuses_non_null_scenario(self, tmp_path, capsys):
         config = tmp_path / "cfg.json"
         config.write_text(json.dumps({
-            "K": 1, "T": 10, "sigma": 1.0,
+            "T": 10, "sigma": 1.0,
             "policies": ["CB"], "hypotheses": {"H1": [0.0, 0.5]},
         }))
         code = run_cli("calibrate", "--policy", "CB", "--config", str(config),
@@ -298,29 +300,39 @@ class TestSimulateCommand:
 
     @pytest.mark.parametrize("config, message", [
         (5, "must hold a JSON object"),
-        ({"T": 20, "policies": ["FR"]}, "lacks K, hypotheses"),
-        ({"K": 1, "T": 20, "policies": ["FR"], "hypotheses": {"H0": [0.0, 0.0, 0.0]}},
-         "hypothesis 'H0' must list K+1=2"),
-        ({"K": 1, "T": 20, "policies": ["FR"], "hypotheses": {"H0": 0.0}},
-         "hypothesis 'H0' must list K+1=2"),
+        ({"T": 20, "policies": ["FR"]}, "lacks hypotheses"),
+        ({"T": 20, "policies": ["FR"], "hypotheses": {"H0": [0.0], "H1": [0.0, 0.5]}},
+         "hypothesis 'H0' must list two or more arm means, control first"),
+        ({"T": 20, "policies": ["FR"], "hypotheses": {"H0": 0.0}},
+         "hypothesis 'H0' must list two or more arm means, control first"),
         ({"preset": "three-arm"}, "unknown preset 'three-arm'"),
         ({"preset": "two-arm-t116", "alpha": 0}, "alpha must be a number in (0, 1)"),
         ({"preset": "two-arm-t116", "alpha": 1.5}, "alpha must be a number in (0, 1)"),
         ({"preset": "two-arm-t116", "alpha": "0.05"}, "alpha must be a number in (0, 1)"),
-        ({"K": 1, "T": 20, "policies": ["FR"], "hypotheses": {"H0": [0.0, 0.0]}, "discount": 1.5},
+        ({"T": 20, "policies": ["FR"], "hypotheses": {"H0": [0.0, 0.0]}, "discount": 1.5},
          "discount must lie in [0, 1)"),
         ({"preset": "two-arm-t116", "sigma": None}, "sigma must be a number, got null"),
         ({"preset": "two-arm-t116", "discount": None}, "discount must be a number, got null"),
         ({"preset": "two-arm-t116", "T": None}, "T must be an integer, got null"),
-        ({"preset": "two-arm-t116", "batch": "20"}, 'batch must be an integer, got "20"'),
+        ({"preset": "two-arm-t116", "batch": "20"}, "sets unknown 'batch'"),
         ({"preset": "two-arm-t116", "policies": ["FR", 1]}, "policies must be a list"),
         ({"preset": "two-arm-t116", "hypotheses": {"H0": [0.0, None]}},
          "hypothesis 'H0''s mean must be a number, got null"),
         ({"preset": "two-arm-t116", "policies": []},
          "policies must be a list of one or more policy names"),
-        ({"preset": "two-arm-t116", "policies": ["GI"], "batch": 0}, "batch must be >= 1"),
-        ({"preset": "two-arm-t116", "policies": ["GI"], "guard_prob": 1.5},
-         "guard_prob must lie in (0, 1)"),
+        # K is the hypotheses' length, and the guard and batch are the rules' own
+        ({"preset": "two-arm-t116", "K": 1}, "sets unknown 'K'"),
+        ({"preset": "two-arm-t116", "policies": ["CG"], "guard_prob": 0.5},
+         "sets unknown 'guard_prob'"),
+        ({"preset": "two-arm-t116", "discont": 0.9}, "sets unknown 'discont'"),
+        ({"T": 20, "policies": ["FR"], "hypotheses": {"H0": [0.0, 0.0]}, "K": 3, "batch": 5},
+         "sets unknown 'K', 'batch'"),
+        ({"preset": 5}, "preset name must be a string, got 5"),
+        ({"preset": ["x"]}, 'preset name must be a string, got ["x"]'),
+        ({"preset": "two-arm-t116", "reuse_critical_values_from": 3},
+         "preset name must be a string, got 3"),
+        ({"T": 20, "policies": ["FR"], "hypotheses": {"H0": [0.0, 0.0], "H1": [0.0, 0.5, 0.5]}},
+         "hypothesis 'H1' must list 2 arm means, as 'H0' does"),
     ])
     def test_invalid_config_is_one_error_line(self, tmp_path, capsys, config, message):
         path = tmp_path / "cfg.json"
@@ -328,25 +340,6 @@ class TestSimulateCommand:
         assert run_cli("simulate", "--config", str(path), "--out-dir", str(tmp_path)) == 1
         err = capsys.readouterr().err.splitlines()
         assert len(err) == 1 and err[0].startswith("error: ") and message in err[0]
-
-    def test_guard_prob_reaches_guarded_kinds_only(self, tmp_path, monkeypatch):
-        # a scenario guard_prob is CG's; GI, which has no guard, runs as without it
-        monkeypatch.delenv("BANDIT_TRIALS_TABLE_DIR", raising=False)
-        rows = {}
-        for guard in (None, 0.9):
-            path = tmp_path / f"cfg{guard}.json"
-            path.write_text(json.dumps({
-                "K": 1, "T": 16, "discount": 0.9, "guard_prob": guard,
-                "policies": ["FR"], "hypotheses": {"H1": [0.0, 0.5]},
-            }))
-            out = tmp_path / f"run{guard}"
-            assert run_cli("simulate", "--config", str(path), "--policies", "GI,CG",
-                           "--critical-values", "analytic", "-M", "200", "--seed", "5",
-                           "--workers", "1", "--out-dir", str(out)) == 0
-            rows[guard] = (out / "results.csv").read_text().splitlines()
-        assert rows[None][1].startswith("GI,") and rows[None][2].startswith("CG,")
-        assert rows[0.9][1] == rows[None][1]
-        assert rows[0.9][2] != rows[None][2]
 
     def test_unknown_hypothesis_is_one_error_line(self, tmp_path, capsys):
         assert run_cli("simulate", "--preset", "two-arm-t116", "--policies", "FR",
@@ -366,13 +359,32 @@ class TestSimulateCommand:
         assert len(rows["full"]) == 3 and len(rows["h1"]) == 2
         assert rows["h1"][1] == rows["full"][2]
 
+    def test_config_restating_a_preset_writes_its_bytes(self, tmp_path, monkeypatch):
+        # two-arm-t116's design stated once: K from the hypotheses' length,
+        # TSB's batch and CG's guard the rules' own
+        monkeypatch.setenv("BANDIT_TRIALS_TABLE_DIR", str(tmp_path / "cache"))
+        config = tmp_path / "cfg.json"
+        config.write_text(json.dumps({
+            "T": 116, "sigma": 1.0, "alpha": 0.05, "discount": 0.995,
+            "policies": ["FR", "TS", "TSB", "RBI", "RGI", "UCB", "KLU", "CB", "GI"],
+            "hypotheses": {"H0": [0.0, 0.0], "H1": [0.0, 0.545]},
+        }))
+        outputs = {}
+        for source in (["--preset", "two-arm-t116"], ["--config", str(config)]):
+            out = tmp_path / source[0].lstrip("-")
+            assert run_cli("simulate", *source, "--policies", "GI,TSB,CG", "-M", "200",
+                           "--seed", "7", "--workers", "1", "--out-dir", str(out)) == 0
+            outputs[source[0]] = [(out / name).read_bytes()
+                                  for name in ("results.csv", "critical_values.json")]
+        assert outputs["--config"] == outputs["--preset"]
+
     def test_table_cache_roundtrip(self, tmp_path, monkeypatch):
         cache = tmp_path / "cache"
         monkeypatch.setenv("BANDIT_TRIALS_TABLE_DIR", str(cache))
         out = tmp_path / "run"
         config = tmp_path / "cfg.json"
         config.write_text(json.dumps({
-            "K": 1, "T": 16, "sigma": 1.0, "discount": 0.9,
+            "T": 16, "sigma": 1.0, "discount": 0.9,
             "policies": ["GI"], "hypotheses": {"H0": [0.0, 0.0]},
         }))
         assert run_cli("simulate", "--config", str(config), "--replicates", "100",
@@ -501,7 +513,7 @@ class TestSimulateCommand:
     def test_no_experimental_arm_is_one_error_line(self, tmp_path, capsys, no_table_build,
                                                    command):
         config = tmp_path / "cfg.json"
-        config.write_text(json.dumps({"K": 0, "T": 10, "policies": ["CB"],
+        config.write_text(json.dumps({"T": 10, "policies": ["CB"],
                                       "hypotheses": {"H0": [0.0]}}))
         out = tmp_path / "out"
         policy = ["--policy", "CB"] if command == "calibrate" else []

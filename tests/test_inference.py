@@ -160,6 +160,14 @@ class TestCalibration:
             expected = math.ceil(Fraction(1000 - k, 1000) * M)
             assert calibrate_critical_value(replicates, k / 1000).value == expected, k
 
+    def test_alpha_near_one_reads_the_smallest_statistic(self):
+        # (1 - alpha) * M is 1e-10 here, which the rounding guard takes to
+        # rank 0; the nearest rank is 1, the smallest statistic
+        empty = np.empty((0, 0))
+        replicates = Replicates(two_arm("FR", 0.0), np.arange(100.0, 0.0, -1.0)[:, None],
+                                empty, empty, None, empty, empty)
+        assert calibrate_critical_value(replicates, 0.999999999999).value == 1.0
+
     @pytest.mark.parametrize("M", [100, 10_000])
     def test_percentile_interval(self, M):
         replicates = run_replicates(two_arm("CB", 0.0, T=6), None, 23, M)

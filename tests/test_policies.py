@@ -89,12 +89,14 @@ class TestPolicySpec:
     @pytest.mark.parametrize("kind", ["FR", "TS", "TSB", "RBI", "RGI", "UCB", "KLU", "CB",
                                       "GI", "TP", "TPB"])
     def test_guard_prob_only_for_guarded_kinds(self, kind):
-        with pytest.raises(ValueError, match="CG/CUC"):
-            PolicySpec(kind, control_guard_prob=0.3)
-
-    def test_guard_prob_default(self):
-        assert PolicySpec("CG").guard_prob(3) == 0.25
-        assert PolicySpec("CG", control_guard_prob=1 / 3).guard_prob(3) == 1 / 3
+        # only CG and CUC flip the guard's coin, from a pool of two uniforms
+        # per decision; every other rule draws one selection uniform per decision
+        K, T = 3, 30
+        draws = draw_policy_variates(PolicySpec(kind), K, T, [np.random.default_rng(0)])
+        assert draws.uniforms.shape == (1, T - K - 1)
+        for guarded in ("CG", "CUC"):
+            draws = draw_policy_variates(PolicySpec(guarded), K, T, [np.random.default_rng(0)])
+            assert draws.uniforms.shape == (1, 2 * (T - K - 1))
 
     def test_inner_kinds(self):
         assert PolicySpec("CG").inner_kind == "GI"
@@ -489,6 +491,16 @@ class TestGuardedAllocate:
                                     [0.1, 0.2, 0.9])
         assert allocate(*state, 9)[0] == 0
         assert allocate(*state, 10)[0] == 0
+
+    @pytest.mark.parametrize("kind", ["CG", "CUC"])
+    @pytest.mark.parametrize("means", [(-9.0, 1.5), (-9.0, 1.2, 0.9, 1.5)], ids=["K1", "K3"])
+    def test_guard_fires_below_one_over_arm_count(self, table09, kind, means):
+        # the guard uniform fires strictly below 1/(K+1); at 1/(K+1) the merit
+        # stage picks the best arm, the last
+        arms = arms_of(*[(mean, 8) for mean in means])
+        guard = 1.0 / len(means)
+        assert self.decide(kind, arms, table09, [np.nextafter(guard, 0.0), 0.5]) == 0
+        assert self.decide(kind, arms, table09, [guard, 0.5]) == len(means) - 1
 
     def test_index_stage_includes_control(self, table09):
         # control holds the best posterior mean and equal counts, so it wins
