@@ -29,9 +29,10 @@ keeps every value losslessly, so a cached run matches a cold one byte for
 byte.  Every command is deterministic given its ``--seed``, whatever the
 cache holds; replicate streams are derived per policy, hypothesis (its
 position in the scenario) and trial size, so adding policies or selecting
-hypotheses does not perturb the others.  Each command runs its replicates
-on one pool of ``--workers`` processes, or of one per 256-replicate block
-when ``-M`` gives fewer blocks.
+hypotheses does not perturb the others.  Each command steps its replicates
+in blocks of up to 1024 (four groups of 256, fewer when ``-M`` has fewer
+groups than four per worker) on one pool of ``--workers`` processes, or of
+one per block when there are fewer blocks.
 """
 
 from __future__ import annotations
@@ -189,6 +190,10 @@ def _load_scenario_source(args) -> dict:
     cfg["discount"] = float(cfg.get("discount", 0.995))
     if not 0.0 <= cfg["discount"] < 1.0:
         raise ValueError(f"scenario discount must lie in [0, 1), got {cfg['discount']}")
+    # the preset it names, loaded in every mode so a misspelt name fails before any work
+    source = cfg.get("reuse_critical_values_from")
+    if source is not None:
+        cfg["reuse_critical_values_from"] = load_preset(source)
     return cfg
 
 
@@ -294,7 +299,7 @@ def cmd_calibrate(args) -> int:
 def _calibration_size(preset: dict, T: int) -> int:
     """Trial size of the calibration: the referenced preset's, if any (rare-t64)."""
     source = preset.get("reuse_critical_values_from")
-    return int(load_preset(source)["T"]) if source is not None else T
+    return int(source["T"]) if source is not None else T
 
 
 def _file_criticals(path: str, kinds, alpha: float) -> dict[str, CriticalValue]:
@@ -340,7 +345,11 @@ def cmd_simulate(args) -> int:
         _check_calibration_size(args.replicates)
     fixed = {} if mode in ("analytic", "calibrate") else _file_criticals(mode, kinds, alpha)
     table = _scenario_table(preset, kinds, max(T, calibration_T))
-    analytic = fwer_critical_value(next(iter(scenarios.values())).K, alpha)
+    # FR, and every rule under ``--critical-values analytic``, tests at the
+    # analytic family-wise value
+    analytic = None
+    if any(kind not in null_scenarios and kind not in fixed for kind in kinds):
+        analytic = fwer_critical_value(next(iter(scenarios.values())).K, alpha)
 
     out_dir = Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)

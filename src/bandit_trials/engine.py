@@ -10,18 +10,21 @@ rules see a stale probability vector instead, refreshed per block of
 patients).
 
 Replicate r of a master seed is the only identity a trial has, and a block
-of replicates the only unit of work.  ``run_replicates`` steps blocks
-[0, BLOCK), [BLOCK, 2 BLOCK), ... (only the last may be short): the loop
-runs over patients, and each step updates the (R, K+1) ``sums`` and
-``counts`` of all R replicates of the block with array operations.  A block
-returns only what the reports need (``Replicates``: per-replicate contrasts,
-counts and mean outcome, bias sums, a few traces).  ``run_trial(scenario,
-table, (master_seed, r))`` runs the one-row block [r, r+1) through the same
-block function and returns its ``Replicates``, trace kept.  With several
-workers, each block is one task of a process pool of at most one worker
-per block.  Calls made inside a ``shared_pool`` block, as every CLI command
-is, share one pool, which is shut down and its workers joined when the
-block ends; a call made outside one runs in a block of its own.
+of replicates the only unit of work.  ``run_replicates`` cuts a run into
+groups of ``BLOCK`` replicates, [0, BLOCK), [BLOCK, 2 BLOCK), ..., and
+steps them in blocks of g groups, g = min(``STEP_GROUPS``, ceil(groups /
+workers)) (only the last group and block may be short).  The loop runs over
+patients, and each step updates the (R, K+1) ``sums`` and ``counts`` of all
+R replicates of the block with array operations, so numpy's fixed cost per
+call is spread over up to 1024 rows.  A block returns only what the reports
+need (``Replicates``: per-replicate contrasts, counts and mean outcome,
+bias sums per 256-row group, a few traces).  ``run_trial(scenario, table,
+(master_seed, r))`` runs the one-row block [r, r+1) through the same block
+function and returns its ``Replicates``, trace kept.  With several workers,
+each block is one task of a process pool of at most one worker per block.
+Calls made inside a ``shared_pool`` block, as every CLI command is, share
+one pool, which is shut down and its workers joined when the block ends; a
+call made outside one runs in a block of its own.
 
 Randomness discipline: each replicate owns two independent streams derived
 from (master_seed, r): one for policy randomness (initialization order,
@@ -30,17 +33,17 @@ for outcome noise.  Stream i (0 policy, 1 noise) is numpy's PCG64 seeded by
 the SeedSequence child ``SeedSequence((master_seed, r), spawn_key=(i,))``,
 that is ``SeedSequence((master_seed, r)).spawn(2)[i]``.  No SeedSequence
 object is built: each block derives its own seeds, as ``_stream_seeds``
-runs numpy's SeedSequence hash on columns of the whole block, and each
-PCG64 is seeded from its words.  Both streams are drawn before the block's
-first patient, each replicate from its own streams and in the order it
-would consume them stepping alone (``policies.draw_policy_variates``).
-Patient t's outcome uses the t-th noise variate whatever the policy did, so
-designs can be compared under common random numbers.  Every per-replicate
-array (contrasts, counts, mean outcome, traces) is identical for any worker
-count and block size.  The bias sums are identical for any worker count at
-a fixed ``BLOCK``: each block sums its own replicates and the blocks are
-added in order, so another block size regroups the additions and can move
-them in the last bits.
+runs numpy's SeedSequence hash on columns of each 256-row group of the
+block, and each PCG64 is seeded from its words.  Both streams are drawn
+before the block's first patient, each replicate from its own streams and
+in the order it would consume them stepping alone
+(``policies.draw_policy_variates``).  Patient t's outcome uses the t-th
+noise variate whatever the policy did, so designs can be compared under
+common random numbers.  Every per-replicate array (contrasts, counts, mean
+outcome, traces) is identical for any worker count and block size.  The
+bias sums are too: the reduction group is fixed at ``BLOCK`` rows whatever
+the stepping block, each group sums its own replicates in order, and the
+groups are added in order.
 """
 
 from __future__ import annotations
@@ -64,14 +67,20 @@ from .policies import Allocator, PolicySpec, draw_policy_variates
 __all__ = ["TrialScenario", "Replicates", "run_trial", "run_replicates", "shared_pool",
            "write_trace_csv"]
 
-# Replicates stepped together.  A block's largest arrays are RBI/RGI's
-# draws, one (BLOCK, T-K-1, K+2) buffer of exponentials and selection
-# uniforms, 3.1 MB at K=3, T=302, and TS's quadrature arrays, (rows, K+1,
-# grid points) for each group of the block's rows that share a point count:
-# at most 1.2 MB each there at the largest point count measured in such
-# trials (141).  Larger blocks gain little once per-step overhead is spread
-# over a few hundred replicates.
+# Replicates reduced together: the bias sums add each group of BLOCK
+# replicates (aligned to multiples of BLOCK in r) in replicate order and
+# then the groups in order, and each group derives its own stream seeds, so
+# no seeding straddles a 2**32 boundary of r.
 BLOCK = 256
+# Groups stepped together, at most: a stepping block of up to 1024 rows
+# spreads numpy's fixed cost per call at each patient over 4x the rows of
+# one group.  A block's largest arrays, at 1024 rows and K=3, T=302: RBI/
+# RGI's draws, one (R, T-K-1, K+2) buffer of exponentials and selection
+# uniforms, 12.2 MB; TS's quadrature arrays, (rows, K+1, grid points) for
+# each set of the block's rows that share a point count, at most 4.6 MB
+# each at the largest point count measured in such trials (141); the (T, R)
+# noise and the (R, T) outcomes, 2.5 MB each.
+STEP_GROUPS = 4
 
 # numpy's SeedSequence: default pool size, hash and mixing constants
 _POOL_SIZE = 4
@@ -125,7 +134,9 @@ class Replicates:
 
     Row r of the (M, ...) arrays is replicate r.  ``bias_sums[k, i]`` sums
     arm k's running mean after patient K+2+i over the replicates; None
-    unless the run kept trajectories.  The (n, T) traces are those of the
+    unless the run kept trajectories.  A stepping block's own result holds
+    one such sum per group of ``BLOCK`` replicates, (groups, K+1, T-K-1),
+    which ``_merge`` adds in order.  The (n, T) traces are those of the
     first n replicates, n being the run's ``traces`` (at most M).
     """
 
@@ -143,12 +154,13 @@ class Replicates:
 
 
 def _merge(blocks: list[Replicates]) -> Replicates:
-    """Join block results in replicate order, adding their bias sums in block order."""
+    """Join block results in replicate order, adding their groups' bias sums in order."""
     bias_sums = None
     if blocks[0].bias_sums is not None:
-        bias_sums = np.zeros_like(blocks[0].bias_sums)
+        bias_sums = np.zeros_like(blocks[0].bias_sums[0])
         for block in blocks:
-            bias_sums += block.bias_sums
+            for group_sums in block.bias_sums:
+                bias_sums += group_sums
 
     def join(name):
         return np.concatenate([getattr(block, name) for block in blocks])
@@ -194,8 +206,8 @@ def _stream_seeds(master_words: list[int], first: int, stop: int) -> np.ndarray:
     array operation per step for the whole block.
     """
     # Every r of the range must have as many 32-bit words as the last one:
-    # true of one replicate, and of a block starting at a multiple of BLOCK,
-    # which divides 2**32.
+    # true of one replicate, and of a group of at most BLOCK replicates
+    # starting at a multiple of BLOCK, which divides 2**32.
     n_words = len(_uint32_words(stop - 1))
     r = np.arange(first, stop, dtype=np.uint64)
     r_words = [(r >> np.uint64(32 * j) & np.uint64(_MASK32)).astype(np.uint32)
@@ -257,38 +269,53 @@ class _SeedWords(ISeedSequence):
         return self.words
 
 
+class _Generators:
+    """One stream's generators for a block's replicates, in replicate order,
+    each built only when it is reached, so at most one is alive at a time."""
+
+    def __init__(self, words: np.ndarray):
+        self.words = words
+
+    def __len__(self) -> int:
+        return len(self.words)
+
+    def __iter__(self):
+        for words in self.words:
+            yield np.random.Generator(np.random.PCG64(_SeedWords(words)))
+
+
 def _run_block(scenario: TrialScenario, table: GittinsTable | None, master_words: list[int],
                keep_trajectory: bool, traces: int, first: int, stop: int) -> Replicates:
     """Step replicates first..stop-1 of the master seed with words
     ``master_words`` through patients 1..T together, keeping the traces of
     the run's first ``traces`` replicates and, with ``keep_trajectory``,
-    bias sums."""
+    bias sums per group of ``BLOCK`` replicates.  ``first`` is a multiple
+    of ``BLOCK``, or the block is one replicate."""
     spec = scenario.policy
     K, T, sigma = scenario.K, scenario.T, scenario.sigma
     n_arms = K + 1
     R = stop - first
-    seed_words = _stream_seeds(master_words, first, stop)
+    groups = [slice(start, min(start + BLOCK, R)) for start in range(0, R, BLOCK)]
+    policy_words, outcome_words = np.concatenate(
+        [_stream_seeds(master_words, first + rows.start, first + rows.stop) for rows in groups],
+        axis=1)
 
-    noise = np.empty((R, T))
-    policy_rngs = []
-    for r, (policy_words, outcome_words) in enumerate(zip(*seed_words)):
-        policy_rngs.append(np.random.Generator(np.random.PCG64(_SeedWords(policy_words))))
-        noise[r] = np.random.Generator(
-            np.random.PCG64(_SeedWords(outcome_words))).standard_normal(T)
+    # patient t's noise is row t-1, each replicate's column drawn in one call
+    noise = np.empty((T, R))
+    for r, rng in enumerate(_Generators(outcome_words)):
+        noise[:, r] = rng.standard_normal(T)
     allocate = Allocator(spec, sigma, T, table,
-                         draw_policy_variates(spec, K, T, policy_rngs))
+                         draw_policy_variates(spec, K, T, _Generators(policy_words)))
 
-    # per-patient columns are written as rows here and transposed at the end;
     # (sums, counts) are updated through flat indices row * (K+1) + arm
-    noise = np.ascontiguousarray(noise.T)
     mu = np.array(scenario.mu)
     row_starts = np.arange(R) * n_arms
     sums = np.zeros((R, n_arms))
     counts = np.zeros((R, n_arms), dtype=np.int64)
     flat_sums, flat_counts = sums.reshape(-1), counts.reshape(-1)
     allocations = np.empty((T, R), dtype=np.int16)
-    outcomes = np.empty((T, R))
-    bias_sums = np.empty((n_arms, T - K - 1)) if keep_trajectory else None
+    outcomes = np.empty((R, T))
+    bias_sums = np.empty((len(groups), n_arms, T - K - 1)) if keep_trajectory else None
 
     for t in range(1, T + 1):
         k = allocate(sums, counts, t)
@@ -299,18 +326,19 @@ def _run_block(scenario: TrialScenario, table: GittinsTable | None, master_words
         flat_sums[cells] += y
         flat_counts[cells] += 1
         allocations[t - 1] = k
-        outcomes[t - 1] = y
+        outcomes[:, t - 1] = y
         if keep_trajectory and t > n_arms:
-            # a reduction over axis 0 adds the rows one after another
-            bias_sums[:, t - n_arms - 1] = (sums / counts).sum(axis=0)
+            means = sums / counts
+            for g, rows in enumerate(groups):
+                # a reduction over axis 0 adds the rows one after another
+                bias_sums[g, :, t - n_arms - 1] = means[rows].sum(axis=0)
 
-    # rows of contiguous outcomes: each mean is the same pairwise sum as a lone trace's
-    outcomes = np.ascontiguousarray(outcomes.T)
     kept = max(traces - first, 0)
     return Replicates(
         scenario=scenario,
         z=z_statistic(sums, counts, sigma),
         counts=counts,
+        # rows of contiguous outcomes: each mean is the same pairwise sum as a lone trace's
         mean_outcome=outcomes.mean(axis=1),
         bias_sums=bias_sums,
         allocations=np.ascontiguousarray(allocations[:, :kept].T),
@@ -358,10 +386,13 @@ def run_replicates(scenario: TrialScenario, table: GittinsTable | None,
     where it runs (see ``Replicates``).
 
     Replicate r derives its streams from (master_seed, r), and bias sums
-    add each block's replicates in order, then the blocks in order, so the
-    result is bitwise identical for any positive ``workers``.  With several
-    workers and blocks, each block is one task of a process pool of at most
-    one worker per block (see ``shared_pool``).
+    add each group of ``BLOCK`` replicates in order, then the groups in
+    order, so the result is bitwise identical for any positive ``workers``
+    and any stepping block.  A stepping block holds ``BLOCK`` * g
+    replicates, g = min(``STEP_GROUPS``, ceil(groups / workers)): no more
+    rows per task than spreading the run's groups evenly over the workers
+    takes.  With several workers and blocks, each block is one task of a
+    process pool of at most one worker per block (see ``shared_pool``).
     """
     if M < 1:
         raise ValueError("M must be >= 1")
@@ -372,8 +403,10 @@ def run_replicates(scenario: TrialScenario, table: GittinsTable | None,
     _check_table(scenario, table)
     run = partial(_run_block, scenario, table, _uint32_words(master_seed),
                   keep_trajectory, traces)
-    firsts = range(0, M, BLOCK)
-    stops = [min(first + BLOCK, M) for first in firsts]
+    n_groups = -(-M // BLOCK)
+    step = BLOCK * min(STEP_GROUPS, -(-n_groups // workers))
+    firsts = range(0, M, step)
+    stops = [min(first + step, M) for first in firsts]
     workers = min(workers, len(firsts))
     if workers == 1:
         return _merge(list(map(run, firsts, stops)))

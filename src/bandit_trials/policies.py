@@ -345,6 +345,8 @@ class PolicyDraws:
 def draw_policy_variates(spec: PolicySpec, K: int, T: int, rngs) -> PolicyDraws:
     """Draw each replicate's policy variates up front, one generator per replicate.
 
+    ``rngs`` is a sized iterable of the block's generators in replicate
+    order, read one after another, so it may build each only when reached.
     Each generator is read as:
 
     * the initialization order, a permutation of the K+1 arms, unless the

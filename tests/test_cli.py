@@ -18,6 +18,7 @@ from bandit_trials.cli import CONFIG_KEYS, PRESET_NAMES, build_parser, load_pres
 from bandit_trials.engine import BLOCK, run_replicates
 from bandit_trials.gittins import (compute_index_table, dp_settings, load_index_table,
                                    save_index_table)
+from bandit_trials.inference import fwer_critical_value
 
 
 def run_cli(*argv):
@@ -333,6 +334,8 @@ class TestSimulateCommand:
          "preset name must be a string, got 3"),
         ({"T": 20, "policies": ["FR"], "hypotheses": {"H0": [0.0, 0.0], "H1": [0.0, 0.5, 0.5]}},
          "hypothesis 'H1' must list 2 arm means, as 'H0' does"),
+        ({"preset": "two-arm-t116", "reuse_critical_values_from": "bogus"},
+         "unknown preset 'bogus'"),
     ])
     def test_invalid_config_is_one_error_line(self, tmp_path, capsys, config, message):
         path = tmp_path / "cfg.json"
@@ -535,6 +538,45 @@ class TestSimulateCommand:
                        "--out-dir", str(out))
         assert_one_error_line(capsys, code)
         assert not out.exists()
+
+    @pytest.mark.parametrize("command", [("calibrate", "--policy", "GI"),
+                                         ("simulate", "--critical-values", "analytic"),
+                                         ("simulate", "--critical-values", "calibrate")],
+                             ids=["calibrate", "simulate-analytic", "simulate-calibrate"])
+    def test_misspelt_reuse_preset_fails_in_every_mode(self, tmp_path, capsys, no_table_build,
+                                                       command):
+        config = tmp_path / "cfg.json"
+        config.write_text(json.dumps({"preset": "two-arm-t116",
+                                      "reuse_critical_values_from": "bogus"}))
+        out = tmp_path / "out"
+        code = run_cli(*command, "--config", str(config), "-M", "100", "--workers", "1",
+                       "--out-dir", str(out))
+        assert "unknown preset 'bogus'" in assert_one_error_line(capsys, code)
+        assert not out.exists()
+
+    def test_analytic_value_computed_only_when_read(self, tmp_path, monkeypatch):
+        computed = []
+
+        def recording_fwer(K, alpha):
+            computed.append((K, alpha))
+            return fwer_critical_value(K, alpha)
+
+        def no_fwer(K, alpha):
+            raise AssertionError("analytic critical value computed but not read")
+
+        common = ("--preset", "two-arm-t116", "--hypotheses", "H0", "--T", "10", "-M", "100",
+                  "--seed", "3", "--workers", "1")
+        # every rule calibrated: the analytic value is never read
+        monkeypatch.setattr(cli, "fwer_critical_value", no_fwer)
+        assert run_cli("simulate", *common, "--policies", "GI,CG",
+                       "--out-dir", str(tmp_path / "calibrated")) == 0
+        # FR tests at the analytic value
+        monkeypatch.setattr(cli, "fwer_critical_value", recording_fwer)
+        out = tmp_path / "with-fr"
+        assert run_cli("simulate", *common, "--policies", "GI,FR", "--out-dir", str(out)) == 0
+        criticals = json.loads((out / "critical_values.json").read_text())
+        assert computed == [(1, 0.05)]
+        assert criticals["FR"] == fwer_critical_value(1, 0.05).value
 
     def test_workers_reaped_before_return(self, tmp_path):
         # more than one block, so the replicates run in the pool

@@ -1,5 +1,6 @@
 """Trial simulation: initialization, conservation, reproducibility."""
 
+import dataclasses
 import math
 import multiprocessing
 
@@ -8,8 +9,9 @@ import pytest
 from scipy import stats
 
 from bandit_trials import engine
-from bandit_trials.engine import (BLOCK, TrialScenario, _SeedWords, _stream_seeds, _uint32_words,
-                                  run_replicates, run_trial, write_trace_csv)
+from bandit_trials.engine import (BLOCK, STEP_GROUPS, TrialScenario, _run_block, _SeedWords,
+                                  _stream_seeds, _uint32_words, run_replicates, run_trial,
+                                  write_trace_csv)
 from bandit_trials.policies import POLICY_KINDS, Allocator, PolicyDraws, PolicySpec
 
 from .conftest import LFC, WORKERS, four_arm, running_means, two_arm
@@ -227,8 +229,16 @@ class TestReplicates:
         assert multiprocessing.active_children() == []
 
     @pytest.mark.parametrize("workers, M, pool", [(3, BLOCK + 1, 2), (2, 3 * BLOCK, 2),
-                                                  (3, BLOCK, None)])
+                                                  (3, BLOCK, None), (2, 2100, 2), (3, 2100, 3)])
     def test_one_task_per_block_and_no_idle_workers(self, monkeypatch, workers, M, pool):
+        # a stepping block holds ceil(groups / workers) groups of BLOCK, at most 4
+        expected_tasks = {
+            (3, BLOCK + 1): [(0, BLOCK), (BLOCK, BLOCK + 1)],
+            (2, 3 * BLOCK): [(0, 2 * BLOCK), (2 * BLOCK, 3 * BLOCK)],
+            (3, BLOCK): [],
+            (2, 2100): [(0, 4 * BLOCK), (4 * BLOCK, 8 * BLOCK), (8 * BLOCK, 2100)],
+            (3, 2100): [(0, 3 * BLOCK), (3 * BLOCK, 6 * BLOCK), (6 * BLOCK, 2100)],
+        }
         created, tasks = [], []
 
         class RecordingPool:
@@ -248,8 +258,7 @@ class TestReplicates:
         scenario = two_arm("FR", 0.0, T=6)
         pooled = run_replicates(scenario, None, 45, M, workers=workers)
         assert created == ([] if pool is None else [pool])
-        blocks = [(first, min(first + BLOCK, M)) for first in range(0, M, BLOCK)]
-        assert tasks == ([] if pool is None else blocks)
+        assert tasks == expected_tasks[workers, M]
         assert replicates_identical(pooled, run_replicates(scenario, None, 45, M))
 
     def test_replicate_count_validated(self):
@@ -404,8 +413,9 @@ class TestDrawOrder:
 
     @pytest.mark.parametrize("kind", ["GI", "RGI"])
     def test_chunked_runs_match_serial(self, table995, kind):
-        # three blocks, the last one partial, one pool task each; the traces end
-        # inside the second block
+        # three groups, the last one partial: one stepping block at 1 worker,
+        # 512 + 37 rows at 2, a group per pool task at 3; the traces end inside
+        # the second group
         M, n = 2 * BLOCK + 37, BLOCK + 5
         scenario = pin_scenario(kind)
         runs = [run_replicates(scenario, table995, PIN_SEED + 2, M, workers=w,
@@ -415,8 +425,8 @@ class TestDrawOrder:
         for r in range(n):
             single = run_trial(scenario, table995, (PIN_SEED + 2, r))
             assert row_identical(runs[0], r, single), f"replicate {r}"
-        # plain reference: each block's running means added in replicate
-        # order, then the block sums in block order
+        # plain reference: each group's running means added in replicate
+        # order, then the group sums in group order
         traced = run_replicates(scenario, table995, PIN_SEED + 2, M, traces=M)
         means = running_means(traced)[:, :, scenario.K + 1:]
         total = np.zeros_like(runs[0].bias_sums)
@@ -426,6 +436,36 @@ class TestDrawOrder:
                 block_sum = block_sum + row
             total = total + block_sum
         assert np.array_equal(runs[0].bias_sums, total)
+
+
+    @pytest.mark.parametrize("kind", POLICY_KINDS)
+    def test_stepping_block_size_moves_nothing(self, table995, monkeypatch, kind):
+        # 1024 + 1024 + 300 rows at 1 and 2 workers against one group per
+        # block; the traces end inside the second stepping block
+        M, n = 2 * STEP_GROUPS * BLOCK + 300, STEP_GROUPS * BLOCK + 5
+        scenario = dataclasses.replace(pin_scenario(kind), T=16)
+        runs = [run_replicates(scenario, table995, PIN_SEED + 5, M, workers=w,
+                               keep_trajectory=True, traces=n) for w in (1, 2)]
+        monkeypatch.setattr(engine, "STEP_GROUPS", 1)
+        grouped = run_replicates(scenario, table995, PIN_SEED + 5, M, keep_trajectory=True,
+                                 traces=n)
+        assert runs[0].allocations.shape == (n, 16)
+        assert replicates_identical(runs[0], grouped) and replicates_identical(runs[1], grouped)
+
+    def test_block_across_two_to_the_32_is_single_trials(self, table995):
+        # one stepping block of two groups, the second starting at r = 2**32,
+        # where r gains a second 32-bit word of seed entropy; with a
+        # three-word master seed the entropy then outgrows SeedSequence's
+        # four-word pool, so a zero high word of r would change the seeds
+        scenario = two_arm("RGI", 0.545, T=20)
+        master_seed = 2**64 + PIN_SEED
+        first, stop = 2**32 - BLOCK, 2**32 + BLOCK
+        block = _run_block(scenario, table995, _uint32_words(master_seed), False, stop, first,
+                           stop)
+        assert block.allocations.shape == (2 * BLOCK, 20)
+        for r in range(first, stop):
+            single = run_trial(scenario, table995, (master_seed, r))
+            assert row_identical(block, r - first, single), f"replicate {r}"
 
 
 class TestStreamSeeds:
