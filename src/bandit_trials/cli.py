@@ -201,9 +201,10 @@ def _null_scenario(preset: dict, kind: str, T: int) -> TrialScenario:
     """``kind`` at trial size T under the scenario's first hypothesis, which
     calibration requires to be a global null."""
     label, mu = next(iter(preset["hypotheses"].items()))
-    if max(mu) != min(mu):
+    scenario = _scenario(preset, kind, mu, T)
+    if not scenario.is_global_null:
         raise ValueError(f"hypothesis {label!r} is not a global null; cannot calibrate")
-    return _scenario(preset, kind, mu, T)
+    return scenario
 
 
 def cmd_table(args) -> int:

@@ -61,7 +61,11 @@ def z_statistic(sums, counts, sigma: float) -> np.ndarray:
     counts = np.asarray(counts)
     if (counts < 1).any():
         raise ValueError("test statistic undefined: an arm was never sampled")
-    means = np.asarray(sums, dtype=float) / counts
+    return _contrasts(np.asarray(sums, dtype=float) / counts, counts, sigma)
+
+
+def _contrasts(means, counts, sigma: float) -> np.ndarray:
+    """``z_statistic`` from the arms' means (..., K+1), without its count check."""
     return (means[..., 1:] - means[..., :1]) \
         / (sigma * np.sqrt(1.0 / counts[..., 1:] + 1.0 / counts[..., :1]))
 
@@ -150,10 +154,9 @@ def calibrate_critical_value(replicates, alpha: float) -> CriticalValue:
     ``_percentile_interval_ranks``) as ``{"lower", "upper", "ranks"}``, so
     its Monte Carlo error travels with the value.
     """
-    mu = replicates.scenario.mu
-    if max(mu) != min(mu):
+    if not replicates.scenario.is_global_null:
         raise ValueError("calibration requires a global-null scenario (all means equal); "
-                         f"got mu={mu}")
+                         f"got mu={replicates.scenario.mu}")
     M = replicates.M
     if M < MIN_CALIBRATION_M:
         raise ValueError(f"calibration needs M >= {MIN_CALIBRATION_M} replicates")

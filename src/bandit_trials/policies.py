@@ -54,9 +54,11 @@ import numpy as np
 from scipy.special import erf, expit, log_ndtr, ndtr
 
 from .gittins import GittinsTable
+from .inference import _contrasts
 
 __all__ = [
     "POLICY_KINDS",
+    "BATCH",
     "PolicySpec",
     "PolicyDraws",
     "draw_policy_variates",
@@ -69,11 +71,14 @@ __all__ = [
 
 POLICY_KINDS = ("FR", "TS", "TSB", "RBI", "RGI", "UCB", "KLU", "CB", "GI",
                 "CG", "CUC", "TP", "TPB")
-_RANDOMIZED = frozenset({"FR", "TS", "TSB", "TP", "TPB"})
+# Patients between refreshes of a batched rule's (TSB, TPB) weights.
+BATCH = 20
 _BATCH_INNER = {"TSB": "TS", "TPB": "TP"}
 _GUARD_INNER = {"CG": "GI", "CUC": "UCB"}
-_NEEDS_TABLE = frozenset({"GI", "RGI", "CG"})
-_ROUND_ROBIN_INIT = frozenset({"UCB", "KLU", "CUC"})
+# Flags of the base rules; a batched or guarded variant takes its inner rule's.
+_RANDOMIZED = frozenset({"FR", "TS", "TP"})
+_NEEDS_TABLE = frozenset({"GI", "RGI"})
+_ROUND_ROBIN_INIT = frozenset({"UCB", "KLU"})
 _BUMPED = frozenset({"RBI", "RGI"})
 
 _SQRT2 = math.sqrt(2.0)
@@ -82,32 +87,25 @@ _SQRT_2PI = math.sqrt(2.0 * math.pi)
 
 @dataclass(frozen=True)
 class PolicySpec:
-    """Allocation rule selection plus its one tuning knob.
+    """Allocation rule selection.
 
-    ``batch`` defaults to 20 for the batched kinds (TSB, TPB) and 1
-    otherwise.  The guarded kinds (CG, CUC) choose the control outright with
+    The batched kinds (TSB, TPB) refresh their weights every ``BATCH``
+    patients.  The guarded kinds (CG, CUC) choose the control outright with
     probability 1/(K+1).  The index rules' discount is the index table's
     (``GittinsTable.discount``).
     """
 
     kind: str
-    batch: int | None = None
 
     def __post_init__(self) -> None:
         kind = self.kind.upper()
         if kind not in POLICY_KINDS:
             raise ValueError(f"unknown policy kind {self.kind!r}; expected one of {POLICY_KINDS}")
         object.__setattr__(self, "kind", kind)
-        if self.batch is None:
-            object.__setattr__(self, "batch", 20 if kind in _BATCH_INNER else 1)
-        if self.batch < 1:
-            raise ValueError("batch must be >= 1")
-        if self.batch != 1 and kind not in _BATCH_INNER:
-            raise ValueError(f"batch applies to TSB/TPB only; {kind} sees every outcome")
 
     @property
     def is_randomized(self) -> bool:
-        return self.kind in _RANDOMIZED
+        return self.inner_kind in _RANDOMIZED
 
     @property
     def is_batched(self) -> bool:
@@ -123,11 +121,11 @@ class PolicySpec:
 
     @property
     def needs_table(self) -> bool:
-        return self.kind in _NEEDS_TABLE
+        return self.inner_kind in _NEEDS_TABLE
 
     @property
     def round_robin_init(self) -> bool:
-        return self.kind in _ROUND_ROBIN_INIT
+        return self.inner_kind in _ROUND_ROBIN_INIT
 
     def check_arms(self, n_experimental: int) -> None:
         """Raise ValueError when the rule is undefined for this many arms."""
@@ -165,8 +163,7 @@ def ts_probabilities(sums, counts, sigma: float, t: int, T: int) -> np.ndarray:
     if c == 0.0:
         return np.full(means.shape, 1.0 / means.shape[-1])
     if means.shape[-1] == 2:
-        x = (means[..., 1] - means[..., 0]) \
-            / (sigma * np.sqrt(1.0 / counts[..., 0] + 1.0 / counts[..., 1]))
+        x = _contrasts(means, counts, sigma)[..., 0]
         # w_1 / (w_0 + w_1) with log(w_1 / w_0) = c (log Phi(x) - log Phi(-x))
         log_odds = c * (log_ndtr(x) - log_ndtr(-x))
         return np.stack((expit(-log_odds), expit(log_odds)), axis=-1)
@@ -221,9 +218,7 @@ def tp_probabilities(sums, counts, sigma: float, t: int, T: int) -> np.ndarray:
     gamma = 3.0 * frac ** 1.75
     eta = 0.25 * frac
     means = np.asarray(sums, dtype=float) / counts
-    contrast = (means[..., 1:] - means[..., :1]) \
-        / (sigma * np.sqrt(1.0 / counts[..., 1:] + 1.0 / counts[..., :1]))
-    p_beats_control = 0.5 * (1.0 + erf(contrast / _SQRT2))
+    p_beats_control = 0.5 * (1.0 + erf(_contrasts(means, counts, sigma) / _SQRT2))
     tempered = p_beats_control ** gamma
     total = tempered.sum(axis=-1, keepdims=True)
     experimental = np.divide(tempered, total, out=np.full(tempered.shape, 1.0 / K),
@@ -411,13 +406,13 @@ class Allocator:
         """The (R, K+1) scores or probabilities patient t > K+1 is allocated from.
 
         A batched rule (TSB, TPB) starts uniform and recomputes its weights
-        only at t with (t-1) % batch == 0; outcomes keep accruing to the
+        only at t with (t-1) % BATCH == 0; outcomes keep accruing to the
         state but stay invisible to it until then.  A guarded rule returns
         its inner index rule's scores.
         """
         spec = self.spec
         if spec.is_batched:
-            if (t - 1) % spec.batch == 0:
+            if (t - 1) % BATCH == 0:
                 self._weights = _rule_values(spec.inner_kind, sums, counts, self.sigma, t,
                                              self.T)
             return self._weights

@@ -37,12 +37,12 @@ def pytest_terminal_summary(terminalreporter, exitstatus, config):
         path.write_text(json.dumps(ACCEPTANCE, indent=2) + "\n")
 
 
-def two_arm(kind, mu1, T=116, **kw):
-    return TrialScenario(mu=(0.0, mu1), sigma=1.0, T=T, policy=PolicySpec(kind, **kw))
+def two_arm(kind, mu1, T=116):
+    return TrialScenario(mu=(0.0, mu1), sigma=1.0, T=T, policy=PolicySpec(kind))
 
 
-def four_arm(kind, mu, T=302, **kw):
-    return TrialScenario(mu=mu, sigma=1.0, T=T, policy=PolicySpec(kind, **kw))
+def four_arm(kind, mu, T=302):
+    return TrialScenario(mu=mu, sigma=1.0, T=T, policy=PolicySpec(kind))
 
 
 def running_means(replicates):

@@ -11,6 +11,7 @@ import numpy as np
 import pytest
 from scipy.special import ndtri
 
+from bandit_trials import policies
 from bandit_trials.engine import run_replicates, run_trial
 from bandit_trials.inference import calibrate_critical_value, fwer_critical_value, sample_size
 from bandit_trials.operating import aggregate, bias_trajectories
@@ -219,7 +220,7 @@ def test_criterion_9_bias_trajectories(fr2_h0, gi2_calibration,
     ])
 
 
-def test_criterion_10_property_suites(table995, table09):
+def test_criterion_10_property_suites(table995, table09, monkeypatch):
     checks = []
 
     vals = table995.values
@@ -240,10 +241,10 @@ def test_criterion_10_property_suites(table995, table09):
         shift_ok &= bool(np.array_equal(a.allocations, b.allocations))
     checks.append((shift_ok, "common-shift outcome streams select identical arms"))
 
-    batched = two_arm("TSB", 0.545, T=50, batch=1)
-    plain = two_arm("TS", 0.545, T=50)
-    a = run_trial(batched, None, seed=(ACCEPT_SEED + 602, 0))
-    b = run_trial(plain, None, seed=(ACCEPT_SEED + 602, 0))
+    with monkeypatch.context() as patch:
+        patch.setattr(policies, "BATCH", 1)
+        a = run_trial(two_arm("TSB", 0.545, T=50), None, seed=(ACCEPT_SEED + 602, 0))
+    b = run_trial(two_arm("TS", 0.545, T=50), None, seed=(ACCEPT_SEED + 602, 0))
     checks.append((bool(np.array_equal(a.allocations, b.allocations)),
                    "batch of 1 replays the unbatched rule"))
 

@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 from scipy import stats
 
-from bandit_trials import engine
+from bandit_trials import engine, policies
 from bandit_trials.engine import (BLOCK, STEP_GROUPS, TrialScenario, _run_block, _SeedWords,
                                   _stream_seeds, _uint32_words, run_replicates, run_trial,
                                   write_trace_csv)
@@ -178,16 +178,18 @@ class TestIndexConvention:
 
 
 class TestBatchedView:
-    def test_full_horizon_batch_behaves_like_fixed_randomisation(self):
+    def test_full_horizon_batch_behaves_like_fixed_randomisation(self, monkeypatch):
         # batch == T: the rule never refreshes, so allocations stay uniform
         # even with a huge true effect
-        scenario = two_arm("TSB", 5.0, T=400, batch=400)
+        monkeypatch.setattr(policies, "BATCH", 400)
+        scenario = two_arm("TSB", 5.0, T=400)
         record = run_trial(scenario, None, seed=(13, 0))
         share = record.counts[0, 1] / 400
         assert abs(share - 0.5) < 3 * math.sqrt(0.25 / 400) + 0.01
 
-    def test_unit_batch_tracks_effect(self):
-        scenario = two_arm("TSB", 5.0, T=400, batch=1)
+    def test_unit_batch_tracks_effect(self, monkeypatch):
+        monkeypatch.setattr(policies, "BATCH", 1)
+        scenario = two_arm("TSB", 5.0, T=400)
         record = run_trial(scenario, None, seed=(13, 0))
         assert record.counts[0, 1] / 400 > 0.6
 

@@ -9,8 +9,10 @@ from hypothesis import strategies as st
 from scipy import integrate, stats
 from scipy.special import log_ndtr, ndtr
 
+from bandit_trials import policies
 from bandit_trials.engine import run_replicates
 from bandit_trials.policies import (
+    POLICY_KINDS,
     Allocator,
     PolicyDraws,
     PolicySpec,
@@ -74,17 +76,23 @@ class TestPolicySpec:
         with pytest.raises(ValueError, match="unknown policy"):
             PolicySpec("EPS")
 
-    def test_batch_defaults(self):
-        assert PolicySpec("TSB").batch == 20
-        assert PolicySpec("TS").batch == 1
-        assert PolicySpec("TSB", batch=5).batch == 5
-
     @pytest.mark.parametrize("kind", ["FR", "TS", "TP", "GI", "RGI", "UCB", "CG", "CUC"])
-    def test_batch_only_for_batched_kinds(self, kind):
-        assert PolicySpec(kind).batch == 1
-        assert PolicySpec(kind, batch=1).batch == 1
-        with pytest.raises(ValueError, match="TSB/TPB"):
-            PolicySpec(kind, batch=5)
+    def test_batch_only_for_batched_kinds(self, kind, monkeypatch, table09):
+        # BATCH paces TSB and TPB only: every other rule sees each outcome by
+        # the next patient, so a rule kept across patients scores as one built
+        # afresh at each patient
+        monkeypatch.setattr(policies, "BATCH", 5)
+        T = 30
+        rng = np.random.default_rng(3)
+        bumps = rng.exponential(size=(1, T - 4, 4))
+        sums, counts = arms_of((0.1, 1), (0.4, 1), (-0.2, 1), (0.3, 1))
+        kept, _ = allocator(PolicySpec(kind), (sums, counts), T, table09, bumps=bumps)
+        for t in range(5, T + 1):
+            fresh, _ = allocator(PolicySpec(kind), (sums, counts), T, table09, bumps=bumps)
+            assert np.array_equal(kept.values(sums[None], counts[None], t),
+                                  fresh.values(sums[None], counts[None], t))
+            sums[t % 4] += rng.normal()
+            counts[t % 4] += 1
 
     @pytest.mark.parametrize("kind", ["FR", "TS", "TSB", "RBI", "RGI", "UCB", "KLU", "CB",
                                       "GI", "TP", "TPB"])
@@ -103,6 +111,29 @@ class TestPolicySpec:
         assert PolicySpec("CUC").inner_kind == "UCB"
         assert PolicySpec("TSB").inner_kind == "TS"
         assert PolicySpec("TPB").inner_kind == "TP"
+
+    # (is_randomized, is_batched, is_guarded, inner_kind, needs_table, round_robin_init)
+    FLAGS = {
+        "FR": (True, False, False, "FR", False, False),
+        "TS": (True, False, False, "TS", False, False),
+        "TSB": (True, True, False, "TS", False, False),
+        "RBI": (False, False, False, "RBI", False, False),
+        "RGI": (False, False, False, "RGI", True, False),
+        "UCB": (False, False, False, "UCB", False, True),
+        "KLU": (False, False, False, "KLU", False, True),
+        "CB": (False, False, False, "CB", False, False),
+        "GI": (False, False, False, "GI", True, False),
+        "CG": (False, False, True, "GI", True, False),
+        "CUC": (False, False, True, "UCB", False, True),
+        "TP": (True, False, False, "TP", False, False),
+        "TPB": (True, True, False, "TP", False, False),
+    }
+
+    @pytest.mark.parametrize("kind", POLICY_KINDS)
+    def test_flags(self, kind):
+        spec = PolicySpec(kind)
+        assert (spec.is_randomized, spec.is_batched, spec.is_guarded, spec.inner_kind,
+                spec.needs_table, spec.round_robin_init) == self.FLAGS[kind]
 
 
 class TestIndexScores:
@@ -543,7 +574,7 @@ def batched_weights(spec, n_arms, T):
 
 class TestBatchedPolicy:
     def test_refresh_schedule(self):
-        weights = batched_weights(PolicySpec("TPB", batch=20), 4, 116)
+        weights = batched_weights(PolicySpec("TPB"), 4, 116)
         sums, counts = arms_of((0.0, 1), (0.0, 1), (0.0, 1), (0.0, 1))
         previous = weights((sums, counts), 5).copy()
         changed = []
@@ -558,8 +589,9 @@ class TestBatchedPolicy:
         expected = [t for t in range(6, 117) if (t - 1) % 20 == 0]
         assert changed == expected == [21, 41, 61, 81, 101]
 
-    def test_batch_of_one_matches_unbatched(self):
-        weights = batched_weights(PolicySpec("TSB", batch=1), 2, 30)
+    def test_batch_of_one_matches_unbatched(self, monkeypatch):
+        monkeypatch.setattr(policies, "BATCH", 1)
+        weights = batched_weights(PolicySpec("TSB"), 2, 30)
         sums, counts = arms_of((0.4, 3), (0.1, 2))
         for t in (4, 5, 6):
             a = weights((sums, counts), t)
@@ -567,14 +599,16 @@ class TestBatchedPolicy:
             sums[t % 2] += 0.2 * t
             counts[t % 2] += 1
 
-    def test_batch_of_horizon_never_refreshes(self):
-        weights = batched_weights(PolicySpec("TSB", batch=30), 3, 30)
+    def test_batch_of_horizon_never_refreshes(self, monkeypatch):
+        monkeypatch.setattr(policies, "BATCH", 30)
+        weights = batched_weights(PolicySpec("TSB"), 3, 30)
         arms = arms_of((5.0, 4), (0.0, 4), (-5.0, 4))
         vectors = [weights(arms, t) for t in range(4, 31)]
         assert all(np.allclose(v, 1 / 3) for v in vectors)
 
-    def test_stale_vector_between_refreshes(self):
-        weights = batched_weights(PolicySpec("TPB", batch=10), 4, 80)
+    def test_stale_vector_between_refreshes(self, monkeypatch):
+        monkeypatch.setattr(policies, "BATCH", 10)
+        weights = batched_weights(PolicySpec("TPB"), 4, 80)
         sums, counts = arms_of((0.0, 3), (0.0, 3), (0.0, 3), (0.0, 3))
         first = weights((sums, counts), 11).copy()
         sums[3] += 50.0  # outcome accrues but stays invisible
