@@ -2,8 +2,9 @@
 
 Subcommands
 -----------
-table       build a standardized index table (the DP settings are the
-            ``gittins`` module constants) and write it as CSV
+table       get a standardized index table (the DP settings are the
+            ``gittins`` module constants), from the cache as every command
+            does, and write it as CSV
 calibrate   Monte Carlo critical value of one design under the global null,
             at one trial size or several (``--T 64,116,302``)
 simulate    operating-characteristics sweep over policies and hypotheses
@@ -208,7 +209,7 @@ def _null_scenario(preset: dict, kind: str, T: int) -> TrialScenario:
 
 
 def cmd_table(args) -> int:
-    table = compute_index_table(args.discount, args.n_max)
+    table = get_table(args.discount, args.n_max)
     out = Path(args.out or _table_file_name(args.discount, args.n_max))
     save_index_table(table, out)
     print(f"wrote {out} ({table.n_max} rows, discount={table.discount})")

@@ -18,7 +18,16 @@ patients, and each step updates the (R, K+1) ``sums`` and ``counts`` of all
 R replicates of the block with array operations, so numpy's fixed cost per
 call is spread over up to 1024 rows.  A block returns only what the reports
 need (``Replicates``: per-replicate contrasts, counts and mean outcome,
-bias sums per 256-row group, a few traces).  ``run_trial(scenario, table,
+bias sums per 256-row group, a few traces).  A block records allocations
+only for the rows it traces, the run's first ``traces`` replicates; it
+keeps every row's outcomes, which its mean outcomes reduce.  The state is
+checked as it is built: at each patient the new running sums, which the
+rules read, must be finite before they are stored, and after the last
+patient so must each replicate's contrasts and mean outcome.  Finite arm
+means or sigma can still overflow or underflow the arithmetic (a mean of
+1e308, a sigma of 1e-320); the run then stops with a ValueError naming the
+replicate, and the patient where a sum failed (``policies.ts_probabilities``
+checks its own grid the same way).  ``run_trial(scenario, table,
 (master_seed, r))`` runs the one-row block [r, r+1) through the same block
 function and returns its ``Replicates``, trace kept.  With several workers,
 each block is one task of a process pool of at most one worker per block.
@@ -284,6 +293,9 @@ class _Generators:
             yield np.random.Generator(np.random.PCG64(_SeedWords(words)))
 
 
+# A non-finite sum, contrast, mean outcome or TS grid size is an error
+# raised with the replicate or patient it arose at, not a warning beside it.
+@np.errstate(over="ignore", divide="ignore", invalid="ignore")
 def _run_block(scenario: TrialScenario, table: GittinsTable | None, master_words: list[int],
                keep_trajectory: bool, traces: int, first: int, stop: int) -> Replicates:
     """Step replicates first..stop-1 of the master seed with words
@@ -313,19 +325,26 @@ def _run_block(scenario: TrialScenario, table: GittinsTable | None, master_words
     sums = np.zeros((R, n_arms))
     counts = np.zeros((R, n_arms), dtype=np.int64)
     flat_sums, flat_counts = sums.reshape(-1), counts.reshape(-1)
-    allocations = np.empty((T, R), dtype=np.int16)
+    # allocations of the traced rows only: the run's first ``traces`` replicates
+    kept = min(max(traces - first, 0), R)
+    allocations = np.empty((T, kept), dtype=np.int16)
     outcomes = np.empty((R, T))
     bias_sums = np.empty((len(groups), n_arms, T - K - 1)) if keep_trajectory else None
 
     for t in range(1, T + 1):
         k = allocate(sums, counts, t)
         y = mu[k] + sigma * noise[t - 1]
-        if not np.isfinite(y).all():
-            raise ValueError(f"non-finite outcome at patient {t}; check the random stream")
         cells = row_starts + k
-        flat_sums[cells] += y
+        # the rules read the sums, and a non-finite outcome makes its sum non-finite
+        new = flat_sums[cells] + y
+        finite = np.isfinite(new)
+        if not finite.all():
+            raise ValueError(f"replicate {first + int(finite.argmin())}, patient {t}: an arm's "
+                             "outcome sum is not finite; the arm means or sigma overflow or "
+                             "underflow the arithmetic")
+        flat_sums[cells] = new
         flat_counts[cells] += 1
-        allocations[t - 1] = k
+        allocations[t - 1] = k[:kept]
         outcomes[:, t - 1] = y
         if keep_trajectory and t > n_arms:
             means = sums / counts
@@ -333,15 +352,21 @@ def _run_block(scenario: TrialScenario, table: GittinsTable | None, master_words
                 # a reduction over axis 0 adds the rows one after another
                 bias_sums[g, :, t - n_arms - 1] = means[rows].sum(axis=0)
 
-    kept = max(traces - first, 0)
+    z = z_statistic(sums, counts, sigma)
+    # rows of contiguous outcomes: each mean is the same pairwise sum as a lone trace's
+    mean_outcome = outcomes.mean(axis=1)
+    finite = np.isfinite(z).all(axis=1) & np.isfinite(mean_outcome)
+    if not finite.all():
+        raise ValueError(f"replicate {first + int(finite.argmin())}: its contrasts or mean "
+                         "outcome are not finite; the arm means or sigma overflow or underflow "
+                         "the arithmetic")
     return Replicates(
         scenario=scenario,
-        z=z_statistic(sums, counts, sigma),
+        z=z,
         counts=counts,
-        # rows of contiguous outcomes: each mean is the same pairwise sum as a lone trace's
-        mean_outcome=outcomes.mean(axis=1),
+        mean_outcome=mean_outcome,
         bias_sums=bias_sums,
-        allocations=np.ascontiguousarray(allocations[:, :kept].T),
+        allocations=np.ascontiguousarray(allocations.T),
         outcomes=outcomes[:kept].copy(),
     )
 
@@ -355,6 +380,9 @@ def run_trial(scenario: TrialScenario, table: GittinsTable | None,
         master_seed, r = seed
     except (TypeError, ValueError):
         raise TypeError(f"seed must be a (master_seed, r) pair, got {seed!r}") from None
+    # the seed derivation holds replicate indices as uint64
+    if r >= 2**64:
+        raise ValueError(f"replicate index r must be below 2**64, got {r}")
     _check_table(scenario, table)
     return _run_block(scenario, table, _uint32_words(master_seed), False, r + 1, r, r + 1)
 

@@ -254,9 +254,8 @@ def compute_index_table(discount: float, n_max: int) -> GittinsTable:
         if kernel.size > FFT_TAPS:
             cont[:] = grid + d * _fft_convolve_valid(np.pad(u, half, mode="edge"), kernel)
         else:
-            positive = u > 0.0
-            first = int(positive.argmax()) if positive.any() else size
-            start = max(first - half, 0)
+            # u > 0 at every positive node: there cont >= grid > 0
+            start = max(int((u > 0.0).argmax()) - half, 0)
             padded[:pad] = u[0]
             padded[pad + size:] = u[-1]
             window = padded[pad - half + start:pad + size + half]

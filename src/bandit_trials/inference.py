@@ -117,7 +117,13 @@ def sample_size(K: int, sigma: float, delta1: float, c_alpha: float, beta: float
     if not 0.0 < beta < 1.0:
         raise ValueError("beta must lie in (0, 1)")
     z_beta = float(ndtri(1.0 - beta))
-    total = (K + 1) * (2.0 * sigma**2 * (c_alpha + z_beta) ** 2 / delta1**2)
+    try:
+        total = (K + 1) * (2.0 * sigma**2 * (c_alpha + z_beta) ** 2 / delta1**2)
+    except (OverflowError, ZeroDivisionError):
+        total = math.inf
+    if not math.isfinite(total):
+        raise ValueError(f"the trial size for sigma={sigma} and delta1={delta1} is not a finite "
+                         "number; they overflow or underflow the arithmetic")
     return math.ceil(total - 1e-9)
 
 

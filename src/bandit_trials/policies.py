@@ -69,6 +69,8 @@ __all__ = [
     "sample_from_probabilities",
 ]
 
+# The order is part of every CLI seed: ``cli._derived_seed`` takes a rule's
+# position here, so reordering the tuple or inserting a kind moves every stream.
 POLICY_KINDS = ("FR", "TS", "TSB", "RBI", "RGI", "UCB", "KLU", "CB", "GI",
                 "CG", "CUC", "TP", "TPB")
 # Patients between refreshes of a batched rule's (TSB, TPB) weights.
@@ -160,8 +162,6 @@ def ts_probabilities(sums, counts, sigma: float, t: int, T: int) -> np.ndarray:
     counts = np.asarray(counts)
     means = np.asarray(sums, dtype=float) / counts
     c = t / (2.0 * T)
-    if c == 0.0:
-        return np.full(means.shape, 1.0 / means.shape[-1])
     if means.shape[-1] == 2:
         x = _contrasts(means, counts, sigma)[..., 0]
         # w_1 / (w_0 + w_1) with log(w_1 / w_0) = c (log Phi(x) - log Phi(-x))
@@ -172,6 +172,10 @@ def ts_probabilities(sums, counts, sigma: float, t: int, T: int) -> np.ndarray:
     lo = (rows - 8.0 * sds).min(axis=-1, keepdims=True)
     hi = (rows + 8.0 * sds).max(axis=-1, keepdims=True)
     needed = np.ceil(2.0 * (hi - lo) / sds.min(axis=-1, keepdims=True))[:, 0] + 1
+    # a count that is NaN, infinite or beyond intp fails here, not as a garbage index below
+    if not (needed < np.iinfo(np.intp).max).all():
+        raise ValueError(f"TS weights for patient {t + 1}: the quadrature grid's size overflows; "
+                         "the arm means or sigma overflow or underflow the arithmetic")
     n_points = (np.ceil(needed / 16) * 16).astype(np.intp)
     p_best = np.empty(rows.shape)
     for n in np.unique(n_points):

@@ -67,6 +67,12 @@ class TestSampleSize:
         ("--sigma", "-1", "sigma must be positive and finite, got -1.0"),
         ("--sigma", "nan", "sigma must be positive and finite, got nan"),
         ("--delta", "inf", "delta1 must be positive and finite, got inf"),
+        ("--delta", "1e-200", "the trial size for sigma=1.0 and delta1=1e-200 is not a finite "
+                              "number; they overflow or underflow the arithmetic"),
+        ("--delta", "1e-160", "the trial size for sigma=1.0 and delta1=1e-160 is not a finite "
+                              "number; they overflow or underflow the arithmetic"),
+        ("--sigma", "1e200", "the trial size for sigma=1e+200 and delta1=0.5 is not a finite "
+                             "number; they overflow or underflow the arithmetic"),
     ])
     def test_meaningless_sigma_or_delta_is_one_error_line(self, capsys, flag, value, message):
         argv = {"--k": "1", "--delta": "0.5", flag: value}
@@ -102,6 +108,26 @@ class TestTableCommand:
         assert run_cli("table", "--discount", "0.9", "--n-max", "50", "--out", str(out)) == 0
         table = load_index_table(out)
         assert table.values[49] == pytest.approx(0.030453, abs=2e-4)
+
+    def test_cold_table_stores_the_cache_file(self, tmp_path, monkeypatch):
+        cache = tmp_path / "cache"
+        monkeypatch.setenv("BANDIT_TRIALS_TABLE_DIR", str(cache))
+        out = tmp_path / "table.csv"
+        assert run_cli("table", "--discount", "0.9", "--n-max", "25", "--out", str(out)) == 0
+        assert (cache / "gittins_d0.9_n25.csv").read_bytes() == out.read_bytes()
+
+    def test_warm_table_writes_the_cached_bytes(self, tmp_path, monkeypatch):
+        cache = tmp_path / "cache"
+        monkeypatch.setenv("BANDIT_TRIALS_TABLE_DIR", str(cache))
+        cli.get_table(0.9, 25)
+
+        def no_build(*args, **kwargs):
+            raise AssertionError("index table built with a cached one in place")
+
+        monkeypatch.setattr(cli, "compute_index_table", no_build)
+        out = tmp_path / "table.csv"
+        assert run_cli("table", "--discount", "0.9", "--n-max", "25", "--out", str(out)) == 0
+        assert out.read_bytes() == (cache / "gittins_d0.9_n25.csv").read_bytes()
 
 
 class TestPresets:
@@ -511,6 +537,24 @@ class TestSimulateCommand:
         assert code == 1 and captured.out == ""
         assert captured.err.splitlines() == [f"error: {message}"]
         assert not out.exists()
+
+    # finite means that overflow the arithmetic fail in the run, before
+    # results.csv: the two-arm sums overflow, four-arm TS's grid at its first
+    # decision
+    @pytest.mark.parametrize("hypotheses, policy", [
+        ({"H0": [0.0, 0.0], "H1": [0.0, 1e308]}, "FR"),
+        ({"H0": [0.0] * 4, "H1": [0.0, 0.0, 0.0, 1e308]}, "TS"),
+    ], ids=["two-arm-FR", "four-arm-TS"])
+    def test_overflowing_means_are_one_error_line(self, tmp_path, capsys, hypotheses, policy):
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps({"preset": "two-arm-t116", "T": 30,
+                                    "hypotheses": hypotheses}))
+        out = tmp_path / "out"
+        code = run_cli("simulate", "--config", str(path), "--policies", policy,
+                       "--hypotheses", "H1", "--critical-values", "analytic", "-M", "100",
+                       "--workers", "1", "--out-dir", str(out))
+        assert "overflow or underflow the arithmetic" in assert_one_error_line(capsys, code)
+        assert not (out / "results.csv").exists()
 
     @pytest.mark.parametrize("command", ["calibrate", "simulate"])
     def test_no_experimental_arm_is_one_error_line(self, tmp_path, capsys, no_table_build,

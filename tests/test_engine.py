@@ -57,6 +57,19 @@ class TestScenarioValidation:
         with pytest.raises(ValueError, match="arm means must be finite"):
             TrialScenario(mu=mu, sigma=1.0, T=10, policy=PolicySpec("FR"))
 
+    # finite inputs that overflow or underflow the arithmetic: an arm's sum
+    # overflows at its second outcome, four-arm TS's grid at the first
+    # decision, and a subnormal sigma makes every contrast infinite
+    @pytest.mark.parametrize("kind, mu, sigma", [
+        ("FR", (0.0, 1e308), 1.0), ("GI", (0.0, 1e308), 1.0), ("CB", (0.0, 1e308), 1.0),
+        ("RBI", (0.0, 1e308), 1.0), ("TP", (0.0, 0.0, 1e308), 1.0),
+        ("TS", (0.0, 0.0, 0.0, 1e308), 1.0), ("FR", (0.0, 0.5), 1e-320),
+    ], ids=["FR", "GI", "CB", "RBI", "TP", "TS", "FR-sigma"])
+    def test_overflowing_run_is_an_error(self, table995, kind, mu, sigma):
+        scenario = TrialScenario(mu=mu, sigma=sigma, T=20, policy=PolicySpec(kind))
+        with pytest.raises(ValueError, match="the arm means or sigma overflow or underflow"):
+            run_replicates(scenario, table995, 1, 50)
+
     @pytest.mark.parametrize("mu", [(0.0,), ()])
     def test_needs_an_experimental_arm(self, mu):
         with pytest.raises(ValueError, match="at least one experimental arm"):
@@ -263,6 +276,12 @@ class TestReplicates:
         assert tasks == expected_tasks[workers, M]
         assert replicates_identical(pooled, run_replicates(scenario, None, 45, M))
 
+    def test_trial_index_below_two_to_the_64(self):
+        scenario = two_arm("FR", 0.0, T=6)
+        with pytest.raises(ValueError, match=r"must be below 2\*\*64"):
+            run_trial(scenario, None, (3, 2**64))
+        assert run_trial(scenario, None, (3, 2**64 - 1)).M == 1
+
     def test_replicate_count_validated(self):
         with pytest.raises(ValueError):
             run_replicates(two_arm("FR", 0.0), None, 1, 0)
@@ -439,6 +458,17 @@ class TestDrawOrder:
             total = total + block_sum
         assert np.array_equal(runs[0].bias_sums, total)
 
+    def test_traces_beyond_M_trace_every_row(self, table995):
+        # more traces than replicates: every row is traced, in the run's last
+        # block too (two tasks at 2 workers, the second of 37 rows)
+        M = BLOCK + 37
+        scenario = pin_scenario("GI")
+        runs = [run_replicates(scenario, table995, PIN_SEED + 2, M, workers=w, traces=2 * M)
+                for w in (1, 2)]
+        assert runs[0].allocations.shape == (M, scenario.T)
+        every_row = run_replicates(scenario, table995, PIN_SEED + 2, M, traces=M)
+        assert replicates_identical(runs[0], every_row)
+        assert replicates_identical(runs[1], every_row)
 
     @pytest.mark.parametrize("kind", POLICY_KINDS)
     def test_stepping_block_size_moves_nothing(self, table995, monkeypatch, kind):

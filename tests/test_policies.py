@@ -237,10 +237,12 @@ class TestTsProbabilities:
     # t = 2T makes the tempering exponent 1, so the weights are the
     # probabilities of being best themselves
 
-    def test_zero_tempering_is_uniform(self):
-        arms = arms_of((3.0, 5), (0.0, 2), (-1.0, 9))
+    @pytest.mark.parametrize("K", [1, 2, 3])
+    def test_zero_tempering_is_uniform(self, K):
+        # c = 0: expit(0.0) is 0.5 at K=1, and p**0.0 is 1 for every arm above
+        arms = arms_of(*((3.0, 5), (0.0, 2), (-1.0, 9), (0.5, 4))[:K + 1])
         probs = ts_probabilities(*arms, 1.0, 0, 100)
-        assert np.array_equal(probs, np.full(3, 1 / 3))
+        assert np.array_equal(probs, np.full(K + 1, 1 / (K + 1)))
 
     def test_symmetric_arms_near_uniform(self):
         arms = arms_of((0.5, 10), (0.5, 10), (0.5, 10), (0.5, 10))
