@@ -23,11 +23,13 @@ only for the rows it traces, the run's first ``traces`` replicates; it
 keeps every row's outcomes, which its mean outcomes reduce.  The state is
 checked as it is built: at each patient the new running sums, which the
 rules read, must be finite before they are stored, and after the last
-patient so must each replicate's contrasts and mean outcome.  Finite arm
+patient so must each replicate's contrasts and mean outcome, and the bias
+sums, in each block and after ``_merge`` adds them.  Finite arm
 means or sigma can still overflow or underflow the arithmetic (a mean of
 1e308, a sigma of 1e-320); the run then stops with a ValueError naming the
 replicate, and the patient where a sum failed (``policies.ts_probabilities``
-checks its own grid the same way).  ``run_trial(scenario, table,
+checks its own grid the same way); bias sums, which add many replicates,
+name none.  ``run_trial(scenario, table,
 (master_seed, r))`` runs the one-row block [r, r+1) through the same block
 function and returns its ``Replicates``, trace kept.  With several workers,
 each block is one task of a process pool of at most one worker per block.
@@ -162,6 +164,8 @@ class Replicates:
         return len(self.z)
 
 
+# bias sums that overflow are an error, raised by _check_bias_sums
+@np.errstate(over="ignore", invalid="ignore")
 def _merge(blocks: list[Replicates]) -> Replicates:
     """Join block results in replicate order, adding their groups' bias sums in order."""
     bias_sums = None
@@ -170,12 +174,20 @@ def _merge(blocks: list[Replicates]) -> Replicates:
         for block in blocks:
             for group_sums in block.bias_sums:
                 bias_sums += group_sums
+        _check_bias_sums(bias_sums)
 
     def join(name):
         return np.concatenate([getattr(block, name) for block in blocks])
 
     return Replicates(blocks[0].scenario, join("z"), join("counts"), join("mean_outcome"),
                       bias_sums, join("allocations"), join("outcomes"))
+
+
+def _check_bias_sums(bias_sums: np.ndarray) -> None:
+    # every running mean is finite, but a sum of a group's or a run's can overflow
+    if not np.isfinite(bias_sums).all():
+        raise ValueError("the bias sums of the running means are not finite; the arm means or "
+                         "sigma overflow or underflow the arithmetic")
 
 
 def _check_table(scenario: TrialScenario, table: GittinsTable | None) -> None:
@@ -360,6 +372,8 @@ def _run_block(scenario: TrialScenario, table: GittinsTable | None, master_words
         raise ValueError(f"replicate {first + int(finite.argmin())}: its contrasts or mean "
                          "outcome are not finite; the arm means or sigma overflow or underflow "
                          "the arithmetic")
+    if keep_trajectory:
+        _check_bias_sums(bias_sums)
     return Replicates(
         scenario=scenario,
         z=z,

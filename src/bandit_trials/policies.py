@@ -85,6 +85,9 @@ _BUMPED = frozenset({"RBI", "RGI"})
 
 _SQRT2 = math.sqrt(2.0)
 _SQRT_2PI = math.sqrt(2.0 * math.pi)
+# Most elements in one (rows, K+1, points) array of the TS quadrature, 8 MB
+# of float64: a 1024-row four-arm block stays one chunk up to 256 points.
+TS_CHUNK_ELEMENTS = 2**20
 
 
 @dataclass(frozen=True)
@@ -154,7 +157,10 @@ def ts_probabilities(sums, counts, sigma: float, t: int, T: int) -> np.ndarray:
       grid per row, shared by its arms.  The grid spans every arm's mean
       +- 8 posterior s.d., and its spacing is at most half the smallest
       s.d.: each row's point count comes from that row alone, rounded up to
-      a multiple of 16, and rows of equal count are evaluated together.
+      a multiple of 16, and rows of equal count are evaluated together, in
+      chunks whose (rows, K+1, points) arrays hold at most
+      ``TS_CHUNK_ELEMENTS`` elements (a larger row runs alone), so a tiny
+      sigma bounds the memory rather than the grid.
       Against an adaptive log-space quadrature the weights agree to within
       1e-13 on states of real four-arm trials.  The best arm's probability
       is at least 1/(K+1), so the total never vanishes.
@@ -179,8 +185,11 @@ def ts_probabilities(sums, counts, sigma: float, t: int, T: int) -> np.ndarray:
     n_points = (np.ceil(needed / 16) * 16).astype(np.intp)
     p_best = np.empty(rows.shape)
     for n in np.unique(n_points):
-        group = n_points == n
-        p_best[group] = _trapezoid_p_best(rows[group], sds[group], lo[group], hi[group], n)
+        group = np.flatnonzero(n_points == n)
+        step = max(1, TS_CHUNK_ELEMENTS // (rows.shape[-1] * int(n)))
+        for start in range(0, len(group), step):
+            chunk = group[start:start + step]
+            p_best[chunk] = _trapezoid_p_best(rows[chunk], sds[chunk], lo[chunk], hi[chunk], n)
     weights = (p_best ** c).reshape(means.shape)
     return weights / weights.sum(axis=-1, keepdims=True)
 

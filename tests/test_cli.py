@@ -73,6 +73,9 @@ class TestSampleSize:
                               "number; they overflow or underflow the arithmetic"),
         ("--sigma", "1e200", "the trial size for sigma=1e+200 and delta1=0.5 is not a finite "
                              "number; they overflow or underflow the arithmetic"),
+        # sigma squared underflows to 0
+        ("--sigma", "1e-200", "the trial size for sigma=1e-200 and delta1=0.5 is 0, below the "
+                              "K+1 = 2 patients of the initialization phase"),
     ])
     def test_meaningless_sigma_or_delta_is_one_error_line(self, capsys, flag, value, message):
         argv = {"--k": "1", "--delta": "0.5", flag: value}
@@ -80,6 +83,20 @@ class TestSampleSize:
         captured = capsys.readouterr()
         assert code == 1 and captured.out == ""
         assert captured.err.splitlines() == [f"error: {message}"]
+
+
+    def test_no_linear_algebra(self, monkeypatch, capsys):
+        # a LAPACK call wakes OpenBLAS's threads, which spin on another core
+        # after it returns; the critical value needs none
+        def no_lapack(*args, **kwargs):
+            raise AssertionError("a linear-algebra routine ran")
+
+        for name in ("eigvalsh", "eigh", "eigvals", "eig", "solve", "lstsq", "inv", "svd",
+                     "qr", "cholesky", "det"):
+            monkeypatch.setattr(np.linalg, name, no_lapack)
+        assert fwer_critical_value(3, 0.05).value == pytest.approx(2.0621, abs=1e-4)
+        assert run_cli("samplesize", "--k", "3", "--delta", "0.545") == 0
+        assert "T = 302" in capsys.readouterr().out
 
 
 class TestTableCommand:
@@ -540,18 +557,20 @@ class TestSimulateCommand:
 
     # finite means that overflow the arithmetic fail in the run, before
     # results.csv: the two-arm sums overflow, four-arm TS's grid at its first
-    # decision
-    @pytest.mark.parametrize("hypotheses, policy", [
-        ({"H0": [0.0, 0.0], "H1": [0.0, 1e308]}, "FR"),
-        ({"H0": [0.0] * 4, "H1": [0.0, 0.0, 0.0, 1e308]}, "TS"),
-    ], ids=["two-arm-FR", "four-arm-TS"])
-    def test_overflowing_means_are_one_error_line(self, tmp_path, capsys, hypotheses, policy):
+    # decision, and with --bias the sums of 300 running means near 1e306
+    @pytest.mark.parametrize("hypotheses, policy, extra", [
+        ({"H0": [0.0, 0.0], "H1": [0.0, 1e308]}, "FR", ["-M", "100"]),
+        ({"H0": [0.0] * 4, "H1": [0.0, 0.0, 0.0, 1e308]}, "TS", ["-M", "100"]),
+        ({"H0": [0.0, 0.0], "H1": [0.0, 1e306]}, "FR", ["-M", "300", "--bias"]),
+    ], ids=["two-arm-FR", "four-arm-TS", "two-arm-FR-bias"])
+    def test_overflowing_means_are_one_error_line(self, tmp_path, capsys, hypotheses, policy,
+                                                  extra):
         path = tmp_path / "cfg.json"
         path.write_text(json.dumps({"preset": "two-arm-t116", "T": 30,
                                     "hypotheses": hypotheses}))
         out = tmp_path / "out"
         code = run_cli("simulate", "--config", str(path), "--policies", policy,
-                       "--hypotheses", "H1", "--critical-values", "analytic", "-M", "100",
+                       "--hypotheses", "H1", "--critical-values", "analytic", *extra,
                        "--workers", "1", "--out-dir", str(out))
         assert "overflow or underflow the arithmetic" in assert_one_error_line(capsys, code)
         assert not (out / "results.csv").exists()

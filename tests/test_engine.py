@@ -70,6 +70,19 @@ class TestScenarioValidation:
         with pytest.raises(ValueError, match="the arm means or sigma overflow or underflow"):
             run_replicates(scenario, table995, 1, 50)
 
+    # every running mean is finite, but the bias sums overflow: a 256-row
+    # group's sum in the block at a mean of 1e306, only the sum of two
+    # groups, in _merge, at 5e305
+    @pytest.mark.parametrize("mean, M", [(1e306, 300), (5e305, 2 * BLOCK)],
+                             ids=["block", "merge"])
+    def test_overflowing_bias_sums_are_an_error(self, mean, M):
+        scenario = TrialScenario(mu=(0.0, mean), sigma=1.0, T=116, policy=PolicySpec("FR"))
+        if M == 2 * BLOCK:
+            block = _run_block(scenario, None, _uint32_words(1), True, 0, 0, M)
+            assert np.isfinite(block.bias_sums).all()
+        with pytest.raises(ValueError, match="bias sums .* overflow or underflow the arithmetic"):
+            run_replicates(scenario, None, 1, M, keep_trajectory=True)
+
     @pytest.mark.parametrize("mu", [(0.0,), ()])
     def test_needs_an_experimental_arm(self, mu):
         with pytest.raises(ValueError, match="at least one experimental arm"):

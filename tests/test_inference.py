@@ -5,7 +5,8 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from scipy.special import ndtri
+from numpy.polynomial.hermite import hermgauss
+from scipy.special import ndtr, ndtri
 from scipy.stats import binom
 
 from bandit_trials.engine import Replicates, run_replicates
@@ -70,7 +71,27 @@ def mc_max_equicorrelated_quantile(K, alpha, draws, seed):
     return float(np.quantile(top, 1 - alpha))
 
 
+def gauss_hermite_critical_value(K, alpha):
+    """The FWER critical value by a 128-node Gauss-Hermite rule and the same
+    bisection: the computation the trapezoid rule replaced, kept as its oracle."""
+    x, w = hermgauss(128)
+    weights = w / math.sqrt(math.pi)
+    lo, hi = -10.0, 10.0
+    while hi - lo > 1e-5:
+        mid = 0.5 * (lo + hi)
+        if float(weights @ ndtr(math.sqrt(2.0) * (mid + x)) ** K) < 1.0 - alpha:
+            lo = mid
+        else:
+            hi = mid
+    return 0.5 * (lo + hi)
+
+
 class TestFwerCriticalValue:
+    @pytest.mark.parametrize("K", range(1, 13))
+    def test_bit_identical_to_gauss_hermite(self, K):
+        for alpha in (0.001, 0.005, 0.01, 0.02, 0.025, 0.05, 0.1, 0.2, 0.3, 0.5):
+            assert fwer_critical_value(K, alpha).value == gauss_hermite_critical_value(K, alpha)
+
     def test_single_arm_matches_normal_quantile(self):
         c = fwer_critical_value(1, 0.05)
         assert c.value == pytest.approx(1.6449, abs=1e-3)
@@ -110,6 +131,12 @@ class TestSampleSize:
         z_beta = float(ndtri(0.90))
         raw = 2 * 2 * (1.645 + z_beta) ** 2 / (2 * 0.545) ** 2
         assert sample_size(1, 1.0, 2 * 0.545, 1.645, 0.10) == math.ceil(raw - 1e-9)
+
+    @pytest.mark.parametrize("K, sigma, delta1, size", [
+        (1, 1e-200, 0.5, 0), (3, 1.0, 100.0, 1), (1, 1e-3, 0.5, 1)])
+    def test_size_below_initialization_phase_rejected(self, K, sigma, delta1, size):
+        with pytest.raises(ValueError, match=f"is {size}, below the K\\+1 = {K + 1} patients"):
+            sample_size(K, sigma, delta1, 1.645, 0.1)
 
     def test_preconditions(self):
         with pytest.raises(ValueError):

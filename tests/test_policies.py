@@ -1,6 +1,7 @@
 """Allocation-rule scoring, probability vectors, and selection mechanics."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -297,6 +298,41 @@ class TestTsProbabilities:
         block = ts_probabilities(sums, counts, 1.0, t, 302)
         for r in range(len(counts)):
             assert np.array_equal(block[r], ts_probabilities(sums[r], counts[r], 1.0, t, 302))
+
+    @pytest.mark.parametrize("limit", [1, 1000], ids=["row-alone", "few-rows"])
+    def test_row_chunks_are_bit_identical(self, monkeypatch, limit):
+        rng = np.random.default_rng(5)
+        counts = rng.integers(1, 301, size=(64, 4))
+        sums = rng.normal(0.0, 0.5, size=counts.shape) * counts
+        whole = ts_probabilities(sums, counts, 1.0, 100, 302)
+        sizes = []
+        trapezoid = policies._trapezoid_p_best
+
+        def recording(means, *args):
+            sizes.append(len(means))
+            return trapezoid(means, *args)
+
+        monkeypatch.setattr(policies, "_trapezoid_p_best", recording)
+        monkeypatch.setattr(policies, "TS_CHUNK_ELEMENTS", limit)
+        assert np.array_equal(ts_probabilities(sums, counts, 1.0, 100, 302), whole)
+        assert sum(sizes) == len(counts) and max(sizes) < len(counts)
+        if limit == 1:
+            assert max(sizes) == 1
+
+    def test_many_point_grid_memory_is_bounded(self):
+        # sigma 0.001, an effect of 0.5 and one arm at n = 290: about 17,300
+        # points a row, so a (128, 4, points) array would take 71 MB
+        counts = np.tile([290, 5, 5, 5], (128, 1))
+        sums = np.array([0.0, 0.0, 0.0, 0.5]) * counts
+        tracemalloc.start()
+        try:
+            probs = ts_probabilities(sums, counts, 0.001, 100, 302)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert np.isfinite(probs).all()
+        # a chunk's arrays take 8 bytes a element; a few are alive at once
+        assert peak < 6 * 8 * policies.TS_CHUNK_ELEMENTS
 
     @pytest.mark.parametrize("scenario", [two_arm("TS", 0.545), two_arm("TS", 0.0),
                                           four_arm("TS", LFC, T=64), four_arm("TS", LFC)],
