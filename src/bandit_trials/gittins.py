@@ -48,7 +48,6 @@ from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
-from scipy.fft import irfft, next_fast_len, rfft
 from scipy.special import ndtr
 
 __all__ = [
@@ -80,6 +79,9 @@ LAMBDA_BRACKET = (0.0, 3.0)
 # Longest transition kernel applied by direct convolution; longer ones go
 # through an FFT.
 FFT_TAPS = 96
+# Steps whose transition kernels are built and held at once.  It moves no
+# bit of the table, only the build's memory, so it is not a DP setting.
+_CHUNK_STEPS = 256
 
 
 class GittinsTableError(ValueError):
@@ -149,9 +151,11 @@ def _transition_kernels(sds: np.ndarray, step: float, min_points: int) -> list[n
     density.  Weights are renormalized so constants are preserved exactly.
     One kernel per entry of ``sds``, computed together for all entries of
     the same half-width (elementwise arithmetic, so each kernel is bitwise
-    the one it would be alone).  Subnormal weights of direct-convolution
-    kernels are set to 0.0; see ``compute_index_table`` for why that leaves
-    the sweep unchanged.
+    the one it would be alone).  ``ndtr`` and the density are evaluated once
+    per offset (-R-1 .. R+1)/g and sliced at (r-1)/g, r/g and (r+1)/g: r is
+    a whole number, so r-1 and r+1 are the neighbouring offsets exactly.
+    Subnormal weights of direct-convolution kernels are set to 0.0; see
+    ``compute_index_table`` for why that leaves the sweep unchanged.
     """
     g = sds / step
     halves = np.maximum(np.ceil(8.0 * g).astype(np.int64), max((min_points + 1) // 2, 1))
@@ -159,11 +163,11 @@ def _transition_kernels(sds: np.ndarray, step: float, min_points: int) -> list[n
     for half in np.unique(halves):
         rows = np.flatnonzero(halves == half)
         gs = g[rows, None]
+        offsets = np.arange(-half - 1, half + 2, dtype=float) / gs
+        cdf, pdf = ndtr(offsets), _phi(offsets)
         r = np.arange(-half, half + 1, dtype=float)
-        lower, upper = (r - 1.0) / gs, (r + 1.0) / gs
-        mid = r / gs
-        left = (1.0 - r) * (ndtr(mid) - ndtr(lower)) + gs * (_phi(lower) - _phi(mid))
-        right = (1.0 + r) * (ndtr(upper) - ndtr(mid)) - gs * (_phi(mid) - _phi(upper))
+        left = (1.0 - r) * (cdf[:, 1:-1] - cdf[:, :-2]) + gs * (pdf[:, :-2] - pdf[:, 1:-1])
+        right = (1.0 + r) * (cdf[:, 2:] - cdf[:, 1:-1]) - gs * (pdf[:, 1:-1] - pdf[:, 2:])
         kernel = left + right
         kernel = kernel / kernel.sum(axis=1, keepdims=True)
         if r.size <= FFT_TAPS:
@@ -175,7 +179,10 @@ def _transition_kernels(sds: np.ndarray, step: float, min_points: int) -> list[n
 
 def _fft_convolve_valid(x: np.ndarray, kernel: np.ndarray) -> np.ndarray:
     """``scipy.signal.fftconvolve(x, kernel, mode="valid")`` bit for bit: the
-    same transforms at the same length, and the same slice of the result."""
+    same transforms at the same length, and the same slice of the result.
+    ``scipy.fft`` is imported here, so commands that build no table skip it."""
+    from scipy.fft import irfft, next_fast_len, rfft
+
     size = next_fast_len(x.size + kernel.size - 1, True)
     return irfft(rfft(x, size) * rfft(kernel, size), size)[kernel.size - 1:x.size]
 
@@ -188,6 +195,28 @@ def _interp_columns(grid: np.ndarray, bracket: tuple[float, float]) -> slice:
     return slice(first, last + 1)
 
 
+def _bisect(grid: np.ndarray, row: np.ndarray) -> float:
+    """Root of the decreasing f(lam) = interp(-lam, grid, row) in
+    ``LAMBDA_BRACKET``, which the caller has checked to straddle it."""
+    def f(lam: float) -> float:
+        return float(np.interp(-lam, grid, row))
+
+    lo, hi = LAMBDA_BRACKET
+    while hi - lo > BISECTION_TOL:
+        mid = 0.5 * (lo + hi)
+        if f(mid) > 0.0:
+            lo = mid
+        else:
+            hi = mid
+    # Secant refinement inside the converged bracket: f is close to
+    # linear at this scale, and without it neighbouring entries can
+    # collide at BISECTION_TOL resolution.
+    flo, fhi = f(lo), f(hi)
+    if flo > fhi:
+        return lo + (hi - lo) * flo / (flo - fhi)
+    return 0.5 * (lo + hi)
+
+
 def compute_index_table(discount: float, n_max: int) -> GittinsTable:
     """Build the standardized index table for ``n = 1..n_max``.
 
@@ -196,21 +225,30 @@ def compute_index_table(discount: float, n_max: int) -> GittinsTable:
     means transition as N(y, 1/(m(m+1))), integrated exactly against the
     piecewise-linear value representation, and the truncated tail is valued
     as if the better of the two arms were played forever.  Each table entry
-    is then found by bisection over ``LAMBDA_BRACKET`` to within
-    ``BISECTION_TOL``.  The settings are this module's constants, read at
-    each call, so a test can patch them to build a table at other settings.
+    is found by bisection over ``LAMBDA_BRACKET`` to within
+    ``BISECTION_TOL``, in the step that produces its continuation row; a
+    bracket that misses any row fails after the sweep, naming the smallest
+    such n.  The settings are this module's constants, read at each call,
+    so a test can patch them to build a table at other settings.
 
     Every step computes, bit for bit, ``cont = grid + d * conv(pad(u), k)``
     with ``u = max(cont', 0)`` from the step before, ``pad`` repeating the
     edge values and ``conv`` a full direct convolution, or an FFT one for
-    kernels of more than ``FFT_TAPS`` weights.  Three shortcuts keep the
-    values and skip work:
+    kernels of more than ``FFT_TAPS`` weights.  The kernels are built for
+    one chunk of ``_CHUNK_STEPS`` steps at a time, and no step's row is
+    kept past its bisection, so the build holds O(grid + chunk) floats
+    whatever the discount and horizon.  Two shortcuts keep the values and
+    skip work:
 
     * ``u`` is exactly 0 below its first positive node (about half the grid
       at d=0.995).  An output whose whole window lies there sums products
-      with 0 to exactly 0, so its ``cont`` is ``grid`` and the direct
-      convolution starts at the first window that reaches ``u > 0``.  Each
-      output is the same dot product over the same values either way.
+      with 0 to exactly 0, so its ``cont`` is ``grid`` (negative) and its
+      ``u`` stays 0.  A direct step therefore computes and writes ``cont``
+      and ``u`` only from ``start``, the first window that reaches
+      ``u > 0``, and the next step looks for the first positive node from
+      there; nothing below ``start`` is written, except the continuation
+      columns a bisection reads, which are set to ``grid``.  Each output is
+      the same dot product over the same values either way.
     * A subnormal weight (below 2.3e-308; they occur in the tails of the
       short kernels of late steps) times an operand of at most
       ``STATE_BOUND / (1 - d)`` is below 1e-300.  Such a term is lost in the
@@ -220,11 +258,9 @@ def compute_index_table(discount: float, n_max: int) -> GittinsTable:
       Zeroing these weights only avoids slow arithmetic on subnormal
       operands.  FFT kernels are left as they are: an FFT's rounding depends
       on every input and on the transform length.
-    * Only the continuation columns that the bisection's ``np.interp`` can
-      read, over ``-LAMBDA_BRACKET``, are kept.
 
     ``tests/test_gittins.py`` checks the table against a plain per-step
-    sweep with ``np.array_equal`` on settings that exercise all three.
+    sweep with ``np.array_equal`` on settings that exercise both.
     """
     if not 0.0 <= discount < 1.0:
         raise GittinsTableError(f"discount must lie in [0, 1), got {discount}")
@@ -237,68 +273,52 @@ def compute_index_table(discount: float, n_max: int) -> GittinsTable:
     grid = np.linspace(-half_cells * GRID_STEP, half_cells * GRID_STEP, 2 * half_cells + 1)
     size = grid.size
     columns = _interp_columns(grid, LAMBDA_BRACKET)
-    counts = np.arange(n_max + horizon - 1, 0, -1)
-    kernels = _transition_kernels(1.0 / np.sqrt(counts * (counts + 1.0)),
-                                  GRID_STEP, QUADRATURE_POINTS)
+    interp_grid = grid[columns]
 
     # u lives inside one buffer edge-padded for the widest direct kernel
-    pad = max((k.size // 2 for k in kernels if k.size <= FFT_TAPS), default=0)
+    pad = FFT_TAPS // 2
     padded = np.empty(size + 2 * pad)
     u = padded[pad:pad + size]
     # Tail: play the better arm forever (learning value -> 0 at depth).
     u[:] = np.maximum(grid, 0.0) / (1.0 - d)
     cont = np.empty(size)
-    continuation = np.empty((n_max, columns.stop - columns.start))
-    for m, kernel in zip(counts.tolist(), kernels):
-        half = kernel.size // 2
-        if kernel.size > FFT_TAPS:
-            cont[:] = grid + d * _fft_convolve_valid(np.pad(u, half, mode="edge"), kernel)
-        else:
-            # u > 0 at every positive node: there cont >= grid > 0
-            start = max(int((u > 0.0).argmax()) - half, 0)
-            padded[:pad] = u[0]
-            padded[pad + size:] = u[-1]
-            window = padded[pad - half + start:pad + size + half]
-            cont[:start] = grid[:start]
-            cont[start:] = grid[start:] + d * np.convolve(window, kernel, mode="valid")
-        if m <= n_max:
-            continuation[m - 1] = cont[columns]
-        np.maximum(cont, 0.0, out=u)
-
-    grid = grid[columns]
-    lo0, hi0 = LAMBDA_BRACKET
     values = np.empty(n_max)
-    for n in range(1, n_max + 1):
-        row = continuation[n - 1]
-
-        def f(lam: float) -> float:
-            return float(np.interp(-lam, grid, row))
-
-        flo, fhi = f(lo0), f(hi0)
-        # f is decreasing in lam; the root needs f(lo) >= 0 >= f(hi).
-        if flo < 0.0 or fhi > 0.0:
-            raise GittinsTableError(
-                f"lambda_bracket {LAMBDA_BRACKET} does not straddle the "
-                f"indifference value at n={n} for discount {d} "
-                f"(f(lo)={flo:.3g}, f(hi)={fhi:.3g})"
-            )
-        lo, hi = lo0, hi0
-        while hi - lo > BISECTION_TOL:
-            mid = 0.5 * (lo + hi)
-            if f(mid) > 0.0:
-                lo = mid
+    missed = None  # (n, f(lo), f(hi)) of the smallest n the bracket misses
+    start = 0  # u is exactly 0 below this node
+    for top in range(n_max + horizon - 1, 0, -_CHUNK_STEPS):
+        counts = np.arange(top, max(top - _CHUNK_STEPS, 0), -1)
+        kernels = _transition_kernels(1.0 / np.sqrt(counts * (counts + 1.0)),
+                                      GRID_STEP, QUADRATURE_POINTS)
+        for m, kernel in zip(counts.tolist(), kernels):
+            half = kernel.size // 2
+            if kernel.size > FFT_TAPS:
+                start = 0
+                cont[:] = grid + d * _fft_convolve_valid(np.pad(u, half, mode="edge"), kernel)
             else:
-                hi = mid
-        # Secant refinement inside the converged bracket: f is close to
-        # linear at this scale, and without it neighbouring entries can
-        # collide at BISECTION_TOL resolution.
-        flo, fhi = f(lo), f(hi)
-        if flo > fhi:
-            lam = lo + (hi - lo) * flo / (flo - fhi)
-        else:
-            lam = 0.5 * (lo + hi)
-        values[n - 1] = lam if d > 0.0 else 0.0
-
+                # u > 0 at every positive node: there cont >= grid > 0
+                start = max(start + int((u[start:] > 0.0).argmax()) - half, 0)
+                padded[:pad] = u[0]
+                padded[pad + size:] = u[-1]
+                window = padded[pad - half + start:pad + size + half]
+                cont[start:] = grid[start:] + d * np.convolve(window, kernel, mode="valid")
+            np.maximum(cont[start:], 0.0, out=u[start:])
+            if m > n_max:
+                continue
+            cont[columns.start:start] = grid[columns.start:start]
+            row = cont[columns]
+            flo, fhi = (float(np.interp(-lam, interp_grid, row)) for lam in LAMBDA_BRACKET)
+            # f is decreasing in lam; the root needs f(lo) >= 0 >= f(hi).
+            if flo < 0.0 or fhi > 0.0:
+                missed = (m, flo, fhi)
+            else:
+                values[m - 1] = _bisect(interp_grid, row) if d > 0.0 else 0.0
+    if missed is not None:
+        n, flo, fhi = missed
+        raise GittinsTableError(
+            f"lambda_bracket {LAMBDA_BRACKET} does not straddle the "
+            f"indifference value at n={n} for discount {d} "
+            f"(f(lo)={flo:.3g}, f(hi)={fhi:.3g})"
+        )
     return GittinsTable(discount=d, values=values, dp_meta=dp_settings(d))
 
 
@@ -319,7 +339,7 @@ def load_index_table(source: str | Path) -> GittinsTable:
     path = Path(source)
     try:
         raw = path.read_text()
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise GittinsTableError(f"cannot read table file {path}: {exc}") from exc
     lines = [ln.strip() for ln in raw.splitlines() if ln.strip()]
     if not lines:

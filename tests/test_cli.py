@@ -467,14 +467,16 @@ class TestSimulateCommand:
         cache = tmp_path / "cache"
         cache.mkdir()
         damaged = cache / "gittins_d0.995_n116.csv"
-        damaged.write_text("garbage\n")
         monkeypatch.setenv("BANDIT_TRIALS_TABLE_DIR", str(cache))
-        assert run_cli("simulate", "--preset", "two-arm-t116", "--policies", "GI",
-                       "--critical-values", "analytic", "--replicates", "1", "--seed", "0",
-                       "--workers", "1", "--out-dir", str(tmp_path / "run")) == 0
-        table = load_index_table(damaged)
-        assert table.discount == 0.995 and table.n_max == 116
-        assert list(cache.iterdir()) == [damaged]  # replaced in place, nothing left aside
+        # text that does not parse, and bytes that do not decode as UTF-8
+        for i, damage in enumerate([b"garbage\n", b"\xff\xfe\x00\x01garbage\n"]):
+            damaged.write_bytes(damage)
+            assert run_cli("simulate", "--preset", "two-arm-t116", "--policies", "GI",
+                           "--critical-values", "analytic", "--replicates", "1", "--seed", "0",
+                           "--workers", "1", "--out-dir", str(tmp_path / f"run{i}")) == 0
+            table = load_index_table(damaged)
+            assert table.discount == 0.995 and table.n_max == 116
+            assert list(cache.iterdir()) == [damaged]  # replaced in place, nothing left aside
 
     def test_longer_cached_table_is_not_served(self, tmp_path, monkeypatch):
         # a longer table's leading entries differ from a shorter build's in the
@@ -687,3 +689,16 @@ def test_import_leaves_out_scipy_signal_and_stats():
     result = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
                             text=True, check=True, timeout=120)
     assert result.stdout.strip() == "[]"
+
+
+def test_commands_without_a_table_leave_out_scipy_fft():
+    # only the index table's FFT steps use it
+    src = str(Path(bandit_trials.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [src] + [p for p in os.environ.get("PYTHONPATH", "").split(os.pathsep) if p]))
+    code = ("import sys, bandit_trials.cli as cli; "
+            "cli.main(['samplesize', '--k', '3', '--delta', '0.545']); "
+            "print('scipy.fft' in sys.modules)")
+    result = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                            text=True, check=True, timeout=120)
+    assert result.stdout.splitlines()[-1] == "False"

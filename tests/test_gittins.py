@@ -1,6 +1,7 @@
 """Index-table construction, evaluation, and persistence."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -62,6 +63,26 @@ class TestComputeIndexTable:
         with pytest.raises(GittinsTableError, match="discount 0.995"):
             compute_index_table(0.995, 2)
 
+    def test_bracket_error_names_smallest_missed_n(self, monkeypatch):
+        # every n from 29 on has v(n) < 0.2; rows are bisected from n_max down
+        monkeypatch.setattr(gittins, "LAMBDA_BRACKET", (0.2, 3.0))
+        with pytest.raises(GittinsTableError, match=r"at n=29 for discount 0\.995 "):
+            compute_index_table(0.995, 116)
+
+    def test_build_memory_does_not_grow_with_horizon(self, monkeypatch):
+        monkeypatch.setattr(gittins, "GRID_STEP", 0.01)
+        compute_index_table(0.995, 60)  # imports outside the measurement
+        peaks = {}
+        for horizon in (1000, 4000):
+            monkeypatch.setattr(gittins, "default_horizon", lambda discount, h=horizon: h)
+            tracemalloc.start()
+            try:
+                compute_index_table(0.995, 60)
+                peaks[horizon] = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+        assert peaks[4000] <= 1.1 * peaks[1000], peaks
+
     def test_bad_inputs(self):
         with pytest.raises(GittinsTableError):
             compute_index_table(1.0, 5)
@@ -80,14 +101,26 @@ class TestComputeIndexTable:
         assert 0.995 ** n < 1e-8 < 0.995 ** (n - 1)
 
 
+def reference_kernel(g, min_points):
+    """The transition kernel of scale ``g`` (s.d. over grid step), its subnormal
+    weights kept, with ``ndtr`` and φ evaluated at (r-1)/g, r/g and (r+1)/g."""
+    def phi(x):
+        return np.exp(-0.5 * x * x) / math.sqrt(2.0 * math.pi)
+
+    half = max(int(math.ceil(8.0 * g)), (min_points + 1) // 2, 1)
+    r = np.arange(-half, half + 1, dtype=float)
+    lower, mid, upper = (r - 1.0) / g, r / g, (r + 1.0) / g
+    left = (1.0 - r) * (ndtr(mid) - ndtr(lower)) + g * (phi(lower) - phi(mid))
+    right = (1.0 + r) * (ndtr(upper) - ndtr(mid)) - g * (phi(mid) - phi(upper))
+    kernel = left + right
+    return kernel / kernel.sum()
+
+
 def reference_table(discount, n_max):
     """The index table by a plain per-step sweep at the ``gittins`` settings: a fresh
     kernel, an edge pad and a full convolution at every step.  Returns the values and
     how many steps had subnormal weights, went through an FFT, and had u == 0 under
     a whole window."""
-    def phi(x):
-        return np.exp(-0.5 * x * x) / math.sqrt(2.0 * math.pi)
-
     d, step = discount, gittins.GRID_STEP
     half_cells = int(round(gittins.STATE_BOUND / step))
     grid = np.linspace(-half_cells * step, half_cells * step, 2 * half_cells + 1)
@@ -95,22 +128,16 @@ def reference_table(discount, n_max):
     rows = np.empty((n_max, grid.size))
     seen = {"subnormal": 0, "fft": 0, "zero_region": 0}
     for m in range(n_max + gittins.default_horizon(d) - 1, 0, -1):
-        g = 1.0 / math.sqrt(m * (m + 1.0)) / step
-        half = max(int(math.ceil(8.0 * g)), (gittins.QUADRATURE_POINTS + 1) // 2, 1)
-        r = np.arange(-half, half + 1, dtype=float)
-        lower, mid, upper = (r - 1.0) / g, r / g, (r + 1.0) / g
-        left = (1.0 - r) * (ndtr(mid) - ndtr(lower)) + g * (phi(lower) - phi(mid))
-        right = (1.0 + r) * (ndtr(upper) - ndtr(mid)) - g * (phi(mid) - phi(upper))
-        kernel = left + right
-        kernel = kernel / kernel.sum()
-        padded = np.pad(u, half, mode="edge")
+        kernel = reference_kernel(1.0 / math.sqrt(m * (m + 1.0)) / step,
+                                  gittins.QUADRATURE_POINTS)
+        padded = np.pad(u, kernel.size // 2, mode="edge")
         if kernel.size > 96:
             seen["fft"] += 1
             expected = fftconvolve(padded, kernel, mode="valid")
         else:
             expected = np.convolve(padded, kernel, mode="valid")
         seen["subnormal"] += bool(np.any((kernel != 0) & (np.abs(kernel) < np.finfo(float).tiny)))
-        seen["zero_region"] += bool(np.all(u[:2 * half + 1] == 0.0))
+        seen["zero_region"] += bool(np.all(u[:kernel.size] == 0.0))
         cont = grid + d * expected
         if m <= n_max:
             rows[m - 1] = cont
@@ -138,6 +165,7 @@ class TestSweepMatchesReference:
                      "default_horizon": lambda discount: 500}),
         (0.9, 60, {}),
         (0.0, 5, {}),
+        (0.995, 116, {}),  # the two-arm table: every row from an FFT step
     ])
     def test_bitwise_equal(self, monkeypatch, discount, n_max, cfg):
         for name, value in cfg.items():
@@ -146,6 +174,16 @@ class TestSweepMatchesReference:
         assert np.array_equal(compute_index_table(discount, n_max).values, expected)
         if discount == 0.995:  # every shortcut of the sweep is exercised
             assert seen["subnormal"] > 0 and seen["fft"] > 0 and seen["zero_region"] > 0
+
+    def test_kernels_match_three_evaluation_formula(self):
+        counts = np.arange(3000, 0, -1)
+        sds = 1.0 / np.sqrt(counts * (counts + 1.0))
+        kernels = gittins._transition_kernels(sds, 0.00125, 32)
+        for sd, kernel in zip(sds, kernels):
+            expected = reference_kernel(sd / 0.00125, 32)
+            if expected.size <= gittins.FFT_TAPS:
+                expected[np.abs(expected) < np.finfo(float).tiny] = 0.0
+            assert np.array_equal(kernel, expected)
 
 
 def gi_score(mean, n, sigma, table):
@@ -215,6 +253,12 @@ class TestTableFile:
         path = tmp_path / "bad.csv"
         path.write_text(content)
         with pytest.raises(GittinsTableError):
+            load_index_table(path)
+
+    def test_undecodable_file_rejected(self, tmp_path):
+        path = tmp_path / "bytes.csv"
+        path.write_bytes(b"\xff\xfe\x00\x01# discount=0.9\n")
+        with pytest.raises(GittinsTableError, match="cannot read table file"):
             load_index_table(path)
 
     def test_significant_digits(self, table09, tmp_path):
