@@ -679,26 +679,25 @@ class TestSweepCommand:
         assert len(list(out.iterdir())) == 4
 
 
-def test_import_leaves_out_scipy_signal_and_stats():
-    # both cost about a second to import, and the package needs neither
+def run_python(code):
+    """Standard output of ``python -c code`` run with this package importable."""
     src = str(Path(bandit_trials.__file__).resolve().parents[1])
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         [src] + [p for p in os.environ.get("PYTHONPATH", "").split(os.pathsep) if p]))
+    return subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                          text=True, check=True, timeout=120).stdout
+
+
+def test_import_leaves_out_scipy_signal_and_stats():
+    # both cost about a second to import, and the package needs neither
     code = ("import sys, bandit_trials.cli; "
             "print(sorted(m for m in ('scipy.signal', 'scipy.stats') if m in sys.modules))")
-    result = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
-                            text=True, check=True, timeout=120)
-    assert result.stdout.strip() == "[]"
+    assert run_python(code).strip() == "[]"
 
 
 def test_commands_without_a_table_leave_out_scipy_fft():
     # only the index table's FFT steps use it
-    src = str(Path(bandit_trials.__file__).resolve().parents[1])
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-        [src] + [p for p in os.environ.get("PYTHONPATH", "").split(os.pathsep) if p]))
     code = ("import sys, bandit_trials.cli as cli; "
             "cli.main(['samplesize', '--k', '3', '--delta', '0.545']); "
             "print('scipy.fft' in sys.modules)")
-    result = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
-                            text=True, check=True, timeout=120)
-    assert result.stdout.splitlines()[-1] == "False"
+    assert run_python(code).splitlines()[-1] == "False"
