@@ -178,6 +178,11 @@ def _load_scenario_source(args) -> dict:
     if n_arms < 2:
         raise ValueError(f"hypothesis {first!r} must list two or more arm means, control first")
     for label, mu in hypotheses.items():
+        # a label is a field of results.csv and a part of file names; an
+        # empty label splits into no lines
+        if label.splitlines() != [label] or any(char in label for char in ',"/\\\0'):
+            raise ValueError(f"hypothesis label {json.dumps(label)} must be non-empty and hold "
+                             "no comma, double quote, line break, slash, backslash or NUL")
         if not isinstance(mu, list) or len(mu) != n_arms:
             raise ValueError(f"hypothesis {label!r} must list {n_arms} arm means, "
                              f"as {first!r} does")
@@ -472,8 +477,8 @@ def main(argv=None) -> int:
         # one pool of workers per command, its workers reaped before returning
         with shared_pool():
             return args.func(args)
-    except (ValueError, OSError, json.JSONDecodeError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
+    except (ValueError, OSError, MemoryError, json.JSONDecodeError) as exc:
+        print(f"error: {str(exc) or type(exc).__name__}", file=sys.stderr)
         return 1
 
 

@@ -20,22 +20,16 @@ call is spread over up to 1024 rows.  A block returns only what the reports
 need (``Replicates``: per-replicate contrasts, counts and mean outcome,
 bias sums per 256-row group, a few traces).  A block records allocations
 only for the rows it traces, the run's first ``traces`` replicates; it
-keeps every row's outcomes, which its mean outcomes reduce.  The state is
-checked as it is built: at each patient the new running sums, which the
-rules read, must be finite before they are stored, and after the last
-patient so must each replicate's contrasts and mean outcome, and the bias
-sums, in each block and after ``_merge`` adds them.  Finite arm
-means or sigma can still overflow or underflow the arithmetic (a mean of
-1e308, a sigma of 1e-320); the run then stops with a ValueError naming the
-replicate, and the patient where a sum failed (``policies.ts_probabilities``
-checks its own grid the same way); bias sums, which add many replicates,
-name none.  ``run_trial(scenario, table,
-(master_seed, r))`` runs the one-row block [r, r+1) through the same block
-function and returns its ``Replicates``, trace kept.  With several workers,
-each block is one task of a process pool of at most one worker per block.
-Calls made inside a ``shared_pool`` block, as every CLI command is, share
-one pool, which is shut down and its workers joined when the block ends; a
-call made outside one runs in a block of its own.
+keeps every row's outcomes, which its mean outcomes reduce.  A scenario's
+bounds on the arm means and sigma (``TrialScenario``) keep every value a
+run produces finite, so the run checks none of them.
+``run_trial(scenario, table, (master_seed, r))`` runs the one-row block
+[r, r+1) through the same block function and returns its ``Replicates``,
+trace kept.  With several workers, each block is one task of a process
+pool of at most one worker per block.  Calls made inside a ``shared_pool``
+block, as every CLI command is, share one pool, which is shut down and its
+workers joined when the block ends; a call made outside one runs in a block
+of its own.
 
 Randomness discipline: each replicate owns two independent streams derived
 from (master_seed, r): one for policy randomness (initialization order,
@@ -111,6 +105,16 @@ class TrialScenario:
 
     ``mu`` lists the K+1 true arm means with index 0 the control, so it
     fixes K, the number of experimental arms.
+
+    Every arm mean lies within +-1e100 and sigma within [1e-100, 1e100].
+    Inside these bounds no value a run produces overflows.  A float64
+    standard normal drawn from 53-bit uniforms is below 40 in size (numpy's
+    ziggurat gives at most about 13.7), so each outcome, running mean and
+    mean outcome is below 4.1e101 in size.  An arm sum over T < 2**63
+    patients, and a bias sum over fewer than 2**63 replicates, stays below
+    4e120.  A contrast divides a difference below 8.2e101 by
+    sigma sqrt(1/n_k + 1/n_0) >= 1e-100 * 2**-31.5, so it stays below 3e211.
+    Every value is below about 1e215, far from float64's 1.8e308.
     """
 
     mu: tuple[float, ...]
@@ -126,6 +130,10 @@ class TrialScenario:
             raise ValueError(f"arm means must be finite, got {self.mu}")
         if not (math.isfinite(self.sigma) and self.sigma > 0):
             raise ValueError(f"sigma must be positive and finite, got {self.sigma}")
+        if max(map(abs, self.mu)) > 1e100 or not 1e-100 <= self.sigma <= 1e100:
+            raise ValueError(f"arm means {self.mu} or sigma {self.sigma} overflow or underflow "
+                             "the arithmetic; the means must lie within +-1e100 and sigma "
+                             "within [1e-100, 1e100]")
         if self.T < self.K + 1:
             raise ValueError("T must cover the initialization phase (T >= K+1)")
         self.policy.check_arms(self.K)
@@ -164,8 +172,6 @@ class Replicates:
         return len(self.z)
 
 
-# bias sums that overflow are an error, raised by _check_bias_sums
-@np.errstate(over="ignore", invalid="ignore")
 def _merge(blocks: list[Replicates]) -> Replicates:
     """Join block results in replicate order, adding their groups' bias sums in order."""
     bias_sums = None
@@ -174,20 +180,12 @@ def _merge(blocks: list[Replicates]) -> Replicates:
         for block in blocks:
             for group_sums in block.bias_sums:
                 bias_sums += group_sums
-        _check_bias_sums(bias_sums)
 
     def join(name):
         return np.concatenate([getattr(block, name) for block in blocks])
 
     return Replicates(blocks[0].scenario, join("z"), join("counts"), join("mean_outcome"),
                       bias_sums, join("allocations"), join("outcomes"))
-
-
-def _check_bias_sums(bias_sums: np.ndarray) -> None:
-    # every running mean is finite, but a sum of a group's or a run's can overflow
-    if not np.isfinite(bias_sums).all():
-        raise ValueError("the bias sums of the running means are not finite; the arm means or "
-                         "sigma overflow or underflow the arithmetic")
 
 
 def _check_table(scenario: TrialScenario, table: GittinsTable | None) -> None:
@@ -305,9 +303,6 @@ class _Generators:
             yield np.random.Generator(np.random.PCG64(_SeedWords(words)))
 
 
-# A non-finite sum, contrast, mean outcome or TS grid size is an error
-# raised with the replicate or patient it arose at, not a warning beside it.
-@np.errstate(over="ignore", divide="ignore", invalid="ignore")
 def _run_block(scenario: TrialScenario, table: GittinsTable | None, master_words: list[int],
                keep_trajectory: bool, traces: int, first: int, stop: int) -> Replicates:
     """Step replicates first..stop-1 of the master seed with words
@@ -347,14 +342,7 @@ def _run_block(scenario: TrialScenario, table: GittinsTable | None, master_words
         k = allocate(sums, counts, t)
         y = mu[k] + sigma * noise[t - 1]
         cells = row_starts + k
-        # the rules read the sums, and a non-finite outcome makes its sum non-finite
-        new = flat_sums[cells] + y
-        finite = np.isfinite(new)
-        if not finite.all():
-            raise ValueError(f"replicate {first + int(finite.argmin())}, patient {t}: an arm's "
-                             "outcome sum is not finite; the arm means or sigma overflow or "
-                             "underflow the arithmetic")
-        flat_sums[cells] = new
+        flat_sums[cells] += y
         flat_counts[cells] += 1
         allocations[t - 1] = k[:kept]
         outcomes[:, t - 1] = y
@@ -367,13 +355,6 @@ def _run_block(scenario: TrialScenario, table: GittinsTable | None, master_words
     z = z_statistic(sums, counts, sigma)
     # rows of contiguous outcomes: each mean is the same pairwise sum as a lone trace's
     mean_outcome = outcomes.mean(axis=1)
-    finite = np.isfinite(z).all(axis=1) & np.isfinite(mean_outcome)
-    if not finite.all():
-        raise ValueError(f"replicate {first + int(finite.argmin())}: its contrasts or mean "
-                         "outcome are not finite; the arm means or sigma overflow or underflow "
-                         "the arithmetic")
-    if keep_trajectory:
-        _check_bias_sums(bias_sums)
     return Replicates(
         scenario=scenario,
         z=z,

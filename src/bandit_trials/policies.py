@@ -159,11 +159,12 @@ def ts_probabilities(sums, counts, sigma: float, t: int, T: int) -> np.ndarray:
       s.d.: each row's point count comes from that row alone, rounded up to
       a multiple of 16, and rows of equal count are evaluated together, in
       chunks whose (rows, K+1, points) arrays hold at most
-      ``TS_CHUNK_ELEMENTS`` elements (a larger row runs alone), so a tiny
-      sigma bounds the memory rather than the grid.
-      Against an adaptive log-space quadrature the weights agree to within
-      1e-13 on states of real four-arm trials.  The best arm's probability
-      is at least 1/(K+1), so the total never vanishes.
+      ``TS_CHUNK_ELEMENTS`` elements (a larger row runs alone, its memory
+      unbounded).  Against an adaptive log-space quadrature the weights
+      agree to within 1e-13 on states of real four-arm trials.  The best
+      arm's probability is at least 1/(K+1) unless the grid collapses onto
+      the means (each mean +- 8 s.d. rounds to the mean); that, and a grid
+      whose size overflows, is a ValueError naming the patient.
     """
     counts = np.asarray(counts)
     means = np.asarray(sums, dtype=float) / counts
@@ -191,7 +192,12 @@ def ts_probabilities(sums, counts, sigma: float, t: int, T: int) -> np.ndarray:
             chunk = group[start:start + step]
             p_best[chunk] = _trapezoid_p_best(rows[chunk], sds[chunk], lo[chunk], hi[chunk], n)
     weights = (p_best ** c).reshape(means.shape)
-    return weights / weights.sum(axis=-1, keepdims=True)
+    total = weights.sum(axis=-1, keepdims=True)
+    # every mean +- 8 s.d. rounds to the mean: a grid of no width, every p_best 0
+    if not (total > 0).all():
+        raise ValueError(f"TS weights for patient {t + 1}: the quadrature grid collapsed onto "
+                         "the arm means; the means are too large for their posterior s.d.")
+    return weights / total
 
 
 def _trapezoid_p_best(means, sds, lo, hi, n_points: int) -> np.ndarray:

@@ -379,6 +379,11 @@ class TestSimulateCommand:
          "hypothesis 'H1' must list 2 arm means, as 'H0' does"),
         ({"preset": "two-arm-t116", "reuse_critical_values_from": "bogus"},
          "unknown preset 'bogus'"),
+        # a label is a field of results.csv and a part of the bias and trace file names
+        *[({"preset": "two-arm-t116", "hypotheses": {"H0": [0, 0], label: [0, 0.5]}},
+           f"hypothesis label {json.dumps(label)} must be non-empty and hold no comma")
+          for label in ("H1,b", "H1/b", "", 'H1"b', "H1\\b", "H1\nb", "H1\r", "H1\u2028b",
+                        "H1\0b")],
     ])
     def test_invalid_config_is_one_error_line(self, tmp_path, capsys, config, message):
         path = tmp_path / "cfg.json"
@@ -557,9 +562,21 @@ class TestSimulateCommand:
         assert captured.err.splitlines() == [f"error: {message}"]
         assert not out.exists()
 
-    # finite means that overflow the arithmetic fail in the run, before
-    # results.csv: the two-arm sums overflow, four-arm TS's grid at its first
-    # decision, and with --bias the sums of 300 running means near 1e306
+    @pytest.mark.parametrize("message", [
+        # as numpy words it for an array it cannot allocate
+        "Unable to allocate 3.46 PiB for an array with shape (486717680295936,) and data type "
+        "float64", ""], ids=["numpy", "bare"])
+    def test_memory_error_is_one_error_line(self, tmp_path, capsys, monkeypatch, message):
+        def exhausted(args):
+            raise MemoryError(message)
+
+        monkeypatch.setattr(cli, "cmd_simulate", exhausted)
+        code = run_cli("simulate", "--preset", "two-arm-t116", "--out-dir", str(tmp_path))
+        assert assert_one_error_line(capsys, code) == f"error: {message or 'MemoryError'}"
+
+    # finite means that would overflow the arithmetic (the two-arm sums,
+    # four-arm TS's grid at its first decision, and with --bias the sums of
+    # 300 running means near 1e306) fail when the scenarios are built
     @pytest.mark.parametrize("hypotheses, policy, extra", [
         ({"H0": [0.0, 0.0], "H1": [0.0, 1e308]}, "FR", ["-M", "100"]),
         ({"H0": [0.0] * 4, "H1": [0.0, 0.0, 0.0, 1e308]}, "TS", ["-M", "100"]),

@@ -3,6 +3,7 @@
 import dataclasses
 import math
 import multiprocessing
+import traceback
 
 import numpy as np
 import pytest
@@ -12,6 +13,7 @@ from bandit_trials import engine, policies
 from bandit_trials.engine import (BLOCK, STEP_GROUPS, TrialScenario, _run_block, _SeedWords,
                                   _stream_seeds, _uint32_words, run_replicates, run_trial,
                                   write_trace_csv)
+from bandit_trials.operating import bias_trajectories
 from bandit_trials.policies import POLICY_KINDS, Allocator, PolicyDraws, PolicySpec
 
 from .conftest import LFC, WORKERS, four_arm, running_means, two_arm
@@ -57,36 +59,63 @@ class TestScenarioValidation:
         with pytest.raises(ValueError, match="arm means must be finite"):
             TrialScenario(mu=mu, sigma=1.0, T=10, policy=PolicySpec("FR"))
 
-    # finite inputs that overflow or underflow the arithmetic: an arm's sum
-    # overflows at its second outcome, four-arm TS's grid at the first
-    # decision, and a subnormal sigma makes every contrast infinite
+    # finite inputs that overflowed or underflowed the arithmetic before
+    # scenarios were bounded (an arm's sum at its second outcome, four-arm
+    # TS's grid at the first decision, and with a subnormal sigma every
+    # contrast), and the floats just outside the bounds, which the boundary
+    # runs of TestAdmittedDomain meet: each is rejected when it is built
     @pytest.mark.parametrize("kind, mu, sigma", [
         ("FR", (0.0, 1e308), 1.0), ("GI", (0.0, 1e308), 1.0), ("CB", (0.0, 1e308), 1.0),
         ("RBI", (0.0, 1e308), 1.0), ("TP", (0.0, 0.0, 1e308), 1.0),
         ("TS", (0.0, 0.0, 0.0, 1e308), 1.0), ("FR", (0.0, 0.5), 1e-320),
-    ], ids=["FR", "GI", "CB", "RBI", "TP", "TS", "FR-sigma"])
-    def test_overflowing_run_is_an_error(self, table995, kind, mu, sigma):
-        scenario = TrialScenario(mu=mu, sigma=sigma, T=20, policy=PolicySpec(kind))
-        with pytest.raises(ValueError, match="the arm means or sigma overflow or underflow"):
-            run_replicates(scenario, table995, 1, 50)
+        ("FR", (0.0, math.nextafter(1e100, math.inf)), 1.0),
+        ("FR", (-math.nextafter(1e100, math.inf), 0.0), 1.0),
+        ("FR", (0.0, 0.0), math.nextafter(1e-100, 0.0)),
+        ("FR", (0.0, 0.0), math.nextafter(1e100, math.inf)),
+    ], ids=["FR", "GI", "CB", "RBI", "TP", "TS", "FR-sigma", "mean-above", "mean-below",
+            "sigma-below", "sigma-above"])
+    def test_overflowing_run_is_an_error(self, kind, mu, sigma):
+        bounds = r"the arithmetic; the means must lie within \+-1e100 and sigma within " \
+                 r"\[1e-100, 1e100\]"
+        with pytest.raises(ValueError, match=bounds):
+            TrialScenario(mu=mu, sigma=sigma, T=20, policy=PolicySpec(kind))
 
-    # every running mean is finite, but the bias sums overflow: a 256-row
-    # group's sum in the block at a mean of 1e306, only the sum of two
-    # groups, in _merge, at 5e305
-    @pytest.mark.parametrize("mean, M", [(1e306, 300), (5e305, 2 * BLOCK)],
-                             ids=["block", "merge"])
-    def test_overflowing_bias_sums_are_an_error(self, mean, M):
-        scenario = TrialScenario(mu=(0.0, mean), sigma=1.0, T=116, policy=PolicySpec("FR"))
-        if M == 2 * BLOCK:
-            block = _run_block(scenario, None, _uint32_words(1), True, 0, 0, M)
-            assert np.isfinite(block.bias_sums).all()
-        with pytest.raises(ValueError, match="bias sums .* overflow or underflow the arithmetic"):
-            run_replicates(scenario, None, 1, M, keep_trajectory=True)
+    # means whose running means, summed over a 256-row group or over the two
+    # groups _merge adds, overflowed the bias sums
+    @pytest.mark.parametrize("mean", [1e306, 5e305], ids=["block", "merge"])
+    def test_overflowing_bias_sums_are_an_error(self, mean):
+        with pytest.raises(ValueError, match="overflow or underflow the arithmetic"):
+            TrialScenario(mu=(0.0, mean), sigma=1.0, T=116, policy=PolicySpec("FR"))
 
     @pytest.mark.parametrize("mu", [(0.0,), ()])
     def test_needs_an_experimental_arm(self, mu):
         with pytest.raises(ValueError, match="at least one experimental arm"):
             TrialScenario(mu=mu, sigma=1.0, T=10, policy=PolicySpec("FR"))
+
+
+class TestAdmittedDomain:
+    # the edges of the scenario bounds, K = 1 and K = 3 (TP and TPB at K = 3 only)
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("kind, K", [(kind, K) for K in (1, 3) for kind in POLICY_KINDS
+                                         if K > 1 or PolicySpec(kind).inner_kind != "TP"])
+    def test_run_stays_finite(self, table995, kind, K):
+        for low, high in ((0.0, 0.0), (-1e100, 1e100), (1e100, 1e100)):
+            mu = (low, high) if K == 1 else (low, low, high, high)
+            for sigma in (1e-100, 1.0, 1e100):
+                scenario = TrialScenario(mu=mu, sigma=sigma, T=30, policy=PolicySpec(kind))
+                try:
+                    replicates = run_replicates(scenario, table995, 3, 2 * BLOCK + 1,
+                                                keep_trajectory=True, traces=3)
+                except ValueError as exc:
+                    # TS's grid at K >= 2 depends on the spread of the means over
+                    # sigma: its size can overflow, or it can collapse onto them
+                    assert scenario.policy.inner_kind == "TS" and K > 1, (mu, sigma)
+                    assert traceback.extract_tb(exc.__traceback__)[-1].name \
+                        == "ts_probabilities"
+                    continue
+                assert np.isfinite(replicates.z).all(), (mu, sigma)
+                assert np.isfinite(replicates.mean_outcome).all(), (mu, sigma)
+                assert np.isfinite(bias_trajectories(replicates)).all(), (mu, sigma)
 
 
 class TestTableContract:

@@ -11,7 +11,7 @@ from scipy import integrate, stats
 from scipy.special import log_ndtr, ndtr
 
 from bandit_trials import policies
-from bandit_trials.engine import run_replicates
+from bandit_trials.engine import TrialScenario, run_replicates
 from bandit_trials.policies import (
     POLICY_KINDS,
     Allocator,
@@ -333,6 +333,22 @@ class TestTsProbabilities:
         assert np.isfinite(probs).all()
         # a chunk's arrays take 8 bytes a element; a few are alive at once
         assert peak < 6 * 8 * policies.TS_CHUNK_ELEMENTS
+
+    def test_collapsed_grid_is_an_error(self):
+        # each mean +- 8 s.d. rounds to 1e17, so every p_best is 0; the weights
+        # would be 0/0, which sends every patient after the first four to the control
+        arms = arms_of(*[(1e17, 1)] * 4)
+        with pytest.raises(ValueError, match="patient 5: the quadrature grid collapsed"):
+            ts_probabilities(*arms, 1.0, 4, 60)
+        scenario = TrialScenario((1e17,) * 4, 1.0, 60, PolicySpec("TS"))
+        with pytest.raises(ValueError, match="patient 5: the quadrature grid collapsed"):
+            run_replicates(scenario, None, 1, 200)
+
+    def test_overflowing_grid_size_is_an_error(self):
+        # admitted means and sigma whose grid needs about 4e200 points
+        scenario = TrialScenario((-1e100, 0.0, 1e100, 1e100), 1e-100, 20, PolicySpec("TS"))
+        with pytest.raises(ValueError, match="patient 5: the quadrature grid's size overflows"):
+            run_replicates(scenario, None, 1, 10)
 
     @pytest.mark.parametrize("scenario", [two_arm("TS", 0.545), two_arm("TS", 0.0),
                                           four_arm("TS", LFC, T=64), four_arm("TS", LFC)],
