@@ -20,8 +20,9 @@ and ``simulate`` take the one-sided alpha from the scenario config
 replicates, then reduce them with ``calibrate_critical_value``.  Bad input
 fails before any work: counts (``-M``, ``--workers``, ``--traces``,
 ``--seed``, and M >= 100 where a command calibrates), every trial size and
-scenario, a policy, hypothesis or trial size listed twice, and a
-critical-value file's entries.
+scenario, a policy, hypothesis or trial size listed twice, a hypothesis
+label that would make a file name over 255 bytes, and a critical-value
+file's entries.
 
 Index tables are cached per (discount, n_max) in $BANDIT_TRIALS_TABLE_DIR
 when that variable is set.  A command reuses only the file of its own
@@ -79,46 +80,36 @@ def _table_file_name(discount: float, n_max: int) -> str:
     return f"gittins_d{discount!r}_n{n_max}.csv"
 
 
-def _table_cache_path(discount: float, n_max: int) -> Path | None:
-    cache_dir = os.environ.get(TABLE_DIR_ENV)
-    if not cache_dir:
-        return None
-    return Path(cache_dir) / _table_file_name(discount, n_max)
-
-
-def _cached_table(path: Path, discount: float, n_max: int) -> GittinsTable | None:
-    try:
-        table = load_index_table(path)
-    except GittinsTableError:
-        return None  # a missing or damaged file is a miss: (re)built by get_table
-    usable = table.discount == discount and table.n_max == n_max \
-        and table.dp_meta == dp_settings(discount)
-    return table if usable else None
-
-
 def get_table(discount: float, n_max: int) -> GittinsTable:
     """Fetch the cached (discount, n_max) index table or compute (and cache) it.
 
     Only the file of exactly this discount and n_max, recording the DP
     settings ``gittins.dp_settings(discount)``, is used; it holds every value
     losslessly, so a cached table is the build it replaces, bit for bit.  A
-    file that records other settings (or none) is rebuilt.
+    file that is missing, damaged, or records other settings (or none) is
+    rebuilt.
     """
-    path = _table_cache_path(discount, n_max)
-    if path is not None:
-        table = _cached_table(path, discount, n_max)
-        if table is not None:
+    cache_dir = os.environ.get(TABLE_DIR_ENV)
+    if not cache_dir:
+        return compute_index_table(discount, n_max)
+    path = Path(cache_dir) / _table_file_name(discount, n_max)
+    try:
+        table = load_index_table(path)
+    except GittinsTableError:
+        pass  # a missing or damaged file is a miss
+    else:
+        if table.discount == discount and table.n_max == n_max \
+                and table.dp_meta == dp_settings(discount):
             return table
     table = compute_index_table(discount, n_max)
-    if path is not None:
-        path.parent.mkdir(parents=True, exist_ok=True)
-        # write aside, then rename: concurrent runs never see a partial table
-        tmp = path.with_name(f"{path.name}.{os.getpid()}.tmp")
-        try:
-            save_index_table(table, tmp)
-            os.replace(tmp, path)
-        finally:
-            tmp.unlink(missing_ok=True)
+    path.parent.mkdir(parents=True, exist_ok=True)
+    # write aside, then rename: concurrent runs never see a partial table
+    tmp = path.with_name(f"{path.name}.{os.getpid()}.tmp")
+    try:
+        save_index_table(table, tmp)
+        os.replace(tmp, path)
+    finally:
+        tmp.unlink(missing_ok=True)
     return table
 
 
@@ -234,12 +225,8 @@ def cmd_samplesize(args) -> int:
     return 0
 
 
-def _needs_table(kinds) -> bool:
-    return any(PolicySpec(k).needs_table for k in kinds)
-
-
 def _scenario_table(preset: dict, kinds, T: int):
-    if not _needs_table(kinds):
+    if not any(PolicySpec(k).needs_table for k in kinds):
         return None
     return get_table(preset["discount"], max(T, int(preset["T"])))
 
@@ -335,6 +322,17 @@ def cmd_simulate(args) -> int:
     if unknown:
         raise ValueError(f"unknown hypotheses {', '.join(unknown)}; "
                          f"the scenario has {', '.join(labels)}")
+    # the longest file name of each (policy, hypothesis) fits a file system's
+    # 255 bytes: a trace's, else the bias file's
+    traced = min(args.traces, args.replicates)
+    for kind in kinds if args.bias or traced else ():
+        for label in hypotheses:
+            name = (f"trace_{kind}_{label}_r{traced - 1}_arms.csv" if traced
+                    else f"bias_{kind}_{label}.csv")
+            size = len(name.encode())
+            if size > 255:
+                raise ValueError(f"hypothesis label {label!r} is too long: file name "
+                                 f"{name} would be {size} bytes, over 255")
     T = args.T if args.T is not None else int(preset["T"])
     alpha = preset["alpha"]
     # every scenario, calibration and critical value is checked before the

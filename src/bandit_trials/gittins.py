@@ -89,7 +89,11 @@ class GittinsTableError(ValueError):
 
 
 def default_horizon(discount: float) -> int:
-    """Smallest N >= 1 with discount**N below the tail-weight cutoff."""
+    """Smallest N >= 1 with discount**N below the tail-weight cutoff,
+    ceil(ln 1e-8 / ln d): 3,675 at d = 0.995 and 18,412 at 0.999.  A table
+    build runs ``n_max + N - 1`` steps, so its time grows in proportion to N
+    (about 200 s projected at 0.99999) and its memory stays constant; no
+    discount in [0, 1) is refused."""
     if discount <= 0.0:
         return 1
     return max(1, math.ceil(math.log(TAIL_WEIGHT) / math.log(discount)))
@@ -187,14 +191,6 @@ def _fft_convolve_valid(x: np.ndarray, kernel: np.ndarray) -> np.ndarray:
     return irfft(rfft(x, size) * rfft(kernel, size), size)[kernel.size - 1:x.size]
 
 
-def _interp_columns(grid: np.ndarray, bracket: tuple[float, float]) -> slice:
-    """Grid columns that ``np.interp`` reads for every point of [-hi, -lo]."""
-    lo, hi = bracket
-    first = max(int(np.searchsorted(grid, -hi, side="left")) - 1, 0)
-    last = min(int(np.searchsorted(grid, -lo, side="right")), grid.size - 1)
-    return slice(first, last + 1)
-
-
 def _bisect(grid: np.ndarray, row: np.ndarray) -> float:
     """Root of the decreasing f(lam) = interp(-lam, grid, row) in
     ``LAMBDA_BRACKET``, which the caller has checked to straddle it."""
@@ -229,7 +225,10 @@ def compute_index_table(discount: float, n_max: int) -> GittinsTable:
     ``BISECTION_TOL``, in the step that produces its continuation row; a
     bracket that misses any row fails after the sweep, naming the smallest
     such n.  The settings are this module's constants, read at each call,
-    so a test can patch them to build a table at other settings.
+    so a test can patch them to build a table at other settings.  The sweep
+    runs ``n_max + default_horizon(discount) - 1`` steps: about 0.5 s at
+    d=0.995 and 2 s at 0.999 on one core, in proportion to the horizon, and
+    about 200 s projected at 0.99999.  No discount in [0, 1) is refused.
 
     Every step computes, bit for bit, ``cont = grid + d * conv(pad(u), k)``
     with ``u = max(cont', 0)`` from the step before, ``pad`` repeating the
@@ -246,9 +245,9 @@ def compute_index_table(discount: float, n_max: int) -> GittinsTable:
       ``u`` stays 0.  A direct step therefore computes and writes ``cont``
       and ``u`` only from ``start``, the first window that reaches
       ``u > 0``, and the next step looks for the first positive node from
-      there; nothing below ``start`` is written, except the continuation
-      columns a bisection reads, which are set to ``grid``.  Each output is
-      the same dot product over the same values either way.
+      there; nothing below ``start`` is written, except on a step whose row
+      is bisected, where ``cont`` below ``start`` is set to ``grid``.  Each
+      output is the same dot product over the same values either way.
     * A subnormal weight (below 2.3e-308; they occur in the tails of the
       short kernels of late steps) times an operand of at most
       ``STATE_BOUND / (1 - d)`` is below 1e-300.  Such a term is lost in the
@@ -272,8 +271,6 @@ def compute_index_table(discount: float, n_max: int) -> GittinsTable:
     half_cells = int(round(STATE_BOUND / GRID_STEP))
     grid = np.linspace(-half_cells * GRID_STEP, half_cells * GRID_STEP, 2 * half_cells + 1)
     size = grid.size
-    columns = _interp_columns(grid, LAMBDA_BRACKET)
-    interp_grid = grid[columns]
 
     # u lives inside one buffer edge-padded for the widest direct kernel
     pad = FFT_TAPS // 2
@@ -304,14 +301,13 @@ def compute_index_table(discount: float, n_max: int) -> GittinsTable:
             np.maximum(cont[start:], 0.0, out=u[start:])
             if m > n_max:
                 continue
-            cont[columns.start:start] = grid[columns.start:start]
-            row = cont[columns]
-            flo, fhi = (float(np.interp(-lam, interp_grid, row)) for lam in LAMBDA_BRACKET)
+            cont[:start] = grid[:start]
+            flo, fhi = (float(np.interp(-lam, grid, cont)) for lam in LAMBDA_BRACKET)
             # f is decreasing in lam; the root needs f(lo) >= 0 >= f(hi).
             if flo < 0.0 or fhi > 0.0:
                 missed = (m, flo, fhi)
             else:
-                values[m - 1] = _bisect(interp_grid, row) if d > 0.0 else 0.0
+                values[m - 1] = _bisect(grid, cont) if d > 0.0 else 0.0
     if missed is not None:
         n, flo, fhi = missed
         raise GittinsTableError(

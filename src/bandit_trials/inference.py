@@ -86,10 +86,7 @@ def fwer_critical_value(K: int, alpha: float) -> CriticalValue:
     bisection.  The expectation over u ~ N(0, 1) is a trapezoid rule on
     u_i = -10 + i/20, i = 0..400, with weights phi(u_i)/20; for this
     analytic Gaussian-weighted integrand the rule converges exponentially
-    (Trefethen & Weideman, SIAM Review 56(3), 2014), and it gives the same
-    value bit for bit as the 128-node Gauss-Hermite rule it replaces, whose
-    LAPACK eigen-solve woke OpenBLAS's thread pool and left a thread
-    spinning on a second core after each call.
+    (Trefethen & Weideman, SIAM Review 56(3), 2014).
     """
     if K < 1:
         raise ValueError("K must be >= 1")

@@ -384,6 +384,10 @@ class TestSimulateCommand:
            f"hypothesis label {json.dumps(label)} must be non-empty and hold no comma")
           for label in ("H1,b", "H1/b", "", 'H1"b', "H1\\b", "H1\nb", "H1\r", "H1\u2028b",
                         "H1\0b")],
+        ({"preset": "two-arm-t116", "hypotheses": {}},
+         "needs 'hypotheses': a non-empty map of label to means"),
+        ({"preset": "two-arm-t116", "hypotheses": [[0, 0]]},
+         "needs 'hypotheses': a non-empty map of label to means"),
     ])
     def test_invalid_config_is_one_error_line(self, tmp_path, capsys, config, message):
         path = tmp_path / "cfg.json"
@@ -391,6 +395,33 @@ class TestSimulateCommand:
         assert run_cli("simulate", "--config", str(path), "--out-dir", str(tmp_path)) == 1
         err = capsys.readouterr().err.splitlines()
         assert len(err) == 1 and err[0].startswith("error: ") and message in err[0]
+
+    # a label is part of the bias and trace file names, which a file system
+    # caps at 255 bytes; a name over that fails before any table or file
+    @pytest.mark.parametrize("label, argv", [
+        ("H" * 261, ["--bias"]),
+        ("\u00e9" * 122, ["--bias"]),  # 122 characters, 244 bytes: a 256-byte name
+        ("H" * 240, ["--bias", "--traces", "2"]),  # the bias file's name fits, the trace's not
+    ], ids=["261-characters", "256-bytes", "trace-name"])
+    def test_too_long_label_is_one_error_line(self, tmp_path, capsys, no_table_build,
+                                              label, argv):
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps({"preset": "two-arm-t116",
+                                    "hypotheses": {"H0": [0, 0], label: [0, 0.5]}}))
+        out = tmp_path / "out"
+        code = run_cli("simulate", "--config", str(path), "--policies", "FR,GI", *argv,
+                       "-M", "100", "--workers", "1", "--out-dir", str(out))
+        assert "is too long" in assert_one_error_line(capsys, code)
+        assert not out.exists()
+
+    def test_label_of_a_255_byte_file_name_runs(self, tmp_path):
+        label = "H" * 243  # bias_FR_<label>.csv
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps({"preset": "two-arm-t116",
+                                    "hypotheses": {"H0": [0, 0], label: [0, 0.5]}}))
+        assert run_cli("simulate", "--config", str(path), "--policies", "FR", "--bias",
+                       "-M", "100", "--workers", "1", "--out-dir", str(tmp_path)) == 0
+        assert (tmp_path / f"bias_FR_{label}.csv").exists()
 
     def test_unknown_hypothesis_is_one_error_line(self, tmp_path, capsys):
         assert run_cli("simulate", "--preset", "two-arm-t116", "--policies", "FR",

@@ -341,6 +341,11 @@ class TestReplicates:
         with pytest.raises(ValueError, match="non-negative"):
             run_replicates(two_arm("FR", 0.0), None, -1, 3)
 
+    @pytest.mark.parametrize("seed", [1.5, "7"])
+    def test_non_integer_master_seed_rejected(self, seed):
+        with pytest.raises(TypeError, match="must be an integer"):
+            run_replicates(two_arm("FR", 0.0), None, seed, 3)
+
     def test_fr_null_means_unbiased(self):
         scenario = two_arm("FR", 0.0, T=40)
         replicates = run_replicates(scenario, None, 43, 3000, traces=3000)

@@ -248,6 +248,8 @@ class TestTableFile:
         "# discount=0.9\nn,value\n1,abc\n",          # non-numeric
         "# discount=oops\nn,value\n1,0.5\n",         # bad discount
         "# discount=0.9\n# grid_step=oops\nn,value\n1,0.5\n",  # bad setting
+        "# discount=1.5\nn,value\n1,0.5\n",           # discount out of [0, 1)
+        "# discount=0.9\nn,value\n1,nan\n",            # non-finite value
     ])
     def test_malformed_files_rejected(self, tmp_path, content):
         path = tmp_path / "bad.csv"
@@ -277,6 +279,10 @@ class TestTableValidation:
     def test_monotone_required(self):
         with pytest.raises(GittinsTableError):
             GittinsTable(discount=0.9, values=np.array([0.4, 0.5]))
+
+    def test_empty_values_rejected(self):
+        with pytest.raises(GittinsTableError, match="non-empty"):
+            GittinsTable(discount=0.9, values=np.array([]))
 
     def test_zero_discount_allows_zeros(self):
         table = GittinsTable(discount=0.0, values=np.zeros(3))
