@@ -2,10 +2,15 @@
 (criterion 8: 10^5).
 
 Each criterion reports one pass/fail line (echoed in the terminal summary).
-Seeds are fixed constants from conftest; tolerances are stated inline.
+Seeds are fixed constants from conftest; tolerances are stated inline.  The
+last test compares every line and value of the session with
+``acceptance_baseline.json`` bit for bit.
 """
 
+import hashlib
+import json
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -31,16 +36,23 @@ from .conftest import (
 from .test_gittins import ORACLE_D09
 
 
-def check(criterion, checks):
+BASELINE = Path(__file__).with_name("acceptance_baseline.json")
+TPB_RUN = "TPB four-arm H1-LFC T=64 M=512: sha256 of z, counts, mean outcome"
+
+
+def check(criterion, checks, records=None):
     """Record one line for the criterion; fail if any sub-check failed.
 
     Each check is (passed, text), or from ``within`` (passed, text, record).
+    ``records`` maps the names of other values the line reports to their
+    full-precision values, which the baseline also compares.
     """
     ok = all(passed for passed, *_ in checks)
     detail = "; ".join(text for _, text, *_ in checks)
     line = f"[{'PASS' if ok else 'FAIL'}] criterion {criterion}: {detail}"
     ACCEPTANCE.append({"criterion": criterion, "pass": ok, "line": line,
-                       "within": [check[2] for check in checks if len(check) == 3]})
+                       "within": [check[2] for check in checks if len(check) == 3],
+                       "records": {name: float(value) for name, value in (records or {}).items()}})
     print(line)
     assert ok, line
 
@@ -192,7 +204,8 @@ def test_criterion_8_critical_value_sweep(table995):
          f"UCB C(302)-C(64)={gap:.4f} (s.e. {se_gap:.4f}; target 0.08 with s.e. "
          f"{se_ref:.4f} at M={M_PUBLISHED}: pass if >= {threshold:.4f})"),
         (fr_range < 0.05, f"FR range={fr_range:.4f} (target < 0.05)"),
-    ])
+    ], records={"UCB C(64)": ucb[64], "UCB C(116)": ucb[116], "UCB C(302)": ucb[302],
+                "UCB C(302)-C(64)": gap})
 
 
 def test_criterion_9_bias_trajectories(fr2_h0, gi2_calibration,
@@ -217,7 +230,10 @@ def test_criterion_9_bias_trajectories(fr2_h0, gi2_calibration,
         (fr_ok, f"FR |bias| within 3 MC s.e. at all t (max excess {worst:+.4f})"),
         (abs(rgi_inferior) < abs(gi_inferior),
          f"inferior-arm H1 bias |RGI|={abs(rgi_inferior):.4f} < |GI|={abs(gi_inferior):.4f}"),
-    ])
+    ], records={"GI H0 bias at T, arm 0": gi_bias_at_end[0],
+                "GI H0 bias at T, arm 1": gi_bias_at_end[1],
+                "|RGI| inferior-arm H1 bias": abs(rgi_inferior),
+                "|GI| inferior-arm H1 bias": abs(gi_inferior)})
 
 
 def test_criterion_10_property_suites(table995, table09, monkeypatch):
@@ -272,3 +288,50 @@ def test_criterion_10_property_suites(table995, table09, monkeypatch):
     checks.append((same, "worker-count invariant replicates"))
 
     check(10, checks)
+
+
+def tpb_digest():
+    """The TPB_RUN digest: TPB refreshes once per batch, and no criterion reads it."""
+    replicates = run_replicates(four_arm("TPB", LFC, T=64), None, ACCEPT_SEED + 801, 512,
+                                workers=WORKERS)
+    digest = hashlib.sha256()
+    for array, dtype in ((replicates.z, "<f8"), (replicates.counts, "<i8"),
+                         (replicates.mean_outcome, "<f8")):
+        digest.update(np.ascontiguousarray(array, dtype=dtype).tobytes())
+    return digest.hexdigest()
+
+
+def session_records():
+    """This session's values in BASELINE's layout: each criterion's line and
+    its ``within`` values and records, then the TPB digest."""
+    criteria = {str(entry["criterion"]): {
+        "line": entry["line"],
+        "values": {**{w["name"]: w["value"] for w in entry["within"]}, **entry["records"]},
+    } for entry in ACCEPTANCE}
+    return {"criteria": criteria, "digests": {TPB_RUN: tpb_digest()}}
+
+
+def _flat(records):
+    flat = {}
+    for number, criterion in records["criteria"].items():
+        flat[f"criterion {number} line"] = criterion["line"]
+        for name, value in criterion["values"].items():
+            flat[f"criterion {number} {name}"] = value
+    flat.update(records["digests"])
+    return flat
+
+
+def baseline_changes(old, new):
+    """One line per value that differs between two record sets, old → new."""
+    old, new = _flat(old), _flat(new)
+    keys = list(old) + [key for key in new if key not in old]
+    return [f"{key}: {old.get(key, '(absent)')!r} → {new.get(key, '(absent)')!r}"
+            for key in keys if old.get(key) != new.get(key)]
+
+
+def test_acceptance_baseline():
+    # runs after every criterion of the module; a value that moves on purpose
+    # is rewritten by tests/regenerate_acceptance_baseline.py
+    baseline = json.loads(BASELINE.read_text(encoding="utf-8"))
+    changes = baseline_changes(baseline, session_records())
+    assert not changes, "acceptance values moved:\n" + "\n".join(changes)
