@@ -6,9 +6,10 @@ arm's running outcome sum and observation count in each replicate.  At
 patient t a rule maps (state, t, pre-drawn variates) to (R, K+1) scores or
 probabilities, and one vectorised selector picks every replicate's arm.
 :class:`Allocator` steps a rule over a block, and ``Allocator.values`` gives
-the scores or probabilities it allocates from.  Each rule exists once: its
-own allocation and the merit stage of the guarded rules both evaluate it
-through :func:`_rule_values`.
+the scores or probabilities it allocates from, recomputed at every patient,
+or once per ``BATCH`` patients for the batched rules TSB and TPB.  Each rule
+exists once: its own allocation and the merit stage of the guarded rules
+both evaluate it through :func:`_rule_values`.
 
 Each rule reduces to one of three shapes:
 
@@ -288,11 +289,9 @@ def _rule_values(kind: str, sums, counts, sigma: float, t: int, T: int,
         return means + bumps / (counts + 1)
     if kind == "UCB":
         width = sigma * math.sqrt(2.0 * math.log(t))
-    elif kind == "KLU":
+    else:  # KLU
         log_t = math.log(t)
         width = sigma * math.sqrt(max(2.0 * (log_t + 3.0 * math.log(log_t)), 0.0))
-    else:
-        raise ValueError(f"{kind} does not produce a plain score vector")
     return means + width / np.sqrt(counts)
 
 
@@ -405,8 +404,9 @@ class Allocator:
     shape (R,), from the block's state before that patient.  Patients
     1..K+1 follow ``draws.init``.  ``T`` is the trial size, which the
     tempering of the randomised rules needs; ``table`` serves GI, RGI and
-    CG.  The rule's own state lives here: the stale weights of a batched
-    rule and the pool cursor of a guarded one.
+    CG.  The rule's own state lives here: its refresh interval (``BATCH``
+    for TSB and TPB, read when the allocator is built, else 1) with the
+    values last computed, and the pool cursor of a guarded rule.
     """
 
     def __init__(self, spec: PolicySpec, sigma: float, T: int,
@@ -419,27 +419,23 @@ class Allocator:
         self._bonuses = table.values if spec.needs_table else None
         self._rows = np.arange(n_rows)
         self._cursor = np.zeros(n_rows, dtype=np.intp)
-        self._weights = np.full((n_rows, self.n_arms), 1.0 / self.n_arms)
+        self._refresh = BATCH if spec.is_batched else 1
+        self._values = np.full((n_rows, self.n_arms), 1.0 / self.n_arms)
 
     def values(self, sums, counts, t: int) -> np.ndarray:
         """The (R, K+1) scores or probabilities patient t > K+1 is allocated from.
 
-        A batched rule (TSB, TPB) starts uniform and recomputes its weights
-        only at t with (t-1) % BATCH == 0; outcomes keep accruing to the
-        state but stay invisible to it until then.  A guarded rule returns
-        its inner index rule's scores.
+        They start uniform and are recomputed from the state only at t with
+        (t-1) % refresh == 0; outcomes accrue to the state in between but
+        stay invisible until then.  A guarded rule's are its inner index
+        rule's scores.
         """
-        spec = self.spec
-        if spec.is_batched:
-            if (t - 1) % BATCH == 0:
-                self._weights = _rule_values(spec.inner_kind, sums, counts, self.sigma, t,
-                                             self.T)
-            return self._weights
-        bumps = None
-        if self.draws.bumps is not None:
-            bumps = self.draws.bumps[:, t - self.n_arms - 1]
-        return _rule_values(spec.inner_kind, sums, counts, self.sigma, t, self.T,
-                            self._bonuses, bumps)
+        if (t - 1) % self._refresh == 0:
+            draws = self.draws
+            bumps = None if draws.bumps is None else draws.bumps[:, t - self.n_arms - 1]
+            self._values = _rule_values(self.spec.inner_kind, sums, counts, self.sigma, t,
+                                        self.T, self._bonuses, bumps)
+        return self._values
 
     def __call__(self, sums, counts, t: int) -> np.ndarray:
         if t <= self.n_arms:
