@@ -310,6 +310,13 @@ def _file_criticals(path: str, kinds, alpha: float) -> dict[str, CriticalValue]:
     return criticals
 
 
+def _output_names(kind: str, label: str, traced: int) -> tuple[str, list[tuple[str, str]]]:
+    """``simulate``'s bias file name, and the (trace, arms) names of replicates 0..traced-1."""
+    stem = f"{kind}_{label}"
+    return f"bias_{stem}.csv", [(f"trace_{stem}_r{r}.csv", f"trace_{stem}_r{r}_arms.csv")
+                                for r in range(traced)]
+
+
 def cmd_simulate(args) -> int:
     preset = _load_scenario_source(args)
     kinds = [k.upper() for k in (args.policies.split(",") if args.policies else preset["policies"])]
@@ -327,12 +334,11 @@ def cmd_simulate(args) -> int:
     traced = min(args.traces, args.replicates)
     for kind in kinds if args.bias or traced else ():
         for label in hypotheses:
-            name = (f"trace_{kind}_{label}_r{traced - 1}_arms.csv" if traced
-                    else f"bias_{kind}_{label}.csv")
-            size = len(name.encode())
-            if size > 255:
+            bias_name, trace_names = _output_names(kind, label, traced)
+            name = trace_names[-1][1] if traced else bias_name
+            if len(name.encode()) > 255:
                 raise ValueError(f"hypothesis label {label!r} is too long: file name "
-                                 f"{name} would be {size} bytes, over 255")
+                                 f"{name} would be {len(name.encode())} bytes, over 255")
     T = args.T if args.T is not None else int(preset["T"])
     alpha = preset["alpha"]
     # every scenario, calibration and critical value is checked before the
@@ -375,12 +381,11 @@ def cmd_simulate(args) -> int:
                                         traces=args.traces)
             oc = aggregate(replicates, critical.value)
             rows.append((kind, label, critical.value, seed, oc))
+            bias_name, trace_names = _output_names(kind, label, traced)
             if args.bias:
-                write_bias_csv(replicates, out_dir / f"bias_{kind}_{label}.csv")
-            for r in range(len(replicates.allocations)):
-                write_trace_csv(replicates, r,
-                                out_dir / f"trace_{kind}_{label}_r{r}.csv",
-                                out_dir / f"trace_{kind}_{label}_r{r}_arms.csv")
+                write_bias_csv(replicates, out_dir / bias_name)
+            for r, (trace_name, arms_name) in enumerate(trace_names):
+                write_trace_csv(replicates, r, out_dir / trace_name, out_dir / arms_name)
             print(f"{kind} {label}: reject={oc.rejection_rate:.4f} "
                   f"Ep*={oc.e_pstar:.4f} EO={oc.e_outcome:.4f}", flush=True)
 
