@@ -275,9 +275,11 @@ class TestReplicates:
 
     @pytest.mark.skipif(WORKERS < 2, reason="needs multiple workers")
     def test_worker_count_invariance(self, table995):
+        # more than one group of BLOCK, so workers=2 runs two pool tasks
+        M = BLOCK + 30
         scenario = two_arm("GI", 0.545, T=40)
-        serial = run_replicates(scenario, table995, 42, 30, workers=1, traces=30)
-        parallel = run_replicates(scenario, table995, 42, 30, workers=WORKERS, traces=30)
+        serial = run_replicates(scenario, table995, 42, M, workers=1, traces=M)
+        parallel = run_replicates(scenario, table995, 42, M, workers=WORKERS, traces=M)
         assert replicates_identical(serial, parallel)
 
     def test_own_pool_shut_down_before_return(self):
@@ -447,13 +449,11 @@ class TestDrawOrder:
 
     @pytest.mark.parametrize("kind", POLICY_KINDS)
     def test_replicates_are_single_trials(self, table995, kind):
-        # M=37 is no multiple of any block size
+        # M=37 is no multiple of any block size; test_pool_matches_serial
+        # compares worker counts
         scenario = pin_scenario(kind)
         serial = run_replicates(scenario, table995, PIN_SEED + 1, 37, keep_trajectory=True,
                                 traces=37)
-        parallel = run_replicates(scenario, table995, PIN_SEED + 1, 37, workers=2,
-                                  keep_trajectory=True, traces=37)
-        assert replicates_identical(serial, parallel)
         for r in range(37):
             single = run_trial(scenario, table995, (PIN_SEED + 1, r))
             assert row_identical(serial, r, single), f"replicate {r}"
