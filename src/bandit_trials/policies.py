@@ -5,11 +5,10 @@ together.  The state is two (R, K+1) arrays, ``sums`` and ``counts``: each
 arm's running outcome sum and observation count in each replicate.  At
 patient t a rule maps (state, t, pre-drawn variates) to (R, K+1) scores or
 probabilities, and one vectorised selector picks every replicate's arm.
-:class:`Allocator` steps a rule over a block, and ``Allocator.values`` gives
-the scores or probabilities it allocates from, recomputed at every patient,
-or once per ``BATCH`` patients for the batched rules TSB and TPB.  Each rule
-exists once: its own allocation and the merit stage of the guarded rules
-both evaluate it through :func:`_rule_values`.
+:class:`Allocator` steps a rule over a block; ``Allocator.values`` gives the
+scores or probabilities it allocates from, recomputed every patient (every
+``BATCH`` for TSB and TPB).  Each rule exists once: its own allocation and
+the merit stage of the guarded rules both evaluate it via :func:`_rule_values`.
 
 Each rule reduces to one of three shapes:
 
@@ -404,9 +403,8 @@ class Allocator:
     shape (R,), from the block's state before that patient.  Patients
     1..K+1 follow ``draws.init``.  ``T`` is the trial size, which the
     tempering of the randomised rules needs; ``table`` serves GI, RGI and
-    CG.  The rule's own state lives here: its refresh interval (``BATCH``
-    for TSB and TPB, read when the allocator is built, else 1) with the
-    values last computed, and the pool cursor of a guarded rule.
+    CG.  The rule's state lives here: its last values and their refresh
+    interval (``BATCH`` for TSB and TPB, else 1), and a guarded rule's cursor.
     """
 
     def __init__(self, spec: PolicySpec, sigma: float, T: int,
