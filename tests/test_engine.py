@@ -452,11 +452,11 @@ class TestDrawOrder:
         # M=37 is no multiple of any block size; test_pool_matches_serial
         # compares worker counts
         scenario = pin_scenario(kind)
-        serial = run_replicates(scenario, table995, PIN_SEED + 1, 37, keep_trajectory=True,
-                                traces=37)
+        replicates = run_replicates(scenario, table995, PIN_SEED + 1, 37, keep_trajectory=True,
+                                    traces=37)
         for r in range(37):
             single = run_trial(scenario, table995, (PIN_SEED + 1, r))
-            assert row_identical(serial, r, single), f"replicate {r}"
+            assert row_identical(replicates, r, single), f"replicate {r}"
 
     @pytest.mark.parametrize("kind", ["TS", "TSB"])
     def test_four_arm_replicates_are_single_trials(self, kind):
