@@ -32,9 +32,17 @@ byte.  Every command is deterministic given its ``--seed``, whatever the
 cache holds; replicate streams are derived per policy, hypothesis (its
 position in the scenario) and trial size, so adding policies or selecting
 hypotheses does not perturb the others.  Each command steps its replicates
-in blocks of up to 1024 (four groups of 256, fewer when ``-M`` has fewer
-groups than four per worker) on one pool of ``--workers`` processes, or of
-one per block when there are fewer blocks.
+in blocks of up to 1024 rows on one pool of ``--workers`` processes, or of
+one per block when there are fewer blocks (``engine.run_together``): each
+run is cut into groups of 256, and ``simulate`` steps a rule's calibration
+and hypothesis runs together, so their groups share blocks of up to four,
+fewer when the runs have fewer groups than four per worker.  With a
+calibration and two hypotheses per rule, ``simulate -M 100`` on one worker
+steps one 300-row block per calibrated rule, and ``-M 500`` on two workers
+two blocks of three groups, where stepping each run alone took six 256-row
+blocks.  A calibration at another trial size than
+the hypotheses' (rare-t64's) steps on its own.  No output depends on which
+runs share a block.
 """
 
 from __future__ import annotations
@@ -48,7 +56,8 @@ from pathlib import Path
 
 import numpy as np
 
-from .engine import TrialScenario, run_replicates, shared_pool, write_trace_csv
+from .engine import (Run, TrialScenario, run_replicates, run_together, shared_pool,
+                     write_trace_csv)
 from .gittins import (GittinsTable, GittinsTableError, compute_index_table, dp_settings,
                       load_index_table, save_index_table)
 from .inference import (MIN_CALIBRATION_M, CriticalValue, calibrate_critical_value,
@@ -231,13 +240,19 @@ def _scenario_table(preset: dict, kinds, T: int):
     return get_table(preset["discount"], max(T, int(preset["T"])))
 
 
-def _calibrate(args, preset: dict, scenario: TrialScenario, table):
-    """Null replicates of a ``_null_scenario``, seeded per (policy, T), and
-    their critical value at the scenario config's alpha:
-    (critical value, replicates, seed)."""
+def _calibration_run(args, scenario: TrialScenario) -> Run:
+    """The null run of a ``_null_scenario``, seeded per (policy, T)."""
     seed = _derived_seed(args.seed, POLICY_KINDS.index(scenario.policy.kind), 0, scenario.T)
-    replicates = run_replicates(scenario, table, seed, args.replicates, workers=args.workers)
-    return calibrate_critical_value(replicates, preset["alpha"]), replicates, seed
+    return Run(scenario, seed, args.replicates)
+
+
+def _calibrate(args, preset: dict, scenario: TrialScenario, table):
+    """The replicates of a ``_null_scenario``'s calibration run and their
+    critical value at the scenario config's alpha: (critical value,
+    replicates, seed)."""
+    run = _calibration_run(args, scenario)
+    replicates = run_replicates(scenario, table, run.master_seed, run.M, workers=args.workers)
+    return calibrate_critical_value(replicates, preset["alpha"]), replicates, run.master_seed
 
 
 def _check_distinct(what: str, items: list) -> None:
@@ -367,20 +382,22 @@ def cmd_simulate(args) -> int:
     rows = []
     criticals = {}
     for kind in kinds:
-        if kind in null_scenarios:
-            critical, _, _ = _calibrate(args, preset, null_scenarios[kind], table)
-        else:
-            critical = fixed.get(kind, analytic)
+        calibration = ([_calibration_run(args, null_scenarios[kind])]
+                       if kind in null_scenarios else [])
+        runs = [Run(scenarios[kind, label],
+                    _derived_seed(args.seed, POLICY_KINDS.index(kind), 1 + labels.index(label), T),
+                    args.replicates, args.bias, args.traces) for label in hypotheses]
+        # the calibration shares the hypotheses' stepping blocks when it
+        # shares their T (rare-t64 calibrates at the T of the preset it reuses)
+        calls = [calibration + runs] if calibration_T == T else [calibration, runs]
+        results = [replicates for call in calls if call
+                   for replicates in run_together(call, table, workers=args.workers)]
+        critical = (calibrate_critical_value(results[0], alpha) if calibration
+                    else fixed.get(kind, analytic))
         criticals[kind] = critical.value
-        for label in hypotheses:
-            scenario = scenarios[kind, label]
-            seed = _derived_seed(args.seed, POLICY_KINDS.index(kind),
-                                 1 + labels.index(label), T)
-            replicates = run_replicates(scenario, table, seed, args.replicates,
-                                        workers=args.workers, keep_trajectory=args.bias,
-                                        traces=args.traces)
+        for label, run, replicates in zip(hypotheses, runs, results[len(calibration):]):
             oc = aggregate(replicates, critical.value)
-            rows.append((kind, label, critical.value, seed, oc))
+            rows.append((kind, label, critical.value, run.master_seed, oc))
             bias_name, trace_names = _output_names(kind, label, traced)
             if args.bias:
                 write_bias_csv(replicates, out_dir / bias_name)

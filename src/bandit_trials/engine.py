@@ -10,19 +10,26 @@ rules see a stale probability vector instead, refreshed per block of
 patients).
 
 Replicate r of a master seed is the only identity a trial has, and a block
-of replicates the only unit of work.  ``run_replicates`` cuts a run into
-groups of ``BLOCK`` replicates, [0, BLOCK), [BLOCK, 2 BLOCK), ..., and
-steps them in blocks of g groups, g = min(``STEP_GROUPS``, ceil(groups /
-workers)) (only the last group and block may be short).  The loop runs over
-patients, and each step updates the (R, K+1) ``sums`` and ``counts`` of all
-R replicates of the block with array operations, so numpy's fixed cost per
-call is spread over up to 1024 rows.  A block returns only what the reports
-need (``Replicates``: per-replicate contrasts, counts and mean outcome,
-bias sums per 256-row group, a few traces).  A block records allocations
-only for the rows it traces, the run's first ``traces`` replicates; it
-keeps every row's outcomes, which its mean outcomes reduce.  A scenario's
-bounds on the arm means and sigma (``TrialScenario``) keep every value a
-run produces finite, so the run checks none of them.
+of replicates the only unit of work.  ``run_together`` steps the runs of one
+rule, trial size and sigma together, each run with its own arm means,
+master seed, M, bias sums and traces; ``run_replicates`` is its one-run
+case.  It cuts each run into its own groups of ``BLOCK`` replicates, [0,
+BLOCK), [BLOCK, 2 BLOCK), ... of that run (only a run's last group may be
+short), joins the groups of all the runs in order, and steps them in blocks
+of g groups, g = min(``STEP_GROUPS``, ceil(groups / workers)).  Three runs
+of M = 100 at one worker are one 300-row block; three of M = 500 on two
+workers are six groups, stepped as two blocks of three, where each run
+stepped alone takes two 256-row blocks.  The loop runs over patients, and
+each step updates the (R, K+1) ``sums`` and ``counts`` of all R replicates
+of the block with array operations, each row reading its own run's means,
+so numpy's fixed cost per call is spread over up to 1024 rows.  A block
+returns, for each run it holds, only what the reports need
+(``Replicates``: per-replicate contrasts, counts and mean outcome, bias
+sums per 256-row group, a few traces).  A block records allocations only
+for the rows it traces, each run's first ``traces`` replicates; it keeps
+every row's outcomes, which its mean outcomes reduce.  A scenario's bounds
+on the arm means and sigma (``TrialScenario``) keep every value a run
+produces finite, so the run checks none of them.
 ``run_trial(scenario, table, (master_seed, r))`` runs the one-row block
 [r, r+1) through the same block function and returns its ``Replicates``,
 trace kept.  With several workers, each block is one task of a process
@@ -45,10 +52,11 @@ in the order it would consume them stepping alone
 (``policies.draw_policy_variates``).  Patient t's outcome uses the t-th
 noise variate whatever the policy did, so designs can be compared under
 common random numbers.  Every per-replicate array (contrasts, counts, mean
-outcome, traces) is identical for any worker count and block size.  The
-bias sums are too: the reduction group is fixed at ``BLOCK`` rows whatever
-the stepping block, each group sums its own replicates in order, and the
-groups are added in order.
+outcome, traces) is identical for any worker count and block size, and
+whichever runs share the replicate's block: each row is computed from its
+own state and variates.  The bias sums are too: the reduction group is
+fixed at ``BLOCK`` rows of one run whatever the stepping block, each group
+sums its own replicates in order, and a run's groups are added in order.
 """
 
 from __future__ import annotations
@@ -69,8 +77,8 @@ from .gittins import GittinsTable, GittinsTableError
 from .inference import z_statistic
 from .policies import Allocator, PolicySpec, draw_policy_variates
 
-__all__ = ["TrialScenario", "Replicates", "run_trial", "run_replicates", "shared_pool",
-           "write_trace_csv"]
+__all__ = ["TrialScenario", "Replicates", "Run", "run_trial", "run_replicates",
+           "run_together", "shared_pool", "write_trace_csv"]
 
 # Replicates reduced together: the bias sums add each group of BLOCK
 # replicates (aligned to multiples of BLOCK in r) in replicate order and
@@ -170,6 +178,19 @@ class Replicates:
     @property
     def M(self) -> int:
         return len(self.z)
+
+
+@dataclass(frozen=True)
+class Run:
+    """One run of a ``run_together`` call: M replicates of ``scenario`` at
+    ``master_seed``, with bias sums when ``keep_trajectory`` and the traces
+    of its first ``traces`` replicates (see ``Replicates``)."""
+
+    scenario: TrialScenario
+    master_seed: int
+    M: int
+    keep_trajectory: bool = False
+    traces: int = 0
 
 
 def _merge(blocks: list[Replicates]) -> Replicates:
@@ -303,21 +324,32 @@ class _Generators:
             yield np.random.Generator(np.random.PCG64(_SeedWords(words)))
 
 
-def _run_block(scenario: TrialScenario, table: GittinsTable | None, master_words: list[int],
-               keep_trajectory: bool, traces: int, first: int, stop: int) -> Replicates:
-    """Step replicates first..stop-1 of the master seed with words
-    ``master_words`` through patients 1..T together, keeping the traces of
-    the run's first ``traces`` replicates and, with ``keep_trajectory``,
-    bias sums per group of ``BLOCK`` replicates.  ``first`` is a multiple
-    of ``BLOCK``, or the block is one replicate."""
+def _run_block(runs: list[Run], table: GittinsTable | None,
+               segments: list[tuple[int, int, int]]) -> list[Replicates]:
+    """Step the replicates of ``segments`` through patients 1..T together,
+    one ``Replicates`` per segment.
+
+    Segment (i, first, stop) is replicates first..stop-1 of ``runs[i]``;
+    ``first`` is a multiple of ``BLOCK``, or the segment is one replicate.
+    Each segment keeps the traces of its run's first ``traces`` replicates
+    and, when its run keeps trajectories, bias sums per group of ``BLOCK``
+    replicates.
+    """
+    scenario = runs[segments[0][0]].scenario
     spec = scenario.policy
     K, T, sigma = scenario.K, scenario.T, scenario.sigma
     n_arms = K + 1
-    R = stop - first
-    groups = [slice(start, min(start + BLOCK, R)) for start in range(0, R, BLOCK)]
+    # each segment's rows of the block, and its groups' rows
+    offsets = np.cumsum([0] + [stop - first for _, first, stop in segments]).tolist()
+    R = offsets[-1]
+    groups = [[slice(offset + start, offset + min(start + BLOCK, stop - first))
+               for start in range(0, stop - first, BLOCK)]
+              for offset, (_, first, stop) in zip(offsets, segments)]
     policy_words, outcome_words = np.concatenate(
-        [_stream_seeds(master_words, first + rows.start, first + rows.stop) for rows in groups],
-        axis=1)
+        [_stream_seeds(_uint32_words(runs[i].master_seed), first + rows.start - offset,
+                       first + rows.stop - offset)
+         for offset, (i, first, _), rows_of in zip(offsets, segments, groups)
+         for rows in rows_of], axis=1)
 
     # patient t's noise is row t-1, each replicate's column drawn in one call
     noise = np.empty((T, R))
@@ -326,44 +358,63 @@ def _run_block(scenario: TrialScenario, table: GittinsTable | None, master_words
     allocate = Allocator(spec, sigma, T, table,
                          draw_policy_variates(spec, K, T, _Generators(policy_words)))
 
-    # (sums, counts) are updated through flat indices row * (K+1) + arm
-    mu = np.array(scenario.mu)
+    # (sums, counts) are updated through flat indices row * (K+1) + arm, and
+    # each row reads its own run's means at the same index
+    mu_rows = np.concatenate([np.tile(runs[i].scenario.mu, stop - first)
+                              for i, first, stop in segments])
     row_starts = np.arange(R) * n_arms
     sums = np.zeros((R, n_arms))
     counts = np.zeros((R, n_arms), dtype=np.int64)
     flat_sums, flat_counts = sums.reshape(-1), counts.reshape(-1)
-    # allocations of the traced rows only: the run's first ``traces`` replicates
-    kept = min(max(traces - first, 0), R)
-    allocations = np.empty((T, kept), dtype=np.int16)
     outcomes = np.empty((R, T))
-    bias_sums = np.empty((len(groups), n_arms, T - K - 1)) if keep_trajectory else None
+    # allocations of the traced rows only: each run's first ``traces`` replicates
+    kept = [min(max(runs[i].traces - first, 0), stop - first) for i, first, stop in segments]
+    allocations = [np.empty((T, n), dtype=np.int16) for n in kept]
+    traced = [(slice(offset, offset + n), out)
+              for offset, n, out in zip(offsets, kept, allocations) if n]
+    bias_sums = [np.empty((len(rows_of), n_arms, T - K - 1))
+                 if runs[i].keep_trajectory else None
+                 for (i, _, _), rows_of in zip(segments, groups)]
+    # the groups whose bias sums are kept, as rows of the span [lo, hi) of the block
+    biased = [(out, g, rows) for out, rows_of in zip(bias_sums, groups) if out is not None
+              for g, rows in enumerate(rows_of)]
+    if biased:
+        lo = min(rows.start for _, _, rows in biased)
+        hi = max(rows.stop for _, _, rows in biased)
+        biased = [(out, g, slice(rows.start - lo, rows.stop - lo)) for out, g, rows in biased]
 
     for t in range(1, T + 1):
         k = allocate(sums, counts, t)
-        y = mu[k] + sigma * noise[t - 1]
         cells = row_starts + k
+        y = mu_rows[cells] + sigma * noise[t - 1]
         flat_sums[cells] += y
         flat_counts[cells] += 1
-        allocations[t - 1] = k[:kept]
+        for rows, out in traced:
+            out[t - 1] = k[rows]
         outcomes[:, t - 1] = y
-        if keep_trajectory and t > n_arms:
-            means = sums / counts
-            for g, rows in enumerate(groups):
+        if biased and t > n_arms:
+            means = sums[lo:hi] / counts[lo:hi]
+            for out, g, rows in biased:
                 # a reduction over axis 0 adds the rows one after another
-                bias_sums[g, :, t - n_arms - 1] = means[rows].sum(axis=0)
+                out[g, :, t - n_arms - 1] = means[rows].sum(axis=0)
 
     z = z_statistic(sums, counts, sigma)
     # rows of contiguous outcomes: each mean is the same pairwise sum as a lone trace's
     mean_outcome = outcomes.mean(axis=1)
-    return Replicates(
-        scenario=scenario,
-        z=z,
-        counts=counts,
-        mean_outcome=mean_outcome,
-        bias_sums=bias_sums,
-        allocations=np.ascontiguousarray(allocations.T),
-        outcomes=outcomes[:kept].copy(),
-    )
+    blocks = []
+    for offset, (i, first, stop), n, out, bias in zip(offsets, segments, kept, allocations,
+                                                      bias_sums):
+        rows = slice(offset, offset + stop - first)
+        blocks.append(Replicates(
+            scenario=runs[i].scenario,
+            z=z[rows],
+            counts=counts[rows],
+            mean_outcome=mean_outcome[rows],
+            bias_sums=bias,
+            allocations=np.ascontiguousarray(out.T),
+            outcomes=outcomes[offset:offset + n].copy(),
+        ))
+    return blocks
 
 
 def run_trial(scenario: TrialScenario, table: GittinsTable | None,
@@ -379,12 +430,13 @@ def run_trial(scenario: TrialScenario, table: GittinsTable | None,
     if r >= 2**64:
         raise ValueError(f"replicate index r must be below 2**64, got {r}")
     _check_table(scenario, table)
-    return _run_block(scenario, table, _uint32_words(master_seed), False, r + 1, r, r + 1)
+    return _run_block([Run(scenario, master_seed, r + 1, traces=r + 1)], table,
+                      [(0, r, r + 1)])[0]
 
 
 @contextmanager
 def shared_pool():
-    """Let the ``run_replicates`` calls made inside the block share worker processes.
+    """Let the ``run_together`` calls made inside the block share worker processes.
 
     The pool for a worker count starts on the first call that needs it and
     serves every later call with that count.  On exit each pool is shut down
@@ -406,39 +458,71 @@ def run_replicates(scenario: TrialScenario, table: GittinsTable | None,
                    master_seed: int, M: int, *, workers: int = 1,
                    keep_trajectory: bool = False, traces: int = 0) -> Replicates:
     """Simulate M independent replicates, reproducibly, each block reduced
-    where it runs (see ``Replicates``).
+    where it runs (see ``Replicates``): the one run of a ``run_together``
+    call."""
+    return run_together([Run(scenario, master_seed, M, keep_trajectory, traces)], table,
+                        workers=workers)[0]
 
-    Replicate r derives its streams from (master_seed, r), and bias sums
-    add each group of ``BLOCK`` replicates in order, then the groups in
-    order, so the result is bitwise identical for any positive ``workers``
-    and any stepping block.  A stepping block holds ``BLOCK`` * g
-    replicates, g = min(``STEP_GROUPS``, ceil(groups / workers)): no more
-    rows per task than spreading the run's groups evenly over the workers
-    takes.  With several workers and blocks, each block is one task of a
-    process pool of at most one worker per block (see ``shared_pool``).
+
+def run_together(runs: list[Run], table: GittinsTable | None, *,
+                 workers: int = 1) -> list[Replicates]:
+    """Simulate several runs of one rule, trial size and sigma in shared
+    stepping blocks: each run's ``Replicates``, in the order of ``runs``.
+
+    Each run is cut into its own groups of ``BLOCK`` replicates, aligned to
+    its replicate index r.  The groups of all the runs, joined in order, are
+    stepped in blocks of g of them, g = min(``STEP_GROUPS``, ceil(groups /
+    workers)): no more rows per task than spreading the groups evenly over
+    the workers takes.  Replicate r of a run derives its streams from (its
+    master seed, r), and a run's bias sums add each of its groups in order,
+    then the groups in order, so each run's result is bitwise identical for
+    any positive ``workers``, any stepping block and any runs beside it.
+    With several workers and blocks, each block is one task of a process
+    pool of at most one worker per block (see ``shared_pool``).
     """
-    if M < 1:
-        raise ValueError("M must be >= 1")
+    if not runs:
+        raise ValueError("run_together needs at least one run")
     if workers < 1:
         raise ValueError(f"workers must be >= 1, got {workers}")
-    if traces < 0:
-        raise ValueError(f"traces must be >= 0, got {traces}")
+    scenario = runs[0].scenario
+    for run in runs:
+        if run.M < 1:
+            raise ValueError("M must be >= 1")
+        if run.traces < 0:
+            raise ValueError(f"traces must be >= 0, got {run.traces}")
+        shared = run.scenario
+        if (shared.policy, shared.T, shared.sigma, shared.K) \
+                != (scenario.policy, scenario.T, scenario.sigma, scenario.K):
+            raise ValueError("runs stepped together must share their rule, T, sigma and arms")
+        _uint32_words(run.master_seed)  # a seed that is no non-negative integer fails here
     _check_table(scenario, table)
-    run = partial(_run_block, scenario, table, _uint32_words(master_seed),
-                  keep_trajectory, traces)
-    n_groups = -(-M // BLOCK)
-    step = BLOCK * min(STEP_GROUPS, -(-n_groups // workers))
-    firsts = range(0, M, step)
-    stops = [min(first + step, M) for first in firsts]
-    workers = min(workers, len(firsts))
+    groups = [(i, first, min(first + BLOCK, run.M))
+              for i, run in enumerate(runs) for first in range(0, run.M, BLOCK)]
+    size = min(STEP_GROUPS, -(-len(groups) // workers))
+    blocks = []
+    for start in range(0, len(groups), size):
+        # a block's consecutive groups of one run form one segment of it
+        segments = []
+        for i, first, stop in groups[start:start + size]:
+            if segments and segments[-1][0] == i:
+                first = segments.pop()[1]
+            segments.append((i, first, stop))
+        blocks.append(segments)
+    step = partial(_run_block, runs, table)
+    workers = min(workers, len(blocks))
     if workers == 1:
-        return _merge(list(map(run, firsts, stops)))
-
-    with nullcontext() if _shared_pools.get() is not None else shared_pool():
-        pools = _shared_pools.get()
-        if workers not in pools:
-            pools[workers] = ProcessPoolExecutor(max_workers=workers)
-        return _merge(list(pools[workers].map(run, firsts, stops)))
+        results = list(map(step, blocks))
+    else:
+        with nullcontext() if _shared_pools.get() is not None else shared_pool():
+            pools = _shared_pools.get()
+            if workers not in pools:
+                pools[workers] = ProcessPoolExecutor(max_workers=workers)
+            results = list(pools[workers].map(step, blocks))
+    parts = [[] for _ in runs]
+    for segments, result in zip(blocks, results):
+        for (i, _, _), replicates in zip(segments, result):
+            parts[i].append(replicates)
+    return [_merge(run_parts) for run_parts in parts]
 
 
 def write_trace_csv(replicates: Replicates, r: int, trace_path: str | Path,

@@ -49,6 +49,14 @@ class CriticalValue:
         if not math.isfinite(self.value):
             raise ValueError("critical value must be finite")
 
+    @property
+    def se(self) -> float | None:
+        """Monte Carlo standard error of a calibrated value, read off ``ci95``
+        as its width over 2 z_0.975; None for an analytic or file value."""
+        if self.ci95 is None:
+            return None
+        return float((self.ci95["upper"] - self.ci95["lower"]) / (2 * ndtri(0.975)))
+
 
 def z_statistic(sums, counts, sigma: float) -> np.ndarray:
     """Standardized contrasts of arms 1..K against the control arm 0.

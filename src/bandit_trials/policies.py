@@ -297,15 +297,21 @@ def _rule_values(kind: str, sums, counts, sigma: float, t: int, T: int,
 def select_from_scores(scores: np.ndarray, u) -> np.ndarray:
     """Argmax of each row of ``scores`` (..., K+1), ties broken by ``u`` (...).
 
-    A row with m tied maxima takes the floor(u m)-th of them.  Each decision
-    consumes its uniform, tie or not, so selection streams stay aligned
-    between runs whose scores differ by a constant.  The loops run over the
-    K+1 arms, not the rows: numpy reduces a short last axis row by row.
+    A row with m tied maxima takes the floor(u m)-th of them, so a row with
+    one maximum takes it whatever u is, which is all that is computed when no
+    row is tied.  Each decision consumes its uniform, tie or not, so
+    selection streams stay aligned between runs whose scores differ by a
+    constant.  The loops run over the K+1 arms, not the rows: numpy reduces
+    a short last axis row by row.
     """
     columns = [scores[..., j] for j in range(scores.shape[-1])]
     top = columns[0]
-    for column in columns[1:]:
+    first = np.zeros(top.shape, dtype=np.intp)
+    for j, column in enumerate(columns[1:], start=1):
+        first = np.where(column > top, j, first)
         top = np.maximum(top, column)
+    if np.count_nonzero(scores == top[..., None]) == top.size:
+        return first
     hits = [column == top for column in columns]
     n_ties = np.zeros(top.shape, dtype=np.intp)
     for hit in hits:

@@ -186,8 +186,7 @@ def test_criterion_8_critical_value_sweep(table995):
                                     ACCEPT_SEED + 400 + T, M_SWEEP, workers=WORKERS)
         critical = calibrate_critical_value(replicates, 0.05)
         ucb[T] = critical.value
-        ci = critical.ci95
-        ucb_se[T] = (ci["upper"] - ci["lower"]) / (2 * ndtri(0.975))
+        ucb_se[T] = critical.se
     for T in (64, 116, 302):
         replicates = run_replicates(four_arm("FR", NULL4, T=T), table995,
                                     ACCEPT_SEED + 500 + T, M_SWEEP, workers=WORKERS)

@@ -10,13 +10,13 @@ import pytest
 from scipy import stats
 
 from bandit_trials import engine, policies
-from bandit_trials.engine import (BLOCK, STEP_GROUPS, TrialScenario, _run_block, _SeedWords,
-                                  _stream_seeds, _uint32_words, run_replicates, run_trial,
-                                  write_trace_csv)
+from bandit_trials.engine import (BLOCK, STEP_GROUPS, Run, TrialScenario, _run_block,
+                                  _SeedWords, _stream_seeds, _uint32_words, run_replicates,
+                                  run_together, run_trial, write_trace_csv)
 from bandit_trials.operating import bias_trajectories
 from bandit_trials.policies import POLICY_KINDS, Allocator, PolicyDraws, PolicySpec
 
-from .conftest import LFC, WORKERS, four_arm, running_means, two_arm
+from .conftest import LFC, NULL4, WORKERS, four_arm, running_means, two_arm
 
 
 def row_identical(replicates, r, single):
@@ -249,6 +249,26 @@ class TestBatchedView:
         assert record.counts[0, 1] / 400 > 0.6
 
 
+def record_pool(monkeypatch):
+    """Put an in-process stand-in for the engine's process pool; return the
+    lists it fills with each pool's size and each task's block."""
+    created, tasks = [], []
+
+    class RecordingPool:
+        def __init__(self, max_workers):
+            created.append(max_workers)
+
+        def map(self, fn, blocks):
+            tasks.extend(blocks)
+            return map(fn, blocks)
+
+        def shutdown(self, cancel_futures=False):
+            pass
+
+    monkeypatch.setattr(engine, "ProcessPoolExecutor", RecordingPool)
+    return created, tasks
+
+
 class TestReplicates:
     def test_single_replicate_matches_run_trial(self, table995):
         scenario = two_arm("GI", 0.545, T=30)
@@ -290,30 +310,18 @@ class TestReplicates:
     @pytest.mark.parametrize("workers, M, pool", [(3, BLOCK + 1, 2), (2, 3 * BLOCK, 2),
                                                   (3, BLOCK, None), (2, 2100, 2), (3, 2100, 3)])
     def test_one_task_per_block_and_no_idle_workers(self, monkeypatch, workers, M, pool):
-        # a stepping block holds ceil(groups / workers) groups of BLOCK, at most 4
+        # a stepping block holds ceil(groups / workers) groups of BLOCK, at most 4;
+        # a task is its block's (run, first, stop) segments
         expected_tasks = {
-            (3, BLOCK + 1): [(0, BLOCK), (BLOCK, BLOCK + 1)],
-            (2, 3 * BLOCK): [(0, 2 * BLOCK), (2 * BLOCK, 3 * BLOCK)],
+            (3, BLOCK + 1): [[(0, 0, BLOCK)], [(0, BLOCK, BLOCK + 1)]],
+            (2, 3 * BLOCK): [[(0, 0, 2 * BLOCK)], [(0, 2 * BLOCK, 3 * BLOCK)]],
             (3, BLOCK): [],
-            (2, 2100): [(0, 4 * BLOCK), (4 * BLOCK, 8 * BLOCK), (8 * BLOCK, 2100)],
-            (3, 2100): [(0, 3 * BLOCK), (3 * BLOCK, 6 * BLOCK), (6 * BLOCK, 2100)],
+            (2, 2100): [[(0, 0, 4 * BLOCK)], [(0, 4 * BLOCK, 8 * BLOCK)],
+                        [(0, 8 * BLOCK, 2100)]],
+            (3, 2100): [[(0, 0, 3 * BLOCK)], [(0, 3 * BLOCK, 6 * BLOCK)],
+                        [(0, 6 * BLOCK, 2100)]],
         }
-        created, tasks = [], []
-
-        class RecordingPool:
-            """In-process stand-in that records its size and its tasks."""
-
-            def __init__(self, max_workers):
-                created.append(max_workers)
-
-            def map(self, fn, *args):
-                tasks.extend(zip(*args))
-                return map(fn, *args)
-
-            def shutdown(self, cancel_futures=False):
-                pass
-
-        monkeypatch.setattr(engine, "ProcessPoolExecutor", RecordingPool)
+        created, tasks = record_pool(monkeypatch)
         scenario = two_arm("FR", 0.0, T=6)
         pooled = run_replicates(scenario, None, 45, M, workers=workers)
         assert created == ([] if pool is None else [pool])
@@ -539,12 +547,73 @@ class TestDrawOrder:
         scenario = two_arm("RGI", 0.545, T=20)
         master_seed = 2**64 + PIN_SEED
         first, stop = 2**32 - BLOCK, 2**32 + BLOCK
-        block = _run_block(scenario, table995, _uint32_words(master_seed), False, stop, first,
-                           stop)
+        block, = _run_block([Run(scenario, master_seed, stop, traces=stop)], table995,
+                            [(0, first, stop)])
         assert block.allocations.shape == (2 * BLOCK, 20)
         for r in range(first, stop):
             single = run_trial(scenario, table995, (master_seed, r))
             assert row_identical(block, r - first, single), f"replicate {r}"
+
+
+def shared_runs(kind):
+    """Three runs of ``kind`` at T=40 for one ``run_together`` call: M = 100,
+    300 and 513, so blocks straddle runs and hold short groups.  RGI's last
+    two keep trajectories and three traces."""
+    if kind == "RGI":
+        means, keep, traces = [(0.0, 0.0), (0.0, 0.545), (0.0, 0.3)], True, 3
+    else:
+        means, keep, traces = [NULL4, LFC, (0.0, 0.545, 0.178, 0.0)], False, 0
+    return [Run(TrialScenario(mu, 1.0, 40, PolicySpec(kind)), PIN_SEED + 10 + i, M,
+                keep and i > 0, traces if i > 0 else 0)
+            for i, (mu, M) in enumerate(zip(means, (100, 300, 513)))]
+
+
+class TestRunTogether:
+    @pytest.mark.parametrize("kind", ["CG", "TS", "RGI"])
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_shared_call_matches_separate_runs(self, table995, kind, workers):
+        # 913 rows: blocks of 100 + 256 + 44 + 256 and 256 + 1 rows at one
+        # worker, 100 + 256 + 44 and 256 + 256 + 1 as two pool tasks at two
+        runs = shared_runs(kind)
+        shared = run_together(runs, table995, workers=workers)
+        assert len(shared) == len(runs)
+        for run, replicates in zip(runs, shared):
+            alone = run_replicates(run.scenario, table995, run.master_seed, run.M,
+                                   keep_trajectory=run.keep_trajectory, traces=run.traces)
+            assert replicates.M == run.M
+            assert replicates_identical(replicates, alone)
+        if kind == "RGI":
+            assert shared[0].bias_sums is None and shared[2].bias_sums is not None
+            assert shared[2].allocations.shape == (3, 40)
+
+    @pytest.mark.parametrize("workers, tasks", [
+        (2, [[(0, 0, 100), (1, 0, 300)], [(2, 0, 513)]]),
+        (3, [[(0, 0, 100), (1, 0, BLOCK)], [(1, BLOCK, 300), (2, 0, BLOCK)],
+             [(2, BLOCK, 513)]]),
+    ])
+    def test_groups_of_all_runs_share_blocks(self, table995, monkeypatch, workers, tasks):
+        # six groups: 100 | 256, 44 | 256, 256, 1, cut into blocks of
+        # ceil(6 / workers) groups whatever run each belongs to
+        created, recorded = record_pool(monkeypatch)
+        runs = shared_runs("GI")
+        shared = run_together(runs, table995, workers=workers)
+        assert created == [workers] and recorded == tasks
+        for run, replicates in zip(runs, shared):
+            assert replicates_identical(replicates, run_replicates(
+                run.scenario, table995, run.master_seed, run.M))
+
+    @pytest.mark.parametrize("change", [{"T": 41}, {"sigma": 2.0},
+                                        {"policy": PolicySpec("GI")},
+                                        {"mu": (0.0, 0.0, 0.0)}])
+    def test_runs_share_rule_trial_size_sigma_and_arms(self, change):
+        scenario = four_arm("FR", NULL4, T=40)
+        other = dataclasses.replace(scenario, **change)
+        with pytest.raises(ValueError, match="must share"):
+            run_together([Run(scenario, 1, 3), Run(other, 2, 3)], None)
+
+    def test_needs_a_run(self):
+        with pytest.raises(ValueError, match="at least one run"):
+            run_together([], None)
 
 
 class TestStreamSeeds:

@@ -241,3 +241,19 @@ class TestCriticalValueType:
             CriticalValue(1.0, 1.5)
         with pytest.raises(ValueError):
             CriticalValue(float("inf"), 0.05)
+
+    def test_standard_error(self):
+        # a calibrated value's s.e. is its interval's width over 2 z_0.975;
+        # at M = 10^4 that is close to the asymptotic s.e. of the normal 95th
+        # percentile, sqrt(0.05 * 0.95 / M) / phi(z_0.95)
+        replicates = run_replicates(two_arm("FR", 0.0, T=20), None, 24, 10_000,
+                                    workers=WORKERS)
+        critical = calibrate_critical_value(replicates, 0.05)
+        ci = critical.ci95
+        assert critical.se == (ci["upper"] - ci["lower"]) / (2 * ndtri(0.975))
+        z95 = ndtri(0.95)
+        asymptotic = math.sqrt(0.05 * 0.95 / 10_000) / (math.exp(-z95**2 / 2)
+                                                        / math.sqrt(2 * math.pi))
+        assert critical.se == pytest.approx(asymptotic, rel=0.25)
+        assert fwer_critical_value(1, 0.05).se is None
+        assert CriticalValue(1.7, 0.05).se is None

@@ -526,6 +526,13 @@ class TestSelection:
                 argmax_with_ties(list(row), x) for row, x in zip(scores, u)]
             assert sample_from_probabilities(probs, u).tolist() == [
                 inverse_cdf(list(row), x) for row, x in zip(probs, u)]
+            # no row tied, then every seventh row's first column tied with its maximum
+            scores = rng.random((500, n_arms))
+            for ties in (False, True):
+                if ties:
+                    scores[::7, 0] = scores[::7].max(axis=1)
+                assert select_from_scores(scores, u).tolist() == [
+                    argmax_with_ties(list(row), x) for row, x in zip(scores, u)]
 
     def test_sampling_edge_of_unit_interval(self):
         assert sample_from_probabilities(np.array([0.5, 0.5]), 0.999999999) == 1
