@@ -246,15 +246,6 @@ def _calibration_run(args, scenario: TrialScenario) -> Run:
     return Run(scenario, seed, args.replicates)
 
 
-def _calibrate(args, preset: dict, scenario: TrialScenario, table):
-    """The replicates of a ``_null_scenario``'s calibration run and their
-    critical value at the scenario config's alpha: (critical value,
-    replicates, seed)."""
-    run = _calibration_run(args, scenario)
-    replicates = run_replicates(scenario, table, run.master_seed, run.M, workers=args.workers)
-    return calibrate_critical_value(replicates, preset["alpha"]), replicates, run.master_seed
-
-
 def _check_distinct(what: str, items: list) -> None:
     """Reject a list that names an entry twice: it would rerun the same work."""
     repeated = [str(item) for item in dict.fromkeys(items) if items.count(item) > 1]
@@ -277,7 +268,10 @@ def cmd_calibrate(args) -> int:
     out_dir.mkdir(parents=True, exist_ok=True)
     for scenario in scenarios:
         T = scenario.T
-        critical, replicates, seed = _calibrate(args, preset, scenario, table)
+        run = _calibration_run(args, scenario)
+        seed = run.master_seed
+        replicates = run_replicates(scenario, table, seed, run.M, workers=args.workers)
+        critical = calibrate_critical_value(replicates, preset["alpha"])
         stats = replicates.z.max(axis=1)  # Z, or max Z for K > 1
         z_sd = float(stats.std(ddof=1))
         record = {

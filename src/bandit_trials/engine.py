@@ -68,6 +68,7 @@ from contextlib import contextmanager, nullcontext
 from contextvars import ContextVar
 from dataclasses import dataclass
 from functools import partial
+from itertools import chain
 from pathlib import Path
 
 import numpy as np
@@ -161,10 +162,10 @@ class Replicates:
 
     Row r of the (M, ...) arrays is replicate r.  ``bias_sums[k, i]`` sums
     arm k's running mean after patient K+2+i over the replicates; None
-    unless the run kept trajectories.  A stepping block's own result holds
-    one such sum per group of ``BLOCK`` replicates, (groups, K+1, T-K-1),
-    which ``_merge`` adds in order.  The (n, T) traces are those of the
-    first n replicates, n being the run's ``traces`` (at most M).
+    unless the run kept trajectories.  A stepping block returns one
+    ``Replicates`` per group of ``BLOCK`` replicates, which ``_merge`` joins
+    in order, adding their bias sums in order.  The (n, T) traces are those
+    of the first n replicates, n being the run's ``traces`` (at most M).
     """
 
     scenario: TrialScenario
@@ -193,19 +194,19 @@ class Run:
     traces: int = 0
 
 
-def _merge(blocks: list[Replicates]) -> Replicates:
-    """Join block results in replicate order, adding their groups' bias sums in order."""
+def _merge(groups: list[Replicates]) -> Replicates:
+    """Join the results of a run's groups in replicate order, adding their
+    bias sums in order."""
     bias_sums = None
-    if blocks[0].bias_sums is not None:
-        bias_sums = np.zeros_like(blocks[0].bias_sums[0])
-        for block in blocks:
-            for group_sums in block.bias_sums:
-                bias_sums += group_sums
+    if groups[0].bias_sums is not None:
+        bias_sums = np.zeros_like(groups[0].bias_sums)
+        for group in groups:
+            bias_sums += group.bias_sums
 
     def join(name):
-        return np.concatenate([getattr(block, name) for block in blocks])
+        return np.concatenate([getattr(group, name) for group in groups])
 
-    return Replicates(blocks[0].scenario, join("z"), join("counts"), join("mean_outcome"),
+    return Replicates(groups[0].scenario, join("z"), join("counts"), join("mean_outcome"),
                       bias_sums, join("allocations"), join("outcomes"))
 
 
@@ -325,31 +326,25 @@ class _Generators:
 
 
 def _run_block(runs: list[Run], table: GittinsTable | None,
-               segments: list[tuple[int, int, int]]) -> list[Replicates]:
-    """Step the replicates of ``segments`` through patients 1..T together,
-    one ``Replicates`` per segment.
+               groups: list[tuple[int, int, int]]) -> list[Replicates]:
+    """Step the replicates of ``groups`` through patients 1..T together, one
+    ``Replicates`` per group.
 
-    Segment (i, first, stop) is replicates first..stop-1 of ``runs[i]``;
-    ``first`` is a multiple of ``BLOCK``, or the segment is one replicate.
-    Each segment keeps the traces of its run's first ``traces`` replicates
-    and, when its run keeps trajectories, bias sums per group of ``BLOCK``
-    replicates.
+    Group (i, first, stop) is replicates first..stop-1 of ``runs[i]``: a
+    group of at most ``BLOCK`` replicates starting at a multiple of
+    ``BLOCK``, or one replicate.  It keeps the traces of its run's first
+    ``traces`` replicates and, when its run keeps trajectories, its bias sums.
     """
-    scenario = runs[segments[0][0]].scenario
+    scenario = runs[groups[0][0]].scenario
     spec = scenario.policy
     K, T, sigma = scenario.K, scenario.T, scenario.sigma
     n_arms = K + 1
-    # each segment's rows of the block, and its groups' rows
-    offsets = np.cumsum([0] + [stop - first for _, first, stop in segments]).tolist()
+    sizes = [stop - first for _, first, stop in groups]
+    offsets = np.cumsum([0] + sizes).tolist()
     R = offsets[-1]
-    groups = [[slice(offset + start, offset + min(start + BLOCK, stop - first))
-               for start in range(0, stop - first, BLOCK)]
-              for offset, (_, first, stop) in zip(offsets, segments)]
     policy_words, outcome_words = np.concatenate(
-        [_stream_seeds(_uint32_words(runs[i].master_seed), first + rows.start - offset,
-                       first + rows.stop - offset)
-         for offset, (i, first, _), rows_of in zip(offsets, segments, groups)
-         for rows in rows_of], axis=1)
+        [_stream_seeds(_uint32_words(runs[i].master_seed), first, stop)
+         for i, first, stop in groups], axis=1)
 
     # patient t's noise is row t-1, each replicate's column drawn in one call
     noise = np.empty((T, R))
@@ -360,28 +355,28 @@ def _run_block(runs: list[Run], table: GittinsTable | None,
 
     # (sums, counts) are updated through flat indices row * (K+1) + arm, and
     # each row reads its own run's means at the same index
-    mu_rows = np.concatenate([np.tile(runs[i].scenario.mu, stop - first)
-                              for i, first, stop in segments])
+    mu_rows = np.concatenate([np.tile(runs[i].scenario.mu, size)
+                              for (i, _, _), size in zip(groups, sizes)])
     row_starts = np.arange(R) * n_arms
     sums = np.zeros((R, n_arms))
     counts = np.zeros((R, n_arms), dtype=np.int64)
     flat_sums, flat_counts = sums.reshape(-1), counts.reshape(-1)
     outcomes = np.empty((R, T))
     # allocations of the traced rows only: each run's first ``traces`` replicates
-    kept = [min(max(runs[i].traces - first, 0), stop - first) for i, first, stop in segments]
+    kept = [min(max(runs[i].traces - first, 0), size)
+            for (i, first, _), size in zip(groups, sizes)]
     allocations = [np.empty((T, n), dtype=np.int16) for n in kept]
     traced = [(slice(offset, offset + n), out)
               for offset, n, out in zip(offsets, kept, allocations) if n]
-    bias_sums = [np.empty((len(rows_of), n_arms, T - K - 1))
-                 if runs[i].keep_trajectory else None
-                 for (i, _, _), rows_of in zip(segments, groups)]
-    # the groups whose bias sums are kept, as rows of the span [lo, hi) of the block
-    biased = [(out, g, rows) for out, rows_of in zip(bias_sums, groups) if out is not None
-              for g, rows in enumerate(rows_of)]
+    bias_sums = [np.empty((n_arms, T - K - 1)) if runs[i].keep_trajectory else None
+                 for i, _, _ in groups]
+    # the rows of each group that keeps bias sums, within the rows [lo, hi)
+    # that span them all
+    biased = [(out, offset, offset + size)
+              for out, offset, size in zip(bias_sums, offsets, sizes) if out is not None]
     if biased:
-        lo = min(rows.start for _, _, rows in biased)
-        hi = max(rows.stop for _, _, rows in biased)
-        biased = [(out, g, slice(rows.start - lo, rows.stop - lo)) for out, g, rows in biased]
+        lo, hi = biased[0][1], biased[-1][2]
+        biased = [(out, slice(start - lo, stop - lo)) for out, start, stop in biased]
 
     for t in range(1, T + 1):
         k = allocate(sums, counts, t)
@@ -394,27 +389,22 @@ def _run_block(runs: list[Run], table: GittinsTable | None,
         outcomes[:, t - 1] = y
         if biased and t > n_arms:
             means = sums[lo:hi] / counts[lo:hi]
-            for out, g, rows in biased:
+            for out, rows in biased:
                 # a reduction over axis 0 adds the rows one after another
-                out[g, :, t - n_arms - 1] = means[rows].sum(axis=0)
+                out[:, t - n_arms - 1] = means[rows].sum(axis=0)
 
     z = z_statistic(sums, counts, sigma)
     # rows of contiguous outcomes: each mean is the same pairwise sum as a lone trace's
     mean_outcome = outcomes.mean(axis=1)
-    blocks = []
-    for offset, (i, first, stop), n, out, bias in zip(offsets, segments, kept, allocations,
-                                                      bias_sums):
-        rows = slice(offset, offset + stop - first)
-        blocks.append(Replicates(
-            scenario=runs[i].scenario,
-            z=z[rows],
-            counts=counts[rows],
-            mean_outcome=mean_outcome[rows],
-            bias_sums=bias,
-            allocations=np.ascontiguousarray(out.T),
-            outcomes=outcomes[offset:offset + n].copy(),
-        ))
-    return blocks
+    return [Replicates(scenario=runs[i].scenario,
+                       z=z[offset:offset + size],
+                       counts=counts[offset:offset + size],
+                       mean_outcome=mean_outcome[offset:offset + size],
+                       bias_sums=bias,
+                       allocations=np.ascontiguousarray(out.T),
+                       outcomes=outcomes[offset:offset + n].copy())
+            for (i, _, _), offset, size, n, out, bias
+            in zip(groups, offsets, sizes, kept, allocations, bias_sums)]
 
 
 def run_trial(scenario: TrialScenario, table: GittinsTable | None,
@@ -499,15 +489,7 @@ def run_together(runs: list[Run], table: GittinsTable | None, *,
     groups = [(i, first, min(first + BLOCK, run.M))
               for i, run in enumerate(runs) for first in range(0, run.M, BLOCK)]
     size = min(STEP_GROUPS, -(-len(groups) // workers))
-    blocks = []
-    for start in range(0, len(groups), size):
-        # a block's consecutive groups of one run form one segment of it
-        segments = []
-        for i, first, stop in groups[start:start + size]:
-            if segments and segments[-1][0] == i:
-                first = segments.pop()[1]
-            segments.append((i, first, stop))
-        blocks.append(segments)
+    blocks = [groups[start:start + size] for start in range(0, len(groups), size)]
     step = partial(_run_block, runs, table)
     workers = min(workers, len(blocks))
     if workers == 1:
@@ -519,9 +501,8 @@ def run_together(runs: list[Run], table: GittinsTable | None, *,
                 pools[workers] = ProcessPoolExecutor(max_workers=workers)
             results = list(pools[workers].map(step, blocks))
     parts = [[] for _ in runs]
-    for segments, result in zip(blocks, results):
-        for (i, _, _), replicates in zip(segments, result):
-            parts[i].append(replicates)
+    for (i, _, _), replicates in zip(groups, chain.from_iterable(results)):
+        parts[i].append(replicates)
     return [_merge(run_parts) for run_parts in parts]
 
 

@@ -310,22 +310,23 @@ class TestReplicates:
     @pytest.mark.parametrize("workers, M, pool", [(3, BLOCK + 1, 2), (2, 3 * BLOCK, 2),
                                                   (3, BLOCK, None), (2, 2100, 2), (3, 2100, 3)])
     def test_one_task_per_block_and_no_idle_workers(self, monkeypatch, workers, M, pool):
-        # a stepping block holds ceil(groups / workers) groups of BLOCK, at most 4;
-        # a task is its block's (run, first, stop) segments
-        expected_tasks = {
-            (3, BLOCK + 1): [[(0, 0, BLOCK)], [(0, BLOCK, BLOCK + 1)]],
-            (2, 3 * BLOCK): [[(0, 0, 2 * BLOCK)], [(0, 2 * BLOCK, 3 * BLOCK)]],
+        # a stepping block holds ceil(groups / workers) groups of BLOCK, at most 4
+        expected_blocks = {
+            (3, BLOCK + 1): [(0, BLOCK), (BLOCK, BLOCK + 1)],
+            (2, 3 * BLOCK): [(0, 2 * BLOCK), (2 * BLOCK, 3 * BLOCK)],
             (3, BLOCK): [],
-            (2, 2100): [[(0, 0, 4 * BLOCK)], [(0, 4 * BLOCK, 8 * BLOCK)],
-                        [(0, 8 * BLOCK, 2100)]],
-            (3, 2100): [[(0, 0, 3 * BLOCK)], [(0, 3 * BLOCK, 6 * BLOCK)],
-                        [(0, 6 * BLOCK, 2100)]],
+            (2, 2100): [(0, 4 * BLOCK), (4 * BLOCK, 8 * BLOCK), (8 * BLOCK, 2100)],
+            (3, 2100): [(0, 3 * BLOCK), (3 * BLOCK, 6 * BLOCK), (6 * BLOCK, 2100)],
         }
+        # a task is its block's groups, (run, first, stop)
+        expected_tasks = [[(0, first, min(first + BLOCK, stop))
+                           for first in range(start, stop, BLOCK)]
+                          for start, stop in expected_blocks[workers, M]]
         created, tasks = record_pool(monkeypatch)
         scenario = two_arm("FR", 0.0, T=6)
         pooled = run_replicates(scenario, None, 45, M, workers=workers)
         assert created == ([] if pool is None else [pool])
-        assert tasks == expected_tasks[workers, M]
+        assert tasks == expected_tasks
         assert replicates_identical(pooled, run_replicates(scenario, None, 45, M))
 
     def test_trial_index_below_two_to_the_64(self):
@@ -547,8 +548,8 @@ class TestDrawOrder:
         scenario = two_arm("RGI", 0.545, T=20)
         master_seed = 2**64 + PIN_SEED
         first, stop = 2**32 - BLOCK, 2**32 + BLOCK
-        block, = _run_block([Run(scenario, master_seed, stop, traces=stop)], table995,
-                            [(0, first, stop)])
+        block = engine._merge(_run_block([Run(scenario, master_seed, stop, traces=stop)],
+                                         table995, [(0, first, 2**32), (0, 2**32, stop)]))
         assert block.allocations.shape == (2 * BLOCK, 20)
         for r in range(first, stop):
             single = run_trial(scenario, table995, (master_seed, r))
@@ -587,9 +588,10 @@ class TestRunTogether:
             assert shared[2].allocations.shape == (3, 40)
 
     @pytest.mark.parametrize("workers, tasks", [
-        (2, [[(0, 0, 100), (1, 0, 300)], [(2, 0, 513)]]),
+        (2, [[(0, 0, 100), (1, 0, BLOCK), (1, BLOCK, 300)],
+             [(2, 0, BLOCK), (2, BLOCK, 2 * BLOCK), (2, 2 * BLOCK, 513)]]),
         (3, [[(0, 0, 100), (1, 0, BLOCK)], [(1, BLOCK, 300), (2, 0, BLOCK)],
-             [(2, BLOCK, 513)]]),
+             [(2, BLOCK, 2 * BLOCK), (2, 2 * BLOCK, 513)]]),
     ])
     def test_groups_of_all_runs_share_blocks(self, table995, monkeypatch, workers, tasks):
         # six groups: 100 | 256, 44 | 256, 256, 1, cut into blocks of
