@@ -40,9 +40,9 @@ fewer when the runs have fewer groups than four per worker.  With a
 calibration and two hypotheses per rule, ``simulate -M 100`` on one worker
 steps one 300-row block per calibrated rule, and ``-M 500`` on two workers
 two blocks of three groups, where stepping each run alone took six 256-row
-blocks.  A calibration at another trial size than
-the hypotheses' (rare-t64's) steps on its own.  No output depends on which
-runs share a block.
+blocks.  A calibration at another trial size than the hypotheses'
+(rare-t64's) steps on its own.  No output depends on which runs share a
+block.
 """
 
 from __future__ import annotations

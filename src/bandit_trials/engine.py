@@ -464,9 +464,10 @@ def run_together(runs: list[Run], table: GittinsTable | None, *,
     stepped in blocks of g of them, g = min(``STEP_GROUPS``, ceil(groups /
     workers)): no more rows per task than spreading the groups evenly over
     the workers takes.  Replicate r of a run derives its streams from (its
-    master seed, r), and a run's bias sums add each of its groups in order,
-    then the groups in order, so each run's result is bitwise identical for
-    any positive ``workers``, any stepping block and any runs beside it.
+    master seed, r), and a run's bias sums add each of its groups'
+    replicates in order, then the groups in order, so each run's result is
+    bitwise identical for any positive ``workers``, any stepping block and
+    any runs beside it.
     With several workers and blocks, each block is one task of a process
     pool of at most one worker per block (see ``shared_pool``).
     """
