@@ -370,13 +370,8 @@ def _run_block(runs: list[Run], table: GittinsTable | None,
               for offset, n, out in zip(offsets, kept, allocations) if n]
     bias_sums = [np.empty((n_arms, T - K - 1)) if runs[i].keep_trajectory else None
                  for i, _, _ in groups]
-    # the rows of each group that keeps bias sums, within the rows [lo, hi)
-    # that span them all
-    biased = [(out, offset, offset + size)
+    biased = [(out, slice(offset, offset + size))
               for out, offset, size in zip(bias_sums, offsets, sizes) if out is not None]
-    if biased:
-        lo, hi = biased[0][1], biased[-1][2]
-        biased = [(out, slice(start - lo, stop - lo)) for out, start, stop in biased]
 
     for t in range(1, T + 1):
         k = allocate(sums, counts, t)
@@ -388,7 +383,7 @@ def _run_block(runs: list[Run], table: GittinsTable | None,
             out[t - 1] = k[rows]
         outcomes[:, t - 1] = y
         if biased and t > n_arms:
-            means = sums[lo:hi] / counts[lo:hi]
+            means = sums / counts
             for out, rows in biased:
                 # a reduction over axis 0 adds the rows one after another
                 out[:, t - n_arms - 1] = means[rows].sum(axis=0)
