@@ -31,18 +31,12 @@ keeps every value losslessly, so a cached run matches a cold one byte for
 byte.  Every command is deterministic given its ``--seed``, whatever the
 cache holds; replicate streams are derived per policy, hypothesis (its
 position in the scenario) and trial size, so adding policies or selecting
-hypotheses does not perturb the others.  Each command steps its replicates
-in blocks of up to 1024 rows on one pool of ``--workers`` processes, or of
-one per block when there are fewer blocks (``engine.run_together``): each
-run is cut into groups of 256, and ``simulate`` steps a rule's calibration
-and hypothesis runs together, so their groups share blocks of up to four,
-fewer when the runs have fewer groups than four per worker.  With a
-calibration and two hypotheses per rule, ``simulate -M 100`` on one worker
-steps one 300-row block per calibrated rule, and ``-M 500`` on two workers
-two blocks of three groups, where stepping each run alone took six 256-row
-blocks.  A calibration at another trial size than the hypotheses'
-(rare-t64's) steps on its own.  No output depends on which runs share a
-block.
+hypotheses does not perturb the others.  ``simulate`` passes each rule's
+calibration and hypothesis runs to the engine in one call
+(``engine.run_together``), which decides which of them share stepping
+blocks.  Each command runs inside one ``engine.shared_pool`` block, so its
+worker processes, at most ``--workers`` per pool, are reaped before it
+returns.  No output depends on which runs share a block.
 """
 
 from __future__ import annotations
@@ -381,11 +375,7 @@ def cmd_simulate(args) -> int:
         runs = [Run(scenarios[kind, label],
                     _derived_seed(args.seed, POLICY_KINDS.index(kind), 1 + labels.index(label), T),
                     args.replicates, args.bias, args.traces) for label in hypotheses]
-        # the calibration shares the hypotheses' stepping blocks when it
-        # shares their T (rare-t64 calibrates at the T of the preset it reuses)
-        calls = [calibration + runs] if calibration_T == T else [calibration, runs]
-        results = [replicates for call in calls if call
-                   for replicates in run_together(call, table, workers=args.workers)]
+        results = run_together(calibration + runs, table, workers=args.workers)
         critical = (calibrate_critical_value(results[0], alpha) if calibration
                     else fixed.get(kind, analytic))
         criticals[kind] = critical.value

@@ -10,26 +10,28 @@ rules see a stale probability vector instead, refreshed per block of
 patients).
 
 Replicate r of a master seed is the only identity a trial has, and a block
-of replicates the only unit of work.  ``run_together`` steps the runs of one
-rule, trial size and sigma together, each run with its own arm means,
-master seed, M, bias sums and traces; ``run_replicates`` is its one-run
-case.  It cuts each run into its own groups of ``BLOCK`` replicates, [0,
-BLOCK), [BLOCK, 2 BLOCK), ... of that run (only a run's last group may be
-short), joins the groups of all the runs in order, and steps them in blocks
-of g groups, g = min(``STEP_GROUPS``, ceil(groups / workers)).  Three runs
-of M = 100 at one worker are one 300-row block; three of M = 500 on two
-workers are six groups, stepped as two blocks of three, where each run
-stepped alone takes two 256-row blocks.  The loop runs over patients, and
-each step updates the (R, K+1) ``sums`` and ``counts`` of all R replicates
-of the block with array operations, each row reading its own run's means,
-so numpy's fixed cost per call is spread over up to 1024 rows.  A block
-returns, for each run it holds, only what the reports need
-(``Replicates``: per-replicate contrasts, counts and mean outcome, bias
-sums per 256-row group, a few traces).  A block records allocations only
-for the rows it traces, each run's first ``traces`` replicates; it keeps
-every row's outcomes, which its mean outcomes reduce.  A scenario's bounds
-on the arm means and sigma (``TrialScenario``) keep every value a run
-produces finite, so the run checks none of them.
+of replicates the only unit of work.  ``run_together`` steps any runs, each
+with its own scenario, master seed, M, bias sums and traces;
+``run_replicates`` is its one-run case.  Runs that share a stepping key,
+the rule, T, sigma and arm count, share stepping blocks, and runs of
+different keys never do.  The call cuts each run into its own groups of
+``BLOCK`` replicates, [0, BLOCK), [BLOCK, 2 BLOCK), ... of that run (only a
+run's last group may be short).  For each key, in order of first
+appearance, it joins the groups of the key's runs in order and steps them
+in blocks of g groups, g = min(``STEP_GROUPS``, ceil(the key's groups /
+workers)).  Three runs of one key and M = 100 at one worker are one 300-row
+block; three of M = 500 on two workers are six groups, stepped as two
+blocks of three, where each run stepped alone takes two 256-row blocks.
+The loop runs over patients, and each step updates the (R, K+1) ``sums``
+and ``counts`` of all R replicates of the block with array operations,
+each row reading its own run's means, so numpy's fixed cost per call is
+spread over up to 1024 rows.  A block returns, for each group it holds,
+only what the reports need (``Replicates``: per-replicate contrasts, counts
+and mean outcome, bias sums per 256-row group, a few traces).  It records
+every row's arm and outcome, and each group keeps those of its run's first
+``traces`` replicates.  A scenario's bounds on the arm means and sigma
+(``TrialScenario``) keep every value a run produces finite, so the run
+checks none of them.
 ``run_trial(scenario, table, (master_seed, r))`` runs the one-row block
 [r, r+1) through the same block function and returns its ``Replicates``,
 trace kept.  With several workers, each block is one task of a process
@@ -93,7 +95,8 @@ BLOCK = 256
 # uniforms, 12.2 MB; TS's quadrature arrays, (rows, K+1, grid points) for
 # each set of the block's rows that share a point count, at most 4.6 MB
 # each at the largest point count measured in such trials (141); the (T, R)
-# noise and the (R, T) outcomes, 2.5 MB each.
+# noise and the (R, T) outcomes, 2.5 MB each; the (T, R) int16 allocations,
+# 0.6 MB.
 STEP_GROUPS = 4
 
 # numpy's SeedSequence: default pool size, hash and mixing constants
@@ -143,8 +146,9 @@ class TrialScenario:
             raise ValueError(f"arm means {self.mu} or sigma {self.sigma} overflow or underflow "
                              "the arithmetic; the means must lie within +-1e100 and sigma "
                              "within [1e-100, 1e100]")
-        if self.T < self.K + 1:
-            raise ValueError("T must cover the initialization phase (T >= K+1)")
+        if not isinstance(self.T, (int, np.integer)) or self.T < self.K + 1:
+            raise ValueError("T must be an integer that covers the initialization phase "
+                             f"(T >= K+1), got {self.T!r}")
         self.policy.check_arms(self.K)
 
     @property
@@ -361,13 +365,8 @@ def _run_block(runs: list[Run], table: GittinsTable | None,
     sums = np.zeros((R, n_arms))
     counts = np.zeros((R, n_arms), dtype=np.int64)
     flat_sums, flat_counts = sums.reshape(-1), counts.reshape(-1)
+    allocations = np.empty((T, R), dtype=np.int16)
     outcomes = np.empty((R, T))
-    # allocations of the traced rows only: each run's first ``traces`` replicates
-    kept = [min(max(runs[i].traces - first, 0), size)
-            for (i, first, _), size in zip(groups, sizes)]
-    allocations = [np.empty((T, n), dtype=np.int16) for n in kept]
-    traced = [(slice(offset, offset + n), out)
-              for offset, n, out in zip(offsets, kept, allocations) if n]
     bias_sums = [np.empty((n_arms, T - K - 1)) if runs[i].keep_trajectory else None
                  for i, _, _ in groups]
     biased = [(out, slice(offset, offset + size))
@@ -379,8 +378,7 @@ def _run_block(runs: list[Run], table: GittinsTable | None,
         y = mu_rows[cells] + sigma * noise[t - 1]
         flat_sums[cells] += y
         flat_counts[cells] += 1
-        for rows, out in traced:
-            out[t - 1] = k[rows]
+        allocations[t - 1] = k
         outcomes[:, t - 1] = y
         if biased and t > n_arms:
             means = sums / counts
@@ -391,15 +389,18 @@ def _run_block(runs: list[Run], table: GittinsTable | None,
     z = z_statistic(sums, counts, sigma)
     # rows of contiguous outcomes: each mean is the same pairwise sum as a lone trace's
     mean_outcome = outcomes.mean(axis=1)
+    # each group keeps the traces of its run's first ``traces`` replicates
+    kept = [min(max(runs[i].traces - first, 0), size)
+            for (i, first, _), size in zip(groups, sizes)]
     return [Replicates(scenario=runs[i].scenario,
                        z=z[offset:offset + size],
                        counts=counts[offset:offset + size],
                        mean_outcome=mean_outcome[offset:offset + size],
                        bias_sums=bias,
-                       allocations=np.ascontiguousarray(out.T),
+                       allocations=np.ascontiguousarray(allocations[:, offset:offset + n].T),
                        outcomes=outcomes[offset:offset + n].copy())
-            for (i, _, _), offset, size, n, out, bias
-            in zip(groups, offsets, sizes, kept, allocations, bias_sums)]
+            for (i, _, _), offset, size, n, bias
+            in zip(groups, offsets, sizes, kept, bias_sums)]
 
 
 def run_trial(scenario: TrialScenario, table: GittinsTable | None,
@@ -412,8 +413,8 @@ def run_trial(scenario: TrialScenario, table: GittinsTable | None,
     except (TypeError, ValueError):
         raise TypeError(f"seed must be a (master_seed, r) pair, got {seed!r}") from None
     # the seed derivation holds replicate indices as uint64
-    if r >= 2**64:
-        raise ValueError(f"replicate index r must be below 2**64, got {r}")
+    if not 0 <= r < 2**64:
+        raise ValueError(f"replicate index r must be non-negative and below 2**64, got {r}")
     _check_table(scenario, table)
     return _run_block([Run(scenario, master_seed, r + 1, traces=r + 1)], table,
                       [(0, r, r + 1)])[0]
@@ -451,41 +452,44 @@ def run_replicates(scenario: TrialScenario, table: GittinsTable | None,
 
 def run_together(runs: list[Run], table: GittinsTable | None, *,
                  workers: int = 1) -> list[Replicates]:
-    """Simulate several runs of one rule, trial size and sigma in shared
-    stepping blocks: each run's ``Replicates``, in the order of ``runs``.
+    """Simulate several runs, those of one stepping key in shared blocks:
+    each run's ``Replicates``, in the order of ``runs``.
 
-    Each run is cut into its own groups of ``BLOCK`` replicates, aligned to
-    its replicate index r.  The groups of all the runs, joined in order, are
-    stepped in blocks of g of them, g = min(``STEP_GROUPS``, ceil(groups /
-    workers)): no more rows per task than spreading the groups evenly over
-    the workers takes.  Replicate r of a run derives its streams from (its
-    master seed, r), and a run's bias sums add each of its groups'
-    replicates in order, then the groups in order, so each run's result is
-    bitwise identical for any positive ``workers``, any stepping block and
-    any runs beside it.
-    With several workers and blocks, each block is one task of a process
-    pool of at most one worker per block (see ``shared_pool``).
+    A run's stepping key is its rule, T, sigma and arm count.  Each run is
+    cut into its own groups of ``BLOCK`` replicates, aligned to its
+    replicate index r.  For each key, in order of first appearance, the
+    groups of its runs, joined in order, are stepped in blocks of g of them,
+    g = min(``STEP_GROUPS``, ceil(the key's groups / workers)): no more rows
+    per task than spreading the key's groups evenly over the workers takes.
+    Runs of different keys never share a block.  Replicate r of a run
+    derives its streams from (its master seed, r), and a run's bias sums add
+    each of its groups' replicates in order, then the groups in order, so
+    each run's result is bitwise identical for any positive ``workers``, any
+    stepping block and any runs beside it.
+    With several workers and blocks, all the blocks of the call are tasks of
+    one process pool of at most one worker per block (see ``shared_pool``).
     """
     if not runs:
         raise ValueError("run_together needs at least one run")
     if workers < 1:
         raise ValueError(f"workers must be >= 1, got {workers}")
-    scenario = runs[0].scenario
-    for run in runs:
+    # the runs of each stepping key, keys in order of first appearance
+    keyed = {}
+    for i, run in enumerate(runs):
         if run.M < 1:
             raise ValueError("M must be >= 1")
         if run.traces < 0:
             raise ValueError(f"traces must be >= 0, got {run.traces}")
-        shared = run.scenario
-        if (shared.policy, shared.T, shared.sigma, shared.K) \
-                != (scenario.policy, scenario.T, scenario.sigma, scenario.K):
-            raise ValueError("runs stepped together must share their rule, T, sigma and arms")
         _uint32_words(run.master_seed)  # a seed that is no non-negative integer fails here
-    _check_table(scenario, table)
-    groups = [(i, first, min(first + BLOCK, run.M))
-              for i, run in enumerate(runs) for first in range(0, run.M, BLOCK)]
-    size = min(STEP_GROUPS, -(-len(groups) // workers))
-    blocks = [groups[start:start + size] for start in range(0, len(groups), size)]
+        scenario = run.scenario
+        _check_table(scenario, table)
+        keyed.setdefault((scenario.policy, scenario.T, scenario.sigma, scenario.K), []).append(i)
+    blocks = []
+    for indices in keyed.values():
+        groups = [(i, first, min(first + BLOCK, runs[i].M))
+                  for i in indices for first in range(0, runs[i].M, BLOCK)]
+        size = min(STEP_GROUPS, -(-len(groups) // workers))
+        blocks += [groups[start:start + size] for start in range(0, len(groups), size)]
     step = partial(_run_block, runs, table)
     workers = min(workers, len(blocks))
     if workers == 1:
@@ -497,7 +501,7 @@ def run_together(runs: list[Run], table: GittinsTable | None, *,
                 pools[workers] = ProcessPoolExecutor(max_workers=workers)
             results = list(pools[workers].map(step, blocks))
     parts = [[] for _ in runs]
-    for (i, _, _), replicates in zip(groups, chain.from_iterable(results)):
+    for (i, _, _), replicates in zip(chain.from_iterable(blocks), chain.from_iterable(results)):
         parts[i].append(replicates)
     return [_merge(run_parts) for run_parts in parts]
 

@@ -39,6 +39,10 @@ class TestScenarioValidation:
     def test_horizon_covers_initialization(self):
         with pytest.raises(ValueError, match="K\\+1"):
             TrialScenario(mu=(0.0,) * 4, sigma=1.0, T=3, policy=PolicySpec("FR"))
+        with pytest.raises(ValueError, match="T must be an integer"):
+            TrialScenario(mu=(0.0, 0.1), sigma=1.0, T=20.5, policy=PolicySpec("FR"))
+        assert TrialScenario(mu=(0.0, 0.1), sigma=1.0, T=np.int64(20),
+                             policy=PolicySpec("FR")).T == 20
 
     def test_tp_needs_multiple_arms(self):
         with pytest.raises(ValueError, match="multi-arm"):
@@ -331,8 +335,9 @@ class TestReplicates:
 
     def test_trial_index_below_two_to_the_64(self):
         scenario = two_arm("FR", 0.0, T=6)
-        with pytest.raises(ValueError, match=r"must be below 2\*\*64"):
-            run_trial(scenario, None, (3, 2**64))
+        for r in (2**64, -1):
+            with pytest.raises(ValueError, match=r"r must be non-negative and below 2\*\*64"):
+                run_trial(scenario, None, (3, r))
         assert run_trial(scenario, None, (3, 2**64 - 1)).M == 1
 
     def test_replicate_count_validated(self):
@@ -606,12 +611,29 @@ class TestRunTogether:
 
     @pytest.mark.parametrize("change", [{"T": 41}, {"sigma": 2.0},
                                         {"policy": PolicySpec("GI")},
-                                        {"mu": (0.0, 0.0, 0.0)}])
-    def test_runs_share_rule_trial_size_sigma_and_arms(self, change):
+                                        {"mu": (0.0, 0.0, 0.0)}],
+                             ids=["T", "sigma", "rule", "arms"])
+    def test_runs_of_other_stepping_keys_step_apart(self, table995, monkeypatch, change):
+        # two runs that differ in T, sigma, rule or arm count: one call gives
+        # each run's separate result, and steps each run in the blocks of a
+        # call of its own, the first run's blocks first
         scenario = four_arm("FR", NULL4, T=40)
-        other = dataclasses.replace(scenario, **change)
-        with pytest.raises(ValueError, match="must share"):
-            run_together([Run(scenario, 1, 3), Run(other, 2, 3)], None)
+        runs = [Run(scenario, PIN_SEED, 300),
+                Run(dataclasses.replace(scenario, **change), PIN_SEED + 1, 300)]
+        for workers in (1, 2):
+            for run, replicates in zip(runs, run_together(runs, table995, workers=workers)):
+                assert replicates_identical(replicates, run_replicates(
+                    run.scenario, table995, run.master_seed, run.M))
+        _, tasks = record_pool(monkeypatch)
+        run_together(runs, table995, workers=2)
+        shared = tasks[:]
+        assert all(len({i for i, _, _ in block}) == 1 for block in shared)
+        alone = []
+        for i, run in enumerate(runs):
+            del tasks[:]
+            run_replicates(run.scenario, table995, run.master_seed, run.M, workers=2)
+            alone += [[(i, first, stop) for _, first, stop in block] for block in tasks]
+        assert shared == alone
 
     def test_needs_a_run(self):
         with pytest.raises(ValueError, match="at least one run"):
