@@ -31,12 +31,13 @@ keeps every value losslessly, so a cached run matches a cold one byte for
 byte.  Every command is deterministic given its ``--seed``, whatever the
 cache holds; replicate streams are derived per policy, hypothesis (its
 position in the scenario) and trial size, so adding policies or selecting
-hypotheses does not perturb the others.  ``simulate`` passes each rule's
-calibration and hypothesis runs to the engine in one call
-(``engine.run_together``), which decides which of them share stepping
-blocks.  Each command runs inside one ``engine.shared_pool`` block, so its
-worker processes, at most ``--workers`` per pool, are reaped before it
-returns.  No output depends on which runs share a block.
+hypotheses does not perturb the others.  ``calibrate`` passes all its trial
+sizes, and ``simulate`` every rule's calibration and hypothesis runs, to the
+engine in one call (``engine.run_together``), which decides which of them
+share stepping blocks and runs them on one pool of at most ``--workers``
+worker processes, reaped before the call returns.  The command then
+reduces, writes and prints each run in order.  No output depends on which
+runs share a block.
 """
 
 from __future__ import annotations
@@ -50,8 +51,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .engine import (Run, TrialScenario, run_replicates, run_together, shared_pool,
-                     write_trace_csv)
+from .engine import Run, TrialScenario, run_together, write_trace_csv
 from .gittins import (GittinsTable, GittinsTableError, compute_index_table, dp_settings,
                       load_index_table, save_index_table)
 from .inference import (MIN_CALIBRATION_M, CriticalValue, calibrate_critical_value,
@@ -260,11 +260,11 @@ def cmd_calibrate(args) -> int:
     edges = np.concatenate(([-np.inf], np.round(np.arange(-6.0, 6.0 + 0.1, 0.2), 10), [np.inf]))
     out_dir = Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
-    for scenario in scenarios:
+    runs = [_calibration_run(args, scenario) for scenario in scenarios]
+    results = run_together(runs, table, workers=args.workers)
+    for scenario, run, replicates in zip(scenarios, runs, results):
         T = scenario.T
-        run = _calibration_run(args, scenario)
         seed = run.master_seed
-        replicates = run_replicates(scenario, table, seed, run.M, workers=args.workers)
         critical = calibrate_critical_value(replicates, preset["alpha"])
         stats = replicates.z.max(axis=1)  # Z, or max Z for K > 1
         z_sd = float(stats.std(ddof=1))
@@ -367,19 +367,23 @@ def cmd_simulate(args) -> int:
 
     out_dir = Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
+    # each rule's calibration, if it has one, then its hypotheses: one engine call
+    runs = []
+    for kind in kinds:
+        if kind in null_scenarios:
+            runs.append(_calibration_run(args, null_scenarios[kind]))
+        runs += [Run(scenarios[kind, label],
+                     _derived_seed(args.seed, POLICY_KINDS.index(kind), 1 + labels.index(label), T),
+                     args.replicates, args.bias, args.traces) for label in hypotheses]
+    results = iter(zip(runs, run_together(runs, table, workers=args.workers)))
     rows = []
     criticals = {}
     for kind in kinds:
-        calibration = ([_calibration_run(args, null_scenarios[kind])]
-                       if kind in null_scenarios else [])
-        runs = [Run(scenarios[kind, label],
-                    _derived_seed(args.seed, POLICY_KINDS.index(kind), 1 + labels.index(label), T),
-                    args.replicates, args.bias, args.traces) for label in hypotheses]
-        results = run_together(calibration + runs, table, workers=args.workers)
-        critical = (calibrate_critical_value(results[0], alpha) if calibration
+        critical = (calibrate_critical_value(next(results)[1], alpha) if kind in null_scenarios
                     else fixed.get(kind, analytic))
         criticals[kind] = critical.value
-        for label, run, replicates in zip(hypotheses, runs, results[len(calibration):]):
+        for label in hypotheses:
+            run, replicates = next(results)
             oc = aggregate(replicates, critical.value)
             rows.append((kind, label, critical.value, run.master_seed, oc))
             bias_name, trace_names = _output_names(kind, label, traced)
@@ -478,9 +482,7 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         _check_counts(args)
-        # one pool of workers per command, its workers reaped before returning
-        with shared_pool():
-            return args.func(args)
+        return args.func(args)
     except (ValueError, OSError, MemoryError, json.JSONDecodeError) as exc:
         print(f"error: {str(exc) or type(exc).__name__}", file=sys.stderr)
         return 1

@@ -34,11 +34,9 @@ every row's arm and outcome, and each group keeps those of its run's first
 checks none of them.
 ``run_trial(scenario, table, (master_seed, r))`` runs the one-row block
 [r, r+1) through the same block function and returns its ``Replicates``,
-trace kept.  With several workers, each block is one task of a process
-pool of at most one worker per block.  Calls made inside a ``shared_pool``
-block, as every CLI command is, share one pool, which is shut down and its
-workers joined when the block ends; a call made outside one runs in a block
-of its own.
+trace kept.  With several workers, each block of a call is one task of
+the call's one process pool, of at most one worker per block, which is
+shut down and its workers joined before the call returns.
 
 Randomness discipline: each replicate owns two independent streams derived
 from (master_seed, r): one for policy randomness (initialization order,
@@ -66,8 +64,6 @@ from __future__ import annotations
 import csv
 import math
 from concurrent.futures import ProcessPoolExecutor
-from contextlib import contextmanager, nullcontext
-from contextvars import ContextVar
 from dataclasses import dataclass
 from functools import partial
 from itertools import chain
@@ -81,7 +77,7 @@ from .inference import z_statistic
 from .policies import Allocator, PolicySpec, draw_policy_variates
 
 __all__ = ["TrialScenario", "Replicates", "Run", "run_trial", "run_replicates",
-           "run_together", "shared_pool", "write_trace_csv"]
+           "run_together", "write_trace_csv"]
 
 # Replicates reduced together: the bias sums add each group of BLOCK
 # replicates (aligned to multiples of BLOCK in r) in replicate order and
@@ -105,10 +101,6 @@ _INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
 _INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
 _MIX_MULT_L, _MIX_MULT_R = 0xCA01F9DD, 0x4973F715
 _MASK32 = 0xFFFFFFFF
-
-# Pools of the innermost ``shared_pool`` block, by worker count.
-_shared_pools: ContextVar[dict[int, ProcessPoolExecutor] | None] = ContextVar(
-    "shared_pools", default=None)
 
 
 @dataclass(frozen=True)
@@ -420,26 +412,6 @@ def run_trial(scenario: TrialScenario, table: GittinsTable | None,
                       [(0, r, r + 1)])[0]
 
 
-@contextmanager
-def shared_pool():
-    """Let the ``run_together`` calls made inside the block share worker processes.
-
-    The pool for a worker count starts on the first call that needs it and
-    serves every later call with that count.  On exit each pool is shut down
-    and its workers joined, so their CPU time and memory are accounted to
-    the caller as reaped children.  A call made outside such a block enters
-    one of its own.
-    """
-    pools: dict[int, ProcessPoolExecutor] = {}
-    token = _shared_pools.set(pools)
-    try:
-        yield
-    finally:
-        _shared_pools.reset(token)
-        for pool in pools.values():
-            pool.shutdown(cancel_futures=True)
-
-
 def run_replicates(scenario: TrialScenario, table: GittinsTable | None,
                    master_seed: int, M: int, *, workers: int = 1,
                    keep_trajectory: bool = False, traces: int = 0) -> Replicates:
@@ -467,7 +439,8 @@ def run_together(runs: list[Run], table: GittinsTable | None, *,
     each run's result is bitwise identical for any positive ``workers``, any
     stepping block and any runs beside it.
     With several workers and blocks, all the blocks of the call are tasks of
-    one process pool of at most one worker per block (see ``shared_pool``).
+    one process pool of at most one worker per block, shut down and its
+    workers joined before the call returns.
     """
     if not runs:
         raise ValueError("run_together needs at least one run")
@@ -495,11 +468,11 @@ def run_together(runs: list[Run], table: GittinsTable | None, *,
     if workers == 1:
         results = list(map(step, blocks))
     else:
-        with nullcontext() if _shared_pools.get() is not None else shared_pool():
-            pools = _shared_pools.get()
-            if workers not in pools:
-                pools[workers] = ProcessPoolExecutor(max_workers=workers)
-            results = list(pools[workers].map(step, blocks))
+        pool = ProcessPoolExecutor(max_workers=workers)
+        try:
+            results = list(pool.map(step, blocks))
+        finally:
+            pool.shutdown(cancel_futures=True)
     parts = [[] for _ in runs]
     for (i, _, _), replicates in zip(chain.from_iterable(blocks), chain.from_iterable(results)):
         parts[i].append(replicates)

@@ -11,7 +11,7 @@ import os
 import numpy as np
 import pytest
 
-from bandit_trials import compute_index_table
+from bandit_trials import compute_index_table, engine
 from bandit_trials.engine import TrialScenario, run_replicates
 from bandit_trials.inference import calibrate_critical_value
 from bandit_trials.policies import PolicySpec
@@ -57,6 +57,26 @@ def running_means(replicates):
     sums = np.cumsum(np.where(on_arm, replicates.outcomes[:, None, :], 0.0), axis=2)
     with np.errstate(invalid="ignore"):
         return sums / np.cumsum(on_arm, axis=2)
+
+
+def record_pool(monkeypatch):
+    """Put an in-process stand-in for the engine's process pool; return the
+    lists it fills with each pool's size and each task's block."""
+    created, tasks = [], []
+
+    class RecordingPool:
+        def __init__(self, max_workers):
+            created.append(max_workers)
+
+        def map(self, fn, blocks):
+            tasks.extend(blocks)
+            return map(fn, blocks)
+
+        def shutdown(self, cancel_futures=False):
+            pass
+
+    monkeypatch.setattr(engine, "ProcessPoolExecutor", RecordingPool)
+    return created, tasks
 
 
 LFC = (0.0, 0.178, 0.178, 0.545)

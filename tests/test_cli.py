@@ -15,10 +15,12 @@ import pytest
 import bandit_trials
 from bandit_trials import cli, gittins
 from bandit_trials.cli import CONFIG_KEYS, PRESET_NAMES, build_parser, load_preset, main
-from bandit_trials.engine import BLOCK, run_replicates
+from bandit_trials.engine import BLOCK, run_together
 from bandit_trials.gittins import (compute_index_table, dp_settings, load_index_table,
                                    save_index_table)
 from bandit_trials.inference import fwer_critical_value
+
+from .conftest import record_pool
 
 
 def run_cli(*argv):
@@ -204,12 +206,14 @@ class TestCalibrateCommand:
     def test_histogram_overflow_bins(self, tmp_path, monkeypatch):
         # one statistic below -6, one above 6, the rest at 0
         def extreme(*args, **kwargs):
-            replicates = run_replicates(*args, **kwargs)
-            z = np.zeros_like(replicates.z)
-            z[0], z[-1] = -100.0, 100.0
-            return dataclasses.replace(replicates, z=z)
+            extremes = []
+            for replicates in run_together(*args, **kwargs):
+                z = np.zeros_like(replicates.z)
+                z[0], z[-1] = -100.0, 100.0
+                extremes.append(dataclasses.replace(replicates, z=z))
+            return extremes
 
-        monkeypatch.setattr(cli, "run_replicates", extreme)
+        monkeypatch.setattr(cli, "run_together", extreme)
         assert run_cli("calibrate", "--policy", "FR", "--preset", "two-arm-t116",
                        "--T", "6", "-M", "100", "--workers", "1",
                        "--out-dir", str(tmp_path)) == 0
@@ -698,6 +702,36 @@ class TestSimulateCommand:
                        "-M", str(BLOCK + 1), "--workers", "2",
                        "--out-dir", str(tmp_path)) == 0
         assert multiprocessing.active_children() == []
+
+
+class TestOnePoolPerCommand:
+    """Each command hands all its runs to one engine call, on one pool."""
+
+    @staticmethod
+    def blocks(runs, M, size):
+        """The groups of BLOCK replicates of ``runs``, M each, joined in order
+        and cut into blocks of ``size`` groups."""
+        groups = [(i, first, min(first + BLOCK, M)) for i in runs for first in range(0, M, BLOCK)]
+        return [groups[start:start + size] for start in range(0, len(groups), size)]
+
+    def test_simulate(self, tmp_path, monkeypatch):
+        created, tasks = record_pool(monkeypatch)
+        assert run_cli("simulate", "--preset", "two-arm-t116", "--policies", "GI,FR",
+                       "-M", "600", "--seed", "3", "--workers", "8",
+                       "--out-dir", str(tmp_path)) == 0
+        assert created == [8]
+        # GI's calibration and two hypotheses, 9 groups, in blocks of
+        # ceil(9 / 8) = 2 groups; then FR's two hypotheses, 6 groups, one each
+        assert tasks == self.blocks([0, 1, 2], 600, 2) + self.blocks([3, 4], 600, 1)
+
+    def test_calibrate(self, tmp_path, monkeypatch):
+        created, tasks = record_pool(monkeypatch)
+        assert run_cli("calibrate", "--preset", "two-arm-t116", "--policy", "RGI",
+                       "--T", "64,116", "-M", "600", "--seed", "3", "--workers", "3",
+                       "--out-dir", str(tmp_path)) == 0
+        assert created == [3]
+        # each trial size steps apart, 3 groups in blocks of one
+        assert tasks == self.blocks([0], 600, 1) + self.blocks([1], 600, 1)
 
 
 class TestSweepCommand:

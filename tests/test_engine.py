@@ -16,7 +16,7 @@ from bandit_trials.engine import (BLOCK, STEP_GROUPS, Run, TrialScenario, _run_b
 from bandit_trials.operating import bias_trajectories
 from bandit_trials.policies import POLICY_KINDS, Allocator, PolicyDraws, PolicySpec
 
-from .conftest import LFC, NULL4, WORKERS, four_arm, running_means, two_arm
+from .conftest import LFC, NULL4, WORKERS, four_arm, record_pool, running_means, two_arm
 
 
 def row_identical(replicates, r, single):
@@ -253,26 +253,6 @@ class TestBatchedView:
         assert record.counts[0, 1] / 400 > 0.6
 
 
-def record_pool(monkeypatch):
-    """Put an in-process stand-in for the engine's process pool; return the
-    lists it fills with each pool's size and each task's block."""
-    created, tasks = [], []
-
-    class RecordingPool:
-        def __init__(self, max_workers):
-            created.append(max_workers)
-
-        def map(self, fn, blocks):
-            tasks.extend(blocks)
-            return map(fn, blocks)
-
-        def shutdown(self, cancel_futures=False):
-            pass
-
-    monkeypatch.setattr(engine, "ProcessPoolExecutor", RecordingPool)
-    return created, tasks
-
-
 class TestReplicates:
     def test_single_replicate_matches_run_trial(self, table995):
         scenario = two_arm("GI", 0.545, T=30)
@@ -307,7 +287,7 @@ class TestReplicates:
         assert replicates_identical(serial, parallel)
 
     def test_own_pool_shut_down_before_return(self):
-        # more than one block and no shared_pool: the call runs its own pool
+        # more than one block: the call runs a pool and joins its workers
         run_replicates(two_arm("FR", 0.0, T=10), None, 44, BLOCK + 1, workers=2)
         assert multiprocessing.active_children() == []
 
