@@ -48,6 +48,8 @@ REPO = Path(__file__).resolve().parent.parent
 WORKLOADS = ("index-rule-calibration", "probability-rule-simulation", "cold-simulate-two-workers")
 # the end-to-end metrics of BENCHMARK.json, and the better direction of each
 METRICS = {"setup_s": "lower", "trials_per_s": "higher", "cpu_s": "lower", "peak_rss_mb": "lower"}
+# the perfbench --seed of the first pair; pair i runs at FIRST_SEED + i
+FIRST_SEED = 3101
 BIG_COMMAND = ("simulate", "--preset", "four-arm-t302", "-M", "10000", "--seed", "7",
                "--workers", "2")
 BIG_METRICS = {"wall_s": "lower", "parent_peak_rss_mb": "lower",
@@ -194,10 +196,8 @@ def main(argv=None) -> int:
     parser.add_argument("--label", required=True, help="writes BENCH_<label>.json")
     parser.add_argument("--pairs", type=int, default=5, help="pairs per workload")
     parser.add_argument("--seconds", type=float, default=20.0, help="perfbench --seconds")
-    parser.add_argument("--seed", type=int, default=3101, help="seed of the first pair")
     parser.add_argument("--big-pairs", type=int, default=3,
                         help="pairs of the four-arm M=10^4 command (0 skips it)")
-    parser.add_argument("--workloads", default=",".join(WORKLOADS))
     parser.add_argument("--work", default=None, help="directory for the trees (default: temp)")
     args = parser.parse_args(argv)
 
@@ -209,10 +209,10 @@ def main(argv=None) -> int:
                          f"--seconds {args.seconds:g} --trace 0",
               "machine_start": machine(), "workloads": {}}
 
-    for workload in args.workloads.split(","):
+    for workload in WORKLOADS:
         pairs = []
         for i in range(args.pairs):
-            seed = args.seed + i
+            seed = FIRST_SEED + i
             pair = {"seed": seed, "order": [name for name, _ in alternated(trees, i)]}
             for name, tree in alternated(trees, i):
                 pair[name] = perfbench_run(tree, workload, seed, args.seconds)

@@ -465,18 +465,24 @@ def run_together(runs: list[Run], table: GittinsTable | None, *,
         blocks += [groups[start:start + size] for start in range(0, len(groups), size)]
     step = partial(_run_block, runs, table)
     workers = min(workers, len(blocks))
-    if workers == 1:
-        results = list(map(step, blocks))
-    else:
-        pool = ProcessPoolExecutor(max_workers=workers)
-        try:
-            results = list(pool.map(step, blocks))
-        finally:
-            pool.shutdown(cancel_futures=True)
+    pool = ProcessPoolExecutor(max_workers=workers) if workers > 1 else None
     parts = [[] for _ in runs]
-    for (i, _, _), replicates in zip(chain.from_iterable(blocks), chain.from_iterable(results)):
-        parts[i].append(replicates)
-    return [_merge(run_parts) for run_parts in parts]
+    merged = [None] * len(runs)
+    try:
+        results = pool.map(step, blocks) if pool else map(step, blocks)
+        for (i, _, stop), replicates in zip(chain.from_iterable(blocks),
+                                            chain.from_iterable(results)):
+            parts[i].append(replicates)
+            # a run's groups arrive together and in order; joining them at
+            # its last frees them, so the parts of one run at most are held
+            # beside the joined runs
+            if stop == runs[i].M:
+                merged[i] = _merge(parts[i])
+                parts[i] = None
+    finally:
+        if pool is not None:
+            pool.shutdown(cancel_futures=True)
+    return merged
 
 
 def write_trace_csv(replicates: Replicates, r: int, trace_path: str | Path,
