@@ -35,9 +35,10 @@ hypotheses does not perturb the others.  ``calibrate`` passes all its trial
 sizes, and ``simulate`` every rule's calibration and hypothesis runs, to the
 engine in one call (``engine.run_together``), which decides which of them
 share stepping blocks and runs them on one pool of at most ``--workers``
-worker processes, reaped before the call returns.  The command then
-reduces, writes and prints each run in order.  No output depends on which
-runs share a block.
+worker processes, reaped once the last run is read.  The engine yields the
+runs in order, each as soon as it is stepped, and the command reduces,
+writes and prints each one then, so it holds about one run's results at a
+time.  No output depends on which runs share a block.
 """
 
 from __future__ import annotations
@@ -261,8 +262,10 @@ def cmd_calibrate(args) -> int:
     out_dir = Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     runs = [_calibration_run(args, scenario) for scenario in scenarios]
-    results = run_together(runs, table, workers=args.workers)
-    for scenario, run, replicates in zip(scenarios, runs, results):
+    # strict: the engine's pool is joined as its last run is read
+    for scenario, run, replicates in zip(scenarios, runs,
+                                         run_together(runs, table, workers=args.workers),
+                                         strict=True):
         T = scenario.T
         seed = run.master_seed
         critical = calibrate_critical_value(replicates, preset["alpha"])
@@ -367,37 +370,43 @@ def cmd_simulate(args) -> int:
 
     out_dir = Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
-    # each rule's calibration, if it has one, then its hypotheses: one engine call
-    runs = []
+    # each rule's calibration (label None), if it has one, then its
+    # hypotheses: one engine call
+    entries = []
     for kind in kinds:
         if kind in null_scenarios:
-            runs.append(_calibration_run(args, null_scenarios[kind]))
-        runs += [Run(scenarios[kind, label],
-                     _derived_seed(args.seed, POLICY_KINDS.index(kind), 1 + labels.index(label), T),
-                     args.replicates, args.bias, args.traces) for label in hypotheses]
-    results = iter(zip(runs, run_together(runs, table, workers=args.workers)))
+            entries.append((kind, None, _calibration_run(args, null_scenarios[kind])))
+        entries += [(kind, label, Run(scenarios[kind, label],
+                                      _derived_seed(args.seed, POLICY_KINDS.index(kind),
+                                                    1 + labels.index(label), T),
+                                      args.replicates, args.bias, args.traces))
+                    for label in hypotheses]
+    runs = [run for _, _, run in entries]
     rows = []
-    criticals = {}
-    for kind in kinds:
-        critical = (calibrate_critical_value(next(results)[1], alpha) if kind in null_scenarios
-                    else fixed.get(kind, analytic))
-        criticals[kind] = critical.value
-        for label in hypotheses:
-            run, replicates = next(results)
-            oc = aggregate(replicates, critical.value)
-            rows.append((kind, label, critical.value, run.master_seed, oc))
-            bias_name, trace_names = _output_names(kind, label, traced)
-            if args.bias:
-                write_bias_csv(replicates, out_dir / bias_name)
-            for r, (trace_name, arms_name) in enumerate(trace_names):
-                write_trace_csv(replicates, r, out_dir / trace_name, out_dir / arms_name)
-            print(f"{kind} {label}: reject={oc.rejection_rate:.4f} "
-                  f"Ep*={oc.e_pstar:.4f} EO={oc.e_outcome:.4f}", flush=True)
+    criticals = {kind: fixed.get(kind, analytic) for kind in kinds}
+    # strict: the engine's pool is joined as its last run is read
+    for (kind, label, run), replicates in zip(entries,
+                                              run_together(runs, table, workers=args.workers),
+                                              strict=True):
+        if label is None:
+            criticals[kind] = calibrate_critical_value(replicates, alpha)
+            continue
+        critical = criticals[kind].value
+        oc = aggregate(replicates, critical)
+        rows.append((kind, label, critical, run.master_seed, oc))
+        bias_name, trace_names = _output_names(kind, label, traced)
+        if args.bias:
+            write_bias_csv(replicates, out_dir / bias_name)
+        for r, (trace_name, arms_name) in enumerate(trace_names):
+            write_trace_csv(replicates, r, out_dir / trace_name, out_dir / arms_name)
+        print(f"{kind} {label}: reject={oc.rejection_rate:.4f} "
+              f"Ep*={oc.e_pstar:.4f} EO={oc.e_outcome:.4f}", flush=True)
 
     results_path = out_dir / "results.csv"
     write_results_csv(rows, results_path)
     cv_path = out_dir / "critical_values.json"
-    cv_path.write_text(json.dumps(criticals, indent=2) + "\n")
+    cv_path.write_text(json.dumps({kind: critical.value for kind, critical in criticals.items()},
+                                  indent=2) + "\n")
     print(f"wrote {results_path} and {cv_path}")
     return 0
 

@@ -34,9 +34,11 @@ every row's arm and outcome, and each group keeps those of its run's first
 checks none of them.
 ``run_trial(scenario, table, (master_seed, r))`` runs the one-row block
 [r, r+1) through the same block function and returns its ``Replicates``,
-trace kept.  With several workers, each block of a call is one task of
-the call's one process pool, of at most one worker per block, which is
-shut down and its workers joined before the call returns.
+trace kept.  ``run_together`` yields each run as soon as it and the runs
+before it are stepped, so a caller can reduce and drop one run while later
+ones step.  With several workers, each block of a call is one task of the
+call's one process pool, of at most one worker per block, which is shut
+down and its workers joined once the last run is read.
 
 Randomness discipline: each replicate owns two independent streams derived
 from (master_seed, r): one for policy randomness (initialization order,
@@ -63,6 +65,7 @@ from __future__ import annotations
 
 import csv
 import math
+from collections.abc import Iterator
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from functools import partial
@@ -418,14 +421,16 @@ def run_replicates(scenario: TrialScenario, table: GittinsTable | None,
     """Simulate M independent replicates, reproducibly, each block reduced
     where it runs (see ``Replicates``): the one run of a ``run_together``
     call."""
-    return run_together([Run(scenario, master_seed, M, keep_trajectory, traces)], table,
-                        workers=workers)[0]
+    [replicates] = run_together([Run(scenario, master_seed, M, keep_trajectory, traces)],
+                                table, workers=workers)
+    return replicates
 
 
 def run_together(runs: list[Run], table: GittinsTable | None, *,
-                 workers: int = 1) -> list[Replicates]:
+                 workers: int = 1) -> Iterator[Replicates]:
     """Simulate several runs, those of one stepping key in shared blocks:
-    each run's ``Replicates``, in the order of ``runs``.
+    each run's ``Replicates``, in the order of ``runs``, yielded as soon as
+    it and every run before it are stepped.
 
     A run's stepping key is its rule, T, sigma and arm count.  Each run is
     cut into its own groups of ``BLOCK`` replicates, aligned to its
@@ -438,9 +443,11 @@ def run_together(runs: list[Run], table: GittinsTable | None, *,
     each of its groups' replicates in order, then the groups in order, so
     each run's result is bitwise identical for any positive ``workers``, any
     stepping block and any runs beside it.
-    With several workers and blocks, all the blocks of the call are tasks of
-    one process pool of at most one worker per block, shut down and its
-    workers joined before the call returns.
+    The runs are checked when this is called, and stepped as the result is
+    read.  With several workers and blocks, all the blocks of the call are
+    tasks of one process pool of at most one worker per block, which keeps
+    stepping while earlier runs are read, and is shut down and its workers
+    joined when the last run has been read (or the result is closed).
     """
     if not runs:
         raise ValueError("run_together needs at least one run")
@@ -463,26 +470,33 @@ def run_together(runs: list[Run], table: GittinsTable | None, *,
                   for i in indices for first in range(0, runs[i].M, BLOCK)]
         size = min(STEP_GROUPS, -(-len(groups) // workers))
         blocks += [groups[start:start + size] for start in range(0, len(groups), size)]
+    return _stepped(runs, table, blocks, min(workers, len(blocks)))
+
+
+def _stepped(runs: list[Run], table: GittinsTable | None, blocks: list[list[tuple]],
+             workers: int) -> Iterator[Replicates]:
+    """Step ``blocks`` on ``workers`` and yield each run's joined groups in run order."""
     step = partial(_run_block, runs, table)
-    workers = min(workers, len(blocks))
     pool = ProcessPoolExecutor(max_workers=workers) if workers > 1 else None
     parts = [[] for _ in runs]
-    merged = [None] * len(runs)
+    joined = {}  # runs stepped ahead of an earlier run of a later key
+    following = 0  # the next run to yield
     try:
         results = pool.map(step, blocks) if pool else map(step, blocks)
         for (i, _, stop), replicates in zip(chain.from_iterable(blocks),
                                             chain.from_iterable(results)):
             parts[i].append(replicates)
             # a run's groups arrive together and in order; joining them at
-            # its last frees them, so the parts of one run at most are held
-            # beside the joined runs
+            # its last frees them
             if stop == runs[i].M:
-                merged[i] = _merge(parts[i])
+                joined[i] = _merge(parts[i])
                 parts[i] = None
+                while following in joined:
+                    yield joined.pop(following)
+                    following += 1
     finally:
         if pool is not None:
             pool.shutdown(cancel_futures=True)
-    return merged
 
 
 def write_trace_csv(replicates: Replicates, r: int, trace_path: str | Path,

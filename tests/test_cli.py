@@ -13,9 +13,9 @@ import numpy as np
 import pytest
 
 import bandit_trials
-from bandit_trials import cli, gittins
+from bandit_trials import cli, engine, gittins
 from bandit_trials.cli import CONFIG_KEYS, PRESET_NAMES, build_parser, load_preset, main
-from bandit_trials.engine import BLOCK, run_together
+from bandit_trials.engine import BLOCK, _run_block, run_together
 from bandit_trials.gittins import (compute_index_table, dp_settings, load_index_table,
                                    save_index_table)
 from bandit_trials.inference import fwer_critical_value
@@ -723,6 +723,25 @@ class TestOnePoolPerCommand:
         # GI's calibration and two hypotheses, 9 groups, in blocks of
         # ceil(9 / 8) = 2 groups; then FR's two hypotheses, 6 groups, one each
         assert tasks == self.blocks([0, 1, 2], 600, 2) + self.blocks([3, 4], 600, 1)
+
+    def test_simulate_prints_each_rule_before_later_rules_step(self, tmp_path, monkeypatch,
+                                                               capsys):
+        # the stdout printed before each block steps, and the block's rule
+        printed, stepped = [], []
+
+        def recording_block(runs, table, groups):
+            printed.append(capsys.readouterr().out)
+            stepped.append(runs[groups[0][0]].scenario.policy.kind)
+            return _run_block(runs, table, groups)
+
+        monkeypatch.setattr(engine, "_run_block", recording_block)
+        assert run_cli("simulate", "--preset", "two-arm-t116", "--policies", "GI,FR",
+                       "-M", "300", "--seed", "3", "--workers", "1",
+                       "--out-dir", str(tmp_path)) == 0
+        first_fr = stepped.index("FR")
+        before_fr = "".join(printed[:first_fr + 1])
+        assert set(stepped[:first_fr]) == {"GI"} and "GI H" in before_fr
+        assert "FR " not in before_fr
 
     def test_calibrate(self, tmp_path, monkeypatch):
         created, tasks = record_pool(monkeypatch)

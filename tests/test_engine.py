@@ -561,7 +561,7 @@ class TestRunTogether:
         # 913 rows: blocks of 100 + 256 + 44 + 256 and 256 + 1 rows at one
         # worker, 100 + 256 + 44 and 256 + 256 + 1 as two pool tasks at two
         runs = shared_runs(kind)
-        shared = run_together(runs, table995, workers=workers)
+        shared = list(run_together(runs, table995, workers=workers))
         assert len(shared) == len(runs)
         for run, replicates in zip(runs, shared):
             alone = run_replicates(run.scenario, table995, run.master_seed, run.M,
@@ -583,7 +583,7 @@ class TestRunTogether:
         # ceil(6 / workers) groups whatever run each belongs to
         created, recorded = record_pool(monkeypatch)
         runs = shared_runs("GI")
-        shared = run_together(runs, table995, workers=workers)
+        shared = list(run_together(runs, table995, workers=workers))
         assert created == [workers] and recorded == tasks
         for run, replicates in zip(runs, shared):
             assert replicates_identical(replicates, run_replicates(
@@ -605,7 +605,7 @@ class TestRunTogether:
                 assert replicates_identical(replicates, run_replicates(
                     run.scenario, table995, run.master_seed, run.M))
         _, tasks = record_pool(monkeypatch)
-        run_together(runs, table995, workers=2)
+        list(run_together(runs, table995, workers=2))
         shared = tasks[:]
         assert all(len({i for i, _, _ in block}) == 1 for block in shared)
         alone = []
@@ -614,6 +614,33 @@ class TestRunTogether:
             run_replicates(run.scenario, table995, run.master_seed, run.M, workers=2)
             alone += [[(i, first, stop) for _, first, stop in block] for block in tasks]
         assert shared == alone
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_yields_each_run_once_it_and_those_before_are_stepped(self, table995, monkeypatch,
+                                                                  workers):
+        # runs 0 and 2 share a key and step first; run 1 steps after them,
+        # so run 0 comes out at once, and run 2 only after run 1
+        record_pool(monkeypatch)
+        stepped = []
+
+        def recording_block(runs, table, groups):
+            stepped.append(sorted({i for i, _, _ in groups}))
+            return _run_block(runs, table, groups)
+
+        monkeypatch.setattr(engine, "_run_block", recording_block)
+        scenario = two_arm("FR", 0.0, T=40)
+        runs = [Run(scenario, PIN_SEED, 300),
+                Run(dataclasses.replace(scenario, T=41), PIN_SEED + 1, 300),
+                Run(scenario, PIN_SEED + 2, 300)]
+        results = run_together(runs, table995, workers=workers)
+        assert stepped == []  # checked when called, stepped when read
+        first = next(results)
+        assert all(0 in block for block in stepped) and all(1 not in block for block in stepped)
+        rest = list(results)
+        assert [1] in stepped and len(rest) == 2
+        for run, replicates in zip(runs, [first, *rest]):
+            assert replicates_identical(replicates, run_replicates(
+                run.scenario, table995, run.master_seed, run.M))
 
     def test_needs_a_run(self):
         with pytest.raises(ValueError, match="at least one run"):
