@@ -1,30 +1,34 @@
 """Record a BENCH file: the benchmark run on two commits, in alternated pairs.
 
-    python3 bench/record.py --base REF --head REF --label LABEL [--pairs N]
-        [--seconds S] [--big-pairs N] [--work DIR]
+    python3 bench/record.py --base REF [--head REF] --label LABEL
 
-Each commit is unpacked with ``git archive`` into a tree of its own under
-``--work``.  For every workload of ``perfbench/workloads.py`` the script runs
+Each commit is unpacked with ``git archive`` into a tree of its own in a
+temporary directory, removed at the end.  For every workload of
+``BENCHMARK.json`` the script runs its command
 
     python3 perfbench/run.py --workload W --seed N --seconds S --trace 0
 
-unchanged, as a subprocess from the root of each tree, and reads the JSON on
-its last line.  A pair is one run on each tree at one seed; the first,
-third, ... pairs run the base first and the others the head first, so that
-neither tree always runs on a machine the other has just warmed or loaded.
+unchanged (S is ``BENCHMARK.json``'s ``run_seconds``), as a subprocess from
+the root of each tree, and reads the JSON on its last line.  A pair is one
+run on each tree at one seed; the first, third, ... of the ``PAIRS`` pairs
+run the base first and the others the head first, so that neither tree
+always runs on a machine the other has just warmed or loaded.
 
 It also times ``simulate --preset four-arm-t302 -M 10000 --workers 2`` on a
-warm table cache, in alternated pairs: wall time, the peak RSS of the
-command's own process and of its largest worker, and the sha256 of its
-``results.csv``.  No ``perfbench/`` workload reaches TS at (K=3, T=302),
+warm table cache, in ``BIG_PAIRS`` alternated pairs: wall time, the peak RSS
+of the command's own process and of its largest worker, and the sha256 of
+its ``results.csv``.  No ``perfbench/`` workload reaches TS at (K=3, T=302),
 which is most of that command's time.
 
 It writes ``BENCH_<label>.json`` in the current directory: the machine (Python,
 numpy and scipy versions, numpy's SIMD dispatch, ``nproc``, and the load
 average and steal ticks at start and end), every run's end-to-end metrics,
 and for each metric the head/base ratio of every pair, their median, the
-base's interquartile range and the pairs won each way.  Nothing here is a
-speed claim unless the ratios say so against the base's own spread.
+base's interquartile range and the pairs won each way.  A metric of
+``BENCHMARK.json`` whose base interquartile range, over the base median,
+exceeds its bound is marked unresolved: its pairs cannot tell a change of
+that size from the machine's spread.  Nothing here is a speed claim unless
+the ratios say so against the base's own spread.
 """
 
 from __future__ import annotations
@@ -45,9 +49,9 @@ import time
 from pathlib import Path
 
 REPO = Path(__file__).resolve().parent.parent
-WORKLOADS = ("index-rule-calibration", "probability-rule-simulation", "cold-simulate-two-workers")
-# the end-to-end metrics of BENCHMARK.json, and the better direction of each
-METRICS = {"setup_s": "lower", "trials_per_s": "higher", "cpu_s": "lower", "peak_rss_mb": "lower"}
+# alternated pairs per workload, and of the four-arm M=10^4 command
+PAIRS = 10
+BIG_PAIRS = 5
 # the perfbench --seed of the first pair; pair i runs at FIRST_SEED + i
 FIRST_SEED = 3101
 BIG_COMMAND = ("simulate", "--preset", "four-arm-t302", "-M", "10000", "--seed", "7",
@@ -101,9 +105,11 @@ def machine() -> dict:
     return info
 
 
-def perfbench_run(tree: Path, workload: str, seed: int, seconds: float) -> dict:
-    cmd = [sys.executable, "perfbench/run.py", "--workload", workload, "--seed", str(seed),
-           "--seconds", str(seconds), "--trace", "0"]
+def perfbench_run(tree: Path, command: list[str], workload: str, seed: int,
+                  seconds: float) -> dict:
+    """One run of ``BENCHMARK.json``'s command in ``tree``."""
+    cmd = [*command, "--workload", workload, "--seed", str(seed), "--seconds", f"{seconds:g}",
+           "--trace", "0"]
     proc = subprocess.run(cmd, cwd=tree, capture_output=True, text=True)
     lines = proc.stdout.strip().splitlines()
     result = {"seed": seed, "exit_code": proc.returncode}
@@ -152,9 +158,11 @@ def quartiles(values: list[float]) -> tuple[float, float]:
     return q1, q3
 
 
-def compare(pairs: list[dict], metrics: dict[str, str]) -> dict:
+def compare(pairs: list[dict], metrics: dict[str, str],
+            bounds: dict[str, float] | None = None) -> dict:
     """Per metric: head/base ratios per pair, their median, the base's IQR
-    (absolute and over its median) and the pairs won each way."""
+    (absolute and over its median), the pairs won each way and, for a metric
+    with a bound, whether the base's relative IQR exceeds it (unresolved)."""
     summary = {}
     for name, better in metrics.items():
         pairs_ok = [(p["base"]["metrics"][name], p["head"]["metrics"][name]) for p in pairs
@@ -180,6 +188,9 @@ def compare(pairs: list[dict], metrics: dict[str, str]) -> dict:
             "pairs_base_better": base_wins,
             "pairs": len(pairs_ok),
         }
+        if bounds and name in bounds:
+            summary[name]["bound"] = bounds[name]
+            summary[name]["unresolved"] = summary[name]["base_iqr_relative"] > bounds[name]
     return summary
 
 
@@ -194,40 +205,40 @@ def main(argv=None) -> int:
     parser.add_argument("--base", required=True, help="commit measured against")
     parser.add_argument("--head", default="HEAD", help="commit measured")
     parser.add_argument("--label", required=True, help="writes BENCH_<label>.json")
-    parser.add_argument("--pairs", type=int, default=5, help="pairs per workload")
-    parser.add_argument("--seconds", type=float, default=20.0, help="perfbench --seconds")
-    parser.add_argument("--big-pairs", type=int, default=3,
-                        help="pairs of the four-arm M=10^4 command (0 skips it)")
-    parser.add_argument("--work", default=None, help="directory for the trees (default: temp)")
     args = parser.parse_args(argv)
 
-    work = Path(args.work) if args.work else Path(tempfile.mkdtemp(prefix="bench-"))
-    trees = {"base": work / "base", "head": work / "head"}
-    commits = {name: unpack(getattr(args, name), tree) for name, tree in trees.items()}
-    record = {"label": args.label, "commits": commits,
-              "command": "python3 perfbench/run.py --workload W --seed N "
-                         f"--seconds {args.seconds:g} --trace 0",
-              "machine_start": machine(), "workloads": {}}
+    bench = json.loads((REPO / "BENCHMARK.json").read_text())
+    seconds = bench["run_seconds"]
+    metrics = {m["name"]: m["better"] for m in bench["end_to_end"]}
+    bounds = {m["name"]: m["bound"] for m in bench["end_to_end"]}
+    with tempfile.TemporaryDirectory(prefix="bench-") as tmp:
+        work = Path(tmp)
+        trees = {"base": work / "base", "head": work / "head"}
+        commits = {name: unpack(getattr(args, name), tree) for name, tree in trees.items()}
+        record = {"label": args.label, "commits": commits,
+                  "command": " ".join(bench["command"]) + " --workload W --seed N "
+                             f"--seconds {seconds:g} --trace 0",
+                  "machine_start": machine(), "workloads": {}}
 
-    for workload in WORKLOADS:
-        pairs = []
-        for i in range(args.pairs):
-            seed = FIRST_SEED + i
-            pair = {"seed": seed, "order": [name for name, _ in alternated(trees, i)]}
-            for name, tree in alternated(trees, i):
-                pair[name] = perfbench_run(tree, workload, seed, args.seconds)
-            pairs.append(pair)
-            print(f"{workload} seed {seed}: " + ", ".join(
-                f"{name} {pair[name].get('metrics')}" for name in ("base", "head")),
-                file=sys.stderr, flush=True)
-        record["workloads"][workload] = {"pairs": pairs, "summary": compare(pairs, METRICS)}
+        for workload in (w["name"] for w in bench["workloads"]):
+            pairs = []
+            for i in range(PAIRS):
+                seed = FIRST_SEED + i
+                pair = {"seed": seed, "order": [name for name, _ in alternated(trees, i)]}
+                for name, tree in alternated(trees, i):
+                    pair[name] = perfbench_run(tree, bench["command"], workload, seed, seconds)
+                pairs.append(pair)
+                print(f"{workload} seed {seed}: " + ", ".join(
+                    f"{name} {pair[name].get('metrics')}" for name in ("base", "head")),
+                    file=sys.stderr, flush=True)
+            record["workloads"][workload] = {"pairs": pairs,
+                                             "summary": compare(pairs, metrics, bounds)}
 
-    if args.big_pairs:
         caches = {name: work / f"cache-{name}" for name in trees}
         for name, tree in trees.items():
             warm(tree, caches[name], work / f"warm-{name}")
         pairs = []
-        for i in range(args.big_pairs):
+        for i in range(BIG_PAIRS):
             pair = {"order": [name for name, _ in alternated(trees, i)]}
             for name, tree in alternated(trees, i):
                 pair[name] = big_run(tree, caches[name], work / f"big-{name}")
