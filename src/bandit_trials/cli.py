@@ -34,11 +34,10 @@ position in the scenario) and trial size, so adding policies or selecting
 hypotheses does not perturb the others.  ``calibrate`` passes all its trial
 sizes, and ``simulate`` every rule's calibration and hypothesis runs, to the
 engine in one call (``engine.run_together``), which decides which of them
-share stepping blocks and runs them on one pool of at most ``--workers``
-worker processes, reaped once the last run is read.  The engine yields the
-runs in order, each as soon as it is stepped, and the command reduces,
-writes and prints each one then, so it holds about one run's results at a
-time.  No output depends on which runs share a block.
+share stepping blocks, runs them on one pool of at most ``--workers``
+worker processes and yields each run, in order, once it is stepped.  The
+command reduces, writes and prints each run as it comes.  No output depends
+on which runs share a block.
 """
 
 from __future__ import annotations
@@ -262,10 +261,9 @@ def cmd_calibrate(args) -> int:
     out_dir = Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     runs = [_calibration_run(args, scenario) for scenario in scenarios]
-    # strict: the engine's pool is joined as its last run is read
-    for scenario, run, replicates in zip(scenarios, runs,
-                                         run_together(runs, table, workers=args.workers),
-                                         strict=True):
+    results = run_together(runs, table, workers=args.workers)
+    # strict reads the results to the end, so the engine joins its pool
+    for scenario, run, replicates in zip(scenarios, runs, results, strict=True):
         T = scenario.T
         seed = run.master_seed
         critical = calibrate_critical_value(replicates, preset["alpha"])
@@ -370,30 +368,24 @@ def cmd_simulate(args) -> int:
 
     out_dir = Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
-    # each rule's calibration (label None), if it has one, then its
-    # hypotheses: one engine call
+    # each rule's calibration (label None), if it has one, then its hypotheses
     entries = []
     for kind in kinds:
         if kind in null_scenarios:
             entries.append((kind, None, _calibration_run(args, null_scenarios[kind])))
-        entries += [(kind, label, Run(scenarios[kind, label],
-                                      _derived_seed(args.seed, POLICY_KINDS.index(kind),
-                                                    1 + labels.index(label), T),
-                                      args.replicates, args.bias, args.traces))
-                    for label in hypotheses]
-    runs = [run for _, _, run in entries]
+        entries += [(kind, label, Run(scenarios[kind, label], _derived_seed(
+            args.seed, POLICY_KINDS.index(kind), 1 + labels.index(label), T), args.replicates,
+            args.bias, args.traces)) for label in hypotheses]
     rows = []
     criticals = {kind: fixed.get(kind, analytic) for kind in kinds}
-    # strict: the engine's pool is joined as its last run is read
-    for (kind, label, run), replicates in zip(entries,
-                                              run_together(runs, table, workers=args.workers),
-                                              strict=True):
+    results = run_together([run for _, _, run in entries], table, workers=args.workers)
+    # strict reads the results to the end, so the engine joins its pool
+    for (kind, label, run), replicates in zip(entries, results, strict=True):
         if label is None:
             criticals[kind] = calibrate_critical_value(replicates, alpha)
             continue
-        critical = criticals[kind].value
-        oc = aggregate(replicates, critical)
-        rows.append((kind, label, critical, run.master_seed, oc))
+        oc = aggregate(replicates, criticals[kind].value)
+        rows.append((kind, label, criticals[kind].value, run.master_seed, oc))
         bias_name, trace_names = _output_names(kind, label, traced)
         if args.bias:
             write_bias_csv(replicates, out_dir / bias_name)
@@ -405,8 +397,7 @@ def cmd_simulate(args) -> int:
     results_path = out_dir / "results.csv"
     write_results_csv(rows, results_path)
     cv_path = out_dir / "critical_values.json"
-    cv_path.write_text(json.dumps({kind: critical.value for kind, critical in criticals.items()},
-                                  indent=2) + "\n")
+    cv_path.write_text(json.dumps({k: c.value for k, c in criticals.items()}, indent=2) + "\n")
     print(f"wrote {results_path} and {cv_path}")
     return 0
 

@@ -34,11 +34,9 @@ every row's arm and outcome, and each group keeps those of its run's first
 checks none of them.
 ``run_trial(scenario, table, (master_seed, r))`` runs the one-row block
 [r, r+1) through the same block function and returns its ``Replicates``,
-trace kept.  ``run_together`` yields each run as soon as it and the runs
-before it are stepped, so a caller can reduce and drop one run while later
-ones step.  With several workers, each block of a call is one task of the
-call's one process pool, of at most one worker per block, which is shut
-down and its workers joined once the last run is read.
+trace kept.  With several workers, each block of a call is one task of
+the call's one process pool, of at most one worker per block, which is
+shut down and its workers joined once the call's last run is read.
 
 Randomness discipline: each replicate owns two independent streams derived
 from (master_seed, r): one for policy randomness (initialization order,
@@ -443,11 +441,10 @@ def run_together(runs: list[Run], table: GittinsTable | None, *,
     each of its groups' replicates in order, then the groups in order, so
     each run's result is bitwise identical for any positive ``workers``, any
     stepping block and any runs beside it.
-    The runs are checked when this is called, and stepped as the result is
-    read.  With several workers and blocks, all the blocks of the call are
-    tasks of one process pool of at most one worker per block, which keeps
-    stepping while earlier runs are read, and is shut down and its workers
-    joined when the last run has been read (or the result is closed).
+    The runs are checked on the call and stepped as the result is read.
+    With several workers and blocks, all the blocks of the call are tasks
+    of one process pool of at most one worker per block, shut down and its
+    workers joined once the last run is read or the result is closed.
     """
     if not runs:
         raise ValueError("run_together needs at least one run")
