@@ -703,6 +703,17 @@ class TestSimulateCommand:
                        "--out-dir", str(tmp_path)) == 0
         assert multiprocessing.active_children() == []
 
+    def test_workers_reaped_when_a_write_fails(self, tmp_path, monkeypatch):
+        # the first run's bias file fails while later runs are still in the pool
+        def failing_write(replicates, path):
+            raise OSError(f"cannot write {path}")
+
+        monkeypatch.setattr(cli, "write_bias_csv", failing_write)
+        assert run_cli("simulate", "--preset", "two-arm-t116", "--policies", "FR,GI",
+                       "--critical-values", "analytic", "--bias", "-M", str(BLOCK + 1),
+                       "--workers", "2", "--out-dir", str(tmp_path)) == 1
+        assert multiprocessing.active_children() == []
+
 
 class TestOnePoolPerCommand:
     """Each command hands all its runs to one engine call, on one pool."""
