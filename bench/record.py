@@ -29,6 +29,15 @@ base's interquartile range and the pairs won each way.  A metric of
 exceeds its bound is marked unresolved: its pairs cannot tell a change of
 that size from the machine's spread.  Nothing here is a speed claim unless
 the ratios say so against the base's own spread.
+
+A run whose JSON reads ``correct: false`` or ``failed > 0`` keeps the
+``FAILED ...`` lines it printed.  Each command they name is rerun on both
+trees at its round seed, its argv rebuilt by ``perfbench/workloads.py`` and
+its output checked by ``perfbench/checks.py``, both read from the tree and
+left unchanged.  When both trees write byte-identical files and fail the
+same checks, and every failed check is a published critical value, the
+failure is labelled the known ``_expect_published_c`` flake: that check
+rejects correct calibrations now and then, whatever the program's version.
 """
 
 from __future__ import annotations
@@ -39,6 +48,7 @@ import io
 import json
 import os
 import platform
+import re
 import shutil
 import statistics
 import subprocess
@@ -67,6 +77,27 @@ code = cli.main(sys.argv[1:])
 peak = lambda who: resource.getrusage(who).ru_maxrss / 1024.0
 print(json.dumps({"exit_code": code, "parent_peak_rss_mb": peak(resource.RUSAGE_SELF),
                   "children_peak_rss_mb": peak(resource.RUSAGE_CHILDREN)}))
+"""
+# perfbench/run.py's line for each failed check or command of a run
+FAILED_LINE = re.compile(r"FAILED round \d+ \(seed (\d+)\) command (\d+): ")
+# the message of perfbench/checks.py's _expect_published_c
+PUBLISHED_C = re.compile(r"C\[\w+\]=\S+ vs published ")
+# runs command INDEX of workload NAME at round seed SEED from the root of a
+# tree, as perfbench/child.py does, then prints its exit code and the checks
+# it fails as the last line
+RERUN_WRAPPER = """
+import json, sys
+from pathlib import Path
+sys.path[:0] = ["src", "perfbench"]
+from bandit_trials import cli
+from checks import check_command
+from workloads import WORKLOADS
+name, index, seed, out = sys.argv[1], int(sys.argv[2]), int(sys.argv[3]), sys.argv[4]
+workload = WORKLOADS[name]
+command = workload.commands[index]
+code = cli.main(command.argv(seed, workload.workers, out))
+failed = check_command(command, Path(out), "rerun") if code == 0 else []
+print(json.dumps({"exit_code": code, "failed_checks": failed}))
 """
 
 
@@ -118,6 +149,43 @@ def perfbench_run(tree: Path, command: list[str], workload: str, seed: int,
         result["metrics"] = {name: m["value"] for name, m in result["metrics"].items()}
     except (IndexError, json.JSONDecodeError, KeyError, TypeError):
         result["stderr_tail"] = proc.stderr[-2000:]
+    if result.get("correct") is False or result.get("failed", 0) > 0:
+        result["failed_lines"] = [line for line in proc.stderr.splitlines()
+                                  if line.startswith("FAILED ")]
+    return result
+
+
+def outputs_sha256(out: Path) -> str:
+    """One digest of every file under ``out``: its path and its bytes."""
+    digest = hashlib.sha256()
+    for path in sorted(p for p in out.rglob("*") if p.is_file()):
+        digest.update(str(path.relative_to(out)).encode() + b"\0" + path.read_bytes())
+    return digest.hexdigest()
+
+
+def rerun(trees: dict[str, Path], workload: str, index: int, seed: int, work: Path) -> dict:
+    """Command ``index`` of ``workload`` at round seed ``seed``, rerun on
+    every tree: its exit code, the checks it fails and its output digest,
+    and whether the failure is the known ``_expect_published_c`` flake."""
+    result = {"workload": workload, "command": index, "round_seed": seed}
+    for name, tree in trees.items():
+        out = work / f"rerun-{name}"
+        shutil.rmtree(out, ignore_errors=True)
+        proc = subprocess.run([sys.executable, "-c", RERUN_WRAPPER, workload, str(index),
+                               str(seed), str(out)], cwd=tree, capture_output=True, text=True)
+        try:
+            result[name] = json.loads(proc.stdout.strip().splitlines()[-1])
+        except (IndexError, json.JSONDecodeError):
+            result[name] = {"exit_code": proc.returncode, "stderr_tail": proc.stderr[-2000:]}
+        result[name]["outputs_sha256"] = outputs_sha256(out) if out.is_dir() else None
+        shutil.rmtree(out, ignore_errors=True)
+    runs = [result[name] for name in trees]
+    result["outputs_identical"] = len({run["outputs_sha256"] for run in runs}) == 1
+    failed = [run.get("failed_checks") for run in runs]
+    result["same_checks_fail"] = bool(failed[0]) and all(f == failed[0] for f in failed)
+    result["known_flake"] = ("_expect_published_c" if result["outputs_identical"]
+                             and result["same_checks_fail"]
+                             and all(PUBLISHED_C.search(f) for f in failed[0]) else None)
     return result
 
 
@@ -231,7 +299,16 @@ def main(argv=None) -> int:
                 print(f"{workload} seed {seed}: " + ", ".join(
                     f"{name} {pair[name].get('metrics')}" for name in ("base", "head")),
                     file=sys.stderr, flush=True)
-            record["workloads"][workload] = {"pairs": pairs,
+            failed = sorted({(int(m[1]), int(m[2])) for pair in pairs for name in trees
+                             for m in map(FAILED_LINE.match, pair[name].get("failed_lines", ()))
+                             if m})
+            reruns = [rerun(trees, workload, index, seed, work) for seed, index in failed]
+            for found in reruns:
+                print(f"{workload} round seed {found['round_seed']} command {found['command']}"
+                      f" rerun: outputs identical {found['outputs_identical']}, same checks"
+                      f" fail {found['same_checks_fail']}, known flake {found['known_flake']}",
+                      file=sys.stderr, flush=True)
+            record["workloads"][workload] = {"pairs": pairs, "reruns": reruns,
                                              "summary": compare(pairs, metrics, bounds)}
 
         caches = {name: work / f"cache-{name}" for name in trees}

@@ -254,18 +254,17 @@ def cmd_calibrate(args) -> int:
     sizes = args.T or [int(preset["T"])]
     _check_distinct("trial size", sizes)
     # every trial size is checked before the table is built or a file written
-    scenarios = [_null_scenario(preset, kind, T) for T in sizes]
-    table = _scenario_table(preset, [kind], max(scenario.T for scenario in scenarios))
+    runs = [_calibration_run(args, _null_scenario(preset, kind, T)) for T in sizes]
+    table = _scenario_table(preset, [kind], max(sizes))
     # histogram bins of the statistic: [-6, 6] in steps of 0.2, with overflow bins
     edges = np.concatenate(([-np.inf], np.round(np.arange(-6.0, 6.0 + 0.1, 0.2), 10), [np.inf]))
     out_dir = Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
-    runs = [_calibration_run(args, scenario) for scenario in scenarios]
     results = run_together(runs, table, workers=args.workers)
     # strict reads the results to the end, so the engine joins its pool
-    for scenario, run, replicates in zip(scenarios, runs, results, strict=True):
+    for run, replicates in zip(runs, results, strict=True):
+        scenario, seed = run.scenario, run.master_seed
         T = scenario.T
-        seed = run.master_seed
         critical = calibrate_critical_value(replicates, preset["alpha"])
         stats = replicates.z.max(axis=1)  # Z, or max Z for K > 1
         z_sd = float(stats.std(ddof=1))
@@ -345,37 +344,36 @@ def cmd_simulate(args) -> int:
                                  f"{name} would be {len(name.encode())} bytes, over 255")
     T = args.T if args.T is not None else int(preset["T"])
     alpha = preset["alpha"]
-    # every scenario, calibration and critical value is checked before the
-    # table is built or a file written
-    scenarios = {(kind, label): _scenario(preset, kind, mu, T)
-                 for kind in kinds for label, mu in preset["hypotheses"].items()
-                 if label in hypotheses}
     mode = args.critical_values
     calibration_T = _calibration_size(preset, T) if mode == "calibrate" else T
     # equal randomisation keeps the contrasts on their nominal law, so FR
     # always tests at the analytic value
-    null_scenarios = {kind: _null_scenario(preset, kind, calibration_T)
-                      for kind in kinds if mode == "calibrate" and kind != "FR"}
-    if null_scenarios:
+    calibrated = [kind for kind in kinds if mode == "calibrate" and kind != "FR"]
+    # each rule's calibration (label None), if it has one, then its
+    # hypotheses; every run and critical value is checked before the table
+    # is built or a file written
+    entries = []
+    for kind in kinds:
+        if kind in calibrated:
+            entries.append((kind, None, _calibration_run(
+                args, _null_scenario(preset, kind, calibration_T))))
+        entries += [(kind, label, Run(_scenario(preset, kind, preset["hypotheses"][label], T),
+                                      _derived_seed(args.seed, POLICY_KINDS.index(kind),
+                                                    1 + labels.index(label), T),
+                                      args.replicates, args.bias, args.traces))
+                    for label in hypotheses]
+    if calibrated:
         _check_calibration_size(args.replicates)
     fixed = {} if mode in ("analytic", "calibrate") else _file_criticals(mode, kinds, alpha)
     table = _scenario_table(preset, kinds, max(T, calibration_T))
     # FR, and every rule under ``--critical-values analytic``, tests at the
     # analytic family-wise value
     analytic = None
-    if any(kind not in null_scenarios and kind not in fixed for kind in kinds):
-        analytic = fwer_critical_value(next(iter(scenarios.values())).K, alpha)
+    if any(kind not in calibrated and kind not in fixed for kind in kinds):
+        analytic = fwer_critical_value(entries[0][2].scenario.K, alpha)
 
     out_dir = Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
-    # each rule's calibration (label None), if it has one, then its hypotheses
-    entries = []
-    for kind in kinds:
-        if kind in null_scenarios:
-            entries.append((kind, None, _calibration_run(args, null_scenarios[kind])))
-        entries += [(kind, label, Run(scenarios[kind, label], _derived_seed(
-            args.seed, POLICY_KINDS.index(kind), 1 + labels.index(label), T), args.replicates,
-            args.bias, args.traces)) for label in hypotheses]
     rows = []
     criticals = {kind: fixed.get(kind, analytic) for kind in kinds}
     results = run_together([run for _, _, run in entries], table, workers=args.workers)

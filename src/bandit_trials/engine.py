@@ -12,15 +12,15 @@ patients).
 Replicate r of a master seed is the only identity a trial has, and a block
 of replicates the only unit of work.  ``run_together`` steps any runs, each
 with its own scenario, master seed, M, bias sums and traces;
-``run_replicates`` is its one-run case.  Runs that share a stepping key,
-the rule, T, sigma and arm count, share stepping blocks, and runs of
+``run_replicates`` is its one-run case.  Consecutive runs of one stepping
+key, the rule, T, sigma and arm count, share stepping blocks, and runs of
 different keys never do.  The call cuts each run into its own groups of
 ``BLOCK`` replicates, [0, BLOCK), [BLOCK, 2 BLOCK), ... of that run (only a
-run's last group may be short).  For each key, in order of first
-appearance, it joins the groups of the key's runs in order and steps them
-in blocks of g groups, g = min(``STEP_GROUPS``, ceil(the key's groups /
-workers)).  Three runs of one key and M = 100 at one worker are one 300-row
-block; three of M = 500 on two workers are six groups, stepped as two
+run's last group may be short).  For each stretch of consecutive runs of
+one key, it joins their groups in order and steps them in blocks of g
+groups, g = min(``STEP_GROUPS``, ceil(the stretch's groups / workers)), so
+the blocks hold every group in run order.  Three runs of one key and
+M = 100 at one worker are one 300-row block; three of M = 500 on two workers are six groups, stepped as two
 blocks of three, where each run stepped alone takes two 256-row blocks.
 The loop runs over patients, and each step updates the (R, K+1) ``sums``
 and ``counts`` of all R replicates of the block with array operations,
@@ -67,7 +67,8 @@ from collections.abc import Iterator
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from functools import partial
-from itertools import chain
+from itertools import chain, groupby
+from operator import attrgetter
 from pathlib import Path
 
 import numpy as np
@@ -426,21 +427,22 @@ def run_replicates(scenario: TrialScenario, table: GittinsTable | None,
 
 def run_together(runs: list[Run], table: GittinsTable | None, *,
                  workers: int = 1) -> Iterator[Replicates]:
-    """Simulate several runs, those of one stepping key in shared blocks:
-    each run's ``Replicates``, in the order of ``runs``, yielded as soon as
-    it and every run before it are stepped.
+    """Simulate several runs, consecutive runs of one stepping key in shared
+    blocks: each run's ``Replicates``, in the order of ``runs``, yielded as
+    soon as its last group is stepped.
 
     A run's stepping key is its rule, T, sigma and arm count.  Each run is
     cut into its own groups of ``BLOCK`` replicates, aligned to its
-    replicate index r.  For each key, in order of first appearance, the
+    replicate index r.  For each stretch of consecutive runs of one key, the
     groups of its runs, joined in order, are stepped in blocks of g of them,
-    g = min(``STEP_GROUPS``, ceil(the key's groups / workers)): no more rows
-    per task than spreading the key's groups evenly over the workers takes.
-    Runs of different keys never share a block.  Replicate r of a run
-    derives its streams from (its master seed, r), and a run's bias sums add
-    each of its groups' replicates in order, then the groups in order, so
-    each run's result is bitwise identical for any positive ``workers``, any
-    stepping block and any runs beside it.
+    g = min(``STEP_GROUPS``, ceil(the stretch's groups / workers)): no more
+    rows per task than spreading the stretch's groups evenly over the
+    workers takes.  Runs of different keys never share a block, and runs of
+    one key share blocks only when they are next to each other in ``runs``.
+    Replicate r of a run derives its streams from (its master seed, r), and
+    a run's bias sums add each of its groups' replicates in order, then the
+    groups in order, so each run's result is bitwise identical for any
+    positive ``workers``, any stepping block and any runs beside it.
     The runs are checked on the call and stepped as the result is read.
     With several workers and blocks, all the blocks of the call are tasks
     of one process pool of at most one worker per block, shut down and its
@@ -450,21 +452,19 @@ def run_together(runs: list[Run], table: GittinsTable | None, *,
         raise ValueError("run_together needs at least one run")
     if workers < 1:
         raise ValueError(f"workers must be >= 1, got {workers}")
-    # the runs of each stepping key, keys in order of first appearance
-    keyed = {}
-    for i, run in enumerate(runs):
+    for run in runs:
         if run.M < 1:
             raise ValueError("M must be >= 1")
         if run.traces < 0:
             raise ValueError(f"traces must be >= 0, got {run.traces}")
         _uint32_words(run.master_seed)  # a seed that is no non-negative integer fails here
-        scenario = run.scenario
-        _check_table(scenario, table)
-        keyed.setdefault((scenario.policy, scenario.T, scenario.sigma, scenario.K), []).append(i)
+        _check_table(run.scenario, table)
+    key = attrgetter("scenario.policy", "scenario.T", "scenario.sigma", "scenario.K")
     blocks = []
-    for indices in keyed.values():
+    # each stretch of consecutive runs of one stepping key
+    for _, stretch in groupby(range(len(runs)), key=lambda i: key(runs[i])):
         groups = [(i, first, min(first + BLOCK, runs[i].M))
-                  for i in indices for first in range(0, runs[i].M, BLOCK)]
+                  for i in stretch for first in range(0, runs[i].M, BLOCK)]
         size = min(STEP_GROUPS, -(-len(groups) // workers))
         blocks += [groups[start:start + size] for start in range(0, len(groups), size)]
     return _stepped(runs, table, blocks, min(workers, len(blocks)))
@@ -472,25 +472,19 @@ def run_together(runs: list[Run], table: GittinsTable | None, *,
 
 def _stepped(runs: list[Run], table: GittinsTable | None, blocks: list[list[tuple]],
              workers: int) -> Iterator[Replicates]:
-    """Step ``blocks`` on ``workers`` and yield each run's joined groups in run order."""
+    """Step ``blocks``, which hold the runs' groups in run order, on
+    ``workers``, and yield each run's joined groups once its last is stepped."""
     step = partial(_run_block, runs, table)
     pool = ProcessPoolExecutor(max_workers=workers) if workers > 1 else None
-    parts = [[] for _ in runs]
-    joined = {}  # runs stepped ahead of an earlier run of a later key
-    following = 0  # the next run to yield
+    parts = []
     try:
         results = pool.map(step, blocks) if pool else map(step, blocks)
         for (i, _, stop), replicates in zip(chain.from_iterable(blocks),
                                             chain.from_iterable(results)):
-            parts[i].append(replicates)
-            # a run's groups arrive together and in order; joining them at
-            # its last frees them
+            parts.append(replicates)
             if stop == runs[i].M:
-                joined[i] = _merge(parts[i])
-                parts[i] = None
-                while following in joined:
-                    yield joined.pop(following)
-                    following += 1
+                yield _merge(parts)
+                parts = []
     finally:
         if pool is not None:
             pool.shutdown(cancel_futures=True)

@@ -7,6 +7,8 @@ import traceback
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy import stats
 
 from bandit_trials import engine, policies
@@ -618,8 +620,8 @@ class TestRunTogether:
     @pytest.mark.parametrize("workers", [1, 2])
     def test_yields_each_run_once_it_and_those_before_are_stepped(self, table995, monkeypatch,
                                                                   workers):
-        # runs 0 and 2 share a key and step first; run 1 steps after them,
-        # so run 0 comes out at once, and run 2 only after run 1
+        # runs of keys A, B, A step in run order, each in blocks of its own:
+        # run 0 comes out before run 1 steps, and all three in run order
         record_pool(monkeypatch)
         stepped = []
 
@@ -642,9 +644,68 @@ class TestRunTogether:
             assert replicates_identical(replicates, run_replicates(
                 run.scenario, table995, run.master_seed, run.M))
 
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_runs_of_one_key_apart_step_apart(self, table995, monkeypatch, workers):
+        # runs 0 and 2 share a key but run 1, of another key, lies between
+        # them: three blocks, one per run, stepped and yielded in run order
+        record_pool(monkeypatch)
+        stepped = []
+
+        def recording_block(runs, table, groups):
+            stepped.append(groups)
+            return _run_block(runs, table, groups)
+
+        monkeypatch.setattr(engine, "_run_block", recording_block)
+        scenario = two_arm("FR", 0.0, T=40)
+        runs = [Run(scenario, PIN_SEED, 100),
+                Run(dataclasses.replace(scenario, T=41), PIN_SEED + 1, 100),
+                Run(scenario, PIN_SEED + 2, 100)]
+        shared = list(run_together(runs, table995, workers=workers))
+        assert stepped == [[(0, 0, 100)], [(1, 0, 100)], [(2, 0, 100)]]
+        for run, replicates in zip(runs, shared, strict=True):
+            assert replicates_identical(replicates, run_replicates(
+                run.scenario, table995, run.master_seed, run.M))
+
     def test_needs_a_run(self):
         with pytest.raises(ValueError, match="at least one run"):
             run_together([], None)
+
+
+# RBI's and RGI's exploration bump E/(n+1) is in outcome units (see
+# ``policies``), so only these two rules explore differently in another unit
+SCALE_DEPENDENT = ("RBI", "RGI")
+
+
+def scaled_pair(kind, K, T, seed, b, table):
+    """One run at random (mu, sigma) and one at (b mu, b sigma), every row traced."""
+    rng = np.random.default_rng(seed)
+    mu, sigma = tuple(rng.normal(0.0, 0.5, K + 1)), float(rng.uniform(0.5, 2.0))
+    return [run_replicates(TrialScenario(tuple(scale * m for m in mu), scale * sigma, T,
+                                         PolicySpec(kind)), table, seed, 24, traces=24)
+            for scale in (1.0, b)]
+
+
+class TestScaleEquivariance:
+    """Scaling every arm mean and sigma by a power of two b is exact in
+    floating point: outcomes scale by b bit for bit, and z and every
+    allocation stay as they are."""
+
+    @pytest.mark.parametrize("kind", [k for k in POLICY_KINDS if k not in SCALE_DEPENDENT])
+    @given(K=st.integers(1, 3), T=st.sampled_from([12, 40]),
+           seed=st.integers(0, 2**31 - 1), b=st.sampled_from([2.0**-2, 2.0, 2.0**10]))
+    @settings(max_examples=10, deadline=None)
+    def test_unit_of_measurement_moves_no_decision(self, table995, kind, K, T, seed, b):
+        K = max(K, 2) if kind in ("TP", "TPB") else K  # multi-arm rules
+        plain, scaled = scaled_pair(kind, K, T, seed, b, table995)
+        for name in ("counts", "z", "allocations"):
+            assert np.array_equal(getattr(plain, name), getattr(scaled, name)), name
+        for name in ("outcomes", "mean_outcome"):
+            assert np.array_equal(b * getattr(plain, name), getattr(scaled, name)), name
+
+    @pytest.mark.parametrize("kind", SCALE_DEPENDENT)
+    def test_bump_in_outcome_units_moves_decisions(self, table995, kind):
+        plain, scaled = scaled_pair(kind, 2, 60, PIN_SEED, 2.0, table995)
+        assert not np.array_equal(plain.allocations, scaled.allocations)
 
 
 class TestStreamSeeds:
