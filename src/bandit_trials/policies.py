@@ -45,11 +45,9 @@ its fixed seeds the UCB gap C(302)-C(64) is 0.0757 under ln t and 0.0796
 under ln(t-1), and both clear its Monte Carlo threshold.
 
 Units: GI's bonus sigma v(n), the UCB/KLU widths and the TS/TP contrasts are
-in sigma units, so scaling every arm mean and sigma by one factor scales
-every score alike and moves no decision.  RBI/RGI's bump E/(n+1) is in
-outcome units (at sigma = 1, the only sigma of the designs reproduced here,
-the two readings agree), so these two rules explore differently when the
-unit of measurement changes.
+in sigma units, so scaling every arm mean and sigma alike moves no decision.
+RBI/RGI's bump E/(n+1) is in outcome units (the two agree at sigma = 1, the
+designs' only sigma), so these two rules explore differently in another unit.
 """
 
 from __future__ import annotations
